@@ -24,9 +24,8 @@ from .crypto import (
     decrypt,
     encrypt,
     seed_from_hex,
-    swap_codeword,
 )
-from .huffman import attach_tables
+from .huffman import attach_tables, swap_codeword
 from .pgm import PgmError, parse_pgm, pgm_bytes, read_pgm
 from .reducer import reduce_machine, validate_reduced
 

@@ -15,10 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import exp, lgamma, log2, sqrt
 
-from .huffman import HfsacCodec, swap_codeword
+import numpy as np
+
+from .huffman import HfsacCodec, walk_codewords
+from .reducer import walk_blocks
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 TAG_JUMP = 1
 TAG_STATE = 2
@@ -38,7 +43,11 @@ class TruncatedStreamError(ValueError):
 
 
 class SplitMix64:
-    """Deterministic 64-bit generator (splitmix recurrence)."""
+    """Deterministic 64-bit generator (splitmix recurrence).
+
+    Counter-based: draw k after state s0 is mix(s0 + k*GOLDEN mod 2**64),
+    so a block of draws is computed at once by `next_block`.
+    """
 
     __slots__ = ("state",)
 
@@ -48,9 +57,22 @@ class SplitMix64:
     def next_u64(self) -> int:
         self.state = (self.state + GOLDEN) & MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
         return z ^ (z >> 31)
+
+    def next_block(self, m: int) -> np.ndarray:
+        """The next m draws as uint64, equal to m calls of next_u64."""
+        z = np.arange(1, m + 1, dtype=np.uint64)
+        z *= GOLDEN
+        z += self.state
+        self.state = (self.state + m * GOLDEN) & MASK64
+        z ^= z >> 30
+        z *= _MIX1
+        z ^= z >> 27
+        z *= _MIX2
+        z ^= z >> 31
+        return z
 
 
 def substream_init(seed: int, tag: int) -> SplitMix64:
@@ -108,11 +130,11 @@ class KeySchedule:
             raise ValueError(f"jump_q_num must be in 0..256, got {self.jump_q_num}")
 
     def substream(self, tag: int) -> SplitMix64:
-        state = (self.seed ^ (tag * GOLDEN)) & MASK64
+        gen = substream_init(self.seed, tag)
         for t, mask in self.tweaks:
             if t == tag:
-                state ^= mask & MASK64
-        return SplitMix64(state)
+                gen.state ^= mask & MASK64
+        return gen
 
 
 @dataclass(frozen=True)
@@ -125,7 +147,75 @@ class StepRecord:
     swap_pos: int
 
 
-StepTrace = tuple[StepRecord, ...]
+class StepTrace:
+    """What every step of one encryption did, as columns.
+
+    Behaves as a sequence of `StepRecord`s: `len`, indexing and iteration
+    yield records, and it equals the tuple of the same records.
+    """
+
+    __slots__ = ("jumped", "state", "transition", "swap_pos")
+
+    def __init__(self, jumped=(), state=(), transition=(), swap_pos=()):
+        self.jumped = np.asarray(jumped, bool)
+        self.state = np.asarray(state, np.int32)
+        self.transition = np.asarray(transition, np.int32)
+        self.swap_pos = np.asarray(swap_pos, np.int32)
+
+    def _columns(self):
+        return (self.jumped, self.state, self.transition, self.swap_pos)
+
+    def __len__(self) -> int:
+        return len(self.jumped)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return StepTrace(*(c[i] for c in self._columns()))
+        return StepRecord(*(c[i].item() for c in self._columns()))
+
+    def __iter__(self):
+        for rec in zip(*(c.tolist() for c in self._columns())):
+            yield StepRecord(*rec)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, StepTrace):
+            return all(
+                np.array_equal(a, b) for a, b in zip(self._columns(), other._columns())
+            )
+        if isinstance(other, tuple):
+            return len(other) == len(self) and tuple(self) == other
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"StepTrace(steps={len(self)})"
+
+
+class _Draws:
+    """A schedule's three substreams, drawn a block of steps at a time."""
+
+    def __init__(self, ks: KeySchedule, state_count: int):
+        self.q = ks.jump_q_num
+        self.state_count = state_count
+        self.jump = ks.substream(TAG_JUMP)
+        self.state = ks.substream(TAG_STATE)
+        self.swap = ks.substream(TAG_SWAP)
+        self.first = True
+
+    def jumps(self, m: int) -> np.ndarray:
+        """Jump targets of the next m steps, -1 where a step does not jump;
+        the first step always jumps."""
+        jumped = (self.jump.next_block(m) >> 56) < self.q
+        jumped[0] |= self.first
+        self.first = False
+        targets = np.full(m, -1, np.int64)
+        draws = self.state.next_block(int(np.count_nonzero(jumped)))
+        targets[jumped] = draws % self.state_count
+        return targets
+
+    def swaps(self, m: int) -> list[int]:
+        return self.swap.next_block(m).tolist()
 
 
 def encrypt(plain: str, codec: HfsacCodec, ks: KeySchedule) -> tuple[str, StepTrace]:
@@ -134,61 +224,38 @@ def encrypt(plain: str, codec: HfsacCodec, ks: KeySchedule) -> tuple[str, StepTr
     Per step: draw the jump flag (the first step always jumps), on a jump
     draw the target state, draw the swap position, parse one input block,
     emit the swapped codeword.  The draw order is fixed so the decoder can
-    mirror it exactly.
+    mirror it exactly.  The parse does not depend on the swap draws, so a
+    block of steps is walked first and its codewords are swapped and
+    emitted together.
     """
     rm = codec.rm
-    gen_jump = ks.substream(TAG_JUMP)
-    gen_state = ks.substream(TAG_STATE)
-    gen_swap = ks.substream(TAG_SWAP)
+    draws = _Draws(ks, rm.state_count)
+    modulus = np.array([t.max_len + 1 for t in codec.tables], np.uint64)
     out: list[str] = []
-    trace: list[StepRecord] = []
-    pos = 0
-    n = len(plain)
-    carried = 0
-    first = True
-    while pos < n:
-        jumped = draw_bernoulli(gen_jump, ks.jump_q_num) or first
-        state = draw_uniform(gen_state, rm.state_count) if jumped else carried
-        table = codec.tables[state]
-        swap_pos = draw_uniform(gen_swap, table.max_len + 1)
-        idx, length = rm.match(state, plain, pos)
-        out.append(swap_codeword(table.codewords[idx], swap_pos))
-        trace.append(StepRecord(jumped, state, idx, swap_pos))
-        carried = rm.transitions[state][idx].to
-        pos += length
-        first = False
-    return "".join(out), tuple(trace)
+    columns = []
+    for rows, targets in walk_blocks(rm, plain, draws.jumps):
+        states = rm.inputs.row_state[rows]
+        swap_pos = (draws.swap.next_block(len(rows)) % modulus[states]).astype(np.int32)
+        out.append(codec.outputs.expand(rows, swap_pos))
+        columns.append(
+            (targets >= 0, states, rows - rm.inputs.row_base[states], swap_pos)
+        )
+    if not columns:
+        return "", StepTrace()
+    return "".join(out), StepTrace(*map(np.concatenate, zip(*columns)))
 
 
 def decrypt(cipher: str, codec: HfsacCodec, ks: KeySchedule, n_bits: int) -> str:
     """Invert encrypt under the same schedule; truncates to n_bits."""
-    rm = codec.rm
-    gen_jump = ks.substream(TAG_JUMP)
-    gen_state = ks.substream(TAG_STATE)
-    gen_swap = ks.substream(TAG_SWAP)
-    out: list[str] = []
-    out_len = 0
-    pos = 0
-    carried = 0
-    first = True
-    while out_len < n_bits:
-        jumped = draw_bernoulli(gen_jump, ks.jump_q_num) or first
-        state = draw_uniform(gen_state, rm.state_count) if jumped else carried
-        table = codec.tables[state]
-        swap_pos = draw_uniform(gen_swap, table.max_len + 1)
-        hit = codec.match_output(state, cipher, pos, swap_pos)
-        if hit is None:
-            if pos + table.max_len > len(cipher):
-                raise TruncatedStreamError("truncated stream")
-            raise WrongKeyError("wrong key or corrupt stream")
-        idx, length = hit
-        t = rm.transitions[state][idx]
-        out.append(t.input_block)
-        out_len += len(t.input_block)
-        pos += length
-        carried = t.to
-        first = False
-    return "".join(out)[:n_bits]
+    draws = _Draws(ks, codec.rm.state_count)
+
+    def fail(state: int, pos: int):
+        if pos + codec.tables[state].max_len > len(cipher):
+            raise TruncatedStreamError("truncated stream")
+        raise WrongKeyError("wrong key or corrupt stream")
+
+    blocks = walk_codewords(codec, cipher, n_bits, draws.jumps, draws.swaps, fail)
+    return "".join(codec.rm.inputs.expand(rows) for rows in blocks)[:n_bits]
 
 
 def keyspace_bits(

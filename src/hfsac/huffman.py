@@ -11,9 +11,13 @@ prefix-freeness survives.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
+from .prefix import BLOCK_STEPS, WINDOW_BITS, WINDOW_MASK, PrefixTable, no_jumps, windows
 from .reducer import ReducedMachine
 
 _FLIP = str.maketrans("01", "10")
@@ -82,16 +86,24 @@ class StateCodeTable:
 
 
 class HfsacCodec:
-    """Reduced machine plus one code table per state; immutable."""
+    """Reduced machine plus one code table per state; immutable.
 
-    __slots__ = ("rm", "tables", "_decode_tables")
+    The global row ids of `outputs` are those of `rm.inputs`.
+    """
+
+    __slots__ = ("rm", "tables", "_outputs")
 
     def __init__(self, rm: ReducedMachine, tables):
         self.rm = rm
         self.tables: tuple[StateCodeTable, ...] = tuple(tables)
-        self._decode_tables = tuple(
-            _length_groups(t.codewords) for t in self.tables
-        )
+        self._outputs: PrefixTable | None = None
+
+    @property
+    def outputs(self) -> PrefixTable:
+        """The codewords of every state, built on first use."""
+        if self._outputs is None:
+            self._outputs = PrefixTable(t.codewords for t in self.tables)
+        return self._outputs
 
     def match_output(self, state: int, code: str, pos: int, swap_pos: int | None = None):
         """Match the unique (optionally swapped) codeword of `state` at code[pos:].
@@ -99,16 +111,13 @@ class HfsacCodec:
         Returns (transition index, codeword length) or None when nothing
         matches within the available bits.
         """
-        for length, table in self._decode_tables[state]:
-            if pos + length > len(code):
-                return None
-            chunk = code[pos : pos + length]
-            if swap_pos is not None:
-                chunk = swap_codeword(chunk, swap_pos)
-            idx = table.get(chunk)
-            if idx is not None:
-                return idx, length
-        return None
+        row = self.outputs.lookup(state, code, pos, swap_pos)
+        if row < 0:
+            return None
+        length = int(self.outputs.lengths[row])
+        if pos + length > len(code):
+            return None
+        return row - int(self.outputs.row_base[state]), length
 
     def __eq__(self, other) -> bool:
         return (
@@ -123,11 +132,46 @@ class HfsacCodec:
         return f"HfsacCodec(states={self.rm.state_count})"
 
 
-def _length_groups(codewords):
-    by_len: dict[int, dict[str, int]] = {}
-    for i, cw in enumerate(codewords):
-        by_len.setdefault(len(cw), {})[cw] = i
-    return tuple(sorted(by_len.items()))
+def walk_codewords(codec: HfsacCodec, code: str, n_bits: int, jumps, swaps, fail):
+    """Parse `code` into codewords from state 0 until n_bits input bits are
+    decoded, a block of steps at a time.
+
+    `jumps(m)` gives the next m steps' jump targets (see `prefix`) and
+    `swaps(m)` their swap draws; a step's swap position is its draw modulo
+    its state's max_len + 1.  Yields the global rows matched, per block.
+    On a window that matches no codeword within `code`, calls
+    `fail(state, pos)`, which raises.
+    """
+    table = codec.outputs
+    index = table.index
+    code_lengths = memoryview(table.lengths)
+    block_lengths = memoryview(codec.rm.inputs.lengths)
+    next_state = memoryview(codec.rm.next_state)
+    modulus = [t.max_len + 1 for t in codec.tables]
+    win = windows(code)
+    n = len(code)
+    shift, mask = WINDOW_BITS, WINDOW_MASK
+    pos = done = state = 0
+    while done < n_bits:
+        m = min(BLOCK_STEPS, n_bits - done)
+        rows: list[int] = []
+        append = rows.append
+        for target, draw in zip(jumps(m).tolist(), swaps(m)):
+            if target >= 0:
+                state = target
+            swap_pos = draw % modulus[state]
+            row = index[(state << shift) | (win[pos] ^ (mask >> swap_pos))]
+            if row < 0:  # a codeword longer than the window, or none
+                row = table.lookup(state, code, pos, swap_pos)
+            if row < 0 or pos + code_lengths[row] > n:
+                fail(state, pos)
+            append(row)
+            pos += code_lengths[row]
+            done += block_lengths[row]
+            state = next_state[row]
+            if done >= n_bits:
+                break
+        yield np.array(rows, np.int32)
 
 
 def attach_tables(rm: ReducedMachine) -> HfsacCodec:
@@ -158,19 +202,14 @@ def hfac_encode(bits: str, codec: HfsacCodec) -> str:
 
 def hfac_decode(code: str, codec: HfsacCodec, n_bits: int) -> str:
     """Keyless decode of hfac_encode output, truncated to n_bits."""
-    rm = codec.rm
-    out: list[str] = []
-    out_len = 0
-    pos = 0
-    state = 0
-    while out_len < n_bits:
-        hit = codec.match_output(state, code, pos)
-        if hit is None:
-            raise CorruptStreamError("corrupt HFAC stream")
-        idx, length = hit
-        t = rm.transitions[state][idx]
-        out.append(t.input_block)
-        out_len += len(t.input_block)
-        pos += length
-        state = t.to
-    return "".join(out)[:n_bits]
+
+    def fail(state: int, pos: int):
+        raise CorruptStreamError("corrupt HFAC stream")
+
+    # a draw of -1 modulo every state's max_len + 1 puts each swap at
+    # max_len, past the last bit of every codeword: no swap at all
+    no_swap = math.lcm(*{t.max_len + 1 for t in codec.tables}) - 1
+    blocks = walk_codewords(
+        codec, code, n_bits, no_jumps, lambda m: [no_swap] * m, fail
+    )
+    return "".join(codec.rm.inputs.expand(rows) for rows in blocks)[:n_bits]

@@ -12,7 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .coder import CoderParams, FullMachine
+from .prefix import BLOCK_STEPS, WINDOW_BITS, PrefixTable, no_jumps, windows
 
 
 class NonEmittingCycleError(RuntimeError):
@@ -32,9 +35,12 @@ class ReducedMachine:
 
     transitions[s] is the tuple of rows leaving state s, in parse-tree
     order; origin[s] is the (low, high, follow) triple the state came from.
+    The global row ids of `inputs` number the rows of all states in order.
     """
 
-    __slots__ = ("params", "state_count", "transitions", "origin", "_match_tables")
+    __slots__ = (
+        "params", "state_count", "transitions", "origin", "_inputs", "_next_state",
+    )
 
     def __init__(self, params: CoderParams, transitions, origin):
         self.params = params
@@ -43,7 +49,26 @@ class ReducedMachine:
         )
         self.state_count = len(self.transitions)
         self.origin: tuple[tuple[int, int, int], ...] = tuple(origin)
-        self._match_tables = tuple(_length_groups(row) for row in self.transitions)
+        self._inputs: PrefixTable | None = None
+        self._next_state: np.ndarray | None = None
+
+    @property
+    def inputs(self) -> PrefixTable:
+        """The input blocks of every state, built on first use."""
+        if self._inputs is None:
+            self._inputs = PrefixTable(
+                [t.input_block for t in row] for row in self.transitions
+            )
+        return self._inputs
+
+    @property
+    def next_state(self) -> np.ndarray:
+        """Target state of every row, by global row id."""
+        if self._next_state is None:
+            self._next_state = np.fromiter(
+                (t.to for row in self.transitions for t in row), np.int32
+            )
+        return self._next_state
 
     def match(self, state: int, bits: str, pos: int) -> tuple[int, int]:
         """Match the unique input block of `state` prefixing bits[pos:].
@@ -51,14 +76,10 @@ class ReducedMachine:
         Returns (transition index, block length).  The tail of `bits` is
         implicitly zero-padded, so a match always exists.
         """
-        for length, table in self._match_tables[state]:
-            chunk = bits[pos : pos + length]
-            if len(chunk) < length:
-                chunk = chunk + "0" * (length - len(chunk))
-            idx = table.get(chunk)
-            if idx is not None:
-                return idx, length
-        raise AssertionError(f"incomplete input block set in state {state}")
+        row = self.inputs.lookup(state, bits, pos)
+        if row < 0:
+            raise AssertionError(f"incomplete input block set in state {state}")
+        return row - int(self.inputs.row_base[state]), int(self.inputs.lengths[row])
 
     def __eq__(self, other) -> bool:
         return (
@@ -78,11 +99,37 @@ class ReducedMachine:
         )
 
 
-def _length_groups(row):
-    by_len: dict[int, dict[str, int]] = {}
-    for i, t in enumerate(row):
-        by_len.setdefault(len(t.input_block), {})[t.input_block] = i
-    return tuple(sorted(by_len.items()))
+def walk_blocks(rm: ReducedMachine, bits: str, jumps):
+    """Parse `bits` into input blocks from state 0, a block of steps at a time.
+
+    `jumps(m)` gives the next m steps' jump targets (see `prefix`).  Yields,
+    per block, the global rows matched and those steps' targets.  The tail
+    of `bits` is zero-padded to complete the last block.
+    """
+    table = rm.inputs
+    index = table.index
+    lengths = memoryview(table.lengths)
+    next_state = memoryview(rm.next_state)
+    win = windows(bits)
+    n = len(bits)
+    shift = WINDOW_BITS
+    pos = state = 0
+    while pos < n:
+        targets = jumps(min(BLOCK_STEPS, n - pos))
+        rows: list[int] = []
+        append = rows.append
+        for target in targets.tolist():
+            if target >= 0:
+                state = target
+            row = index[(state << shift) | win[pos]]
+            if row < 0:  # a block longer than the window
+                row = int(table.row_base[state]) + rm.match(state, bits, pos)[0]
+            append(row)
+            pos += lengths[row]
+            state = next_state[row]
+            if pos >= n:
+                break
+        yield np.array(rows, np.int32), targets[: len(rows)]
 
 
 def _expand_state(machine: FullMachine, state: int):
@@ -214,17 +261,12 @@ def fsac_parse(bits: str, rm: ReducedMachine):
     Returns ([(state, transition index), ...], padded input); the input is
     zero-padded at the tail to complete the final block.
     """
-    steps: list[tuple[int, int]] = []
-    pos = 0
-    state = 0
-    n = len(bits)
-    while pos < n:
-        idx, length = rm.match(state, bits, pos)
-        steps.append((state, idx))
-        state = rm.transitions[state][idx].to
-        pos += length
-    padded = bits + "0" * (pos - n) if pos > n else bits
-    return steps, padded
+    blocks = [rows for rows, _ in walk_blocks(rm, bits, no_jumps)]
+    rows = np.concatenate(blocks) if blocks else np.zeros(0, np.int32)
+    states = rm.inputs.row_state[rows]
+    index = rows - rm.inputs.row_base[states]
+    pad = int(rm.inputs.lengths[rows].sum()) - len(bits)
+    return list(zip(states.tolist(), index.tolist())), bits + "0" * pad
 
 
 def fsac_encode(bits: str, rm: ReducedMachine) -> str:

@@ -253,6 +253,16 @@ class TestUsage:
         )
         assert rc == 1
 
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy costs every CLI call ~0.3 s; only the block-frequency test uses it
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, hfsac.cli; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_console_entry_point(self, tmp_path):
         out = tmp_path / "key"
         proc = subprocess.run(

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from hfsac import (
@@ -47,6 +48,26 @@ class TestSplitMix:
         a = substream_init(99, TAG_SWAP)
         b = substream_init(99, TAG_SWAP)
         assert [a.next_u64() for _ in range(100)] == [b.next_u64() for _ in range(100)]
+
+    @pytest.mark.parametrize(
+        # 2**64 - GOLDEN wraps to state 0 on the first draw
+        "seed", [0, 0x5EED, 2**64 - 1, 2**64 - 2, 2**64 - GOLDEN],
+    )
+    def test_block_draws_equal_sequential_draws(self, seed):
+        a, b = SplitMix64(seed), SplitMix64(seed)
+        sizes = (1, 7, 0, 300, 64, 8193)
+        blocks = [a.next_block(m).tolist() for m in sizes]
+        assert [z for block in blocks for z in block] == [
+            b.next_u64() for _ in range(sum(sizes))
+        ]
+        assert a.state == b.state
+
+    def test_tweaked_substream_block_draws(self):
+        ks = KeySchedule(2**64 - 1, 128, ((TAG_SWAP, 1 << 63), (TAG_JUMP, 3)))
+        for tag in (TAG_JUMP, TAG_STATE, TAG_SWAP):
+            a, b = ks.substream(tag), ks.substream(tag)
+            assert a.next_block(5000).tolist() == [b.next_u64() for _ in range(5000)]
+            assert a.next_block(3).tolist() == [b.next_u64() for _ in range(3)]
 
     def test_keystream_monobit(self):
         bits = bernoulli_bits(SplitMix64(0x5EED), 1_000_000, 0.5)
@@ -97,6 +118,12 @@ class ScriptedGen:
 
     def next_u64(self):
         return self.values.pop(0)
+
+    def next_block(self, m):
+        # the engine draws a block for up to as many steps as input bits
+        # remain, more than it takes; the draws past the script are 0
+        block, self.values = self.values[:m], self.values[m:]
+        return np.array(block + [0] * (m - len(block)), np.uint64)
 
 
 class ScriptedSchedule:
@@ -178,6 +205,21 @@ class TestEncrypt:
         cipher, trace = encrypt("", codec, KeySchedule(1, 128))
         assert (cipher, trace) == ("", ())
 
+    def test_trace_columns_behave_as_records(self, cache):
+        codec = cache.codec(5, 6, 1)
+        _, trace = encrypt(rand_bits(77, 400, 0.4), codec, KeySchedule(5, 128))
+        records = tuple(trace)
+        assert trace == records and records == trace
+        assert trace[-1] == records[-1]
+        assert trace[2:9] == records[2:9]
+        assert trace != records[:-1]
+        assert len(trace) == len(records) > 0
+
+    def test_rejects_non_bit_characters(self, cache):
+        codec = cache.codec(4, 3, 1)
+        with pytest.raises(ValueError):
+            encrypt("0120", codec, KeySchedule(1, 128))
+
     def test_swapped_output_differs_from_plain_tables(self, cache):
         codec = cache.codec(4, 3, 1)
         from hfsac import hfac_encode
@@ -233,6 +275,16 @@ class TestDecrypt:
         cipher, _ = encrypt("0101010101", codec, ks)
         with pytest.raises(TruncatedStreamError):
             decrypt(cipher[: len(cipher) // 2], codec, ks, 10)
+
+    @pytest.mark.parametrize("params", [(4, 3, 1), (7, 44, 10)])
+    def test_every_cut_raises(self, cache, params):
+        codec = cache.codec(*params)
+        bits = rand_bits(606, 300, 0.5)
+        ks = KeySchedule(0xC0DE, 230)
+        cipher, _ = encrypt(bits, codec, ks)
+        for k in range(len(cipher)):
+            with pytest.raises((TruncatedStreamError, WrongKeyError)):
+                decrypt(cipher[:k], codec, ks, len(bits))
 
     def test_garbled_stream_raises(self, cache):
         codec = cache.codec(4, 3, 1)
