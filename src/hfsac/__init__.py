@@ -59,6 +59,7 @@ from .huffman import (
     HfsacCodec,
     StateCodeTable,
     attach_tables,
+    build_codec,
     build_state_code,
     heuristic_weights,
     hfac_decode,

@@ -12,7 +12,7 @@ import sys
 
 from .analysis import GrayImage, analyze_image, compression_rates
 from .bitio import pack_bits, unpack_bits
-from .coder import CoderParams, StateExplosionError, build_full_fsm
+from .coder import CoderParams, StateExplosionError
 from .container import CipherContainer, ContainerError, parse, serialize
 from .crypto import (
     KeyFormatError,
@@ -25,9 +25,9 @@ from .crypto import (
     encrypt,
     seed_from_hex,
 )
-from .huffman import attach_tables, swap_codeword
+from .huffman import build_codec, swap_codeword
 from .pgm import PgmError, parse_pgm, pgm_bytes, read_pgm
-from .reducer import reduce_machine, validate_reduced
+from .reducer import validate_reduced
 
 
 class UsageError(Exception):
@@ -151,7 +151,7 @@ def _table_rows(codec):
 
 
 def cmd_tables(args) -> int:
-    codec = attach_tables(reduce_machine(build_full_fsm(_params(args))))
+    codec = build_codec(_params(args))
     rows = _table_rows(codec)
     if args.format == "csv":
         print("state,input,output,huffman,next_state")
@@ -183,7 +183,7 @@ def cmd_encode(args) -> int:
     jump_q = _parse_jump_prob(args.jump_prob)
     params = _params(args, jump_q)
     bits = _read_plain_bits(args.infile, args.format)
-    codec = attach_tables(reduce_machine(build_full_fsm(params)))
+    codec = build_codec(params)
     cipher, _ = encrypt(bits, codec, KeySchedule(seed, jump_q))
     blob = serialize(CipherContainer(params, len(bits), cipher))
     with open(args.out, "wb") as fh:
@@ -196,7 +196,7 @@ def cmd_decode(args) -> int:
     with open(args.infile, "rb") as fh:
         container = parse(fh.read())
     params = container.params
-    codec = attach_tables(reduce_machine(build_full_fsm(params)))
+    codec = build_codec(params)
     ks = KeySchedule(seed, params.jump_q_num)
     bits = decrypt(container.cipher_bits, codec, ks, container.plain_bit_len)
     data = pack_bits(bits)
@@ -225,12 +225,11 @@ def cmd_bench(args) -> int:
     print("p0,p0_num,states,ac_pct,fsac_pct,hfac_pct")
     for p0 in p0_list:
         params = CoderParams.from_probability(args.n, p0, args.fmax)
-        rm = reduce_machine(build_full_fsm(params))
-        codec = attach_tables(rm)
+        codec = build_codec(params)
         bits = bernoulli_bits(SplitMix64(args.seed), args.bits, p0)
         rates = compression_rates(bits, codec)
         print(
-            f"{p0:g},{params.p0_num},{rm.state_count},"
+            f"{p0:g},{params.p0_num},{codec.rm.state_count},"
             f"{rates['ac']:.2f},{rates['fsac']:.2f},{rates['hfac']:.2f}"
         )
     return 0
@@ -288,8 +287,8 @@ def run_selftest(corrupt: bool = False, verbose: bool = True) -> bool:
     ]
     rng = SplitMix64(0xC0FFEE)
     for params in sweep:
-        rm = reduce_machine(build_full_fsm(params))
-        codec = attach_tables(rm)
+        codec = build_codec(params)
+        rm = codec.rm
         if corrupt and params.n_bits == 4:
             broken = list(codec.tables)
             cw = list(broken[0].codewords)

@@ -230,7 +230,7 @@ def encrypt(plain: str, codec: HfsacCodec, ks: KeySchedule) -> tuple[str, StepTr
     """
     rm = codec.rm
     draws = _Draws(ks, rm.state_count)
-    modulus = np.array([t.max_len + 1 for t in codec.tables], np.uint64)
+    modulus = codec.swap_moduli
     out: list[str] = []
     columns = []
     for rows, targets in walk_blocks(rm, plain, draws.jumps):

@@ -17,8 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .coder import CoderParams, build_full_fsm
 from .prefix import BLOCK_STEPS, WINDOW_BITS, WINDOW_MASK, PrefixTable, no_jumps, windows
-from .reducer import ReducedMachine
+from .reducer import ReducedMachine, reduce_machine
 
 _FLIP = str.maketrans("01", "10")
 
@@ -28,46 +29,65 @@ class CorruptStreamError(ValueError):
 
 
 def heuristic_weights(rm: ReducedMachine, state: int) -> list[Fraction]:
-    """Normalized 2**(-output length) weights, in transition order."""
+    """Normalized 2**(-output length) weights, in transition order.
+
+    The reference form of the weights; `attach_tables` builds the same codes
+    from their integer multiples (see `integer_weights`).
+    """
     raw = [Fraction(1, 1 << len(t.output_bits)) for t in rm.transitions[state]]
     total = sum(raw)
     return [w / total for w in raw]
+
+
+def integer_weights(rm: ReducedMachine, state: int) -> list[int]:
+    """`heuristic_weights` scaled to integers: 2**(longest output - length).
+
+    Every weight is multiplied by the same positive constant, which keeps
+    both the order of any two sums and their ties, so Huffman merging (and
+    with it every code length and codeword) is unchanged.
+    """
+    lengths = [len(t.output_bits) for t in rm.transitions[state]]
+    top = max(lengths)
+    return [1 << (top - n) for n in lengths]
 
 
 def huffman_code_lengths(weights) -> list[int]:
     """Optimal prefix-code lengths by pairwise merging of smallest weights.
 
     Deterministic tie-break: equal weights prefer leaves over merged nodes,
-    then the node holding the smallest transition index.
+    then the node holding the smallest transition index.  Each merge records
+    its children's parent; one pass from the root down then gives depths.
     """
     k = len(weights)
     if k < 2:
         raise ValueError("need at least 2 weights")
-    lengths = [0] * k
-    heap = [(w, 0, i, [i]) for i, w in enumerate(weights)]
+    # (weight, merged, smallest leaf index, node); no two live nodes share a
+    # smallest leaf index, so the node id never decides an order
+    heap = [(w, 0, i, i) for i, w in enumerate(weights)]
     heapq.heapify(heap)
-    while len(heap) > 1:
-        wa, _, ia, xa = heapq.heappop(heap)
-        wb, _, ib, xb = heapq.heappop(heap)
-        for i in xa:
-            lengths[i] += 1
-        for i in xb:
-            lengths[i] += 1
-        heapq.heappush(heap, (wa + wb, 1, min(ia, ib), xa + xb))
-    return lengths
+    parent = [0] * (2 * k - 1)
+    pop, replace = heapq.heappop, heapq.heapreplace
+    for node in range(k, 2 * k - 1):
+        wa, _, ia, na = pop(heap)
+        wb, _, ib, nb = heap[0]
+        replace(heap, (wa + wb, 1, min(ia, ib), node))
+        parent[na] = parent[nb] = node
+    # parents are numbered after their children; the root is the last node
+    depth = [0] * (2 * k - 1)
+    for i in range(2 * k - 3, -1, -1):
+        depth[i] = depth[parent[i]] + 1
+    return depth[:k]
 
 
 def canonical_codewords(lengths) -> list[str]:
     """Canonical assignment: sort by (length, index), count upward."""
-    order = sorted(range(len(lengths)), key=lambda i: (lengths[i], i))
+    order = sorted(zip(lengths, range(len(lengths))))
     codes = [""] * len(lengths)
-    code = 0
-    prev = lengths[order[0]]
-    for pos, i in enumerate(order):
-        if pos:
-            code = (code + 1) << (lengths[i] - prev)
-        codes[i] = format(code, f"0{lengths[i]}b")
-        prev = lengths[i]
+    code, prev = -1, order[0][0]
+    for n, i in order:
+        code = (code + 1) << (n - prev)
+        codes[i] = format(code, "b").zfill(n)
+        prev = n
     return codes
 
 
@@ -91,12 +111,14 @@ class HfsacCodec:
     The global row ids of `outputs` are those of `rm.inputs`.
     """
 
-    __slots__ = ("rm", "tables", "_outputs")
+    __slots__ = ("rm", "tables", "_outputs", "_swap_moduli", "_no_swap_draw")
 
     def __init__(self, rm: ReducedMachine, tables):
         self.rm = rm
         self.tables: tuple[StateCodeTable, ...] = tuple(tables)
         self._outputs: PrefixTable | None = None
+        self._swap_moduli: np.ndarray | None = None
+        self._no_swap_draw: int | None = None
 
     @property
     def outputs(self) -> PrefixTable:
@@ -104,6 +126,25 @@ class HfsacCodec:
         if self._outputs is None:
             self._outputs = PrefixTable(t.codewords for t in self.tables)
         return self._outputs
+
+    @property
+    def swap_moduli(self) -> np.ndarray:
+        """Each state's max_len + 1, as uint64, built on first use; a step's
+        swap position is its swap draw modulo its state's entry."""
+        if self._swap_moduli is None:
+            self._swap_moduli = np.array(
+                [t.max_len + 1 for t in self.tables], np.uint64
+            )
+        return self._swap_moduli
+
+    @property
+    def no_swap_draw(self) -> int:
+        """A swap draw that swaps nothing in any state, computed on first use:
+        -1 modulo every state's max_len + 1 puts the swap at max_len, past
+        the last bit of every codeword."""
+        if self._no_swap_draw is None:
+            self._no_swap_draw = math.lcm(*set(self.swap_moduli.tolist())) - 1
+        return self._no_swap_draw
 
     def match_output(self, state: int, code: str, pos: int, swap_pos: int | None = None):
         """Match the unique (optionally swapped) codeword of `state` at code[pos:].
@@ -147,7 +188,7 @@ def walk_codewords(codec: HfsacCodec, code: str, n_bits: int, jumps, swaps, fail
     code_lengths = memoryview(table.lengths)
     block_lengths = memoryview(codec.rm.inputs.lengths)
     next_state = memoryview(codec.rm.next_state)
-    modulus = [t.max_len + 1 for t in codec.tables]
+    modulus = memoryview(codec.swap_moduli)
     win = windows(code)
     n = len(code)
     shift, mask = WINDOW_BITS, WINDOW_MASK
@@ -175,12 +216,19 @@ def walk_codewords(codec: HfsacCodec, code: str, n_bits: int, jumps, swaps, fail
 
 
 def attach_tables(rm: ReducedMachine) -> HfsacCodec:
-    """Build the per-state code tables for a reduced machine."""
+    """Build the per-state code tables for a reduced machine, from each
+    state's `integer_weights`."""
     tables = []
     for s in range(rm.state_count):
-        codes = build_state_code(heuristic_weights(rm, s))
-        tables.append(StateCodeTable(s, tuple(codes), max(map(len, codes))))
+        lengths = huffman_code_lengths(integer_weights(rm, s))
+        codes = canonical_codewords(lengths)
+        tables.append(StateCodeTable(s, tuple(codes), max(lengths)))
     return HfsacCodec(rm, tables)
+
+
+def build_codec(params: CoderParams) -> HfsacCodec:
+    """The codec for `params`: full machine, mute-edge reduction, tables."""
+    return attach_tables(reduce_machine(build_full_fsm(params)))
 
 
 def swap_codeword(code: str, pos: int) -> str:
@@ -206,9 +254,7 @@ def hfac_decode(code: str, codec: HfsacCodec, n_bits: int) -> str:
     def fail(state: int, pos: int):
         raise CorruptStreamError("corrupt HFAC stream")
 
-    # a draw of -1 modulo every state's max_len + 1 puts each swap at
-    # max_len, past the last bit of every codeword: no swap at all
-    no_swap = math.lcm(*{t.max_len + 1 for t in codec.tables}) - 1
+    no_swap = codec.no_swap_draw
     blocks = walk_codewords(
         codec, code, n_bits, no_jumps, lambda m: [no_swap] * m, fail
     )

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coder import CoderParams, FullMachine
+from .coder import CoderParams, FullMachine, gc_paused
 from .prefix import BLOCK_STEPS, WINDOW_BITS, PrefixTable, no_jumps, windows
 
 
@@ -132,60 +132,52 @@ def walk_blocks(rm: ReducedMachine, bits: str, jumps):
         yield np.array(rows, np.int32), targets[: len(rows)]
 
 
-def _expand_state(machine: FullMachine, state: int):
-    """Rows (block, output, to) for `state` after composing away mute edges.
-
-    Mute chains are loop-free on valid machines (follow never decreases
-    without an emission, and at fixed follow the intervals strictly nest),
-    so a repeated state along one chain is reported as a coder bug.  Done
-    iteratively: chains can run to ~2**n_bits on skewed splits.
-    """
-    rows: list[tuple[str, str, int]] = []
-    # stack of (transition, input block so far, states already on this chain)
-    t0, t1 = machine.outgoing(state)
-    stack = [(t1, "", (state,)), (t0, "", (state,))]
-    while stack:
-        t, block, path = stack.pop()
-        block = block + ("1" if t.symbol else "0")
-        if t.emitted:
-            rows.append((block, t.emitted, t.to))
-            continue
-        if t.to in path:
-            raise NonEmittingCycleError("non-emitting cycle")
-        path = path + (t.to,)
-        n0, n1 = machine.outgoing(t.to)
-        stack.append((n1, block, path))
-        stack.append((n0, block, path))
-    return rows
-
-
+@gc_paused
 def reduce_machine(machine: FullMachine) -> ReducedMachine:
-    """Eliminate mute transitions, drop unreachable states, renumber by BFS."""
-    params = machine.params
+    """Eliminate mute transitions, drop unreachable states, renumber by BFS.
+
+    Each reduced state's rows come from a depth-first walk of its parse
+    tree: an emitting edge ends a row, a mute edge continues the block into
+    its successor's two edges, so the rows come out in parse-tree order and
+    their targets are numbered as they come.  Mute chains are loop-free on
+    valid machines (follow never decreases without an emission, and at
+    fixed follow the intervals strictly nest), so a state met again on the
+    chain being walked is reported as a coder bug.  Done iteratively: chains
+    can run to ~2**n_bits on skewed splits.
+    """
+    # edge 2*s + symbol of full state s, flattened out of the transitions
+    emitted = [t.emitted for t in machine.transitions]
+    target = [t.to for t in machine.transitions]
     new_index = {0: 0}
     order = [0]
-    expanded = []
-    qi = 0
-    while qi < len(order):
-        rows = _expand_state(machine, order[qi])
-        for _block, _out, to in rows:
-            if to not in new_index:
-                new_index[to] = len(order)
-                order.append(to)
-        expanded.append(rows)
-        qi += 1
     transitions = []
     origin = []
-    for new_s, old_s in enumerate(order):
+    for new_s, old_s in enumerate(order):  # the BFS queue: grows as it is read
+        rows = []
+        on_chain = {old_s}
+        # (edge, block before its bit); (state, None) ends that state's chain
+        stack: list[tuple[int, str | None]] = [(2 * old_s + 1, ""), (2 * old_s, "")]
+        while stack:
+            e, block = stack.pop()
+            if block is None:
+                on_chain.discard(e)
+                continue
+            block += "1" if e & 1 else "0"
+            to = target[e]
+            if emitted[e]:
+                if to not in new_index:
+                    new_index[to] = len(order)
+                    order.append(to)
+                rows.append(ReducedTransition(new_s, block, emitted[e], new_index[to]))
+                continue
+            if to in on_chain:
+                raise NonEmittingCycleError("non-emitting cycle")
+            on_chain.add(to)
+            stack += ((to, None), (2 * to + 1, block), (2 * to, block))
         st = machine.states[old_s]
         origin.append((st.low, st.high, st.follow))
-        transitions.append(
-            tuple(
-                ReducedTransition(new_s, block, out, new_index[to])
-                for block, out, to in expanded[new_s]
-            )
-        )
-    return ReducedMachine(params, transitions, origin)
+        transitions.append(rows)
+    return ReducedMachine(machine.params, transitions, origin)
 
 
 @dataclass(frozen=True)

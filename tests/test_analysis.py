@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from hfsac import (
     state_visit_histogram,
     uaci,
 )
+from hfsac.analysis import gammaincc
 from hfsac.crypto import StepRecord
 from conftest import rand_bits
 
@@ -194,6 +198,31 @@ class TestRandomnessTests:
         assert runs(bits) >= 0.01
 
 
+class TestGammaincc:
+    # a spans block counts of 1 to 6000 blocks; x runs from far below a to
+    # far above it, across the series / continued-fraction switch at a + 1
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 10.0, 64.0, 128.5, 500.0, 3000.0])
+    def test_matches_scipy(self, a):
+        from scipy.special import gammaincc as reference
+
+        xs = [a * r for r in (1e-6, 0.01, 0.3, 0.7, 0.95, 1.0, 1.05, 1.3, 2.0, 5.0)]
+        xs += [a + 1 - 1e-9, a + 1, a + 1 + 1e-9, 1e-3, 0.5, 30.0]
+        for x in xs:
+            want = float(reference(a, x))
+            got = gammaincc(a, x)
+            if want > 1e-300:
+                assert got == pytest.approx(want, rel=1e-9), (a, x)
+            else:  # scipy flushes some subnormal results to zero
+                assert 0.0 <= got <= 1e-300, (a, x)
+
+    def test_edges(self):
+        assert gammaincc(3.0, 0.0) == 1.0
+        assert gammaincc(1.0, 2.0) == pytest.approx(np.exp(-2.0), rel=1e-14)
+        for a, x in ((0.0, 1.0), (-1.0, 1.0), (1.0, -0.5)):
+            with pytest.raises(ValueError):
+                gammaincc(a, x)
+
+
 class TestStateVisits:
     def test_empty_trace(self):
         assert state_visit_histogram((), 5) == [0] * 5
@@ -265,3 +294,19 @@ class TestAnalyzeImage:
         assert csv.startswith("metric,value\n")
         assert len(csv.splitlines()) == len(rep.rows()) + 1
         assert "npcr_pct" in rep.to_text()
+
+    def test_analyze_leaves_scipy_unloaded(self):
+        # the block-frequency p-value needs no scipy, whose import alone
+        # costs ~0.3 s of every `hfsac analyze`
+        code = (
+            "import sys\n"
+            "from hfsac import CoderParams, GrayImage, analyze_image\n"
+            "img = GrayImage(48, 48, bytes(range(256)) * 9)\n"
+            "analyze_image(img, CoderParams(4, 3, 1, 128), 7)\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

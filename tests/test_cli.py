@@ -254,7 +254,7 @@ class TestUsage:
         assert rc == 1
 
     def test_import_leaves_scipy_unloaded(self):
-        # scipy costs every CLI call ~0.3 s; only the block-frequency test uses it
+        # importing scipy would cost every CLI call ~0.3 s
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, hfsac.cli; print('scipy' in sys.modules)"],
             capture_output=True,

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import pytest
@@ -14,6 +15,7 @@ from hfsac import (
     renormalize,
     split_interval,
 )
+from hfsac.coder import gc_paused
 from conftest import SWEEP, rand_bits
 
 
@@ -118,6 +120,33 @@ class TestFullMachine:
     def test_state_ceiling(self):
         with pytest.raises(StateExplosionError):
             build_full_fsm(CoderParams(8, 51, 3), state_ceiling=10)
+        assert gc.isenabled()
+
+
+class TestGcPaused:
+    def test_collector_paused_inside_and_resumed_after(self):
+        seen = []
+        paused = gc_paused(lambda: seen.append(gc.isenabled()) or "done")
+        assert gc.isenabled()
+        assert paused() == "done"
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_resumed_after_raise(self):
+        def boom():
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError):
+            gc_paused(boom)()
+        assert gc.isenabled()
+
+    def test_leaves_a_disabled_collector_disabled(self):
+        gc.disable()
+        try:
+            gc_paused(lambda: None)()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("n,p0,fm", [(3, 3, 1), (4, 3, 1), (6, 13, 3), (8, 51, 1)])
     def test_canonical_state_invariants(self, cache, n, p0, fm):

@@ -7,6 +7,7 @@ from hfsac import (
     CorruptStreamError,
     ReducedMachine,
     ReducedTransition,
+    SplitMix64,
     build_state_code,
     fsac_parse,
     heuristic_weights,
@@ -14,7 +15,7 @@ from hfsac import (
     hfac_encode,
     swap_codeword,
 )
-from hfsac.huffman import canonical_codewords, huffman_code_lengths
+from hfsac.huffman import canonical_codewords, huffman_code_lengths, integer_weights
 from conftest import SWEEP, is_prefix_free, kraft, optimal_expected_length, rand_bits
 
 
@@ -44,6 +45,11 @@ class TestHeuristicWeights:
         rm = one_state_machine(["0", "1"])
         assert heuristic_weights(rm, 0) == [Fraction(1, 2), Fraction(1, 2)]
 
+    def test_integer_weights_scale_the_fractions(self):
+        rm = one_state_machine(["1", "011", "0"])
+        assert integer_weights(rm, 0) == [4, 1, 4]
+        assert [Fraction(w, 9) for w in integer_weights(rm, 0)] == heuristic_weights(rm, 0)
+
     def test_equal_lengths_normalize_uniform(self):
         rm = one_state_machine(["00", "01", "10", "11"])
         assert heuristic_weights(rm, 0) == [Fraction(1, 4)] * 4
@@ -70,13 +76,23 @@ class TestBuildStateCode:
         assert build_state_code(weights) == ["00", "01", "10", "11"]
         assert huffman_code_lengths(weights) == [2, 2, 2, 2]
 
+    def test_scaled_integer_weights_give_the_same_code(self):
+        # ties between a leaf and a merged node, and between leaves, broken
+        # the same way whatever the common scale
+        gen = SplitMix64(99)
+        for k in range(2, 40):
+            lengths = [1 + gen.next_u64() % 9 for _ in range(k)]
+            fractions = [Fraction(1, 1 << n) for n in lengths]
+            top = max(lengths)
+            integers = [1 << (top - n) for n in lengths]
+            assert huffman_code_lengths(integers) == huffman_code_lengths(fractions)
+            assert build_state_code(integers) == build_state_code(fractions)
+
     def test_canonical_assignment_orders_by_length_then_index(self):
         assert canonical_codewords([2, 1, 2]) == ["10", "0", "11"]
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_optimality_random_weights(self, k):
-        from hfsac import SplitMix64
-
         gen = SplitMix64(k)
         for _ in range(12):
             weights = [Fraction(1 + gen.next_u64() % 64, 1) for _ in range(k)]
@@ -104,6 +120,14 @@ class TestAttachTables:
             assert is_prefix_free(table.codewords)
             assert kraft(table.codewords) == 1
             assert table.max_len == max(len(c) for c in table.codewords)
+
+    def test_swap_moduli_and_no_swap_draw(self, cache):
+        codec = cache.codec(7, 44, 10)
+        moduli = codec.swap_moduli
+        assert moduli.tolist() == [t.max_len + 1 for t in codec.tables]
+        assert codec.swap_moduli is moduli  # built once per codec
+        draw = codec.no_swap_draw
+        assert all(draw % m == m - 1 for m in moduli.tolist())
 
     def test_reference_table_shape(self, cache):
         codec = cache.codec(4, 3, 1)

@@ -1,21 +1,39 @@
-"""Known-answer vectors for encrypt/decrypt.
+"""Known-answer vectors for the codec tables and for encrypt/decrypt.
 
-Each case pins the sha256 of the ciphertext, of the trace columns and of
-the decrypt output for one (codec, jump rate, key schedule, plaintext).
-The digests were taken from the per-step reference loops the step engine
-replaced, so any change to a ciphertext, a keystream draw or the parse
-shows here.  The plaintext carries long runs of ones and zeros: on the two
-larger codecs some input blocks and some emitted codewords are longer than
-the 8-bit match window, so the long-entry lookup runs in both directions.
+Each encrypt case pins the sha256 of the ciphertext, of the trace columns
+and of the decrypt output for one (codec, jump rate, key schedule,
+plaintext).  The digests were taken from the per-step reference loops the
+step engine replaced, so any change to a ciphertext, a keystream draw or
+the parse shows here.  The plaintext carries long runs of ones and zeros:
+on the two larger codecs some input blocks and some emitted codewords are
+longer than the 8-bit match window, so the long-entry lookup runs in both
+directions.
+
+The table digests cover every row (state, input block, output bits,
+codeword, next state) of three codecs.  They were taken from the build that
+composed mute chains per reduced state and ran Huffman merging on
+`Fraction` weights, so the reducer and the integer-weight tables are held
+to that reference row for row.
 """
 
 import hashlib
 
 import pytest
 
-from hfsac import KeySchedule, SplitMix64, bernoulli_bits, decrypt, encrypt
+from hfsac import (
+    CoderParams,
+    KeySchedule,
+    SplitMix64,
+    bernoulli_bits,
+    build_codec,
+    build_state_code,
+    decrypt,
+    encrypt,
+    heuristic_weights,
+)
 from hfsac.crypto import TAG_STATE, TAG_SWAP
 from hfsac.prefix import WINDOW_BITS
+from conftest import SWEEP
 
 SEED = 0x0123456789ABCDEF
 TWEAKS = ((TAG_STATE, 1 << 63), (TAG_SWAP, 0x5A5A))
@@ -148,3 +166,35 @@ def test_known_answers(cache, case):
         blocks = [len(rm.transitions[r.state][r.transition].input_block) for r in trace]
         codes = [len(codec.tables[r.state].codewords[r.transition]) for r in trace]
         assert max(blocks) > WINDOW_BITS and max(codes) > WINDOW_BITS
+
+
+# sha256 of the table rows, one line "state block output codeword next" each
+TABLE_DIGESTS = {
+    (4, 3, 1): "6fad5192fc1e28a295669048662de6b018c47f2c4be517e9e493772cef94b1e6",
+    (7, 44, 10): "7499568d55ffb174f08ed91da3a0f897a0c7652c8d1428e93f3d117cee431f95",
+    (9, 150, 3): "58f98b7fe82f39ebfcbfdd790438d6bd34af7fad3cd2f9a9023d4e9c6fa7268b",
+}
+
+
+def table_text(codec) -> str:
+    return "".join(
+        f"{s} {t.input_block} {t.output_bits} {codec.tables[s].codewords[i]} {t.to}\n"
+        for s, row in enumerate(codec.rm.transitions)
+        for i, t in enumerate(row)
+    )
+
+
+@pytest.mark.parametrize("params", sorted(TABLE_DIGESTS), ids=str)
+def test_table_digests(params):
+    assert sha(table_text(build_codec(CoderParams(*params)))) == TABLE_DIGESTS[params]
+
+
+@pytest.mark.parametrize("params", SWEEP + [(9, 150, 3)], ids=str)
+def test_tables_match_fraction_reference(params):
+    # the build runs Huffman merging on integer weights; the reference runs
+    # it on the normalized Fraction weights
+    codec = build_codec(CoderParams(*params))
+    for s, table in enumerate(codec.tables):
+        codes = build_state_code(heuristic_weights(codec.rm, s))
+        assert table.codewords == tuple(codes)
+        assert table.max_len == max(map(len, codes))

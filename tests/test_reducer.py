@@ -78,6 +78,42 @@ class TestReduce:
         with pytest.raises(NonEmittingCycleError):
             reduce_machine(broken)
 
+    def test_cycle_past_the_start_detected(self):
+        # 0 -0/-> 1 -0/-> 2 -0/-> 1: the loop does not pass the start state
+        params = CoderParams(3, 3, 1)
+        states = tuple(FullState(0, 8, f) for f in range(3))
+        transitions = (
+            FullTransition(0, 0, "", 1),
+            FullTransition(0, 1, "1", 0),
+            FullTransition(1, 0, "", 2),
+            FullTransition(1, 1, "1", 0),
+            FullTransition(2, 0, "", 1),
+            FullTransition(2, 1, "0", 0),
+        )
+        with pytest.raises(NonEmittingCycleError):
+            reduce_machine(FullMachine(params, states, transitions))
+
+    def test_state_shared_by_two_chains_is_no_cycle(self):
+        # both edges of state 0 are mute into state 1: two chains through
+        # the same state, each composed in full, in parse-tree order
+        params = CoderParams(3, 3, 1)
+        states = (FullState(0, 8, 0), FullState(2, 6, 1), FullState(0, 8, 1))
+        transitions = (
+            FullTransition(0, 0, "", 1),
+            FullTransition(0, 1, "", 1),
+            FullTransition(1, 0, "01", 0),
+            FullTransition(1, 1, "10", 2),
+            FullTransition(2, 0, "0", 0),
+            FullTransition(2, 1, "1", 2),
+        )
+        rm = reduce_machine(FullMachine(params, states, transitions))
+        assert rows_of(rm, 0) == [
+            ("00", "01", 0), ("01", "10", 1), ("10", "01", 0), ("11", "10", 1),
+        ]
+        assert rows_of(rm, 1) == [("0", "0", 0), ("1", "1", 1)]
+        assert rm.origin == ((0, 8, 0), (0, 8, 1))
+        assert validate_reduced(rm).passed
+
 
 class TestValidateReduced:
     @pytest.mark.parametrize("n,p0,fm", SWEEP[::3])
