@@ -122,6 +122,24 @@ class TestFullMachine:
             build_full_fsm(CoderParams(8, 51, 3), state_ceiling=10)
         assert gc.isenabled()
 
+    @pytest.mark.parametrize("n,p0,fm", [(3, 3, 1), (4, 3, 1), (6, 13, 3), (8, 51, 1)])
+    def test_canonical_state_invariants(self, cache, n, p0, fm):
+        m = cache.machine(n, p0, fm)
+        p = m.params
+        for s in m.states:
+            assert 0 <= s.low < s.high <= p.full
+            assert s.high > p.half  # E1 exhausted
+            assert s.low < p.half  # E2 exhausted
+            if s.follow < p.f_max:
+                assert s.high - s.low > p.quarter
+            else:
+                assert s.high - s.low >= 2
+
+    @pytest.mark.parametrize("n,p0,fm", [(4, 3, 1), (5, 13, 3), (8, 51, 1)])
+    def test_emitted_bits_bound(self, cache, n, p0, fm):
+        m = cache.machine(n, p0, fm)
+        assert all(len(t.emitted) <= n + fm for t in m.transitions)
+
 
 class TestGcPaused:
     def test_collector_paused_inside_and_resumed_after(self):
@@ -147,24 +165,6 @@ class TestGcPaused:
             assert not gc.isenabled()
         finally:
             gc.enable()
-
-    @pytest.mark.parametrize("n,p0,fm", [(3, 3, 1), (4, 3, 1), (6, 13, 3), (8, 51, 1)])
-    def test_canonical_state_invariants(self, cache, n, p0, fm):
-        m = cache.machine(n, p0, fm)
-        p = m.params
-        for s in m.states:
-            assert 0 <= s.low < s.high <= p.full
-            assert s.high > p.half  # E1 exhausted
-            assert s.low < p.half  # E2 exhausted
-            if s.follow < p.f_max:
-                assert s.high - s.low > p.quarter
-            else:
-                assert s.high - s.low >= 2
-
-    @pytest.mark.parametrize("n,p0,fm", [(4, 3, 1), (5, 13, 3), (8, 51, 1)])
-    def test_emitted_bits_bound(self, cache, n, p0, fm):
-        m = cache.machine(n, p0, fm)
-        assert all(len(t.emitted) <= n + fm for t in m.transitions)
 
 
 class TestStreamCoder:
