@@ -20,7 +20,6 @@ from .crypto import (
     TAG_SWAP,
     KeySchedule,
     SplitMix64,
-    StepTrace,
     draw_uniform,
     encrypt,
     substream_init,
@@ -247,12 +246,9 @@ def runs(bits: str) -> float:
     return math.erfc(num / den)
 
 
-def state_visit_histogram(trace: StepTrace, state_count: int) -> list[int]:
-    """Visit count per state over an encryption trace."""
-    counts = [0] * state_count
-    for rec in trace:
-        counts[rec.state] += 1
-    return counts
+def state_visit_histogram(states, state_count: int) -> list[int]:
+    """Visit count per state over the visited states, e.g. `trace.state`."""
+    return np.bincount(states, minlength=state_count).tolist()
 
 
 def bits_to_image(bits: str, width: int, height: int) -> GrayImage:
@@ -401,5 +397,5 @@ def analyze_image(img: GrayImage, params: CoderParams, seed: int) -> MetricsRepo
             "runs": runs(cipher),
         },
         key_flip_corr=key_flip_corr,
-        state_visits=state_visit_histogram(trace, codec.rm.state_count),
+        state_visits=state_visit_histogram(trace.state, codec.rm.state_count),
     )

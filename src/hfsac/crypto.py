@@ -150,8 +150,8 @@ class StepRecord:
 class StepTrace:
     """What every step of one encryption did, as columns.
 
-    Behaves as a sequence of `StepRecord`s: `len`, indexing and iteration
-    yield records, and it equals the tuple of the same records.
+    `len` counts the steps and iteration yields one `StepRecord` per step;
+    index the columns for anything else.
     """
 
     __slots__ = ("jumped", "state", "transition", "swap_pos")
@@ -168,11 +168,6 @@ class StepTrace:
     def __len__(self) -> int:
         return len(self.jumped)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return StepTrace(*(c[i] for c in self._columns()))
-        return StepRecord(*(c[i].item() for c in self._columns()))
-
     def __iter__(self):
         for rec in zip(*(c.tolist() for c in self._columns())):
             yield StepRecord(*rec)
@@ -182,8 +177,6 @@ class StepTrace:
             return all(
                 np.array_equal(a, b) for a, b in zip(self._columns(), other._columns())
             )
-        if isinstance(other, tuple):
-            return len(other) == len(self) and tuple(self) == other
         return NotImplemented
 
     __hash__ = None  # type: ignore[assignment]

@@ -108,17 +108,22 @@ class StateCodeTable:
 class HfsacCodec:
     """Reduced machine plus one code table per state; immutable.
 
-    The global row ids of `outputs` are those of `rm.inputs`.
+    The global row ids of `outputs` are those of `rm.inputs`.  A step's
+    swap position is its swap draw modulo its state's entry of
+    `swap_moduli`, max_len + 1; `no_swap_draw`, -1 modulo every entry,
+    puts the swap at max_len, past the last bit of every codeword.
     """
 
-    __slots__ = ("rm", "tables", "_outputs", "_swap_moduli", "_no_swap_draw")
+    __slots__ = ("rm", "tables", "swap_moduli", "no_swap_draw", "_outputs")
 
     def __init__(self, rm: ReducedMachine, tables):
         self.rm = rm
         self.tables: tuple[StateCodeTable, ...] = tuple(tables)
+        self.swap_moduli = np.array(
+            [t.max_len + 1 for t in self.tables], np.uint64
+        )
+        self.no_swap_draw = math.lcm(*set(self.swap_moduli.tolist())) - 1
         self._outputs: PrefixTable | None = None
-        self._swap_moduli: np.ndarray | None = None
-        self._no_swap_draw: int | None = None
 
     @property
     def outputs(self) -> PrefixTable:
@@ -126,39 +131,6 @@ class HfsacCodec:
         if self._outputs is None:
             self._outputs = PrefixTable(t.codewords for t in self.tables)
         return self._outputs
-
-    @property
-    def swap_moduli(self) -> np.ndarray:
-        """Each state's max_len + 1, as uint64, built on first use; a step's
-        swap position is its swap draw modulo its state's entry."""
-        if self._swap_moduli is None:
-            self._swap_moduli = np.array(
-                [t.max_len + 1 for t in self.tables], np.uint64
-            )
-        return self._swap_moduli
-
-    @property
-    def no_swap_draw(self) -> int:
-        """A swap draw that swaps nothing in any state, computed on first use:
-        -1 modulo every state's max_len + 1 puts the swap at max_len, past
-        the last bit of every codeword."""
-        if self._no_swap_draw is None:
-            self._no_swap_draw = math.lcm(*set(self.swap_moduli.tolist())) - 1
-        return self._no_swap_draw
-
-    def match_output(self, state: int, code: str, pos: int, swap_pos: int | None = None):
-        """Match the unique (optionally swapped) codeword of `state` at code[pos:].
-
-        Returns (transition index, codeword length) or None when nothing
-        matches within the available bits.
-        """
-        row = self.outputs.lookup(state, code, pos, swap_pos)
-        if row < 0:
-            return None
-        length = int(self.outputs.lengths[row])
-        if pos + length > len(code):
-            return None
-        return row - int(self.outputs.row_base[state]), length
 
     def __eq__(self, other) -> bool:
         return (
@@ -202,8 +174,8 @@ def walk_codewords(codec: HfsacCodec, code: str, n_bits: int, jumps, swaps, fail
                 state = target
             swap_pos = draw % modulus[state]
             row = index[(state << shift) | (win[pos] ^ (mask >> swap_pos))]
-            if row < 0:  # a codeword longer than the window, or none
-                row = table.lookup(state, code, pos, swap_pos)
+            if row < -1:  # a codeword longer than the window
+                row = table.descend(win, row, pos, swap_pos)
             if row < 0 or pos + code_lengths[row] > n:
                 fail(state, pos)
             append(row)

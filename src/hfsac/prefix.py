@@ -8,8 +8,9 @@ global row id; the words of state s are rows `row_base[s]` up to
 The window index maps a state and the next WINDOW_BITS bits of a stream to
 the row whose word prefixes those bits, in one lookup at
 `(state << WINDOW_BITS) | window`.  A word longer than the window continues
-in a child node of the same width, which the entry names as `-2 - child`;
--1 marks a window that no word prefixes.  Complementing a word's bits from
+in a child node of the same width, which the entry names as `-2 - child`
+and which is looked up with the window WINDOW_BITS further on; -1 marks a
+window that no word prefixes.  Complementing a word's bits from
 position p on commutes with taking a prefix, so a swapped word is matched by
 XOR-ing the window before the lookup.
 
@@ -20,6 +21,8 @@ step stays on the state the last step carried over.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 WINDOW_BITS = 8
@@ -29,6 +32,8 @@ BLOCK_STEPS = 1 << 13
 # rows per fill of the window index; bounds its temporaries
 _FILL_ROWS = 1 << 12
 _WEIGHTS = (1 << np.arange(WINDOW_BITS)).astype(np.uint8)
+# a swap position beyond the longest word: nothing is complemented
+_PAST_WORDS = sys.maxsize
 
 
 def no_jumps(m: int) -> np.ndarray:
@@ -112,25 +117,23 @@ class PrefixTable:
                 index[first + np.arange(len(first))] = np.repeat(v, n)
         return index
 
-    def lookup(self, state: int, bits: str, pos: int, swap_pos: int | None = None) -> int:
-        """Row of `state` whose word prefixes bits[pos:], or -1.
+    def descend(self, win, entry: int, pos: int, swap_pos: int = _PAST_WORDS) -> int:
+        """Row whose word prefixes the stream at `pos`, or -1.
 
-        Bits past the end read as 0.  With `swap_pos`, the word is matched
-        as if complemented from that position on.
+        `entry` is the index entry of the stream's window at `pos`; a child
+        link (`entry < -1`) is followed through the windows `win[pos + 8]`,
+        `win[pos + 16]`, ..., and windows past the end of `win` read as 0.
+        The word is matched as if complemented from `swap_pos` on, which by
+        default lies past every word.
         """
         index = self.index
-        node = state
-        off = 0
-        while True:
-            chunk = bits[pos + off : pos + off + WINDOW_BITS]
-            window = int(chunk.ljust(WINDOW_BITS, "0"), 2)
-            if swap_pos is not None:
-                window ^= WINDOW_MASK >> max(swap_pos - off, 0)
-            entry = index[(node << WINDOW_BITS) | window]
-            if entry >= -1:
-                return entry
-            node = -2 - entry
+        off = WINDOW_BITS
+        while entry < -1:
+            window = win[pos + off] if pos + off < len(win) else 0
+            window ^= WINDOW_MASK >> max(swap_pos - off, 0)
+            entry = index[((-2 - entry) << WINDOW_BITS) | window]
             off += WINDOW_BITS
+        return entry
 
     def expand(self, rows: np.ndarray, swap_pos: np.ndarray | None = None) -> str:
         """Concatenated words of `rows`; each complemented from its

@@ -35,11 +35,12 @@ class ReducedMachine:
 
     transitions[s] is the tuple of rows leaving state s, in parse-tree
     order; origin[s] is the (low, high, follow) triple the state came from.
-    The global row ids of `inputs` number the rows of all states in order.
+    The global row ids of `inputs` number the rows of all states in order;
+    next_state[r] is the target state of row r.
     """
 
     __slots__ = (
-        "params", "state_count", "transitions", "origin", "_inputs", "_next_state",
+        "params", "state_count", "transitions", "origin", "next_state", "_inputs",
     )
 
     def __init__(self, params: CoderParams, transitions, origin):
@@ -49,8 +50,10 @@ class ReducedMachine:
         )
         self.state_count = len(self.transitions)
         self.origin: tuple[tuple[int, int, int], ...] = tuple(origin)
+        self.next_state = np.fromiter(
+            (t.to for row in self.transitions for t in row), np.int32
+        )
         self._inputs: PrefixTable | None = None
-        self._next_state: np.ndarray | None = None
 
     @property
     def inputs(self) -> PrefixTable:
@@ -60,26 +63,6 @@ class ReducedMachine:
                 [t.input_block for t in row] for row in self.transitions
             )
         return self._inputs
-
-    @property
-    def next_state(self) -> np.ndarray:
-        """Target state of every row, by global row id."""
-        if self._next_state is None:
-            self._next_state = np.fromiter(
-                (t.to for row in self.transitions for t in row), np.int32
-            )
-        return self._next_state
-
-    def match(self, state: int, bits: str, pos: int) -> tuple[int, int]:
-        """Match the unique input block of `state` prefixing bits[pos:].
-
-        Returns (transition index, block length).  The tail of `bits` is
-        implicitly zero-padded, so a match always exists.
-        """
-        row = self.inputs.lookup(state, bits, pos)
-        if row < 0:
-            raise AssertionError(f"incomplete input block set in state {state}")
-        return row - int(self.inputs.row_base[state]), int(self.inputs.lengths[row])
 
     def __eq__(self, other) -> bool:
         return (
@@ -122,8 +105,10 @@ def walk_blocks(rm: ReducedMachine, bits: str, jumps):
             if target >= 0:
                 state = target
             row = index[(state << shift) | win[pos]]
-            if row < 0:  # a block longer than the window
-                row = int(table.row_base[state]) + rm.match(state, bits, pos)[0]
+            if row < 0:  # a block longer than the window, or none
+                row = table.descend(win, row, pos)
+                if row < 0:
+                    raise AssertionError(f"incomplete input block set in state {state}")
             append(row)
             pos += lengths[row]
             state = next_state[row]

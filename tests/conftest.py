@@ -28,6 +28,32 @@ def rand_bits(seed: int, n: int, p_zero: float = 0.5) -> str:
     return bernoulli_bits(SplitMix64(seed), n, p_zero)
 
 
+def reference_match(rm, state: int, bits: str, pos: int) -> tuple[int, int]:
+    """(transition index, block length) of the one row of `state` whose input
+    block prefixes bits[pos:], zero-padded; read off `rm.transitions` alone."""
+    found = [
+        (i, len(t.input_block))
+        for i, t in enumerate(rm.transitions[state])
+        if bits[pos : pos + len(t.input_block)].ljust(len(t.input_block), "0")
+        == t.input_block
+    ]
+    assert len(found) == 1, f"state {state} at {pos}: {found}"
+    return found[0]
+
+
+def reference_parse(rm, bits: str) -> tuple[list[tuple[int, int]], str]:
+    """`fsac_parse` by `reference_match`: (state, transition index) per step
+    and the zero-padded input."""
+    steps = []
+    pos = state = 0
+    while pos < len(bits):
+        idx, length = reference_match(rm, state, bits, pos)
+        steps.append((state, idx))
+        pos += length
+        state = rm.transitions[state][idx].to
+    return steps, bits.ljust(pos, "0")
+
+
 def is_prefix_free(codes) -> bool:
     codes = sorted(codes)
     return not any(

@@ -377,8 +377,8 @@ def test_c09_visit_uniformity(cache):
     bits = bernoulli_bits(SplitMix64(777), 700_000, 0.5)
     _cipher, trace = encrypt(bits, codec, ks)
     assert len(trace) >= 200_000
-    visits = state_visit_histogram(trace, states)
-    targets = state_visit_histogram([r for r in trace if r.jumped], states)
+    visits = state_visit_histogram(trace.state, states)
+    targets = state_visit_histogram(trace.state[trace.jumped], states)
     step = np.zeros((states, states))
     for s, row in enumerate(rm.transitions):
         for t in row:

@@ -24,7 +24,6 @@ from hfsac import (
     uaci,
 )
 from hfsac.analysis import gammaincc
-from hfsac.crypto import StepRecord
 from conftest import rand_bits
 
 
@@ -228,12 +227,10 @@ class TestStateVisits:
         assert state_visit_histogram((), 5) == [0] * 5
 
     def test_counts_sum_to_steps(self):
-        trace = tuple(
-            StepRecord(True, s % 4, 0, 0) for s in [0, 1, 1, 3, 2, 1, 0, 3]
-        )
-        counts = state_visit_histogram(trace, 4)
+        states = [0, 1, 1, 3, 2, 1, 0, 3]
+        counts = state_visit_histogram(states, 4)
         assert counts == [2, 3, 1, 2]
-        assert sum(counts) == len(trace)
+        assert sum(counts) == len(states)
 
 
 class TestBitsToImage:

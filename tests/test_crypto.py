@@ -7,6 +7,8 @@ from hfsac import (
     KeyFormatError,
     KeySchedule,
     SplitMix64,
+    StepRecord,
+    StepTrace,
     TruncatedStreamError,
     WrongKeyError,
     bernoulli_bits,
@@ -23,7 +25,7 @@ from hfsac import (
     swap_codeword,
 )
 from hfsac.crypto import GOLDEN, TAG_JUMP, TAG_STATE, TAG_SWAP
-from conftest import rand_bits
+from conftest import rand_bits, reference_match
 
 
 class TestSplitMix:
@@ -163,8 +165,7 @@ class TestEncrypt:
         codec = cache.codec(4, 3, 1)
         for seed in range(8):
             _, trace = encrypt("0101", codec, KeySchedule(seed, 0))
-            assert trace[0].jumped
-            assert all(not r.jumped for r in trace[1:])
+            assert trace.jumped.tolist() == [True] + [False] * (len(trace) - 1)
 
     def test_trace_mirrors_keystream(self, cache):
         codec = cache.codec(5, 6, 1)
@@ -185,7 +186,7 @@ class TestEncrypt:
             assert rec.state == state
             swap_pos = draw_uniform(gw, codec.tables[state].max_len + 1)
             assert rec.swap_pos == swap_pos
-            idx, length = rm.match(state, bits, pos)
+            idx, length = reference_match(rm, state, bits, pos)
             assert rec.transition == idx
             emitted.append(
                 swap_codeword(codec.tables[state].codewords[idx], swap_pos)
@@ -203,17 +204,19 @@ class TestEncrypt:
     def test_empty_plain(self, cache):
         codec = cache.codec(4, 3, 1)
         cipher, trace = encrypt("", codec, KeySchedule(1, 128))
-        assert (cipher, trace) == ("", ())
+        assert cipher == "" and trace == StepTrace()
 
     def test_trace_columns_behave_as_records(self, cache):
         codec = cache.codec(5, 6, 1)
         _, trace = encrypt(rand_bits(77, 400, 0.4), codec, KeySchedule(5, 128))
         records = tuple(trace)
-        assert trace == records and records == trace
-        assert trace[-1] == records[-1]
-        assert trace[2:9] == records[2:9]
-        assert trace != records[:-1]
         assert len(trace) == len(records) > 0
+        columns = (trace.jumped, trace.state, trace.transition, trace.swap_pos)
+        rows = zip(*(c.tolist() for c in columns))
+        assert records == tuple(StepRecord(*r) for r in rows)
+        assert trace == StepTrace(*columns)
+        assert trace != StepTrace(*(c[:-1] for c in columns))
+        assert trace != records
 
     def test_rejects_non_bit_characters(self, cache):
         codec = cache.codec(4, 3, 1)
@@ -276,7 +279,7 @@ class TestDecrypt:
         with pytest.raises(TruncatedStreamError):
             decrypt(cipher[: len(cipher) // 2], codec, ks, 10)
 
-    @pytest.mark.parametrize("params", [(4, 3, 1), (7, 44, 10)])
+    @pytest.mark.parametrize("params", [(4, 3, 1), (7, 44, 10), (10, 1, 3)])
     def test_every_cut_raises(self, cache, params):
         codec = cache.codec(*params)
         bits = rand_bits(606, 300, 0.5)

@@ -19,6 +19,15 @@ from hfsac import (
 from conftest import SWEEP, rand_bits
 
 
+def incomplete_machine():
+    """One state whose blocks 0 and 10 leave 11 unparsed (Kraft sum 3/4)."""
+    return ReducedMachine(
+        CoderParams(3, 3, 1),
+        [(ReducedTransition(0, "0", "0", 0), ReducedTransition(0, "10", "1", 0))],
+        [(0, 8, 0)],
+    )
+
+
 def rows_of(rm, state):
     return [(t.input_block, t.output_bits, t.to) for t in rm.transitions[state]]
 
@@ -138,21 +147,17 @@ class TestValidateReduced:
         assert not report.checks[0].prefix_free
 
     def test_detects_incomplete_blocks(self):
-        rm = ReducedMachine(
-            CoderParams(3, 3, 1),
-            [
-                (
-                    ReducedTransition(0, "0", "0", 0),
-                    ReducedTransition(0, "10", "1", 0),
-                )
-            ],
-            [(0, 8, 0)],
-        )
-        report = validate_reduced(rm)
+        report = validate_reduced(incomplete_machine())
         assert not report.passed
         assert report.checks[0].prefix_free
         assert report.checks[0].kraft_sum == Fraction(3, 4)
         assert not report.checks[0].complete
+
+    def test_parse_rejects_incomplete_blocks(self):
+        rm = incomplete_machine()
+        assert fsac_parse("0100", rm)[1] == "0100"
+        with pytest.raises(AssertionError, match="incomplete input block set"):
+            fsac_parse("011", rm)
 
     def test_detects_unreachable_state(self):
         rm = ReducedMachine(
