@@ -267,7 +267,7 @@ def run_selftest(corrupt: bool = False, verbose: bool = True) -> bool:
     from fractions import Fraction
 
     from .coder import ac_decode_stream, ac_encode_parts, ac_encode_stream
-    from .huffman import StateCodeTable, hfac_decode, hfac_encode
+    from .huffman import HfsacCodec, hfac_decode, hfac_encode
     from .reducer import fsac_encode, fsac_parse
 
     ok = True
@@ -290,11 +290,11 @@ def run_selftest(corrupt: bool = False, verbose: bool = True) -> bool:
         codec = build_codec(params)
         rm = codec.rm
         if corrupt and params.n_bits == 4:
-            broken = list(codec.tables)
-            cw = list(broken[0].codewords)
-            cw[0] = cw[-1]  # duplicate codeword: breaks prefix-freeness/Kraft
-            broken[0] = StateCodeTable(0, tuple(cw), broken[0].max_len)
-            codec = type(codec)(rm, broken)
+            code_len, code_bits = codec.code_len.copy(), codec.code_bits.copy()
+            last = rm.row_base[1] - 1
+            # duplicate codeword: breaks prefix-freeness/Kraft
+            code_len[0], code_bits[0] = code_len[last], code_bits[last]
+            codec = HfsacCodec(rm, code_len, code_bits)
         tag = f"n={params.n_bits} p0={params.p0_num} fmax={params.f_max}"
         check(f"{tag}: reduced machine valid", validate_reduced(rm).passed)
         kraft_ok = all(

@@ -10,33 +10,13 @@ encoder/decoder used as a compression baseline.
 from __future__ import annotations
 
 import functools
-import gc
-from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
+from .prefix import bit_string
+
 DEFAULT_STATE_CEILING = 10**6
-
-
-def gc_paused(fn):
-    """Run `fn` with the cyclic garbage collector paused.
-
-    For the machine builders, which allocate 10**4 to 10**6 small objects
-    and no reference cycles: every full collection those allocations
-    trigger rescans the whole heap and frees nothing.  Reference counting frees
-    objects as usual; the collector resumes when `fn` returns or raises.
-    """
-
-    @functools.wraps(fn)
-    def paused(*args, **kwargs):
-        if not gc.isenabled():
-            return fn(*args, **kwargs)
-        gc.disable()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            gc.enable()
-
-    return paused
 
 
 class StateExplosionError(RuntimeError):
@@ -115,24 +95,66 @@ class FullTransition:
         return self.emitted == ""
 
 
-@dataclass(frozen=True)
 class FullMachine:
-    """Complete state graph of the coder; two transitions per state.
+    """Complete state graph of the coder, as columns; immutable.
 
-    Transitions are stored flat in state order: the pair for state s sits at
-    indices 2*s (symbol 0) and 2*s + 1 (symbol 1).
+    State s is the interval [low[s], high[s]) with follow[s] deferred
+    middle expansions.  Its two edges are e = 2*s (symbol 0) and 2*s + 1
+    (symbol 1): edge e leads to target[e] and emits the emit_len[e] bits of
+    emit_val[e], most significant first; at most n_bits + f_max <= 31 bits.
+    `states`, `transitions` and `outgoing` are object views, built on
+    first access.
     """
 
-    params: CoderParams
-    states: tuple[FullState, ...]
-    transitions: tuple[FullTransition, ...]
+    def __init__(
+        self, params: CoderParams, low, high, follow, target, emit_len, emit_val
+    ):
+        self.params = params
+        self.low = np.asarray(low, np.int64)
+        self.high = np.asarray(high, np.int64)
+        self.follow = np.asarray(follow, np.int64)
+        self.target = np.asarray(target, np.int32)
+        self.emit_len = np.asarray(emit_len, np.int32)
+        self.emit_val = np.asarray(emit_val, np.int64)
+
+    def _columns(self):
+        return (
+            self.low, self.high, self.follow, self.target, self.emit_len, self.emit_val,
+        )
+
+    @functools.cached_property
+    def states(self) -> tuple[FullState, ...]:
+        return tuple(
+            map(FullState, self.low.tolist(), self.high.tolist(), self.follow.tolist())
+        )
+
+    @functools.cached_property
+    def transitions(self) -> tuple[FullTransition, ...]:
+        edges = range(len(self.target))
+        emitted = map(bit_string, self.emit_len.tolist(), self.emit_val.tolist())
+        return tuple(
+            FullTransition(e >> 1, e & 1, bits, to)
+            for e, bits, to in zip(edges, emitted, self.target.tolist())
+        )
 
     def outgoing(self, state: int) -> tuple[FullTransition, FullTransition]:
         return self.transitions[2 * state], self.transitions[2 * state + 1]
 
     @property
     def mute_count(self) -> int:
-        return sum(1 for t in self.transitions if t.mute)
+        return int(np.count_nonzero(self.emit_len == 0))
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, FullMachine)
+            and self.params == other.params
+            and all(map(np.array_equal, self._columns(), other._columns()))
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"FullMachine(params={self.params!r}, states={len(self.low)})"
 
 
 def split_interval(low: int, high: int, params: CoderParams) -> int:
@@ -175,35 +197,61 @@ def renormalize(state: FullState, params: CoderParams) -> tuple[FullState, str]:
     return FullState(low, high, follow), emitted
 
 
-@gc_paused
 def build_full_fsm(
     params: CoderParams, state_ceiling: int = DEFAULT_STATE_CEILING
 ) -> FullMachine:
-    """Breadth-first exploration of every canonical state from (0, 2**N, 0)."""
-    init = (0, params.full, 0)
-    index: dict[tuple[int, int, int], int] = {init: 0}
-    states = [init]
-    transitions: list[FullTransition] = []
-    queue = deque([0])
-    while queue:
-        si = queue.popleft()
-        low, high, follow = states[si]
-        s = split_interval(low, high, params)
-        for symbol, (nl, nh) in enumerate(((low, s), (s, high))):
-            rl, rh, rf, emitted = _renormalize(nl, nh, follow, params)
-            key = (rl, rh, rf)
+    """Breadth-first exploration of every canonical state from (0, 2**N, 0).
+
+    States are numbered in order of first occurrence and written straight
+    into the columns; emitted bits are carried as (length, value).  A state
+    is keyed by one int: low, then high (n_bits + 1 bits), then follow
+    (4 bits).
+    """
+    n, p0, f_max = params.n_bits, params.p0_num, params.f_max
+    half, quarter = params.half, params.quarter
+    three_quarter = half + quarter
+    low, high, follow = [0], [params.full], [0]
+    index = {params.full << 4: 0}
+    target: list[int] = []
+    emit_len: list[int] = []
+    emit_val: list[int] = []
+    for lo, hi, fo in zip(low, high, follow):  # the BFS queue: grows as it is read
+        # split_interval, inlined: canonical states are at least 2 wide
+        s = min(max(lo + (((hi - lo) * p0) >> n), lo + 1), hi - 1)
+        for rl, rh in ((lo, s), (s, hi)):
+            rf, length, value = fo, 0, 0
+            # _renormalize on (length, value), inlined: a call per edge
+            # costs a fifth of the exploration
+            while True:
+                if rh <= half:
+                    length += rf + 1
+                    value = (value << (rf + 1)) | ((1 << rf) - 1)  # 0 then rf ones
+                    rf = 0
+                    rl, rh = rl * 2, rh * 2
+                elif rl >= half:
+                    length += rf + 1
+                    value = ((value << 1) | 1) << rf  # 1 then rf zeros
+                    rf = 0
+                    rl, rh = (rl - half) * 2, (rh - half) * 2
+                elif rl >= quarter and rh <= three_quarter and rf < f_max:
+                    rf += 1
+                    rl, rh = (rl - quarter) * 2, (rh - quarter) * 2
+                else:
+                    break
+            key = (((rl << (n + 1)) | rh) << 4) | rf
             to = index.get(key)
             if to is None:
-                if len(states) >= state_ceiling:
+                to = len(low)
+                if to >= state_ceiling:
                     raise StateExplosionError(f"state explosion for {params}")
-                to = len(states)
                 index[key] = to
-                states.append(key)
-                queue.append(to)
-            transitions.append(FullTransition(si, symbol, emitted, to))
-    return FullMachine(
-        params, tuple(FullState(*s) for s in states), tuple(transitions)
-    )
+                low.append(rl)
+                high.append(rh)
+                follow.append(rf)
+            target.append(to)
+            emit_len.append(length)
+            emit_val.append(value)
+    return FullMachine(params, low, high, follow, target, emit_len, emit_val)
 
 
 def ac_encode_parts(bits: str, params: CoderParams) -> tuple[str, str]:

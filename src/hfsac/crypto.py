@@ -243,7 +243,7 @@ def decrypt(cipher: str, codec: HfsacCodec, ks: KeySchedule, n_bits: int) -> str
     draws = _Draws(ks, codec.rm.state_count)
 
     def fail(state: int, pos: int):
-        if pos + codec.tables[state].max_len > len(cipher):
+        if pos + int(codec.swap_moduli[state]) - 1 > len(cipher):
             raise TruncatedStreamError("truncated stream")
         raise WrongKeyError("wrong key or corrupt stream")
 

@@ -10,6 +10,7 @@ prefix-freeness survives.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -18,8 +19,10 @@ from fractions import Fraction
 import numpy as np
 
 from .coder import CoderParams, build_full_fsm
-from .prefix import BLOCK_STEPS, WINDOW_BITS, WINDOW_MASK, PrefixTable, no_jumps, windows
-from .reducer import ReducedMachine, reduce_machine
+from .prefix import (
+    BLOCK_STEPS, WINDOW_BITS, WINDOW_MASK, PrefixTable, bit_string, no_jumps, windows,
+)
+from .reducer import ReducedMachine, parse_rows, reduce_machine
 
 _FLIP = str.maketrans("01", "10")
 
@@ -34,21 +37,22 @@ def heuristic_weights(rm: ReducedMachine, state: int) -> list[Fraction]:
     The reference form of the weights; `attach_tables` builds the same codes
     from their integer multiples (see `integer_weights`).
     """
-    raw = [Fraction(1, 1 << len(t.output_bits)) for t in rm.transitions[state]]
+    rows = slice(rm.row_base[state], rm.row_base[state + 1])
+    raw = [Fraction(1, 1 << n) for n in rm.out_len[rows].tolist()]
     total = sum(raw)
     return [w / total for w in raw]
 
 
-def integer_weights(rm: ReducedMachine, state: int) -> list[int]:
-    """`heuristic_weights` scaled to integers: 2**(longest output - length).
+def integer_weights(rm: ReducedMachine) -> np.ndarray:
+    """`heuristic_weights` of every row, scaled per state to integers:
+    2**(the state's longest output - length).
 
-    Every weight is multiplied by the same positive constant, which keeps
-    both the order of any two sums and their ties, so Huffman merging (and
-    with it every code length and codeword) is unchanged.
+    Every weight of a state is multiplied by the same positive constant,
+    which keeps both the order of any two sums and their ties, so Huffman
+    merging (and with it every code length and codeword) is unchanged.
     """
-    lengths = [len(t.output_bits) for t in rm.transitions[state]]
-    top = max(lengths)
-    return [1 << (top - n) for n in lengths]
+    top = np.maximum.reduceat(rm.out_len, rm.row_base[:-1])
+    return np.left_shift(1, np.repeat(top, rm.counts) - rm.out_len, dtype=np.int64)
 
 
 def huffman_code_lengths(weights) -> list[int]:
@@ -96,6 +100,106 @@ def build_state_code(weights) -> list[str]:
     return canonical_codewords(huffman_code_lengths(weights))
 
 
+def _merge_group(weights: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """`huffman_code_lengths` of every row of a (states, width) weight array
+    whose row s holds `counts[s]` weights, then padding.
+
+    A live node sits in the column of its smallest leaf index, and its key
+    (weight, merged, smallest leaf index) is packed into one int64, so one
+    sort orders each row.  Merged weights only grow, so every node of the
+    least live weight w exists before the first of them is merged: their
+    first two, next two, ... in key order are exactly the next merges, one
+    at a time, each into a node of weight 2w.  A lone node of weight w
+    merges with the next key.  Node ids count up per state, children
+    before parents, so the root is node 2*count - 2; depths follow the
+    parent links by pointer doubling.
+    """
+    g, width = weights.shape
+    b = width.bit_length()  # leaf index < 2**b; bit b marks a merged node
+    if int(weights.sum(1).max()).bit_length() + b + 1 > 62:
+        raise OverflowError("Huffman weights too wide for the merge key")
+    dead = np.iinfo(np.int64).max
+    cols = np.arange(width)
+    key = np.where(cols < counts[:, None], (weights << (b + 1)) | cols, dead)
+    node = np.tile(cols, (g, 1))  # id of the node in each column
+    root = 2 * counts - 2
+    parent = np.repeat(root[:, None], 2 * width - 1, 1)
+    flat_key, flat_node, flat_parent = key.ravel(), node.ravel(), parent.ravel()
+    next_id = counts.copy()
+    live = counts.copy()
+    leaf = (1 << b) - 1
+    while live.max() > 1:
+        ordered = np.sort(key, 1)
+        # the run of least weight: keys below the next weight up
+        above = ((ordered[:, :1] >> (b + 1)) + 1) << (b + 1)
+        run = np.count_nonzero(ordered < above, 1)
+        pairs = np.where(live > 1, np.maximum(run >> 1, 1), 0)
+        p = int(pairs.max())
+        take = cols[:p] < pairs[:, None]
+        row = np.nonzero(take)[0]
+        first, second = ordered[:, 0 : 2 * p : 2][take], ordered[:, 1 : 2 * p : 2][take]
+        new = (next_id[:, None] + cols[:p])[take]
+        a, c = (first & leaf) + row * width, (second & leaf) + row * width
+        flat_parent[flat_node[a] + row * (2 * width - 1)] = new
+        flat_parent[flat_node[c] + row * (2 * width - 1)] = new
+        lo, hi = np.minimum(a, c), np.maximum(a, c)
+        total = (first >> (b + 1)) + (second >> (b + 1))
+        flat_key[lo] = (total << (b + 1)) | (1 << b) | (lo - row * width)
+        flat_key[hi] = dead
+        flat_node[lo] = new
+        next_id += pairs
+        live -= pairs
+    up = flat_parent + np.repeat(np.arange(g) * (2 * width - 1), 2 * width - 1)
+    top = root + np.arange(g) * (2 * width - 1)
+    depth = np.ones(up.size, np.int64)
+    depth[top] = 0
+    while (up[up] != up).any():
+        depth += depth[up]
+        up = up[up]
+    return depth.reshape(g, -1)[:, :width]
+
+
+def code_lengths(counts, weights) -> np.ndarray:
+    """Huffman code lengths of every state at once, by `huffman_code_lengths`'
+    merge order; `counts[s]` consecutive weights belong to state s.  States
+    merge together in groups whose row counts round up to the same power of
+    two."""
+    counts = np.asarray(counts, np.int64)
+    base = np.cumsum(counts) - counts
+    width = np.left_shift(1, np.ceil(np.log2(np.maximum(counts, 2))).astype(np.int64))
+    lengths = np.empty(len(weights), np.int64)
+    for w in np.unique(width).tolist():
+        group = np.flatnonzero(width == w)
+        real = np.arange(w) < counts[group, None]
+        cells = (base[group, None] + np.arange(w))[real]
+        padded = np.zeros((len(group), w), np.int64)
+        padded[real] = weights[cells]
+        lengths[cells] = _merge_group(padded, counts[group])[real]
+    return lengths
+
+
+def canonical_bits(counts, lengths) -> np.ndarray:
+    """`canonical_codewords` of every state at once, as uint64 values.
+
+    In (length, index) order, codeword j of a state is the Kraft prefix sum
+    of the words before it, sum 2**(L_j - L_i), computed at the state's
+    longest length and shifted down.
+    """
+    counts = np.asarray(counts, np.int64)
+    base = np.cumsum(counts) - counts
+    top = np.repeat(np.maximum.reduceat(lengths, base), counts)
+    if top.max(initial=0) > 63:
+        raise OverflowError("codewords longer than 63 bits")
+    order = np.lexsort((lengths, np.repeat(np.arange(len(counts)), counts)))
+    shift = (top - lengths)[order].astype(np.uint64)
+    step = np.uint64(1) << shift
+    before = np.cumsum(step) - step  # wraps modulo 2**64; differences stay exact
+    before -= np.repeat(before[base], counts)
+    bits = np.empty(len(lengths), np.uint64)
+    bits[order] = before >> shift
+    return bits
+
+
 @dataclass(frozen=True)
 class StateCodeTable:
     """Codewords for one state, aligned with its transition order."""
@@ -106,37 +210,46 @@ class StateCodeTable:
 
 
 class HfsacCodec:
-    """Reduced machine plus one code table per state; immutable.
+    """Reduced machine plus one prefix code per state, as columns; immutable.
 
-    The global row ids of `outputs` are those of `rm.inputs`.  A step's
+    Row r of `rm` has the codeword of `code_len[r]` bits `code_bits[r]`;
+    the global row ids of `outputs` are those of `rm.inputs`.  A step's
     swap position is its swap draw modulo its state's entry of
     `swap_moduli`, max_len + 1; `no_swap_draw`, -1 modulo every entry,
     puts the swap at max_len, past the last bit of every codeword.
+    `tables` is an object view, built on first access.
     """
 
-    __slots__ = ("rm", "tables", "swap_moduli", "no_swap_draw", "_outputs")
-
-    def __init__(self, rm: ReducedMachine, tables):
+    def __init__(self, rm: ReducedMachine, code_len, code_bits):
         self.rm = rm
-        self.tables: tuple[StateCodeTable, ...] = tuple(tables)
-        self.swap_moduli = np.array(
-            [t.max_len + 1 for t in self.tables], np.uint64
-        )
+        self.code_len = np.asarray(code_len, np.int32)
+        self.code_bits = np.asarray(code_bits, np.uint64)
+        max_len = np.maximum.reduceat(self.code_len, rm.row_base[:-1])
+        self.swap_moduli = (max_len + 1).astype(np.uint64)
         self.no_swap_draw = math.lcm(*set(self.swap_moduli.tolist())) - 1
-        self._outputs: PrefixTable | None = None
 
-    @property
+    @functools.cached_property
     def outputs(self) -> PrefixTable:
         """The codewords of every state, built on first use."""
-        if self._outputs is None:
-            self._outputs = PrefixTable(t.codewords for t in self.tables)
-        return self._outputs
+        return PrefixTable(self.rm.counts, self.code_len, self.code_bits.tolist())
+
+    @functools.cached_property
+    def tables(self) -> tuple[StateCodeTable, ...]:
+        words = list(map(bit_string, self.code_len.tolist(), self.code_bits.tolist()))
+        base = self.rm.row_base.tolist()
+        return tuple(
+            StateCodeTable(s, tuple(words[a:b]), m - 1)
+            for s, (a, b, m) in enumerate(
+                zip(base, base[1:], self.swap_moduli.tolist())
+            )
+        )
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, HfsacCodec)
             and self.rm == other.rm
-            and self.tables == other.tables
+            and np.array_equal(self.code_len, other.code_len)
+            and np.array_equal(self.code_bits, other.code_bits)
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -189,13 +302,9 @@ def walk_codewords(codec: HfsacCodec, code: str, n_bits: int, jumps, swaps, fail
 
 def attach_tables(rm: ReducedMachine) -> HfsacCodec:
     """Build the per-state code tables for a reduced machine, from each
-    state's `integer_weights`."""
-    tables = []
-    for s in range(rm.state_count):
-        lengths = huffman_code_lengths(integer_weights(rm, s))
-        codes = canonical_codewords(lengths)
-        tables.append(StateCodeTable(s, tuple(codes), max(lengths)))
-    return HfsacCodec(rm, tables)
+    state's `integer_weights`, for all states at once."""
+    lengths = code_lengths(rm.counts, integer_weights(rm))
+    return HfsacCodec(rm, lengths, canonical_bits(rm.counts, lengths))
 
 
 def build_codec(params: CoderParams) -> HfsacCodec:
@@ -214,10 +323,7 @@ def swap_codeword(code: str, pos: int) -> str:
 
 def hfac_encode(bits: str, codec: HfsacCodec) -> str:
     """Keyless encode: concatenated codewords along the block parse."""
-    from .reducer import fsac_parse
-
-    steps, _ = fsac_parse(bits, codec.rm)
-    return "".join(codec.tables[s].codewords[i] for s, i in steps)
+    return codec.outputs.expand(parse_rows(bits, codec.rm))
 
 
 def hfac_decode(code: str, codec: HfsacCodec, n_bits: int) -> str:

@@ -1,9 +1,11 @@
 """Prefix-code lookup by fixed-width bit windows.
 
 A `PrefixTable` holds one prefix code per state: the input blocks of a
-reduced machine, or the codewords of its code tables.  Every word gets a
-global row id; the words of state s are rows `row_base[s]` up to
-`row_base[s + 1]`, in transition order.
+reduced machine, its arithmetic outputs, or the codewords of its code
+tables.  Every word gets a global row id; the words of state s are rows
+`row_base[s]` up to `row_base[s + 1]`, in transition order.  Word r is
+given as columns: its length and its bits as an integer, most significant
+bit first.
 
 The window index maps a state and the next WINDOW_BITS bits of a stream to
 the row whose word prefixes those bits, in one lookup at
@@ -29,11 +31,10 @@ WINDOW_BITS = 8
 WINDOW_MASK = (1 << WINDOW_BITS) - 1
 # steps per keystream block; bounds the memory of one block's emit
 BLOCK_STEPS = 1 << 13
-# rows per fill of the window index; bounds its temporaries
-_FILL_ROWS = 1 << 12
 _WEIGHTS = (1 << np.arange(WINDOW_BITS)).astype(np.uint8)
 # a swap position beyond the longest word: nothing is complemented
 _PAST_WORDS = sys.maxsize
+_LIMB_MASK = (1 << 64) - 1
 
 
 def no_jumps(m: int) -> np.ndarray:
@@ -48,6 +49,32 @@ def _window_array(bits01: np.ndarray) -> np.ndarray:
     padded[: len(bits01)] = bits01
     # window i is the sum of padded[i + k] << (7 - k): one call, cheap on short strings
     return np.convolve(padded, _WEIGHTS, "valid")
+
+
+def bit_string(length: int, value: int) -> str:
+    """The `length`-bit big-endian string of `value` (< 2**length)."""
+    return bin(value | 1 << length)[3:]
+
+
+def _bit_text(lengths: np.ndarray, bits) -> np.ndarray:
+    """ASCII '0'/'1' bytes of every word, most significant bit first.
+
+    Python int arithmetic cuts each word into 64-bit limbs, one pass per
+    limb: one pass on every practical machine, 2**(n_bits - 7) passes for
+    the longest input blocks of skewed ones.  The words' big-endian bytes,
+    unpacked, are cut to their lengths.
+    """
+    width = max(int(lengths.max(initial=0)), 1)
+    n_limbs = -(-width // 64)
+    limbs = np.empty((len(lengths), n_limbs), ">u8")
+    for j in range(n_limbs):
+        shift = 64 * (n_limbs - 1 - j)
+        limbs[:, j] = [v >> shift & _LIMB_MASK for v in bits]
+    n_bytes = -(-width // 8)
+    raw = limbs.view(np.uint8).reshape(len(lengths), -1)[:, -n_bytes:]
+    grid = np.unpackbits(raw, 1)
+    starts = (8 * n_bytes - lengths)[:, None]
+    return grid[np.arange(8 * n_bytes, dtype=lengths.dtype) >= starts] | ord("0")
 
 
 def windows(bits: str) -> bytes:
@@ -66,18 +93,16 @@ class PrefixTable:
 
     __slots__ = ("row_base", "row_state", "lengths", "_text", "_offsets", "_index")
 
-    def __init__(self, codes):
-        counts = []
-        words: list[str] = []
-        for row in codes:
-            counts.append(len(row))
-            words.extend(row)
+    def __init__(self, counts, lengths, bits):
+        """`counts[s]` words for state s; word r has `lengths[r]` bits, the
+        Python int `bits[r]`.  Words may be longer than 64 bits: the input
+        blocks of skewed machines run to 2**(n_bits - 1) bits."""
         self.row_base = np.zeros(len(counts) + 1, np.int64)
         np.cumsum(counts, out=self.row_base[1:])
         self.row_state = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
-        self.lengths = np.fromiter(map(len, words), np.int32, len(words))
+        self.lengths = np.asarray(lengths, np.int32)
         self._offsets = np.cumsum(self.lengths, dtype=np.int64) - self.lengths
-        self._text = np.frombuffer("".join(words).encode("ascii"), np.uint8)
+        self._text = _bit_text(self.lengths, bits)
         self._index: memoryview | None = None
 
     @property
@@ -96,7 +121,7 @@ class PrefixTable:
         off = self._offsets
         left = self.lengths.astype(np.int64)
         n_nodes = len(self.row_base) - 1
-        fills = []  # (first entry, entries, value), applied in this order
+        fills = []  # (first entry, entries, value) of every word and child link
         while rows.size:
             short = left <= k
             keep = np.minimum(left, k)
@@ -104,18 +129,23 @@ class PrefixTable:
             long_ = ~short
             slots, child = np.unique(start[long_], return_inverse=True)
             fills.append((slots, np.ones_like(slots), -2 - n_nodes - np.arange(len(slots))))
-            # shorter words fill after the child links: the shortest match wins
             fills.append((start[short], 1 << (k - keep[short]), rows[short]))
             rows, node = rows[long_], n_nodes + child
             off, left = off[long_] + k, left[long_] - k
             n_nodes += len(slots)
-        index = np.full(n_nodes << k, -1, np.int32)
-        for start, span, value in fills:
-            for i in range(0, len(start), _FILL_ROWS):
-                s, n, v = (a[i : i + _FILL_ROWS] for a in (start, span, value))
-                first = np.repeat(s - np.cumsum(n) + n, n)
-                index[first + np.arange(len(first))] = np.repeat(v, n)
-        return index
+        # the fills of a prefix code are disjoint: in order of their first
+        # entry, each follows a gap of -1 entries
+        first, span, value = map(np.concatenate, zip(*fills))
+        order = np.argsort(first, kind="stable")
+        first, span = first[order], span[order]
+        runs = np.empty(2 * len(order) + 1, np.int64)  # gap, fill, ..., fill, gap
+        runs[1::2] = span
+        runs[::2] = np.append(first, n_nodes << k) - np.append(0, first + span)
+        if (runs < 0).any():
+            raise ValueError("the words are not a prefix code")
+        values = np.full(len(runs), -1, np.int32)
+        values[1::2] = value[order]
+        return np.repeat(values, runs)
 
     def descend(self, win, entry: int, pos: int, swap_pos: int = _PAST_WORDS) -> int:
         """Row whose word prefixes the stream at `pos`, or -1.

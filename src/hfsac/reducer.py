@@ -9,13 +9,14 @@ unambiguously.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .coder import CoderParams, FullMachine, gc_paused
-from .prefix import BLOCK_STEPS, WINDOW_BITS, PrefixTable, no_jumps, windows
+from .coder import CoderParams, FullMachine
+from .prefix import BLOCK_STEPS, WINDOW_BITS, PrefixTable, bit_string, no_jumps, windows
 
 
 class NonEmittingCycleError(RuntimeError):
@@ -31,54 +32,82 @@ class ReducedTransition:
 
 
 class ReducedMachine:
-    """Block-input machine; immutable after construction.
+    """Block-input machine, as columns; immutable after construction.
 
-    transitions[s] is the tuple of rows leaving state s, in parse-tree
-    order; origin[s] is the (low, high, follow) triple the state came from.
-    The global row ids of `inputs` number the rows of all states in order;
-    next_state[r] is the target state of row r.
+    State s owns `counts[s]` rows, the global rows `row_base[s]` up to
+    `row_base[s + 1]` in parse-tree order.  Row r reads the input block of
+    `block_len[r]` bits whose value is the Python int `block_bits[r]` (most
+    significant bit first; skewed machines have blocks of 2**(n_bits - 1)
+    bits), emits the arithmetic output of `out_len[r]` bits `out_bits[r]`,
+    and moves to `next_state[r]`.  `origin_bounds[s]` is the (low, high,
+    follow) the state came from.  `transitions` and `origin` are object
+    views, built on first access.
     """
 
-    __slots__ = (
-        "params", "state_count", "transitions", "origin", "next_state", "_inputs",
-    )
-
-    def __init__(self, params: CoderParams, transitions, origin):
+    def __init__(
+        self, params: CoderParams, counts, block_len, block_bits, out_len, out_bits,
+        next_state, origin_bounds,
+    ):
         self.params = params
-        self.transitions: tuple[tuple[ReducedTransition, ...], ...] = tuple(
-            tuple(row) for row in transitions
-        )
-        self.state_count = len(self.transitions)
-        self.origin: tuple[tuple[int, int, int], ...] = tuple(origin)
-        self.next_state = np.fromiter(
-            (t.to for row in self.transitions for t in row), np.int32
-        )
-        self._inputs: PrefixTable | None = None
+        self.counts = np.asarray(counts, np.int64)
+        self.state_count = len(self.counts)
+        self.row_base = np.zeros(self.state_count + 1, np.int64)
+        np.cumsum(self.counts, out=self.row_base[1:])
+        self.block_len = np.asarray(block_len, np.int32)
+        self.block_bits = list(block_bits)
+        self.out_len = np.asarray(out_len, np.int32)
+        self.out_bits = np.asarray(out_bits, np.int64)
+        self.next_state = np.asarray(next_state, np.int32)
+        self.origin_bounds = np.asarray(origin_bounds, np.int64).reshape(-1, 3)
 
-    @property
+    @functools.cached_property
     def inputs(self) -> PrefixTable:
         """The input blocks of every state, built on first use."""
-        if self._inputs is None:
-            self._inputs = PrefixTable(
-                [t.input_block for t in row] for row in self.transitions
+        return PrefixTable(self.counts, self.block_len, self.block_bits)
+
+    @functools.cached_property
+    def ac_outputs(self) -> PrefixTable:
+        """The arithmetic outputs of every state, built on first use."""
+        return PrefixTable(self.counts, self.out_len, self.out_bits.tolist())
+
+    @functools.cached_property
+    def transitions(self) -> tuple[tuple[ReducedTransition, ...], ...]:
+        rows = list(
+            map(
+                ReducedTransition,
+                np.repeat(np.arange(self.state_count), self.counts).tolist(),
+                map(bit_string, self.block_len.tolist(), self.block_bits),
+                map(bit_string, self.out_len.tolist(), self.out_bits.tolist()),
+                self.next_state.tolist(),
             )
-        return self._inputs
+        )
+        base = self.row_base.tolist()
+        return tuple(tuple(rows[a:b]) for a, b in zip(base, base[1:]))
+
+    @functools.cached_property
+    def origin(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(map(tuple, self.origin_bounds.tolist()))
+
+    def _columns(self):
+        return (
+            self.counts, self.block_len, self.out_len, self.out_bits,
+            self.next_state, self.origin_bounds,
+        )
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ReducedMachine)
             and self.params == other.params
-            and self.transitions == other.transitions
-            and self.origin == other.origin
+            and all(map(np.array_equal, self._columns(), other._columns()))
+            and self.block_bits == other.block_bits
         )
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        n_rows = sum(len(row) for row in self.transitions)
         return (
             f"ReducedMachine(params={self.params!r}, "
-            f"states={self.state_count}, transitions={n_rows})"
+            f"states={self.state_count}, transitions={len(self.next_state)})"
         )
 
 
@@ -117,52 +146,71 @@ def walk_blocks(rm: ReducedMachine, bits: str, jumps):
         yield np.array(rows, np.int32), targets[: len(rows)]
 
 
-@gc_paused
 def reduce_machine(machine: FullMachine) -> ReducedMachine:
     """Eliminate mute transitions, drop unreachable states, renumber by BFS.
 
     Each reduced state's rows come from a depth-first walk of its parse
     tree: an emitting edge ends a row, a mute edge continues the block into
     its successor's two edges, so the rows come out in parse-tree order and
-    their targets are numbered as they come.  Mute chains are loop-free on
-    valid machines (follow never decreases without an emission, and at
-    fixed follow the intervals strictly nest), so a state met again on the
-    chain being walked is reported as a coder bug.  Done iteratively: chains
-    can run to ~2**n_bits on skewed splits.
+    their targets are numbered as they come.  A block is carried as
+    (length, value).  Mute chains are loop-free on valid machines (follow
+    never decreases without an emission, and at fixed follow the intervals
+    strictly nest), so a state met again on the chain being walked is
+    reported as a coder bug.  Done iteratively: chains can run to
+    ~2**n_bits on skewed splits.
     """
-    # edge 2*s + symbol of full state s, flattened out of the transitions
-    emitted = [t.emitted for t in machine.transitions]
-    target = [t.to for t in machine.transitions]
-    new_index = {0: 0}
+    target = machine.target.tolist()
+    mute = (machine.emit_len == 0).tolist()
+    numbered = bytearray(len(machine.low))
+    numbered[0] = 1
+    # the chain being walked: path[d] is its state at depth d, and a state
+    # last entered at depth entered[t] is on it if path still holds it there
+    path = [0]
+    entered = [-1] * len(machine.low)
     order = [0]
-    transitions = []
-    origin = []
-    for new_s, old_s in enumerate(order):  # the BFS queue: grows as it is read
-        rows = []
-        on_chain = {old_s}
-        # (edge, block before its bit); (state, None) ends that state's chain
-        stack: list[tuple[int, str | None]] = [(2 * old_s + 1, ""), (2 * old_s, "")]
+    counts: list[int] = []
+    block_len: list[int] = []
+    block_bits: list[int] = []
+    row_edge: list[int] = []
+    for old_s in order:  # the BFS queue: grows as it is read
+        first = len(row_edge)
+        path[0] = old_s
+        entered[old_s] = 0
+        # (edge, length and value of the block through its bit); the edge
+        # leaves the state at depth length - 1
+        stack = [(2 * old_s + 1, 1, 1), (2 * old_s, 1, 0)]
         while stack:
-            e, block = stack.pop()
-            if block is None:
-                on_chain.discard(e)
-                continue
-            block += "1" if e & 1 else "0"
+            e, length, value = stack.pop()
             to = target[e]
-            if emitted[e]:
-                if to not in new_index:
-                    new_index[to] = len(order)
-                    order.append(to)
-                rows.append(ReducedTransition(new_s, block, emitted[e], new_index[to]))
+            if mute[e]:
+                d = entered[to]
+                if 0 <= d < length and path[d] == to:
+                    raise NonEmittingCycleError("non-emitting cycle")
+                if length == len(path):
+                    path.append(to)
+                else:
+                    path[length] = to
+                entered[to] = length
+                value <<= 1
+                length += 1
+                stack += ((2 * to + 1, length, value | 1), (2 * to, length, value))
                 continue
-            if to in on_chain:
-                raise NonEmittingCycleError("non-emitting cycle")
-            on_chain.add(to)
-            stack += ((to, None), (2 * to + 1, block), (2 * to, block))
-        st = machine.states[old_s]
-        origin.append((st.low, st.high, st.follow))
-        transitions.append(rows)
-    return ReducedMachine(machine.params, transitions, origin)
+            if not numbered[to]:
+                numbered[to] = 1
+                order.append(to)
+            block_len.append(length)
+            block_bits.append(value)
+            row_edge.append(e)
+        counts.append(len(row_edge) - first)
+    edges = np.array(row_edge, np.int64)
+    renumber = np.zeros(len(numbered), np.int32)
+    renumber[order] = np.arange(len(order), dtype=np.int32)
+    origin = np.stack([machine.low, machine.high, machine.follow], 1)[order]
+    return ReducedMachine(
+        machine.params, counts, block_len, block_bits,
+        machine.emit_len[edges], machine.emit_val[edges],
+        renumber[machine.target[edges]], origin,
+    )
 
 
 @dataclass(frozen=True)
@@ -232,21 +280,25 @@ def validate_reduced(rm: ReducedMachine) -> ValidationReport:
     return ValidationReport(tuple(checks))
 
 
+def parse_rows(bits: str, rm: ReducedMachine) -> np.ndarray:
+    """Global rows of the greedy block parse from state 0."""
+    blocks = [rows for rows, _ in walk_blocks(rm, bits, no_jumps)]
+    return np.concatenate(blocks) if blocks else np.zeros(0, np.int32)
+
+
 def fsac_parse(bits: str, rm: ReducedMachine):
     """Greedy block parse from state 0.
 
     Returns ([(state, transition index), ...], padded input); the input is
     zero-padded at the tail to complete the final block.
     """
-    blocks = [rows for rows, _ in walk_blocks(rm, bits, no_jumps)]
-    rows = np.concatenate(blocks) if blocks else np.zeros(0, np.int32)
+    rows = parse_rows(bits, rm)
     states = rm.inputs.row_state[rows]
-    index = rows - rm.inputs.row_base[states]
-    pad = int(rm.inputs.lengths[rows].sum()) - len(bits)
+    index = rows - rm.row_base[states]
+    pad = int(rm.block_len[rows].sum()) - len(bits)
     return list(zip(states.tolist(), index.tolist())), bits + "0" * pad
 
 
 def fsac_encode(bits: str, rm: ReducedMachine) -> str:
     """Table-driven encode: concatenated arithmetic outputs along the parse."""
-    steps, _ = fsac_parse(bits, rm)
-    return "".join(rm.transitions[s][i].output_bits for s, i in steps)
+    return rm.ac_outputs.expand(parse_rows(bits, rm))

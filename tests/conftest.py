@@ -6,7 +6,9 @@ import pytest
 
 from hfsac import (
     CoderParams,
+    FullMachine,
     GrayImage,
+    ReducedMachine,
     SplitMix64,
     attach_tables,
     bernoulli_bits,
@@ -26,6 +28,36 @@ SWEEP = [
 
 def rand_bits(seed: int, n: int, p_zero: float = 0.5) -> str:
     return bernoulli_bits(SplitMix64(seed), n, p_zero)
+
+
+def full_from_rows(params, states, transitions) -> FullMachine:
+    """A hand-written full machine as the builder's columns: `FullState`s
+    and their flat `FullTransition`s, edge 2*s + symbol."""
+    return FullMachine(
+        params,
+        [s.low for s in states],
+        [s.high for s in states],
+        [s.follow for s in states],
+        [t.to for t in transitions],
+        [len(t.emitted) for t in transitions],
+        [int(t.emitted or "0", 2) for t in transitions],
+    )
+
+
+def reduced_from_rows(params, rows, origin) -> ReducedMachine:
+    """A hand-written reduced machine as the reducer's columns: per-state
+    tuples of `ReducedTransition`s and one origin triple per state."""
+    flat = [t for row in rows for t in row]
+    return ReducedMachine(
+        params,
+        [len(row) for row in rows],
+        [len(t.input_block) for t in flat],
+        [int(t.input_block, 2) for t in flat],
+        [len(t.output_bits) for t in flat],
+        [int(t.output_bits or "0", 2) for t in flat],
+        [t.to for t in flat],
+        origin,
+    )
 
 
 def reference_match(rm, state: int, bits: str, pos: int) -> tuple[int, int]:

@@ -15,7 +15,6 @@ from hfsac import (
     renormalize,
     split_interval,
 )
-from hfsac.coder import gc_paused
 from conftest import SWEEP, rand_bits
 
 
@@ -139,32 +138,6 @@ class TestFullMachine:
     def test_emitted_bits_bound(self, cache, n, p0, fm):
         m = cache.machine(n, p0, fm)
         assert all(len(t.emitted) <= n + fm for t in m.transitions)
-
-
-class TestGcPaused:
-    def test_collector_paused_inside_and_resumed_after(self):
-        seen = []
-        paused = gc_paused(lambda: seen.append(gc.isenabled()) or "done")
-        assert gc.isenabled()
-        assert paused() == "done"
-        assert seen == [False]
-        assert gc.isenabled()
-
-    def test_resumed_after_raise(self):
-        def boom():
-            raise RuntimeError("boom")
-
-        with pytest.raises(RuntimeError):
-            gc_paused(boom)()
-        assert gc.isenabled()
-
-    def test_leaves_a_disabled_collector_disabled(self):
-        gc.disable()
-        try:
-            gc_paused(lambda: None)()
-            assert not gc.isenabled()
-        finally:
-            gc.enable()
 
 
 class TestStreamCoder:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hfsac import (
+    CoderParams,
     KeyFormatError,
     KeySchedule,
     SplitMix64,
@@ -11,7 +12,10 @@ from hfsac import (
     StepTrace,
     TruncatedStreamError,
     WrongKeyError,
+    analyze_image,
     bernoulli_bits,
+    build_codec,
+    build_full_fsm,
     decrypt,
     draw_bernoulli,
     draw_uniform,
@@ -23,9 +27,12 @@ from hfsac import (
     seed_to_hex,
     substream_init,
     swap_codeword,
+    unpack_bits,
+    validate_reduced,
 )
+from hfsac import coder, huffman, reducer
 from hfsac.crypto import GOLDEN, TAG_JUMP, TAG_STATE, TAG_SWAP
-from conftest import rand_bits, reference_match
+from conftest import rand_bits, reference_match, synthetic_image
 
 
 class TestSplitMix:
@@ -354,3 +361,47 @@ class TestKeyspace:
             keyspace_bits(8, 10, mode="nonsense")
         with pytest.raises(ValueError):
             keyspace_bits(8, 0)
+
+
+class TestColumnBuild:
+    @pytest.mark.parametrize("params", [(3, 3, 1), (4, 6, 15), (16, 32768, 15)], ids=str)
+    def test_narrowest_and_widest_params_round_trip(self, params):
+        # the extremes CoderParams admits: 3-bit intervals; a follow count of
+        # 15, all 4 follow bits of the state key, which (4, 6, 15) reaches
+        # with 19-bit emissions; 16-bit intervals, whose high takes 17 bits
+        if params == (4, 6, 15):
+            fm = build_full_fsm(CoderParams(*params))
+            assert (fm.follow.max(), fm.emit_len.max()) == (15, 19)
+        codec = build_codec(CoderParams(*params))
+        assert validate_reduced(codec.rm).passed
+        for i, p_zero in enumerate((0.1, 0.5, 0.9)):
+            bits = rand_bits(4100 + i, 3000, p_zero)
+            ks = KeySchedule(0xC01 + i, 128)
+            cipher, _ = encrypt(bits, codec, ks)
+            assert decrypt(cipher, codec, ks, len(bits)) == bits
+
+    def test_codec_paths_build_no_row_objects(self, monkeypatch):
+        # encode, decode and analyze read the columns only: building any
+        # row view raises while they run.  analyze samples 1000 distinct
+        # adjacent pairs per direction, hence 40x40 pixels
+        def no_rows(*args):
+            raise AssertionError("row object built")
+
+        for module, name in (
+            (coder, "FullState"),
+            (coder, "FullTransition"),
+            (reducer, "ReducedTransition"),
+            (huffman, "StateCodeTable"),
+        ):
+            monkeypatch.setattr(module, name, no_rows)
+        params = CoderParams(7, 44, 10, 230)
+        img = synthetic_image(40, 40)
+        bits = unpack_bits(img.pixels)
+        ks = KeySchedule(0x5EED, params.jump_q_num)
+        codec = build_codec(params)
+        cipher, _ = encrypt(bits, codec, ks)
+        assert decrypt(cipher, codec, ks, len(bits)) == bits
+        report = analyze_image(img, params, 0x5EED)
+        assert sum(report.state_visits) == len(encrypt(bits, codec, ks)[1])
+        with pytest.raises(AssertionError, match="row object built"):
+            codec.tables

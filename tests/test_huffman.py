@@ -1,11 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hfsac import (
     CoderParams,
     CorruptStreamError,
-    ReducedMachine,
     ReducedTransition,
     SplitMix64,
     build_state_code,
@@ -15,8 +15,22 @@ from hfsac import (
     hfac_encode,
     swap_codeword,
 )
-from hfsac.huffman import canonical_codewords, huffman_code_lengths, integer_weights
-from conftest import SWEEP, is_prefix_free, kraft, optimal_expected_length, rand_bits
+from hfsac.huffman import (
+    canonical_bits,
+    canonical_codewords,
+    code_lengths,
+    huffman_code_lengths,
+    integer_weights,
+)
+from hfsac.prefix import bit_string
+from conftest import (
+    SWEEP,
+    is_prefix_free,
+    kraft,
+    optimal_expected_length,
+    rand_bits,
+    reduced_from_rows,
+)
 
 
 def one_state_machine(outputs):
@@ -31,7 +45,7 @@ def one_state_machine(outputs):
             ReducedTransition(0, b, o, 0) for b, o in zip(blocks, outputs)
         )
     ]
-    return ReducedMachine(CoderParams(3, 3, 1), rows, [(0, 8, 0)])
+    return reduced_from_rows(CoderParams(3, 3, 1), rows, [(0, 8, 0)])
 
 
 class TestHeuristicWeights:
@@ -47,8 +61,8 @@ class TestHeuristicWeights:
 
     def test_integer_weights_scale_the_fractions(self):
         rm = one_state_machine(["1", "011", "0"])
-        assert integer_weights(rm, 0) == [4, 1, 4]
-        assert [Fraction(w, 9) for w in integer_weights(rm, 0)] == heuristic_weights(rm, 0)
+        assert integer_weights(rm).tolist() == [4, 1, 4]
+        assert [Fraction(w, 9) for w in integer_weights(rm).tolist()] == heuristic_weights(rm, 0)
 
     def test_equal_lengths_normalize_uniform(self):
         rm = one_state_machine(["00", "01", "10", "11"])
@@ -103,6 +117,29 @@ class TestBuildStateCode:
             assert kraft(codes) == 1
             got = sum(w * len(c) for w, c in zip(weights, codes))
             assert got == optimal_expected_length(weights)
+
+
+class TestAllStatesAtOnce:
+    @pytest.mark.parametrize("spread", [1, 12, 30])
+    def test_matches_the_per_state_reference(self, spread):
+        # many states of mixed row counts merged together, with the ties
+        # that power-of-two weights make (spread 1 and 12) and arbitrary
+        # integer weights up to 2**30 (spread 30)
+        gen = SplitMix64(2024 + spread)
+        counts = [2 + gen.next_u64() % 40 for _ in range(300)]
+        if spread == 30:
+            weights = [1 + gen.next_u64() % (1 << 30) for _ in range(sum(counts))]
+        else:
+            weights = [1 << (gen.next_u64() % spread) for _ in range(sum(counts))]
+        lengths = code_lengths(counts, np.array(weights))
+        bits = canonical_bits(counts, lengths).tolist()
+        base = 0
+        for k in counts:
+            reference = huffman_code_lengths(weights[base : base + k])
+            assert lengths[base : base + k].tolist() == reference
+            words = [bit_string(n, v) for n, v in zip(reference, bits[base : base + k])]
+            assert words == canonical_codewords(reference)
+            base += k
 
 
 class TestAttachTables:

@@ -10,10 +10,13 @@ longer than the 8-bit match window, so the long-entry lookup runs in both
 directions.
 
 The table digests cover every row (state, input block, output bits,
-codeword, next state) of three codecs.  They were taken from the build that
-composed mute chains per reduced state and ran Huffman merging on
-`Fraction` weights, so the reducer and the integer-weight tables are held
-to that reference row for row.
+codeword, next state) of five codecs.  The first three were taken from the
+build that composed mute chains per reduced state and ran Huffman merging
+on `Fraction` weights, so the reducer and the integer-weight tables are
+held to that reference row for row.  The two skewed (n, 1, 3) codecs, one
+state with blocks of up to 2**(n - 1) bits, and the full-machine and origin
+digests were taken from the per-object build that preceded the columnar
+one.
 """
 
 import hashlib
@@ -26,10 +29,12 @@ from hfsac import (
     SplitMix64,
     bernoulli_bits,
     build_codec,
+    build_full_fsm,
     build_state_code,
     decrypt,
     encrypt,
     heuristic_weights,
+    reduce_machine,
 )
 from hfsac.crypto import TAG_STATE, TAG_SWAP
 from hfsac.prefix import WINDOW_BITS
@@ -173,6 +178,9 @@ TABLE_DIGESTS = {
     (4, 3, 1): "6fad5192fc1e28a295669048662de6b018c47f2c4be517e9e493772cef94b1e6",
     (7, 44, 10): "7499568d55ffb174f08ed91da3a0f897a0c7652c8d1428e93f3d117cee431f95",
     (9, 150, 3): "58f98b7fe82f39ebfcbfdd790438d6bd34af7fad3cd2f9a9023d4e9c6fa7268b",
+    # one state whose input blocks run to 2**(n - 1) bits
+    (8, 1, 3): "6ea6808ce4a8932991c0d6f4cdf2e073a668278ae4bda78fcb175932585dd93d",
+    (10, 1, 3): "dec75ec4b4b777dac28c190e87ca535e825181dc925f1dd467dcc42d242d0411",
 }
 
 
@@ -187,6 +195,45 @@ def table_text(codec) -> str:
 @pytest.mark.parametrize("params", sorted(TABLE_DIGESTS), ids=str)
 def test_table_digests(params):
     assert sha(table_text(build_codec(CoderParams(*params)))) == TABLE_DIGESTS[params]
+
+
+# sha256 of the full machine, one line "low high follow" per state then one
+# line "emitted to" per edge, and of the reduced states' origins, one line
+# "low high follow" each
+MACHINE_DIGESTS = {
+    (4, 3, 1): (
+        "6b9fecfc8616be9e9df2a43f60dcc122039e23e7cef9fe677f6595f9a4e41e32",
+        "3e1a2744cc9527255b3d85a596f9e3a95cbe553288054f066a3cc512088efc79",
+    ),
+    (7, 44, 10): (
+        "05dc59197c37a7044a2ce41b7574f55c027c4300ae226d0d790a8b0cace2cb95",
+        "eabdb3629ebd73751ea9b7a650fa6bb663d64f65f30d5ee2a22ae1a8121ac4b2",
+    ),
+    (9, 150, 3): (
+        "7dbaaa892636bb64c739f0188ec5a28ac6e54c5f80ac5ae0bb7c7d44043a8bed",
+        "cbad48c78b23cc2e91da37799949a853aedddaab9bf09b6df8bbca3d66004c87",
+    ),
+    (10, 1, 3): (
+        "e6b436117632bfaa05f82bb318158c29660ab4a4bdc3c2da845ffb00b759a59e",
+        "24597ebfd628344d715187528ee02fd2ea96d70b3068500a7d330e43b8e3fa98",
+    ),
+}
+
+
+def machine_text(fm) -> str:
+    states = "".join(f"{s.low} {s.high} {s.follow}\n" for s in fm.states)
+    return states + "".join(f"{t.emitted} {t.to}\n" for t in fm.transitions)
+
+
+def origin_text(rm) -> str:
+    return "".join(f"{low} {high} {follow}\n" for low, high, follow in rm.origin)
+
+
+@pytest.mark.parametrize("params", sorted(MACHINE_DIGESTS), ids=str)
+def test_machine_digests(params):
+    fm = build_full_fsm(CoderParams(*params))
+    rm = reduce_machine(fm)
+    assert (sha(machine_text(fm)), sha(origin_text(rm))) == MACHINE_DIGESTS[params]
 
 
 @pytest.mark.parametrize("params", SWEEP + [(9, 150, 3)], ids=str)

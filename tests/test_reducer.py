@@ -4,11 +4,9 @@ import pytest
 
 from hfsac import (
     CoderParams,
-    FullMachine,
     FullState,
     FullTransition,
     NonEmittingCycleError,
-    ReducedMachine,
     ReducedTransition,
     ac_encode_parts,
     fsac_encode,
@@ -16,12 +14,12 @@ from hfsac import (
     reduce_machine,
     validate_reduced,
 )
-from conftest import SWEEP, rand_bits
+from conftest import SWEEP, full_from_rows, rand_bits, reduced_from_rows
 
 
 def incomplete_machine():
     """One state whose blocks 0 and 10 leave 11 unparsed (Kraft sum 3/4)."""
-    return ReducedMachine(
+    return reduced_from_rows(
         CoderParams(3, 3, 1),
         [(ReducedTransition(0, "0", "0", 0), ReducedTransition(0, "10", "1", 0))],
         [(0, 8, 0)],
@@ -83,7 +81,7 @@ class TestReduce:
             FullTransition(1, 0, "", 0),
             FullTransition(1, 1, "1", 0),
         )
-        broken = FullMachine(params, states, transitions)
+        broken = full_from_rows(params, states, transitions)
         with pytest.raises(NonEmittingCycleError):
             reduce_machine(broken)
 
@@ -100,7 +98,7 @@ class TestReduce:
             FullTransition(2, 1, "0", 0),
         )
         with pytest.raises(NonEmittingCycleError):
-            reduce_machine(FullMachine(params, states, transitions))
+            reduce_machine(full_from_rows(params, states, transitions))
 
     def test_state_shared_by_two_chains_is_no_cycle(self):
         # both edges of state 0 are mute into state 1: two chains through
@@ -115,7 +113,7 @@ class TestReduce:
             FullTransition(2, 0, "0", 0),
             FullTransition(2, 1, "1", 2),
         )
-        rm = reduce_machine(FullMachine(params, states, transitions))
+        rm = reduce_machine(full_from_rows(params, states, transitions))
         assert rows_of(rm, 0) == [
             ("00", "01", 0), ("01", "10", 1), ("10", "01", 0), ("11", "10", 1),
         ]
@@ -132,7 +130,7 @@ class TestValidateReduced:
         assert not report.failures()
 
     def test_detects_prefix_violation(self):
-        rm = ReducedMachine(
+        rm = reduced_from_rows(
             CoderParams(3, 3, 1),
             [
                 (
@@ -160,7 +158,7 @@ class TestValidateReduced:
             fsac_parse("011", rm)
 
     def test_detects_unreachable_state(self):
-        rm = ReducedMachine(
+        rm = reduced_from_rows(
             CoderParams(3, 3, 1),
             [
                 (
