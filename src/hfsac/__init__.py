@@ -20,7 +20,7 @@ from .analysis import (
     state_visit_histogram,
     uaci,
 )
-from .bitio import pack_bits, unpack_bits
+from .bitio import Bits, pack_bits, unpack_bits
 from .coder import (
     CoderParams,
     FullMachine,
@@ -46,9 +46,11 @@ from .crypto import (
     WrongKeyError,
     bernoulli_bits,
     decrypt,
+    decrypt_bits,
     draw_bernoulli,
     draw_uniform,
     encrypt,
+    encrypt_bits,
     keyspace_bits,
     seed_from_hex,
     seed_to_hex,

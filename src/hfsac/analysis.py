@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitio import pack_bits, unpack_bits
-from .coder import CoderParams, ac_encode_stream
+from .bitio import Bits, pack_bits
+from .coder import CoderParams, _renormalize, split_interval
 from .crypto import (
     TAG_JUMP,
     TAG_STATE,
@@ -21,11 +21,11 @@ from .crypto import (
     KeySchedule,
     SplitMix64,
     draw_uniform,
-    encrypt,
+    encrypt_bits,
     substream_init,
 )
-from .huffman import build_codec, hfac_encode
-from .reducer import fsac_encode
+from .huffman import build_codec
+from .reducer import parse_rows
 
 # fixed seed for the default sampling generator, so reports reproduce
 ANALYSIS_SEED = 0x414E414C59534953
@@ -323,14 +323,40 @@ class MetricsReport:
         )
 
 
+def _ac_stream_len(bits: str, rm, rows: np.ndarray) -> int:
+    """`len(ac_encode_stream(bits))` from the block parse `rows` of `bits`.
+
+    The stream coder emits the outputs of the complete blocks, then a flush
+    of follow + 2 bits, follow being that of the state the last real bit
+    reaches.  The real bits of a zero-padded last block are mute edges:
+    they emit nothing and are walked only for that follow.
+    """
+    if not len(rows):
+        return 2
+    last = int(rows[-1])
+    real = len(bits) - int(rm.block_len[rows[:-1]].sum())
+    if real == rm.block_len[last]:
+        follow = int(rm.origin_bounds[rm.next_state[last], 2])
+        return int(rm.out_len[rows].sum()) + follow + 2
+    params = rm.params
+    low, high, follow = rm.origin_bounds[rm.inputs.row_state[last]].tolist()
+    for b in bits[len(bits) - real :]:
+        s = split_interval(low, high, params)
+        low, high = (low, s) if b == "0" else (s, high)
+        low, high, follow, _ = _renormalize(low, high, follow, params)
+    return int(rm.out_len[rows[:-1]].sum()) + follow + 2
+
+
 def compression_rates(bits: str, codec) -> dict[str, float]:
-    """AC / FSAC / HFAC output sizes for one input, as percent saved."""
+    """AC / FSAC / HFAC output sizes for one input, as percent saved, all
+    from one block parse."""
     rm = codec.rm
     n = len(bits)
+    rows = parse_rows(bits, rm)
     return {
-        "ac": compression_rate(n, len(ac_encode_stream(bits, rm.params))),
-        "fsac": compression_rate(n, len(fsac_encode(bits, rm))),
-        "hfac": compression_rate(n, len(hfac_encode(bits, codec))),
+        "ac": compression_rate(n, _ac_stream_len(bits, rm, rows)),
+        "fsac": compression_rate(n, int(rm.out_len[rows].sum())),
+        "hfac": compression_rate(n, int(codec.code_len[rows].sum())),
     }
 
 
@@ -342,9 +368,11 @@ def analyze_image(img: GrayImage, params: CoderParams, seed: int) -> MetricsRepo
     correlations confined to single substreams, and state-visit counts.
     """
     codec = build_codec(params)
-    plain_bits = unpack_bits(img.pixels)
+    plain = Bits(img.pixels)
+    plain_bits = plain.to_text()
     ks = KeySchedule(seed, params.jump_q_num)
-    cipher, trace = encrypt(plain_bits, codec, ks)
+    packed, trace = encrypt_bits(plain, codec, ks, trace=True)
+    cipher = packed.to_text()
     cipher_img = bits_to_image(cipher, img.width, img.height)
 
     sample_gen = substream_init(ANALYSIS_SEED, TAG_SWAP)
@@ -356,9 +384,9 @@ def analyze_image(img: GrayImage, params: CoderParams, seed: int) -> MetricsRepo
     }
 
     # plaintext sensitivity: flip the first bit, same key
-    flipped = ("1" if plain_bits[0] == "0" else "0") + plain_bits[1:]
-    cipher_flip, _ = encrypt(flipped, codec, ks)
-    flip_img = bits_to_image(cipher_flip, img.width, img.height)
+    flipped = Bits(bytes([plain.data[0] ^ 0x80]) + plain.data[1:])
+    cipher_flip, _ = encrypt_bits(flipped, codec, ks)
+    flip_img = bits_to_image(cipher_flip.to_text(), img.width, img.height)
 
     # key sensitivity: one-bit change confined to single substreams
     key_flip_corr: dict[str, float] = {}
@@ -371,9 +399,9 @@ def analyze_image(img: GrayImage, params: CoderParams, seed: int) -> MetricsRepo
         tweaked = KeySchedule(
             seed, params.jump_q_num, tuple((t, 1) for t in tags)
         )
-        other, _ = encrypt(plain_bits, codec, tweaked)
+        other, _ = encrypt_bits(plain, codec, tweaked)
         m = min(len(cipher), len(other))
-        key_flip_corr[name] = pearson_corr(base[:m], _bit_array(other)[:m])
+        key_flip_corr[name] = pearson_corr(base[:m], _bit_array(other.to_text())[:m])
 
     compression = compression_rates(plain_bits, codec)
     compression["hfsac"] = compression_rate(len(plain_bits), len(cipher))

@@ -1,21 +1,128 @@
-"""Bit-string <-> byte packing, most significant bit first."""
+"""Packed bit sequences, most significant bit first.
+
+`Bits` is the one bit type of the encode and decode paths: bytes plus a bit
+length.  `BitWriter` packs 0/1 arrays as they are produced.  `pack_bits`
+and `unpack_bits` convert '0'/'1' text, which tests and tools still use.
+"""
 
 from __future__ import annotations
+
+import numpy as np
+
+# bits a BitWriter collects before packing them: bounds its 0/1 copies
+_FLUSH_BITS = 1 << 16
+
+
+def _pad_mask(n: int) -> int:
+    """The padding bits of the last byte of an n-bit sequence."""
+    return 0xFF >> (n % 8) if n % 8 else 0
+
+
+class Bits:
+    """`n` bits packed MSB-first into `data`: ceil(n / 8) bytes whose bits
+    past `n` are zero.  Immutable; equal when data and length are."""
+
+    __slots__ = ("data", "n")
+
+    def __init__(self, data=b"", n: int | None = None):
+        data = bytes(data)
+        if n is None:
+            n = 8 * len(data)
+        if n < 0 or len(data) != (n + 7) // 8:
+            raise ValueError(f"{len(data)} bytes cannot hold exactly {n} bits")
+        if data and data[-1] & _pad_mask(n):
+            raise ValueError("nonzero padding bits")
+        self.data = data
+        self.n = n
+
+    @classmethod
+    def _trusted(cls, data: bytes, n: int) -> Bits:
+        """Wrap bytes known to satisfy the invariant, without checking."""
+        self = object.__new__(cls)
+        self.data = data
+        self.n = n
+        return self
+
+    @classmethod
+    def from_text(cls, bits: str) -> Bits:
+        """Pack '0'/'1' characters, zero-padding the last byte."""
+        if bits.count("0") + bits.count("1") != len(bits):
+            raise ValueError("bit strings hold only '0' and '1'")
+        n = len(bits)
+        if not n:
+            return cls._trusted(b"", 0)
+        n_bytes = (n + 7) // 8
+        value = int(bits, 2) << (8 * n_bytes - n)
+        return cls._trusted(value.to_bytes(n_bytes, "big"), n)
+
+    def to_text(self) -> str:
+        """The bits as '0'/'1' characters."""
+        if not self.n:
+            return ""
+        value = int.from_bytes(self.data, "big") >> (8 * len(self.data) - self.n)
+        return format(value, f"0{self.n}b")
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Bits):
+            return self.n == other.n and self.data == other.data
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.data))
+
+    def __repr__(self) -> str:
+        return f"Bits(n={self.n})"
+
+
+class BitWriter:
+    """Packs 0/1 `uint8` arrays into bytes.  Writes are packed together once
+    they hold _FLUSH_BITS bits, or at `finish`; the bits of an unfinished
+    byte wait for the next pack."""
+
+    __slots__ = ("_out", "_pending", "_count")
+
+    def __init__(self):
+        self._out = bytearray()
+        self._pending: list[np.ndarray] = []
+        self._count = 0
+
+    def write(self, bits01: np.ndarray) -> None:
+        self._pending.append(bits01)
+        self._count += len(bits01)
+        if self._count >= _FLUSH_BITS:
+            bits01 = np.concatenate(self._pending)
+            whole = len(bits01) & ~7
+            self._out += np.packbits(bits01[:whole]).tobytes()
+            self._pending = [bits01[whole:].copy()]
+            self._count -= whole
+
+    def finish(self, n: int | None = None) -> Bits:
+        """Everything written, or its first n bits."""
+        total = 8 * len(self._out) + self._count
+        if len(self._pending) > 1:
+            self._pending = [np.concatenate(self._pending)]
+        if self._pending:
+            self._out += np.packbits(self._pending[0]).tobytes()
+        self._pending, self._count = [], 0
+        if n is None:
+            n = total
+        elif n > total:
+            raise ValueError(f"{n} bits asked of {total} written")
+        del self._out[(n + 7) // 8 :]
+        if self._out:
+            self._out[-1] &= ~_pad_mask(n) & 0xFF
+        return Bits._trusted(bytes(self._out), n)
 
 
 def pack_bits(bits: str) -> bytes:
     """Pack '0'/'1' characters into bytes, zero-padding the last byte."""
-    if not bits:
-        return b""
-    n = len(bits)
-    n_bytes = (n + 7) // 8
-    value = int(bits, 2) << (8 * n_bytes - n)
-    return value.to_bytes(n_bytes, "big")
+    return Bits.from_text(bits).data
 
 
 def unpack_bits(data: bytes, n_bits: int | None = None) -> str:
     """Unpack bytes to a bit string; n_bits trims trailing pad bits."""
-    if not data:
-        return ""
-    bits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")
+    bits = Bits._trusted(bytes(data), 8 * len(data)).to_text()
     return bits if n_bits is None else bits[:n_bits]

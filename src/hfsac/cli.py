@@ -11,7 +11,7 @@ import secrets
 import sys
 
 from .analysis import GrayImage, analyze_image, compression_rates
-from .bitio import pack_bits, unpack_bits
+from .bitio import Bits
 from .coder import CoderParams, StateExplosionError
 from .container import CipherContainer, ContainerError, parse, serialize
 from .crypto import (
@@ -21,8 +21,8 @@ from .crypto import (
     TruncatedStreamError,
     WrongKeyError,
     bernoulli_bits,
-    decrypt,
-    encrypt,
+    decrypt_bits,
+    encrypt_bits,
     seed_from_hex,
 )
 from .huffman import build_codec, swap_codeword
@@ -170,22 +170,22 @@ def cmd_tables(args) -> int:
     return 0
 
 
-def _read_plain_bits(path, fmt: str) -> str:
+def _read_plain_bits(path, fmt: str) -> Bits:
     with open(path, "rb") as fh:
         data = fh.read()
     if fmt == "pgm":
-        return unpack_bits(parse_pgm(data).pixels)
-    return unpack_bits(data)
+        return Bits(parse_pgm(data).pixels)
+    return Bits(data)
 
 
 def cmd_encode(args) -> int:
     seed = _load_seed(args)
     jump_q = _parse_jump_prob(args.jump_prob)
     params = _params(args, jump_q)
-    bits = _read_plain_bits(args.infile, args.format)
+    plain = _read_plain_bits(args.infile, args.format)
     codec = build_codec(params)
-    cipher, _ = encrypt(bits, codec, KeySchedule(seed, jump_q))
-    blob = serialize(CipherContainer(params, len(bits), cipher))
+    cipher, _ = encrypt_bits(plain, codec, KeySchedule(seed, jump_q))
+    blob = serialize(CipherContainer(params, plain.n, cipher))
     with open(args.out, "wb") as fh:
         fh.write(blob)
     return 0
@@ -198,8 +198,7 @@ def cmd_decode(args) -> int:
     params = container.params
     codec = build_codec(params)
     ks = KeySchedule(seed, params.jump_q_num)
-    bits = decrypt(container.cipher_bits, codec, ks, container.plain_bit_len)
-    data = pack_bits(bits)
+    data = decrypt_bits(container.cipher, codec, ks, container.plain_bit_len).data
     if args.format == "pgm":
         if args.width is None or args.height is None:
             raise UsageError("--format pgm needs --width and --height")
@@ -326,8 +325,9 @@ def run_selftest(corrupt: bool = False, verbose: bool = True) -> bool:
         check(f"{tag}: huffman roundtrip", hf_ok)
         ks = KeySchedule(rng.next_u64(), 128)
         try:
-            cipher, _trace = encrypt(plain, codec, ks)
-            enc_ok = decrypt(cipher, codec, ks, len(plain)) == plain
+            packed = Bits.from_text(plain)
+            cipher, _ = encrypt_bits(packed, codec, ks)
+            enc_ok = decrypt_bits(cipher, codec, ks, packed.n) == packed
         except ValueError:
             enc_ok = False
         check(f"{tag}: encrypt/decrypt roundtrip", enc_ok)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .bitio import pack_bits, unpack_bits
+from .bitio import Bits
 from .coder import CoderParams
 
 MAGIC = b"HFSA"
@@ -26,13 +26,22 @@ class ContainerError(ValueError):
 
 @dataclass(frozen=True)
 class CipherContainer:
+    """Header fields and the cipher; a '0'/'1' string given as the cipher
+    is packed, and `cipher_bits` gives it back as text."""
+
     params: CoderParams
     plain_bit_len: int
-    cipher_bits: str
+    cipher: Bits
 
     def __post_init__(self) -> None:
         if self.plain_bit_len < 0:
             raise ValueError("negative plain_bit_len")
+        if isinstance(self.cipher, str):
+            object.__setattr__(self, "cipher", Bits.from_text(self.cipher))
+
+    @property
+    def cipher_bits(self) -> str:
+        return self.cipher.to_text()
 
 
 def serialize(container: CipherContainer) -> bytes:
@@ -45,9 +54,9 @@ def serialize(container: CipherContainer) -> bytes:
         p.p0_num,
         p.jump_q_num,
         container.plain_bit_len,
-        len(container.cipher_bits),
+        container.cipher.n,
     )
-    return header + pack_bits(container.cipher_bits)
+    return header + container.cipher.data
 
 
 def parse(data: bytes) -> CipherContainer:
@@ -70,7 +79,8 @@ def parse(data: bytes) -> CipherContainer:
         raise ContainerError("truncated container payload")
     if len(payload) > need:
         raise ContainerError("trailing bytes after container payload")
-    bits = unpack_bits(payload)
-    if any(b == "1" for b in bits[cipher_len:]):
-        raise ContainerError("nonzero padding bits")
-    return CipherContainer(params, plain_len, bits[:cipher_len])
+    try:
+        cipher = Bits(payload, cipher_len)
+    except ValueError as exc:  # nonzero padding bits
+        raise ContainerError(str(exc)) from None
+    return CipherContainer(params, plain_len, cipher)

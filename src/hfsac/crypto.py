@@ -17,6 +17,7 @@ from math import exp, lgamma, log2, sqrt
 
 import numpy as np
 
+from .bitio import BitWriter, Bits
 from .huffman import HfsacCodec, walk_codewords
 from .reducer import walk_blocks
 
@@ -24,6 +25,7 @@ MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_SHORT_BLOCK = 8
 
 TAG_JUMP = 1
 TAG_STATE = 2
@@ -35,7 +37,8 @@ class KeyFormatError(ValueError):
 
 
 class WrongKeyError(ValueError):
-    """Cipher bits match no codeword: wrong key or corrupt stream."""
+    """Cipher bits match no codeword, or are left over once the plain bits
+    are out: wrong key or corrupt stream."""
 
 
 class TruncatedStreamError(ValueError):
@@ -63,6 +66,8 @@ class SplitMix64:
 
     def next_block(self, m: int) -> np.ndarray:
         """The next m draws as uint64, equal to m calls of next_u64."""
+        if m <= _SHORT_BLOCK:  # numpy's per-call cost outweighs its speed
+            return np.array([self.next_u64() for _ in range(m)], np.uint64)
         z = np.arange(1, m + 1, dtype=np.uint64)
         z *= GOLDEN
         z += self.state
@@ -211,44 +216,61 @@ class _Draws:
         return self.swap.next_block(m).tolist()
 
 
-def encrypt(plain: str, codec: HfsacCodec, ks: KeySchedule) -> tuple[str, StepTrace]:
-    """Encrypt a bit string; returns (cipher bits, per-step trace).
+def encrypt_bits(
+    plain: Bits, codec: HfsacCodec, ks: KeySchedule, *, trace: bool = False
+) -> tuple[Bits, StepTrace | None]:
+    """Encrypt packed bits; returns (cipher bits, per-step trace), the
+    trace only when asked for, else None.
 
     Per step: draw the jump flag (the first step always jumps), on a jump
     draw the target state, draw the swap position, parse one input block,
     emit the swapped codeword.  The draw order is fixed so the decoder can
     mirror it exactly.  The parse does not depend on the swap draws, so a
     block of steps is walked first and its codewords are swapped and
-    emitted together.
+    packed together.
     """
     rm = codec.rm
     draws = _Draws(ks, rm.state_count)
-    modulus = codec.swap_moduli
-    out: list[str] = []
+    out = BitWriter()
     columns = []
     for rows, targets in walk_blocks(rm, plain, draws.jumps):
         states = rm.inputs.row_state[rows]
-        swap_pos = (draws.swap.next_block(len(rows)) % modulus[states]).astype(np.int32)
-        out.append(codec.outputs.expand(rows, swap_pos))
-        columns.append(
-            (targets >= 0, states, rows - rm.inputs.row_base[states], swap_pos)
-        )
-    if not columns:
-        return "", StepTrace()
-    return "".join(out), StepTrace(*map(np.concatenate, zip(*columns)))
+        swap_pos = draws.swap.next_block(len(rows)) % codec.swap_moduli[states]
+        swap_pos = swap_pos.astype(np.int32)
+        out.write(codec.outputs.gather(rows, swap_pos))
+        if trace:
+            columns.append(
+                (targets >= 0, states, rows - rm.inputs.row_base[states], swap_pos)
+            )
+    if not trace:
+        return out.finish(), None
+    if len(columns) > 1:
+        columns = [tuple(map(np.concatenate, zip(*columns)))]
+    return out.finish(), StepTrace(*columns[0]) if columns else StepTrace()
+
+
+def decrypt_bits(cipher: Bits, codec: HfsacCodec, ks: KeySchedule, n_bits: int) -> Bits:
+    """Invert encrypt_bits under the same schedule: the first n_bits
+    decoded bits.  The codewords must use every bit of `cipher`."""
+    draws = _Draws(ks, codec.rm.state_count)
+    out = BitWriter()
+    for rows in walk_codewords(
+        codec, cipher, n_bits, draws.jumps, draws.swaps, TruncatedStreamError,
+        WrongKeyError,
+    ):
+        out.write(codec.rm.inputs.gather(rows))
+    return out.finish(n_bits)
+
+
+def encrypt(plain: str, codec: HfsacCodec, ks: KeySchedule) -> tuple[str, StepTrace]:
+    """`encrypt_bits` on '0'/'1' text; returns (cipher text, trace)."""
+    cipher, steps = encrypt_bits(Bits.from_text(plain), codec, ks, trace=True)
+    return cipher.to_text(), steps
 
 
 def decrypt(cipher: str, codec: HfsacCodec, ks: KeySchedule, n_bits: int) -> str:
-    """Invert encrypt under the same schedule; truncates to n_bits."""
-    draws = _Draws(ks, codec.rm.state_count)
-
-    def fail(state: int, pos: int):
-        if pos + int(codec.swap_moduli[state]) - 1 > len(cipher):
-            raise TruncatedStreamError("truncated stream")
-        raise WrongKeyError("wrong key or corrupt stream")
-
-    blocks = walk_codewords(codec, cipher, n_bits, draws.jumps, draws.swaps, fail)
-    return "".join(codec.rm.inputs.expand(rows) for rows in blocks)[:n_bits]
+    """`decrypt_bits` on '0'/'1' text."""
+    return decrypt_bits(Bits.from_text(cipher), codec, ks, n_bits).to_text()
 
 
 def keyspace_bits(

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bitio import Bits
 from .coder import CoderParams, build_full_fsm
 from .prefix import (
     BLOCK_STEPS, WINDOW_BITS, WINDOW_MASK, PrefixTable, bit_string, no_jumps, windows,
@@ -258,15 +259,20 @@ class HfsacCodec:
         return f"HfsacCodec(states={self.rm.state_count})"
 
 
-def walk_codewords(codec: HfsacCodec, code: str, n_bits: int, jumps, swaps, fail):
+def walk_codewords(
+    codec: HfsacCodec, code: Bits, n_bits: int, jumps, swaps, truncated, corrupt
+):
     """Parse `code` into codewords from state 0 until n_bits input bits are
-    decoded, a block of steps at a time.
+    decoded, a block of steps at a time; the codewords must use all of
+    `code`.
 
     `jumps(m)` gives the next m steps' jump targets (see `prefix`) and
     `swaps(m)` their swap draws; a step's swap position is its draw modulo
     its state's max_len + 1.  Yields the global rows matched, per block.
-    On a window that matches no codeword within `code`, calls
-    `fail(state, pos)`, which raises.
+    A window that matches no codeword within `code` raises `truncated` when
+    `code` ends within its state's longest codeword, `corrupt` otherwise;
+    bits left over at the end raise `corrupt`.  Messages name the step and
+    its bit offset.
     """
     table = codec.outputs
     index = table.index
@@ -275,9 +281,9 @@ def walk_codewords(codec: HfsacCodec, code: str, n_bits: int, jumps, swaps, fail
     next_state = memoryview(codec.rm.next_state)
     modulus = memoryview(codec.swap_moduli)
     win = windows(code)
-    n = len(code)
+    n = code.n
     shift, mask = WINDOW_BITS, WINDOW_MASK
-    pos = done = state = 0
+    pos = done = state = steps = 0
     while done < n_bits:
         m = min(BLOCK_STEPS, n_bits - done)
         rows: list[int] = []
@@ -290,14 +296,22 @@ def walk_codewords(codec: HfsacCodec, code: str, n_bits: int, jumps, swaps, fail
             if row < -1:  # a codeword longer than the window
                 row = table.descend(win, row, pos, swap_pos)
             if row < 0 or pos + code_lengths[row] > n:
-                fail(state, pos)
+                where = f"step {steps + len(rows)}, bit {pos}"
+                if pos + modulus[state] - 1 > n:
+                    raise truncated(f"stream ends inside a codeword at {where}")
+                raise corrupt(f"no codeword of state {state} matches at {where}")
             append(row)
             pos += code_lengths[row]
             done += block_lengths[row]
             state = next_state[row]
             if done >= n_bits:
                 break
+        steps += len(rows)
         yield np.array(rows, np.int32)
+    if pos != n:
+        raise corrupt(
+            f"{n - pos} stream bits left over after step {steps}, at bit {pos}"
+        )
 
 
 def attach_tables(rm: ReducedMachine) -> HfsacCodec:
@@ -328,12 +342,9 @@ def hfac_encode(bits: str, codec: HfsacCodec) -> str:
 
 def hfac_decode(code: str, codec: HfsacCodec, n_bits: int) -> str:
     """Keyless decode of hfac_encode output, truncated to n_bits."""
-
-    def fail(state: int, pos: int):
-        raise CorruptStreamError("corrupt HFAC stream")
-
     no_swap = codec.no_swap_draw
     blocks = walk_codewords(
-        codec, code, n_bits, no_jumps, lambda m: [no_swap] * m, fail
+        codec, Bits.from_text(code), n_bits, no_jumps, lambda m: [no_swap] * m,
+        CorruptStreamError, CorruptStreamError,
     )
     return "".join(codec.rm.inputs.expand(rows) for rows in blocks)[:n_bits]

@@ -27,11 +27,17 @@ import sys
 
 import numpy as np
 
+from .bitio import Bits
+
 WINDOW_BITS = 8
 WINDOW_MASK = (1 << WINDOW_BITS) - 1
 # steps per keystream block; bounds the memory of one block's emit
 BLOCK_STEPS = 1 << 13
-_WEIGHTS = (1 << np.arange(WINDOW_BITS)).astype(np.uint8)
+# the window at bit k of a byte: its 16-bit read shifted right by 8 - k
+_SHIFTS = np.arange(WINDOW_BITS, 0, -1, dtype=np.uint16)
+_CHUNK = 1 << 12
+_SHORT_BYTES = 4
+_FEW_ROWS = 8
 # a swap position beyond the longest word: nothing is complemented
 _PAST_WORDS = sys.maxsize
 _LIMB_MASK = (1 << 64) - 1
@@ -42,13 +48,28 @@ def no_jumps(m: int) -> np.ndarray:
     return np.full(m, -1, np.int64)
 
 
-def _window_array(bits01: np.ndarray) -> np.ndarray:
-    """WINDOW_BITS-bit window at every position of a 0/1 array and one
-    past its end; bits past the end read as 0."""
-    padded = np.zeros(len(bits01) + WINDOW_BITS, np.uint8)
-    padded[: len(bits01)] = bits01
-    # window i is the sum of padded[i + k] << (7 - k): one call, cheap on short strings
-    return np.convolve(padded, _WEIGHTS, "valid")
+def windows(bits: Bits) -> bytearray:
+    """WINDOW_BITS-bit window at every bit position of `bits`, up to the
+    end of its last byte and one past it; bits past the end read as 0.
+
+    The window at bit 8i + k is the big-endian 16-bit read of bytes i and
+    i + 1, shifted right by 8 - k.  A pass covers _CHUNK bytes, which
+    bounds its temporaries.
+    """
+    n_bytes = len(bits.data)
+    if n_bytes <= _SHORT_BYTES:  # numpy's per-call cost outweighs its speed
+        top = 8 * n_bytes
+        value = int.from_bytes(bits.data, "big") << WINDOW_BITS
+        return bytearray([value >> (top - p) & WINDOW_MASK for p in range(top + 1)])
+    data = np.zeros(n_bytes + 1, np.uint8)
+    data[:-1] = np.frombuffer(bits.data, np.uint8)
+    win = bytearray(8 * n_bytes + 1)
+    grid = np.frombuffer(win, np.uint8)[:-1].reshape(n_bytes, 8)
+    for a in range(0, n_bytes, _CHUNK):
+        b = min(a + _CHUNK, n_bytes)
+        pair = data[a:b].astype(np.uint16) << 8 | data[a + 1 : b + 1]
+        grid[a:b] = pair[:, None] >> _SHIFTS
+    return win
 
 
 def bit_string(length: int, value: int) -> str:
@@ -56,8 +77,8 @@ def bit_string(length: int, value: int) -> str:
     return bin(value | 1 << length)[3:]
 
 
-def _bit_text(lengths: np.ndarray, bits) -> np.ndarray:
-    """ASCII '0'/'1' bytes of every word, most significant bit first.
+def _word_bits(lengths: np.ndarray, bits) -> np.ndarray:
+    """The bits of every word as 0/1 bytes, most significant bit first.
 
     Python int arithmetic cuts each word into 64-bit limbs, one pass per
     limb: one pass on every practical machine, 2**(n_bits - 7) passes for
@@ -74,14 +95,7 @@ def _bit_text(lengths: np.ndarray, bits) -> np.ndarray:
     raw = limbs.view(np.uint8).reshape(len(lengths), -1)[:, -n_bytes:]
     grid = np.unpackbits(raw, 1)
     starts = (8 * n_bytes - lengths)[:, None]
-    return grid[np.arange(8 * n_bytes, dtype=lengths.dtype) >= starts] | ord("0")
-
-
-def windows(bits: str) -> bytes:
-    """`_window_array` of a bit string, as bytes for fast indexing."""
-    if bits.count("0") + bits.count("1") != len(bits):
-        raise ValueError("bit strings hold only '0' and '1'")
-    return _window_array(np.frombuffer(bits.encode("ascii"), np.uint8) & 1).tobytes()
+    return grid[np.arange(8 * n_bytes, dtype=lengths.dtype) >= starts]
 
 
 class PrefixTable:
@@ -91,7 +105,7 @@ class PrefixTable:
     expanded never pays for it.
     """
 
-    __slots__ = ("row_base", "row_state", "lengths", "_text", "_offsets", "_index")
+    __slots__ = ("row_base", "row_state", "lengths", "_bits", "_offsets", "_index")
 
     def __init__(self, counts, lengths, bits):
         """`counts[s]` words for state s; word r has `lengths[r]` bits, the
@@ -102,7 +116,7 @@ class PrefixTable:
         self.row_state = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
         self.lengths = np.asarray(lengths, np.int32)
         self._offsets = np.cumsum(self.lengths, dtype=np.int64) - self.lengths
-        self._text = _bit_text(self.lengths, bits)
+        self._bits = _word_bits(self.lengths, bits)
         self._index: memoryview | None = None
 
     @property
@@ -115,7 +129,8 @@ class PrefixTable:
 
     def _build_index(self) -> np.ndarray:
         k = WINDOW_BITS
-        win = _window_array(self._text & 1)
+        packed = Bits._trusted(np.packbits(self._bits).tobytes(), len(self._bits))
+        win = np.frombuffer(windows(packed), np.uint8)
         rows = np.arange(len(self.lengths), dtype=np.int64)
         node = self.row_state.astype(np.int64)
         off = self._offsets
@@ -136,6 +151,7 @@ class PrefixTable:
         # the fills of a prefix code are disjoint: in order of their first
         # entry, each follows a gap of -1 entries
         first, span, value = map(np.concatenate, zip(*fills))
+        del fills
         order = np.argsort(first, kind="stable")
         first, span = first[order], span[order]
         runs = np.empty(2 * len(order) + 1, np.int64)  # gap, fill, ..., fill, gap
@@ -145,6 +161,7 @@ class PrefixTable:
             raise ValueError("the words are not a prefix code")
         values = np.full(len(runs), -1, np.int32)
         values[1::2] = value[order]
+        del first, span, value, order  # the index is the build's peak: free them first
         return np.repeat(values, runs)
 
     def descend(self, win, entry: int, pos: int, swap_pos: int = _PAST_WORDS) -> int:
@@ -165,13 +182,23 @@ class PrefixTable:
             off += WINDOW_BITS
         return entry
 
-    def expand(self, rows: np.ndarray, swap_pos: np.ndarray | None = None) -> str:
-        """Concatenated words of `rows`; each complemented from its
-        `swap_pos` on, when given."""
+    def gather(self, rows: np.ndarray, swap_pos: np.ndarray | None = None) -> np.ndarray:
+        """Concatenated words of `rows` as 0/1 bytes; each complemented
+        from its `swap_pos` on, when given."""
         lengths = self.lengths[rows]
-        total = int(lengths.sum())
-        within = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        out = self._text[np.repeat(self._offsets[rows], lengths) + within]
+        if swap_pos is None and 0 < len(rows) <= _FEW_ROWS:
+            # a slice per word: numpy's per-call cost outweighs its speed
+            offsets = self._offsets[rows].tolist()
+            return np.concatenate(
+                [self._bits[a : a + n] for a, n in zip(offsets, lengths.tolist())]
+            )
+        starts = np.cumsum(lengths, dtype=np.int64) - lengths
+        at = np.arange(starts[-1] + lengths[-1] if len(rows) else 0)
+        out = self._bits[at + np.repeat(self._offsets[rows] - starts, lengths)]
         if swap_pos is not None:
-            out ^= within >= np.repeat(swap_pos, lengths)
-        return out.tobytes().decode("ascii")
+            out ^= at >= np.repeat(starts + swap_pos, lengths)
+        return out
+
+    def expand(self, rows: np.ndarray) -> str:
+        """Concatenated words of `rows` as '0'/'1' text."""
+        return (self.gather(rows) | ord("0")).tobytes().decode("ascii")

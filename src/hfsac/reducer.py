@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bitio import Bits
 from .coder import CoderParams, FullMachine
 from .prefix import BLOCK_STEPS, WINDOW_BITS, PrefixTable, bit_string, no_jumps, windows
 
@@ -111,7 +112,7 @@ class ReducedMachine:
         )
 
 
-def walk_blocks(rm: ReducedMachine, bits: str, jumps):
+def walk_blocks(rm: ReducedMachine, bits: Bits, jumps):
     """Parse `bits` into input blocks from state 0, a block of steps at a time.
 
     `jumps(m)` gives the next m steps' jump targets (see `prefix`).  Yields,
@@ -123,7 +124,7 @@ def walk_blocks(rm: ReducedMachine, bits: str, jumps):
     lengths = memoryview(table.lengths)
     next_state = memoryview(rm.next_state)
     win = windows(bits)
-    n = len(bits)
+    n = bits.n
     shift = WINDOW_BITS
     pos = state = 0
     while pos < n:
@@ -282,7 +283,7 @@ def validate_reduced(rm: ReducedMachine) -> ValidationReport:
 
 def parse_rows(bits: str, rm: ReducedMachine) -> np.ndarray:
     """Global rows of the greedy block parse from state 0."""
-    blocks = [rows for rows, _ in walk_blocks(rm, bits, no_jumps)]
+    blocks = [rows for rows, _ in walk_blocks(rm, Bits.from_text(bits), no_jumps)]
     return np.concatenate(blocks) if blocks else np.zeros(0, np.int32)
 
 

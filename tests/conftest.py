@@ -13,8 +13,12 @@ from hfsac import (
     attach_tables,
     bernoulli_bits,
     build_full_fsm,
+    draw_bernoulli,
+    draw_uniform,
     reduce_machine,
+    swap_codeword,
 )
+from hfsac.crypto import TAG_JUMP, TAG_STATE, TAG_SWAP
 
 # parameter grid shared by the property suites: every (n, p0_num, f_max)
 # combination the package promises to handle well
@@ -84,6 +88,25 @@ def reference_parse(rm, bits: str) -> tuple[list[tuple[int, int]], str]:
         pos += length
         state = rm.transitions[state][idx].to
     return steps, bits.ljust(pos, "0")
+
+
+def reference_encrypt(codec, bits: str, ks) -> str:
+    """`encrypt` step by step through the substreams' scalar draws and
+    `reference_match`: the cipher as '0'/'1' text."""
+    rm = codec.rm
+    jump, state_gen, swap = (ks.substream(t) for t in (TAG_JUMP, TAG_STATE, TAG_SWAP))
+    out = []
+    pos = state = 0
+    while pos < len(bits):
+        if draw_bernoulli(jump, ks.jump_q_num) or not out:
+            state = draw_uniform(state_gen, rm.state_count)
+        table = codec.tables[state]
+        swap_pos = draw_uniform(swap, table.max_len + 1)
+        idx, length = reference_match(rm, state, bits, pos)
+        out.append(swap_codeword(table.codewords[idx], swap_pos))
+        pos += length
+        state = rm.transitions[state][idx].to
+    return "".join(out)
 
 
 def is_prefix_free(codes) -> bool:

@@ -8,11 +8,15 @@ from hfsac import (
     CoderParams,
     GrayImage,
     SplitMix64,
+    ac_encode_stream,
     adjacent_pixel_corr,
     analyze_image,
     bits_to_image,
     block_frequency,
     compression_rate,
+    compression_rates,
+    fsac_encode,
+    hfac_encode,
     histogram,
     histogram_chi_square,
     monobit,
@@ -158,6 +162,30 @@ class TestCompressionRate:
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError):
             compression_rate(0, 10)
+
+
+class TestCompressionRates:
+    @pytest.mark.parametrize(
+        "params",
+        [(3, 3, 1), (5, 13, 1), (6, 60, 0), (7, 44, 10), (8, 128, 3), (9, 150, 3), (10, 1, 3)],
+        ids=str,
+    )
+    def test_one_parse_matches_the_coders(self, cache, params):
+        # the stream coder's length, flush included, and both block coders'
+        codec = cache.codec(*params)
+        rm = codec.rm
+        for p_zero in (0.1, 0.35, 0.5, 0.9):
+            for length in [*range(1, 24), 255, 1000, 3000]:
+                bits = rand_bits(97 * length + int(100 * p_zero), length, p_zero)
+                assert compression_rates(bits, codec) == {
+                    "ac": compression_rate(length, len(ac_encode_stream(bits, rm.params))),
+                    "fsac": compression_rate(length, len(fsac_encode(bits, rm))),
+                    "hfac": compression_rate(length, len(hfac_encode(bits, codec))),
+                }, (p_zero, length)
+
+    def test_empty_input_rejected(self, cache):
+        with pytest.raises(ValueError):
+            compression_rates("", cache.codec(4, 3, 1))
 
 
 class TestRandomnessTests:

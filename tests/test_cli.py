@@ -2,6 +2,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hfsac import parse, write_pgm
@@ -271,3 +272,44 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert re.fullmatch(r"[0-9a-f]{16}\n?", out.read_text())
+
+
+def _cli_peak_mib(*argv) -> float:
+    """Peak RSS of one `hfsac` CLI call, in MiB.
+
+    A child's `ru_maxrss` starts from its parent's at the fork, so the call
+    runs under a bare interpreter that reports its one child's peak
+    (`ru_maxrss` is in KiB on Linux).
+    """
+    code = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-m', 'hfsac.cli', *sys.argv[1:]], check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, argv)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout) / 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_encode_decode_memory_per_input_byte(tmp_path):
+    # The packed path holds ~12 B per input byte: the 8-bit window at every
+    # bit (8 B), the input, the cipher and the decoded bytes.  24 MiB over
+    # a 1-byte call for 1 MiB of input leaves 2x headroom, and fails the
+    # '0'/'1' text path, which grew by ~187 MiB (encode) and ~36 MiB (decode).
+    key = ["--key", "00112233445566ff"]
+    params = ["--n", "7", "--p0-num", "44", "--fmax", "10", "--jump-prob", "230"]
+    peaks = {}
+    for name, size in (("small", 1), ("large", 1 << 20)):
+        plain = tmp_path / f"{name}.bin"
+        plain.write_bytes(np.random.default_rng(size).bytes(size))
+        box, back = tmp_path / f"{name}.hfsa", tmp_path / f"{name}.back"
+        peaks[name, "encode"] = _cli_peak_mib(
+            "encode", "--in", plain, "--out", box, *key, *params
+        )
+        peaks[name, "decode"] = _cli_peak_mib("decode", "--in", box, "--out", back, *key)
+        assert back.read_bytes() == plain.read_bytes()
+    for op in ("encode", "decode"):
+        assert peaks["large", op] - peaks["small", op] < 24, peaks

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hfsac import (
+    Bits,
     CipherContainer,
     CoderParams,
     ContainerError,
@@ -85,6 +88,23 @@ class TestContainer:
         blob[-1] |= 0x01  # set a pad bit
         with pytest.raises(ContainerError, match="padding"):
             parse(bytes(blob))
+
+    @given(st.integers(1, 200).filter(lambda n: n % 8), st.integers(1, 127))
+    def test_any_nonzero_padding_rejected(self, n_cipher, pad):
+        blob = bytearray(
+            serialize(CipherContainer(CoderParams(5, 6, 1, 128), 9, "0" * n_cipher))
+        )
+        blob[-1] |= pad & (0xFF >> (n_cipher % 8))
+        if blob[-1]:
+            with pytest.raises(ContainerError, match="padding"):
+                parse(bytes(blob))
+
+    def test_cipher_is_packed_bits(self):
+        c = CipherContainer(CoderParams(4, 3, 1), 4, "1010")
+        assert c.cipher == Bits(b"\xa0", 4)
+        assert c == CipherContainer(CoderParams(4, 3, 1), 4, Bits(b"\xa0", 4))
+        assert c.cipher_bits == "1010"
+        assert serialize(c)[-1:] == b"\xa0"
 
     def test_invalid_header_params(self):
         blob = bytearray(serialize(CipherContainer(CoderParams(4, 3, 1), 4, "1010")))

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hfsac import (
+    Bits,
     CoderParams,
     KeyFormatError,
     KeySchedule,
@@ -17,9 +20,11 @@ from hfsac import (
     build_codec,
     build_full_fsm,
     decrypt,
+    decrypt_bits,
     draw_bernoulli,
     draw_uniform,
     encrypt,
+    encrypt_bits,
     keyspace_bits,
     monobit,
     pearson_corr,
@@ -32,7 +37,7 @@ from hfsac import (
 )
 from hfsac import coder, huffman, reducer
 from hfsac.crypto import GOLDEN, TAG_JUMP, TAG_STATE, TAG_SWAP
-from conftest import rand_bits, reference_match, synthetic_image
+from conftest import SWEEP, rand_bits, reference_encrypt, reference_match, synthetic_image
 
 
 class TestSplitMix:
@@ -303,6 +308,96 @@ class TestDecrypt:
         flipped = ("1" if cipher[0] == "0" else "0") + cipher[1:]
         with pytest.raises((WrongKeyError, TruncatedStreamError)):
             decrypt(flipped + "0000", codec, ks, 64)
+
+
+    def test_whole_cipher_check_figures(self, cache):
+        # the length check catches every wrong seed, but 13 of 51 single-bit
+        # flips still decode, to wrong plaintext, without error: it is no MAC
+        codec = cache.codec(7, 44, 10)
+        seed = 0x0123456789ABCDEF
+        plain = Bits.from_text(rand_bits(5, 15_000, 0.5))
+        cipher, _ = encrypt_bits(plain, codec, KeySchedule(seed, 230))
+        assert cipher.n == 16_843
+        for j in range(1, 51):
+            with pytest.raises((WrongKeyError, TruncatedStreamError)):
+                decrypt_bits(cipher, codec, KeySchedule(seed + j, 230), plain.n)
+        flips = range(0, cipher.n, cipher.n // 50)
+        silent = 0
+        for i in flips:
+            data = bytearray(cipher.data)
+            data[i // 8] ^= 0x80 >> (i % 8)
+            try:
+                out = decrypt_bits(Bits(data, cipher.n), codec, KeySchedule(seed, 230), plain.n)
+            except (WrongKeyError, TruncatedStreamError):
+                continue
+            assert out != plain
+            silent += 1
+        assert (len(flips), silent) == (51, 13)
+
+    def test_left_over_bits_name_step_and_offset(self, cache):
+        codec = cache.codec(4, 3, 1)
+        ks = KeySchedule(77, 128)
+        cipher, trace = encrypt("0101010101", codec, ks)
+        left_over = rf"3 stream bits left over after step {len(trace)}, at bit {len(cipher)}"
+        with pytest.raises(WrongKeyError, match=left_over):
+            decrypt(cipher + "101", codec, ks, 10)
+        with pytest.raises(WrongKeyError, match="1 stream bits left over after step 0"):
+            decrypt("1", codec, ks, 0)
+
+    def test_truncation_names_step_and_offset(self, cache):
+        codec = cache.codec(7, 44, 10)
+        ks = KeySchedule(0xC0DE, 230)
+        cipher, trace = encrypt(rand_bits(11, 3000, 0.5), codec, ks)
+        last = trace.state[-1], trace.transition[-1]
+        start = len(cipher) - len(codec.tables[last[0]].codewords[last[1]])
+        with pytest.raises(
+            TruncatedStreamError,
+            match=f"stream ends inside a codeword at step {len(trace) - 1}, bit {start}$",
+        ):
+            decrypt(cipher[:-1], codec, ks, 3000)
+
+
+# every sweep machine, plus one whose input blocks (up to 512 bits) and
+# codewords (10 bits) run past the end of the packed windows
+PACKED_PARAMS = SWEEP + [(10, 1, 3)]
+
+
+class TestPackedCore:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        params=st.sampled_from(PACKED_PARAMS),
+        text=st.text(alphabet="01", max_size=300),
+        seed=st.integers(0, 2**64 - 1),
+        q=st.sampled_from([0, 128, 230, 256]),
+    )
+    @example(params=(10, 1, 3), text="", seed=1, q=128)
+    @example(params=(10, 1, 3), text="0" * 300, seed=2, q=230)
+    @example(params=(4, 3, 1), text="0101", seed=3, q=0)
+    def test_packed_matches_reference_and_text_adapters(self, cache, params, text, seed, q):
+        codec = cache.codec(*params)
+        ks = KeySchedule(seed, q)
+        plain = Bits.from_text(text)
+        cipher, no_trace = encrypt_bits(plain, codec, ks)
+        assert no_trace is None
+        assert cipher == Bits.from_text(reference_encrypt(codec, text, ks))
+        text_cipher, trace = encrypt(text, codec, ks)
+        assert Bits.from_text(text_cipher) == cipher
+        assert encrypt_bits(plain, codec, ks, trace=True) == (cipher, trace)
+        assert decrypt_bits(cipher, codec, ks, plain.n) == plain
+        assert decrypt(text_cipher, codec, ks, len(text)) == text
+
+    @pytest.mark.parametrize("params", [(4, 3, 1), (10, 1, 3)])
+    def test_cipher_lengths_off_byte_boundaries(self, cache, params):
+        codec = cache.codec(*params)
+        ks = KeySchedule(0xB17E, 230)
+        tails = set()
+        for length in range(0, 64):
+            plain = Bits.from_text(rand_bits(length + 50, length, 0.3))
+            cipher, _ = encrypt_bits(plain, codec, ks)
+            tails.add(cipher.n % 8)
+            assert Bits(cipher.data, cipher.n) == cipher
+            assert decrypt_bits(cipher, codec, ks, plain.n) == plain
+        assert tails - {0}
 
 
 class TestKeySchedule:

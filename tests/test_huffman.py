@@ -249,6 +249,12 @@ class TestHfacCodec:
         with pytest.raises(CorruptStreamError):
             hfac_decode(code[:-1], codec, 4)
 
+    def test_left_over_bits_detected(self, cache):
+        codec = cache.codec(4, 3, 1)
+        code = hfac_encode("0110", codec)
+        with pytest.raises(CorruptStreamError, match="1 stream bits left over"):
+            hfac_decode(code + "0", codec, 4)
+
     def test_rate_ordering_on_iid_data(self, cache):
         from hfsac import ac_encode_parts, fsac_encode
 
