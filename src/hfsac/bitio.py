@@ -9,9 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# bits a BitWriter collects before packing them: bounds its 0/1 copies
-_FLUSH_BITS = 1 << 16
-
 
 def _pad_mask(n: int) -> int:
     """The padding bits of the last byte of an n-bit sequence."""
@@ -78,35 +75,27 @@ class Bits:
 
 
 class BitWriter:
-    """Packs 0/1 `uint8` arrays into bytes.  Writes are packed together once
-    they hold _FLUSH_BITS bits, or at `finish`; the bits of an unfinished
-    byte wait for the next pack."""
+    """Packs 0/1 `uint8` arrays into bytes as they are written; the bits of
+    an unfinished byte are carried to the next write."""
 
-    __slots__ = ("_out", "_pending", "_count")
+    __slots__ = ("_out", "_carry")
 
     def __init__(self):
         self._out = bytearray()
-        self._pending: list[np.ndarray] = []
-        self._count = 0
+        self._carry = np.zeros(0, np.uint8)
 
     def write(self, bits01: np.ndarray) -> None:
-        self._pending.append(bits01)
-        self._count += len(bits01)
-        if self._count >= _FLUSH_BITS:
-            bits01 = np.concatenate(self._pending)
-            whole = len(bits01) & ~7
-            self._out += np.packbits(bits01[:whole]).tobytes()
-            self._pending = [bits01[whole:].copy()]
-            self._count -= whole
+        if len(self._carry):
+            bits01 = np.concatenate((self._carry, bits01))
+        whole = len(bits01) & ~7
+        self._out += np.packbits(bits01[:whole]).tobytes()
+        self._carry = bits01[whole:].copy()
 
     def finish(self, n: int | None = None) -> Bits:
         """Everything written, or its first n bits."""
-        total = 8 * len(self._out) + self._count
-        if len(self._pending) > 1:
-            self._pending = [np.concatenate(self._pending)]
-        if self._pending:
-            self._out += np.packbits(self._pending[0]).tobytes()
-        self._pending, self._count = [], 0
+        total = 8 * len(self._out) + len(self._carry)
+        self._out += np.packbits(self._carry).tobytes()
+        self._carry = self._carry[:0]
         if n is None:
             n = total
         elif n > total:

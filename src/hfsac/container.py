@@ -26,12 +26,13 @@ class ContainerError(ValueError):
 
 @dataclass(frozen=True)
 class CipherContainer:
-    """Header fields and the cipher; a '0'/'1' string given as the cipher
-    is packed, and `cipher_bits` gives it back as text."""
+    """Header fields and the cipher.  The cipher may be given as '0'/'1'
+    text, which is packed: the field always holds `Bits` once built, and
+    `cipher_bits` gives it back as text."""
 
     params: CoderParams
     plain_bit_len: int
-    cipher: Bits
+    cipher: Bits | str
 
     def __post_init__(self) -> None:
         if self.plain_bit_len < 0:

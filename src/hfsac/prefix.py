@@ -36,8 +36,11 @@ BLOCK_STEPS = 1 << 13
 # the window at bit k of a byte: its 16-bit read shifted right by 8 - k
 _SHIFTS = np.arange(WINDOW_BITS, 0, -1, dtype=np.uint16)
 _CHUNK = 1 << 12
-_SHORT_BYTES = 4
-_FEW_ROWS = 8
+# below these sizes numpy's per-call cost outweighs its speed: windows of
+# a short stream come from one Python int, a few unswapped words are
+# sliced one by one (measured crossovers: 10-12 bytes, 16-20 words)
+_SHORT_BYTES = 10
+_FEW_ROWS = 16
 # a swap position beyond the longest word: nothing is complemented
 _PAST_WORDS = sys.maxsize
 _LIMB_MASK = (1 << 64) - 1
@@ -57,7 +60,7 @@ def windows(bits: Bits) -> bytearray:
     bounds its temporaries.
     """
     n_bytes = len(bits.data)
-    if n_bytes <= _SHORT_BYTES:  # numpy's per-call cost outweighs its speed
+    if n_bytes <= _SHORT_BYTES:
         top = 8 * n_bytes
         value = int.from_bytes(bits.data, "big") << WINDOW_BITS
         return bytearray([value >> (top - p) & WINDOW_MASK for p in range(top + 1)])
@@ -187,7 +190,6 @@ class PrefixTable:
         from its `swap_pos` on, when given."""
         lengths = self.lengths[rows]
         if swap_pos is None and 0 < len(rows) <= _FEW_ROWS:
-            # a slice per word: numpy's per-call cost outweighs its speed
             offsets = self._offsets[rows].tolist()
             return np.concatenate(
                 [self._bits[a : a + n] for a, n in zip(offsets, lengths.tolist())]

@@ -62,8 +62,8 @@ class TestBitWriter:
         else:
             assert writer.finish(n) == Bits.from_text(text[:n])
 
-    def test_flushes_across_writes(self, monkeypatch):
-        monkeypatch.setattr("hfsac.bitio._FLUSH_BITS", 13)
+    def test_flushes_across_writes(self):
+        # each write packs its whole bytes and carries the rest
         rng = np.random.default_rng(7)
         chunks = [rng.integers(0, 2, k, dtype=np.uint8) for k in (5, 9, 1, 30, 0, 17)]
         writer = BitWriter()

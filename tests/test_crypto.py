@@ -36,7 +36,7 @@ from hfsac import (
     validate_reduced,
 )
 from hfsac import coder, huffman, reducer
-from hfsac.crypto import GOLDEN, TAG_JUMP, TAG_STATE, TAG_SWAP
+from hfsac.crypto import _SHORT_BLOCK, GOLDEN, TAG_JUMP, TAG_STATE, TAG_SWAP
 from conftest import SWEEP, rand_bits, reference_encrypt, reference_match, synthetic_image
 
 
@@ -69,7 +69,8 @@ class TestSplitMix:
     )
     def test_block_draws_equal_sequential_draws(self, seed):
         a, b = SplitMix64(seed), SplitMix64(seed)
-        sizes = (1, 7, 0, 300, 64, 8193)
+        # both sides of the scalar path's limit
+        sizes = (1, 7, 0, _SHORT_BLOCK, _SHORT_BLOCK + 1, 300, 64, 8193)
         blocks = [a.next_block(m).tolist() for m in sizes]
         assert [z for block in blocks for z in block] == [
             b.next_u64() for _ in range(sum(sizes))

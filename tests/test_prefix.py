@@ -10,8 +10,10 @@ the lengths below.  `TestDecrypt::test_every_cut_raises` covers the read
 past the end of a cut ciphertext.
 """
 
+import numpy as np
 import pytest
 
+from hfsac import prefix
 from hfsac import (
     KeySchedule,
     decrypt,
@@ -19,6 +21,7 @@ from hfsac import (
     fsac_parse,
     hfac_decode,
     hfac_encode,
+    swap_codeword,
 )
 from conftest import rand_bits, reference_parse
 
@@ -38,3 +41,22 @@ def test_long_words_at_stream_end(cache, n, p0, fm):
             assert hfac_decode(code, codec, length) == bits
             steps, padded = fsac_parse(bits, rm)
             assert (steps, padded) == reference_parse(rm, bits)
+
+
+@pytest.mark.parametrize("n,p0,fm", [(7, 44, 10), (10, 1, 3)])
+def test_gather_matches_word_text(cache, n, p0, fm):
+    # row counts on both sides of the slice-per-word path's limit
+    codec = cache.codec(n, p0, fm)
+    rm = codec.rm
+    blocks = [t.input_block for ts in rm.transitions for t in ts]
+    codewords = [w for table in codec.tables for w in table.codewords]
+    rng = np.random.default_rng(n)
+    few = prefix._FEW_ROWS
+    for k in (0, 1, few, few + 1, 3 * few):
+        rows = rng.integers(0, len(blocks), k).astype(np.int32)
+        got = rm.inputs.gather(rows)
+        assert "".join(map(str, got.tolist())) == "".join(blocks[r] for r in rows)
+        swap_pos = rng.integers(0, 12, k).astype(np.int32)
+        got = codec.outputs.gather(rows, swap_pos)
+        want = "".join(swap_codeword(codewords[r], p) for r, p in zip(rows, swap_pos))
+        assert "".join(map(str, got.tolist())) == want
