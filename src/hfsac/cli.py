@@ -7,7 +7,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import secrets
 import sys
 
 from .analysis import GrayImage, analyze_image, compression_rates
@@ -134,6 +133,8 @@ def build_parser() -> _Parser:
 
 
 def cmd_keygen(args) -> int:
+    import secrets  # loads hashlib and OpenSSL, which no other command needs
+
     key = secrets.token_bytes(8).hex()
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(key + "\n")

@@ -169,7 +169,7 @@ def code_lengths(counts, weights) -> np.ndarray:
     base = np.cumsum(counts) - counts
     width = np.left_shift(1, np.ceil(np.log2(np.maximum(counts, 2))).astype(np.int64))
     lengths = np.empty(len(weights), np.int64)
-    for w in np.unique(width).tolist():
+    for w in sorted(set(width.tolist())):  # np.unique would import numpy.ma
         group = np.flatnonzero(width == w)
         real = np.arange(w) < counts[group, None]
         cells = (base[group, None] + np.arange(w))[real]

@@ -10,11 +10,14 @@ bit first.
 The window index maps a state and the next WINDOW_BITS bits of a stream to
 the row whose word prefixes those bits, in one lookup at
 `(state << WINDOW_BITS) | window`.  A word longer than the window continues
-in a child node of the same width, which the entry names as `-2 - child`
-and which is looked up with the window WINDOW_BITS further on; -1 marks a
-window that no word prefixes.  Complementing a word's bits from
-position p on commutes with taking a prefix, so a swapped word is matched by
-XOR-ing the window before the lookup.
+in a child node, looked up with the window WINDOW_BITS further on cut to
+the node's width w: its top w bits, where w is the most bits any word under
+the node has left, up to WINDOW_BITS.  The entry that links to the node is
+`-2 - (start << 3 | WINDOW_BITS - w)`, from its first entry `start` and the
+bits its lookup drops; -1 marks a window that no word prefixes.
+Complementing a word's bits from position p on commutes with taking a
+prefix, so a swapped word is matched by XOR-ing the window before the
+lookup.
 
 The walks over these tables run a block of steps at a time; `jumps(m)`
 callables give each of the next m steps its jump target, or -1 where the
@@ -41,9 +44,14 @@ _CHUNK = 1 << 12
 # sliced one by one (measured crossovers: 10-12 bytes, 16-20 words)
 _SHORT_BYTES = 10
 _FEW_ROWS = 16
+# output bits per gather pass: bounds its int64 temporaries (25 B per bit)
+# and holds a keystream block of short words in one pass
+_PASS_BITS = 1 << 16
 # a swap position beyond the longest word: nothing is complemented
 _PAST_WORDS = sys.maxsize
 _LIMB_MASK = (1 << 64) - 1
+# a child link holds its node's first entry above 3 bits of width
+_MAX_ENTRIES = (1 << 28) - 1
 
 
 def no_jumps(m: int) -> np.ndarray:
@@ -125,63 +133,103 @@ class PrefixTable:
     @property
     def index(self) -> memoryview:
         """Flat int32 window index, one node of 2**WINDOW_BITS entries per
-        state, then the child nodes."""
+        state, then the child nodes of 2**w entries each."""
         if self._index is None:
             self._index = memoryview(self._build_index())
         return self._index
 
     def _build_index(self) -> np.ndarray:
-        k = WINDOW_BITS
-        packed = Bits._trusted(np.packbits(self._bits).tobytes(), len(self._bits))
-        win = np.frombuffer(windows(packed), np.uint8)
-        rows = np.arange(len(self.lengths), dtype=np.int64)
-        node = self.row_state.astype(np.int64)
-        off = self._offsets
-        left = self.lengths.astype(np.int64)
-        n_nodes = len(self.row_base) - 1
-        fills = []  # (first entry, entries, value) of every word and child link
-        while rows.size:
-            short = left <= k
-            keep = np.minimum(left, k)
-            start = (node << k) | ((win[off] >> (k - keep)) << (k - keep))
-            long_ = ~short
-            slots, child = np.unique(start[long_], return_inverse=True)
-            fills.append((slots, np.ones_like(slots), -2 - n_nodes - np.arange(len(slots))))
-            fills.append((start[short], 1 << (k - keep[short]), rows[short]))
-            rows, node = rows[long_], n_nodes + child
-            off, left = off[long_] + k, left[long_] - k
-            n_nodes += len(slots)
+        fills, size = self._fills()
         # the fills of a prefix code are disjoint: in order of their first
         # entry, each follows a gap of -1 entries
-        first, span, value = map(np.concatenate, zip(*fills))
+        first, drop, value = (
+            np.concatenate(c, dtype=np.int32, casting="unsafe") for c in zip(*fills)
+        )
         del fills
-        order = np.argsort(first, kind="stable")
-        first, span = first[order], span[order]
+        order = first.argsort(kind="stable")  # timsort, fast on the rounds' sorted runs
+        first, span = first[order], 1 << drop[order]
         runs = np.empty(2 * len(order) + 1, np.int64)  # gap, fill, ..., fill, gap
         runs[1::2] = span
-        runs[::2] = np.append(first, n_nodes << k) - np.append(0, first + span)
+        runs[::2] = np.append(first, size) - np.append(0, first + span)
         if (runs < 0).any():
             raise ValueError("the words are not a prefix code")
         values = np.full(len(runs), -1, np.int32)
         values[1::2] = value[order]
-        del first, span, value, order  # the index is the build's peak: free them first
+        del first, drop, span, value, order  # the index is the build's peak: free them first
         return np.repeat(values, runs)
+
+    def _fills(self) -> tuple[list, int]:
+        """(first entry, log2 of its entries, value) of every word and child
+        link, in lists of columns, and the index size.
+
+        One round per WINDOW_BITS-bit level of the longest word: the words
+        that end at this level fill their entries, the others are grouped
+        into child nodes by the entry they continue from.  Entries fit in
+        int32 (at most _MAX_ENTRIES), and so do the columns.
+        """
+        k = WINDOW_BITS
+        packed = Bits._trusted(np.packbits(self._bits).tobytes(), len(self._bits))
+        win = np.frombuffer(windows(packed), np.uint8)
+        rows = np.arange(len(self.lengths), dtype=np.int32)
+        start = self.row_state << k  # first entry of each word's node
+        width = k  # its node's width
+        off = self._offsets
+        left = self.lengths
+        size = (len(self.row_base) - 1) << k
+        fills = []
+        while True:
+            if size > _MAX_ENTRIES:
+                raise ValueError(f"a window index of over {_MAX_ENTRIES} entries")
+            keep = np.minimum(left, width)
+            drop = width - keep
+            first = start + ((win[off] >> (k - keep)) << drop)
+            short = left <= width
+            fills.append((first[short], drop[short], rows[short]))
+            # the words that go on, grouped by the entry they continue from
+            at = np.flatnonzero(~short)
+            if not at.size:
+                break
+            link = first[at]
+            if (link[1:] < link[:-1]).any():
+                order = link.argsort(kind="stable")
+                at, link = at[order], link[order]
+            rows, off, left = rows[at], off[at] + k, left[at] - k
+            if link[0] == link[-1]:  # one child, as along a chain
+                width = min(int(left.max()), k)
+                fills.append(([link[0]], [0], [-2 - (size << 3 | (k - width))]))
+                start = size
+                size += 1 << width
+            else:  # a child is as wide as the most bits any of its words has left
+                head = np.empty(link.size, bool)
+                head[:1] = True
+                np.not_equal(link[1:], link[:-1], out=head[1:])
+                heads = np.flatnonzero(head)
+                widths = np.minimum(np.maximum.reduceat(left, heads), k)
+                sizes = 1 << widths
+                starts = size + np.cumsum(sizes) - sizes
+                links = -2 - (starts << 3 | (k - widths))
+                fills.append((link[heads], np.zeros_like(heads), links))
+                child = np.cumsum(head) - 1
+                start, width = starts[child], widths[child]
+                size += int(sizes.sum())
+        return fills, size
 
     def descend(self, win, entry: int, pos: int, swap_pos: int = _PAST_WORDS) -> int:
         """Row whose word prefixes the stream at `pos`, or -1.
 
         `entry` is the index entry of the stream's window at `pos`; a child
         link (`entry < -1`) is followed through the windows `win[pos + 8]`,
-        `win[pos + 16]`, ..., and windows past the end of `win` read as 0.
-        The word is matched as if complemented from `swap_pos` on, which by
-        default lies past every word.
+        `win[pos + 16]`, ..., each cut to its node's width, and windows past
+        the end of `win` read as 0.  The word is matched as if complemented
+        from `swap_pos` on, which by default lies past every word.
         """
         index = self.index
         off = WINDOW_BITS
         while entry < -1:
+            link = -2 - entry
             window = win[pos + off] if pos + off < len(win) else 0
             window ^= WINDOW_MASK >> max(swap_pos - off, 0)
-            entry = index[((-2 - entry) << WINDOW_BITS) | window]
+            entry = index[(link >> 3) + (window >> (link & 7))]
             off += WINDOW_BITS
         return entry
 
@@ -194,11 +242,22 @@ class PrefixTable:
             return np.concatenate(
                 [self._bits[a : a + n] for a, n in zip(offsets, lengths.tolist())]
             )
-        starts = np.cumsum(lengths, dtype=np.int64) - lengths
-        at = np.arange(starts[-1] + lengths[-1] if len(rows) else 0)
-        out = self._bits[at + np.repeat(self._offsets[rows] - starts, lengths)]
-        if swap_pos is not None:
-            out ^= at >= np.repeat(starts + swap_pos, lengths)
+        ends = np.cumsum(lengths, dtype=np.int64)
+        starts = ends - lengths
+        out = np.empty(int(ends[-1]) if len(rows) else 0, np.uint8)
+        a = 0
+        while a < len(rows):  # passes of at most _PASS_BITS, or one word
+            b = max(int(np.searchsorted(ends, starts[a] + _PASS_BITS, "right")), a + 1)
+            lo, hi = int(starts[a]), int(ends[b - 1])
+            at = np.arange(lo, hi)
+            words = slice(a, b)
+            n = lengths[words]
+            shift = np.repeat(self._offsets[rows[words]] - starts[words], n)
+            # in-range indexes: "clip" lets take write to `out` unbuffered
+            np.take(self._bits, at + shift, out=out[lo:hi], mode="clip")
+            if swap_pos is not None:
+                out[lo:hi] ^= at >= np.repeat(starts[words] + swap_pos[words], n)
+            a = b
         return out
 
     def expand(self, rows: np.ndarray) -> str:

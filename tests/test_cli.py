@@ -1,6 +1,7 @@
 import re
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -264,6 +265,37 @@ class TestUsage:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_commands_leave_openssl_and_numpy_ma_unloaded(self, tmp_path):
+        # secrets pulls in hashlib and OpenSSL (~3.6 MiB), numpy.ma ~1.3 MiB;
+        # encode, decode and analyze use neither, keygen imports secrets itself
+        watched = "{'secrets', 'hashlib', '_hashlib', 'numpy.ma'}"
+        report = f"print('loaded', *{watched} & set(sys.modules))"
+        calls = tmp_path / "calls.py"
+        calls.write_text(textwrap.dedent(f"""\
+            import sys
+            from hfsac.cli import main
+            d = sys.argv[1]
+            pixels = bytes(i * 7 % 256 for i in range(48 * 48))
+            open(d + "/p.pgm", "wb").write(b"P5\\n48 48\\n255\\n" + pixels)
+            key = ["--key", "00112233445566ff"]
+            params = ["--n", "5", "--p0-num", "14", "--fmax", "3"]
+            for argv in (
+                ["encode", "--in", d + "/p.pgm", "--out", d + "/c", *key, *params],
+                ["decode", "--in", d + "/c", "--out", d + "/b", *key],
+                ["analyze", "--plain", d + "/p.pgm", *key, *params],
+            ):
+                assert main(argv) == 0, argv
+            {report}
+        """))
+        loaded = []
+        for argv in (["-c", "import sys, numpy; " + report], [calls, tmp_path]):
+            proc = subprocess.run(
+                [sys.executable, *argv], capture_output=True, text=True
+            )
+            assert proc.returncode == 0, proc.stderr
+            loaded.append(set(proc.stdout.splitlines()[-1].split()[1:]))
+        assert loaded[1] <= loaded[0], loaded
+
     def test_console_entry_point(self, tmp_path):
         out = tmp_path / "key"
         proc = subprocess.run(
@@ -313,3 +345,23 @@ def test_encode_decode_memory_per_input_byte(tmp_path):
         assert back.read_bytes() == plain.read_bytes()
     for op in ("encode", "decode"):
         assert peaks["large", op] - peaks["small", op] < 24, peaks
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_decode_memory_long_blocks(tmp_path):
+    # (10, 1, 3), q = 0: 256 KiB of ones decode as one keystream block of
+    # 4,096 steps of 512-bit input blocks.  That block's 2 Mbit as 0/1 bytes
+    # (2 MiB), its packed copy and gather passes of at most 64 Kbit (~1.6 MiB
+    # of index temporaries) stay under 12 MiB over a 1-byte call; gathering
+    # the whole block in one pass took ~35 MiB.
+    key = ["--key", "00112233445566ff"]
+    params = ["--n", "10", "--p0-num", "1", "--fmax", "3", "--jump-prob", "0"]
+    peaks = {}
+    for size in (1, 1 << 18):
+        plain = tmp_path / f"{size}.bin"
+        plain.write_bytes(b"\xff" * size)
+        box, back = tmp_path / f"{size}.hfsa", tmp_path / f"{size}.back"
+        _cli_peak_mib("encode", "--in", plain, "--out", box, *key, *params)
+        peaks[size] = _cli_peak_mib("decode", "--in", box, "--out", back, *key)
+        assert back.read_bytes() == plain.read_bytes()
+    assert peaks[1 << 18] - peaks[1] < 12, peaks

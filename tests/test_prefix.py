@@ -15,6 +15,7 @@ import pytest
 
 from hfsac import prefix
 from hfsac import (
+    Bits,
     KeySchedule,
     decrypt,
     encrypt,
@@ -60,3 +61,89 @@ def test_gather_matches_word_text(cache, n, p0, fm):
         got = codec.outputs.gather(rows, swap_pos)
         want = "".join(swap_codeword(codewords[r], p) for r, p in zip(rows, swap_pos))
         assert "".join(map(str, got.tolist())) == want
+
+
+@pytest.mark.parametrize("pass_bits", [1, 37, 1 << 10])
+def test_gather_in_passes(cache, monkeypatch, pass_bits):
+    # passes of one word, of a few words, and of hundreds of bits, against
+    # the words' text; a pass always takes at least one whole word
+    monkeypatch.setattr(prefix, "_PASS_BITS", pass_bits)
+    codec = cache.codec(10, 1, 3)
+    rm = codec.rm
+    blocks = [t.input_block for ts in rm.transitions for t in ts]
+    codewords = [w for table in codec.tables for w in table.codewords]
+    rng = np.random.default_rng(pass_bits)
+    rows = rng.integers(0, len(blocks), 300).astype(np.int32)
+    got = rm.inputs.gather(rows)
+    assert "".join(map(str, got.tolist())) == "".join(blocks[r] for r in rows)
+    swap_pos = rng.integers(0, 12, len(rows)).astype(np.int32)
+    got = codec.outputs.gather(rows, swap_pos)
+    want = "".join(swap_codeword(codewords[r], p) for r, p in zip(rows, swap_pos))
+    assert "".join(map(str, got.tolist())) == want
+
+
+def _lookup(table, win, state, pos, swap_pos):
+    """Row the index gives at `pos`, looked up as the walks do."""
+    window = win[pos] ^ (prefix.WINDOW_MASK >> swap_pos)
+    entry = table.index[(state << prefix.WINDOW_BITS) | window]
+    return table.descend(win, entry, pos, swap_pos) if entry < -1 else entry
+
+
+def _scan(words, first, stream, swap_pos):
+    """Row of the word that prefixes `stream`, zero-padded, by a scan."""
+    for r, word in enumerate(words):
+        if (stream + "0" * len(word)).startswith(swap_codeword(word, swap_pos)):
+            return first + r
+    return -1
+
+
+# child widths of the (input block, codeword) indexes; (10, 1, 3) chains 63
+# width-8 nodes under its one state's 512-bit blocks
+CHILD_WIDTHS = {
+    (7, 44, 10): ({1, 2, 3, 4, 5, 6, 7, 8}, {1, 2, 3, 4, 5, 6, 7, 8}),
+    (9, 150, 3): ({1, 2, 3, 4, 5, 6, 7, 8}, {1, 2, 3, 4, 5}),
+    (10, 1, 3): ({8}, {2}),
+}
+
+
+@pytest.mark.parametrize("n,p0,fm", list(CHILD_WIDTHS))
+def test_sized_child_nodes_match_a_scan(cache, n, p0, fm):
+    # In every state: a stream that starts with one of its words, one cut
+    # inside a word and one of random bits, each after 0-7 bits of junk;
+    # unswapped and swapped from a position on either side of the window.
+    codec = cache.codec(n, p0, fm)
+    tables = [
+        (codec.rm.inputs, [t.input_block for ts in codec.rm.transitions for t in ts]),
+        (codec.outputs, [w for table in codec.tables for w in table.codewords]),
+    ]
+    rng = np.random.default_rng(n)
+    for (table, all_words), want_widths in zip(tables, CHILD_WIDTHS[n, p0, fm]):
+        index = np.asarray(table.index)
+        links = -2 - index[index < -1]
+        assert set((prefix.WINDOW_BITS - (links & 7)).tolist()) == want_widths
+        base = table.row_base.tolist()
+        for state in range(len(base) - 1):
+            words = all_words[base[state] : base[state + 1]]
+            longest = max(map(len, words))
+            for trial in range(6):
+                swap_pos = prefix._PAST_WORDS
+                if trial >= 3:
+                    swap_pos = int(rng.integers(longest + 2))
+                word = swap_codeword(words[rng.integers(len(words))], swap_pos)
+                tail = (
+                    word + rand_bits(state, int(rng.integers(12))),
+                    word[: int(rng.integers(len(word) + 1))],
+                    rand_bits(state + 1, int(rng.integers(2 * longest))),
+                )[trial % 3]
+                junk = rand_bits(trial, int(rng.integers(8)))
+                win = prefix.windows(Bits.from_text(junk + tail))
+                got = _lookup(table, win, state, len(junk), swap_pos)
+                assert got == _scan(words, base[state], tail, swap_pos), (state, trial)
+
+
+def test_child_node_sizes(cache):
+    # (9, 150, 3) held 9.3 / 9.5 MiB with 256-entry child nodes
+    codec = cache.codec(9, 150, 3)
+    sizes = codec.rm.inputs.index.nbytes, codec.outputs.index.nbytes
+    assert sizes == (6_086_712, 5_279_136)
+    assert sizes[0] <= 2 / 3 * 9.32 * 2**20 and sizes[1] <= 2 / 3 * 9.54 * 2**20
