@@ -82,6 +82,20 @@ def test_gather_in_passes(cache, monkeypatch, pass_bits):
     assert "".join(map(str, got.tolist())) == want
 
 
+def test_index_size_cap(monkeypatch):
+    # "0" and a 17-bit word: a root node, a width-8 child and a width-1
+    # grandchild, 514 entries; a child link holds at most _MAX_ENTRIES
+    long_word = 1 << 16 | 0x1234
+    monkeypatch.setattr(prefix, "_MAX_ENTRIES", 514)
+    table = prefix.PrefixTable([2], [1, 17], [0, long_word])
+    assert len(table.index) == 514
+    win = prefix.windows(Bits.from_text(prefix.bit_string(17, long_word)))
+    assert _lookup(table, win, 0, 0, prefix._PAST_WORDS) == 1
+    monkeypatch.setattr(prefix, "_MAX_ENTRIES", 513)
+    with pytest.raises(ValueError, match="over 513 entries"):
+        prefix.PrefixTable([2], [1, 17], [0, long_word]).index
+
+
 def _lookup(table, win, state, pos, swap_pos):
     """Row the index gives at `pos`, looked up as the walks do."""
     window = win[pos] ^ (prefix.WINDOW_MASK >> swap_pos)
