@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitio import Bits, pack_bits
-from .coder import CoderParams, _renormalize, split_interval
+from .coder import CoderParams, renormalize, split_interval
 from .crypto import (
     TAG_JUMP,
     TAG_STATE,
@@ -339,11 +339,11 @@ def _ac_stream_len(bits: str, rm, rows: np.ndarray) -> int:
         follow = int(rm.origin_bounds[rm.next_state[last], 2])
         return int(rm.out_len[rows].sum()) + follow + 2
     params = rm.params
-    low, high, follow = rm.origin_bounds[rm.inputs.row_state[last]].tolist()
+    low, high, follow = rm.origin_bounds[rm.row_state[last]].tolist()
     for b in bits[len(bits) - real :]:
         s = split_interval(low, high, params)
         low, high = (low, s) if b == "0" else (s, high)
-        low, high, follow, _ = _renormalize(low, high, follow, params)
+        low, high, follow, _ = renormalize(low, high, follow, params)
     return int(rm.out_len[rows[:-1]].sum()) + follow + 2
 
 

@@ -258,8 +258,9 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def run_selftest(corrupt: bool = False, verbose: bool = True) -> bool:
-    """Invariant sweep over small parameter sets; returns overall pass.
+def run_selftest(corrupt: bool = False) -> bool:
+    """Invariant sweep over small parameter sets, printing a PASS or FAIL
+    line per check; returns overall pass.
 
     `corrupt` deliberately breaks one code table first, to prove the checks
     can fail.
@@ -275,8 +276,7 @@ def run_selftest(corrupt: bool = False, verbose: bool = True) -> bool:
     def check(name: str, passed: bool) -> None:
         nonlocal ok
         ok = ok and passed
-        if verbose:
-            print(f"{'PASS' if passed else 'FAIL'}  {name}")
+        print(f"{'PASS' if passed else 'FAIL'}  {name}")
 
     sweep = [
         CoderParams(3, 3, 1),

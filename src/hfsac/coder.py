@@ -16,11 +16,11 @@ import numpy as np
 
 from .prefix import bit_string
 
-DEFAULT_STATE_CEILING = 10**6
+STATE_CEILING = 10**6
 
 
 class StateExplosionError(RuntimeError):
-    """State-machine exploration exceeded the configured ceiling."""
+    """State-machine exploration exceeded STATE_CEILING states."""
 
 
 class TruncatedCodeError(ValueError):
@@ -165,7 +165,9 @@ def split_interval(low: int, high: int, params: CoderParams) -> int:
     return min(max(s, low + 1), high - 1)
 
 
-def _renormalize(low: int, high: int, follow: int, params: CoderParams):
+def renormalize(low: int, high: int, follow: int, params: CoderParams):
+    """Expand the interval until no doubling rule fires; returns the new
+    (low, high, follow) and the emitted bits."""
     half = params.half
     quarter = params.quarter
     three_quarter = half + quarter
@@ -189,17 +191,7 @@ def _renormalize(low: int, high: int, follow: int, params: CoderParams):
     return low, high, follow, "".join(out)
 
 
-def renormalize(state: FullState, params: CoderParams) -> tuple[FullState, str]:
-    """Expand the interval until no doubling rule fires; returns emitted bits."""
-    low, high, follow, emitted = _renormalize(
-        state.low, state.high, state.follow, params
-    )
-    return FullState(low, high, follow), emitted
-
-
-def build_full_fsm(
-    params: CoderParams, state_ceiling: int = DEFAULT_STATE_CEILING
-) -> FullMachine:
+def build_full_fsm(params: CoderParams) -> FullMachine:
     """Breadth-first exploration of every canonical state from (0, 2**N, 0).
 
     States are numbered in order of first occurrence and written straight
@@ -220,7 +212,7 @@ def build_full_fsm(
         s = min(max(lo + (((hi - lo) * p0) >> n), lo + 1), hi - 1)
         for rl, rh in ((lo, s), (s, hi)):
             rf, length, value = fo, 0, 0
-            # _renormalize on (length, value), inlined: a call per edge
+            # renormalize on (length, value), inlined: a call per edge
             # costs a fifth of the exploration
             while True:
                 if rh <= half:
@@ -242,7 +234,7 @@ def build_full_fsm(
             to = index.get(key)
             if to is None:
                 to = len(low)
-                if to >= state_ceiling:
+                if to >= STATE_CEILING:
                     raise StateExplosionError(f"state explosion for {params}")
                 index[key] = to
                 low.append(rl)
@@ -266,7 +258,7 @@ def ac_encode_parts(bits: str, params: CoderParams) -> tuple[str, str]:
             low = s
         else:
             raise ValueError(f"invalid bit {b!r}")
-        low, high, follow, emitted = _renormalize(low, high, follow, params)
+        low, high, follow, emitted = renormalize(low, high, follow, params)
         out.append(emitted)
     follow += 1
     if low >= params.quarter:

@@ -236,13 +236,13 @@ def encrypt_bits(
     out = BitWriter()
     columns = []
     for rows, targets in walk_blocks(rm, plain, draws.jumps):
-        states = rm.inputs.row_state[rows]
+        states = rm.row_state[rows]
         swap_pos = draws.swap.next_block(len(rows)) % codec.swap_moduli[states]
         swap_pos = swap_pos.astype(np.int32)
         out.write(codec.outputs.gather(rows, swap_pos))
         if trace:
             columns.append(
-                (targets >= 0, states, rows - rm.inputs.row_base[states], swap_pos)
+                (targets >= 0, states, rows - rm.row_base[states], swap_pos)
             )
     if not trace:
         return out.finish(), None

@@ -232,7 +232,8 @@ class HfsacCodec:
     @functools.cached_property
     def outputs(self) -> PrefixTable:
         """The codewords of every state, built on first use."""
-        return PrefixTable(self.rm.counts, self.code_len, self.code_bits.tolist())
+        rm = self.rm
+        return PrefixTable(rm.row_base, rm.row_state, self.code_len, self.code_bits.tolist())
 
     @functools.cached_property
     def tables(self) -> tuple[StateCodeTable, ...]:

@@ -41,9 +41,12 @@ def parse_pgm(data: bytes) -> GrayImage:
         (w_tok, _), (h_tok, _), (max_tok, end) = next(toks), next(toks), next(toks)
     except StopIteration:
         raise PgmError("truncated PGM header") from None
-    try:
-        width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
-    except ValueError:
+    fields = (w_tok, h_tok, max_tok)
+    try:  # ASCII digits only: int() also takes signs and '_'
+        if not all(f.isdigit() for f in fields):
+            raise ValueError
+        width, height, maxval = map(int, fields)
+    except ValueError:  # also a field too long for int()
         raise PgmError("non-numeric PGM header field") from None
     if maxval != 255:
         raise PgmError(f"unsupported maxval {maxval} (only 255)")

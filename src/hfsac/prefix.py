@@ -116,15 +116,14 @@ class PrefixTable:
     expanded never pays for it.
     """
 
-    __slots__ = ("row_base", "row_state", "lengths", "_bits", "_offsets", "_index")
+    __slots__ = ("_row_base", "_row_state", "lengths", "_bits", "_offsets", "_index")
 
-    def __init__(self, counts, lengths, bits):
-        """`counts[s]` words for state s; word r has `lengths[r]` bits, the
-        Python int `bits[r]`.  Words may be longer than 64 bits: the input
-        blocks of skewed machines run to 2**(n_bits - 1) bits."""
-        self.row_base = np.zeros(len(counts) + 1, np.int64)
-        np.cumsum(counts, out=self.row_base[1:])
-        self.row_state = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+    def __init__(self, row_base, row_state, lengths, bits):
+        """`row_base` and `row_state` (int32) are the machine's row layout,
+        held by reference; word r has `lengths[r]` bits, the Python int
+        `bits[r]`.  Words may be longer than 64 bits: the input blocks of
+        skewed machines run to 2**(n_bits - 1) bits."""
+        self._row_base, self._row_state = row_base, row_state
         self.lengths = np.asarray(lengths, np.int32)
         self._offsets = np.cumsum(self.lengths, dtype=np.int64) - self.lengths
         self._bits = _word_bits(self.lengths, bits)
@@ -171,11 +170,11 @@ class PrefixTable:
         packed = Bits._trusted(np.packbits(self._bits).tobytes(), len(self._bits))
         win = np.frombuffer(windows(packed), np.uint8)
         rows = np.arange(len(self.lengths), dtype=np.int32)
-        start = self.row_state << k  # first entry of each word's node
+        start = self._row_state << k  # first entry of each word's node
         width = k  # its node's width
         off = self._offsets
         left = self.lengths
-        size = (len(self.row_base) - 1) << k
+        size = (len(self._row_base) - 1) << k
         fills = []
         while True:
             if size > _MAX_ENTRIES:
@@ -264,3 +263,9 @@ class PrefixTable:
     def expand(self, rows: np.ndarray) -> str:
         """Concatenated words of `rows` as '0'/'1' text."""
         return (self.gather(rows) | ord("0")).tobytes().decode("ascii")
+
+    def words(self) -> list[str]:
+        """Every word as '0'/'1' text, in row order."""
+        text = (self._bits | ord("0")).tobytes().decode("ascii")
+        ends = np.cumsum(self.lengths, dtype=np.int64).tolist()
+        return [text[a:b] for a, b in zip(self._offsets.tolist(), ends)]

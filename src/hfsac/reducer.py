@@ -36,13 +36,13 @@ class ReducedMachine:
     """Block-input machine, as columns; immutable after construction.
 
     State s owns `counts[s]` rows, the global rows `row_base[s]` up to
-    `row_base[s + 1]` in parse-tree order.  Row r reads the input block of
-    `block_len[r]` bits whose value is the Python int `block_bits[r]` (most
-    significant bit first; skewed machines have blocks of 2**(n_bits - 1)
-    bits), emits the arithmetic output of `out_len[r]` bits `out_bits[r]`,
-    and moves to `next_state[r]`.  `origin_bounds[s]` is the (low, high,
-    follow) the state came from.  `transitions` and `origin` are object
-    views, built on first access.
+    `row_base[s + 1]` in parse-tree order; `row_state[r]` is row r's state,
+    and the machine's prefix tables share this layout.  Row r reads the
+    input block of `block_len[r]` bits, given as the Python int
+    `block_bits[r]` and kept only in `inputs`, emits the arithmetic output
+    of `out_len[r]` bits `out_bits[r]`, and moves to `next_state[r]`.
+    `origin_bounds[s]` is the (low, high, follow) the state came from.
+    `transitions` and `origin` are object views, built on first access.
     """
 
     def __init__(
@@ -54,30 +54,27 @@ class ReducedMachine:
         self.state_count = len(self.counts)
         self.row_base = np.zeros(self.state_count + 1, np.int64)
         np.cumsum(self.counts, out=self.row_base[1:])
+        self.row_state = np.repeat(np.arange(self.state_count, dtype=np.int32), self.counts)
         self.block_len = np.asarray(block_len, np.int32)
-        self.block_bits = list(block_bits)
+        self.inputs = PrefixTable(self.row_base, self.row_state, self.block_len, block_bits)
         self.out_len = np.asarray(out_len, np.int32)
         self.out_bits = np.asarray(out_bits, np.int64)
         self.next_state = np.asarray(next_state, np.int32)
         self.origin_bounds = np.asarray(origin_bounds, np.int64).reshape(-1, 3)
 
     @functools.cached_property
-    def inputs(self) -> PrefixTable:
-        """The input blocks of every state, built on first use."""
-        return PrefixTable(self.counts, self.block_len, self.block_bits)
-
-    @functools.cached_property
     def ac_outputs(self) -> PrefixTable:
         """The arithmetic outputs of every state, built on first use."""
-        return PrefixTable(self.counts, self.out_len, self.out_bits.tolist())
+        bits = self.out_bits.tolist()
+        return PrefixTable(self.row_base, self.row_state, self.out_len, bits)
 
     @functools.cached_property
     def transitions(self) -> tuple[tuple[ReducedTransition, ...], ...]:
         rows = list(
             map(
                 ReducedTransition,
-                np.repeat(np.arange(self.state_count), self.counts).tolist(),
-                map(bit_string, self.block_len.tolist(), self.block_bits),
+                self.row_state.tolist(),
+                self.inputs.words(),
                 map(bit_string, self.out_len.tolist(), self.out_bits.tolist()),
                 self.next_state.tolist(),
             )
@@ -91,7 +88,7 @@ class ReducedMachine:
 
     def _columns(self):
         return (
-            self.counts, self.block_len, self.out_len, self.out_bits,
+            self.counts, self.block_len, self.inputs._bits, self.out_len, self.out_bits,
             self.next_state, self.origin_bounds,
         )
 
@@ -100,7 +97,6 @@ class ReducedMachine:
             isinstance(other, ReducedMachine)
             and self.params == other.params
             and all(map(np.array_equal, self._columns(), other._columns()))
-            and self.block_bits == other.block_bits
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -294,7 +290,7 @@ def fsac_parse(bits: str, rm: ReducedMachine):
     zero-padded at the tail to complete the final block.
     """
     rows = parse_rows(bits, rm)
-    states = rm.inputs.row_state[rows]
+    states = rm.row_state[rows]
     index = rows - rm.row_base[states]
     pad = int(rm.block_len[rows].sum()) - len(bits)
     return list(zip(states.tolist(), index.tolist())), bits + "0" * pad

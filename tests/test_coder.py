@@ -3,9 +3,9 @@ import math
 
 import pytest
 
+from hfsac import coder
 from hfsac import (
     CoderParams,
-    FullState,
     StateExplosionError,
     TruncatedCodeError,
     ac_decode_stream,
@@ -62,21 +62,18 @@ class TestSplitInterval:
 
 class TestRenormalize:
     def test_low_half_emits_zero(self):
-        state, out = renormalize(FullState(0, 3, 0), CoderParams(3, 3, 1))
-        assert (state, out) == (FullState(0, 6, 0), "0")
+        assert renormalize(0, 3, 0, CoderParams(3, 3, 1)) == (0, 6, 0, "0")
 
     def test_middle_straddle_defers(self):
-        state, out = renormalize(FullState(2, 6, 0), CoderParams(3, 3, 1))
-        assert (state, out) == (FullState(0, 8, 1), "")
+        assert renormalize(2, 6, 0, CoderParams(3, 3, 1)) == (0, 8, 1, "")
 
     def test_saturated_follow_stops(self):
-        state, out = renormalize(FullState(2, 6, 1), CoderParams(3, 3, 1))
-        assert (state, out) == (FullState(2, 6, 1), "")
+        assert renormalize(2, 6, 1, CoderParams(3, 3, 1)) == (2, 6, 1, "")
 
     def test_follow_flushes_as_opposite_bits(self):
-        state, out = renormalize(FullState(1, 4, 2), CoderParams(3, 3, 3))
+        _, _, follow, out = renormalize(1, 4, 2, CoderParams(3, 3, 3))
         assert out.startswith("011")
-        assert state.follow == 0
+        assert follow == 0
 
 
 class TestFullMachine:
@@ -116,9 +113,10 @@ class TestFullMachine:
         p = CoderParams(5, 11, 1)
         assert build_full_fsm(p) == build_full_fsm(p)
 
-    def test_state_ceiling(self):
+    def test_state_ceiling(self, monkeypatch):
+        monkeypatch.setattr(coder, "STATE_CEILING", 10)
         with pytest.raises(StateExplosionError):
-            build_full_fsm(CoderParams(8, 51, 3), state_ceiling=10)
+            build_full_fsm(CoderParams(8, 51, 3))
         assert gc.isenabled()
 
     @pytest.mark.parametrize("n,p0,fm", [(3, 3, 1), (4, 3, 1), (6, 13, 3), (8, 51, 1)])

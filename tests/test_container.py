@@ -111,3 +111,29 @@ class TestContainer:
         blob[5] = 2  # n_bits below the supported floor
         with pytest.raises(ContainerError, match="parameters"):
             parse(bytes(blob))
+
+
+class TestFuzz:
+    """Malformed input raises `ContainerError` and nothing else."""
+
+    VALID = [
+        serialize(CipherContainer(CoderParams(7, 44, 10, 230), 524288, rand_bits(1, 77))),
+        serialize(CipherContainer(CoderParams(4, 3, 1, 0), 0, "")),
+    ]
+
+    @staticmethod
+    def parse_or_reject(blob: bytes) -> None:
+        try:
+            parse(blob)
+        except ContainerError:
+            pass
+
+    @given(st.binary(max_size=64) | st.binary(max_size=40).map(lambda b: b"HFSA\x01" + b))
+    def test_arbitrary_bytes(self, blob):
+        self.parse_or_reject(blob)
+
+    @given(st.sampled_from(VALID), st.integers(0, 1 << 16), st.integers(0, 255))
+    def test_single_byte_mutations(self, blob, at, value):
+        blob = bytearray(blob)
+        blob[at % len(blob)] = value
+        self.parse_or_reject(bytes(blob))

@@ -1,7 +1,14 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hfsac import GrayImage, PgmError, parse_pgm, pgm_bytes, read_pgm, write_pgm
 from conftest import synthetic_image
+
+VALID = [
+    pgm_bytes(synthetic_image(4, 3)),
+    b"P5 # binary pgm\n# a comment\n 3\t2 #c\n255\n" + bytes(range(6)),
+]
 
 
 class TestParse:
@@ -30,6 +37,10 @@ class TestParse:
             (b"P2\n2 2\n255\n" + bytes(4), "magic"),
             (b"P5\n2 2\n65535\n" + bytes(8), "maxval"),
             (b"P5\n2 x\n255\n" + bytes(4), "numeric"),
+            (b"P5\n1_0 1\n255\n" + bytes(10), "numeric"),
+            (b"P5\n+2 2\n255\n" + bytes(4), "numeric"),
+            (b"P5\n2 2\n2_55\n" + bytes(4), "numeric"),
+            (b"P5\n2 2\n" + b"9" * 5000 + b"\n" + bytes(4), "numeric"),
             (b"P5\n2 2\n255\n" + bytes(3), "raster"),
             (b"P5\n2 2\n255\n" + bytes(5), "raster"),
             (b"P5\n0 2\n255\n", "dimensions"),
@@ -43,3 +54,24 @@ class TestParse:
     def test_arbitrary_pixel_values_roundtrip(self):
         img = GrayImage(16, 16, bytes(range(256)))
         assert parse_pgm(pgm_bytes(img)) == img
+
+
+class TestFuzz:
+    """Malformed input raises `PgmError` and nothing else."""
+
+    @staticmethod
+    def parse_or_reject(blob: bytes) -> None:
+        try:
+            parse_pgm(blob)
+        except PgmError:
+            pass
+
+    @given(st.binary(max_size=80) | st.binary(max_size=80).map(lambda b: b"P5\n" + b))
+    def test_arbitrary_bytes(self, blob):
+        self.parse_or_reject(blob)
+
+    @given(st.sampled_from(VALID), st.integers(0, 1 << 16), st.integers(0, 255))
+    def test_single_byte_mutations(self, blob, at, value):
+        blob = bytearray(blob)
+        blob[at % len(blob)] = value
+        self.parse_or_reject(bytes(blob))

@@ -86,14 +86,15 @@ def test_index_size_cap(monkeypatch):
     # "0" and a 17-bit word: a root node, a width-8 child and a width-1
     # grandchild, 514 entries; a child link holds at most _MAX_ENTRIES
     long_word = 1 << 16 | 0x1234
+    layout = np.array([0, 2]), np.zeros(2, np.int32)
     monkeypatch.setattr(prefix, "_MAX_ENTRIES", 514)
-    table = prefix.PrefixTable([2], [1, 17], [0, long_word])
+    table = prefix.PrefixTable(*layout, [1, 17], [0, long_word])
     assert len(table.index) == 514
     win = prefix.windows(Bits.from_text(prefix.bit_string(17, long_word)))
     assert _lookup(table, win, 0, 0, prefix._PAST_WORDS) == 1
     monkeypatch.setattr(prefix, "_MAX_ENTRIES", 513)
     with pytest.raises(ValueError, match="over 513 entries"):
-        prefix.PrefixTable([2], [1, 17], [0, long_word]).index
+        prefix.PrefixTable(*layout, [1, 17], [0, long_word]).index
 
 
 def _lookup(table, win, state, pos, swap_pos):
@@ -135,7 +136,7 @@ def test_sized_child_nodes_match_a_scan(cache, n, p0, fm):
         index = np.asarray(table.index)
         links = -2 - index[index < -1]
         assert set((prefix.WINDOW_BITS - (links & 7)).tolist()) == want_widths
-        base = table.row_base.tolist()
+        base = codec.rm.row_base.tolist()
         for state in range(len(base) - 1):
             words = all_words[base[state] : base[state + 1]]
             longest = max(map(len, words))

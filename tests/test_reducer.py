@@ -57,6 +57,29 @@ class TestReduce:
         m = cache.machine(5, 6, 1)
         assert reduce_machine(m) == reduce_machine(m)
 
+    def test_equality_reads_the_input_blocks(self):
+        # the blocks live only in `rm.inputs`: 0/11/10 against 0/10/11
+        def machine(a, b):
+            blocks = ("0", a, b)
+            row = tuple(ReducedTransition(0, x, "1", 0) for x in blocks)
+            return reduced_from_rows(CoderParams(3, 3, 1), [row], [(0, 8, 0)])
+
+        assert machine("11", "10") == machine("11", "10")
+        assert machine("11", "10") != machine("10", "11")
+        assert [r[0] for r in rows_of(machine("11", "10"), 0)] == ["0", "11", "10"]
+
+    def test_tables_share_the_row_layout(self, cache):
+        codec = cache.codec(7, 44, 10)
+        rm = codec.rm
+        assert not hasattr(rm, "block_bits")
+        assert rm.inputs.lengths is rm.block_len
+        for table in (rm.inputs, rm.ac_outputs, codec.outputs):
+            assert table._row_base is rm.row_base
+            assert table._row_state is rm.row_state
+        assert rm.row_state.tolist() == [
+            s for s, row in enumerate(rm.transitions) for _ in row
+        ]
+
     @pytest.mark.parametrize(
         "n,p0,fm,expect",
         [(7, 44, 10, 330), (8, 51, 1, 994), (8, 26, 3, 348), (8, 128, 3, 1)],
