@@ -7,6 +7,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .analysis import GrayImage, analyze_image, compression_rates
@@ -38,19 +39,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_jump_prob(text: str) -> int:
+def _decimal(text: str) -> int:
+    """An integer option: ASCII decimal digits only, where int() would also
+    take '1_0', '+1', ' 1 ' and the digits of other scripts."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"not a decimal number: {text!r}")
+    return int(text)
+
+
+def _jump_prob(text: str) -> int:
     """Jump probability as 'q' or 'q/256' with q in 0..256."""
-    if "/" in text:
-        num_text, den_text = text.split("/", 1)
-        if den_text.strip() != "256":
-            raise UsageError(f"jump probability denominator must be 256: {text!r}")
-        text = num_text
-    try:
-        q = int(text)
-    except ValueError:
-        raise UsageError(f"invalid jump probability {text!r}") from None
-    if not 0 <= q <= 256:
-        raise UsageError(f"jump probability numerator must be in 0..256, got {q}")
+    num, slash, den = text.partition("/")
+    if slash and _decimal(den) != 256:
+        raise argparse.ArgumentTypeError(f"denominator must be 256: {text!r}")
+    q = _decimal(num)
+    if q > 256:
+        raise argparse.ArgumentTypeError(f"numerator must be in 0..256, got {q}")
     return q
 
 
@@ -66,15 +70,20 @@ def _params(args, jump_q: int = 0) -> CoderParams:
 
 
 def _add_params(sub, jump: bool) -> None:
-    sub.add_argument("--n", type=int, required=True, help="precision in bits (3..16)")
     sub.add_argument(
-        "--p0-num", type=int, required=True,
+        "--n", type=_decimal, required=True,
+        help="precision in bits (3..16); with --p0-num and --fmax it must give "
+        "at most 10**6 full states (coder.STATE_CEILING): (16, 32768, 15) has "
+        "1, (12, 1000, 2) 999,909, and (13, 3000, 0) fails after ~3.5 s",
+    )
+    sub.add_argument(
+        "--p0-num", type=_decimal, required=True,
         help="probability numerator of symbol 0, denominator 2**n",
     )
-    sub.add_argument("--fmax", type=int, required=True, help="follow cap (0..15)")
+    sub.add_argument("--fmax", type=_decimal, required=True, help="follow cap (0..15)")
     if jump:
         sub.add_argument(
-            "--jump-prob", default="128", metavar="Q[/256]",
+            "--jump-prob", type=_jump_prob, default="128", metavar="Q[/256]",
             help="jump probability numerator over 256 (default 128)",
         )
 
@@ -108,15 +117,15 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     _add_key(p)
     p.add_argument("--format", choices=("bits", "pgm"), default="bits")
-    p.add_argument("--width", type=int)
-    p.add_argument("--height", type=int)
+    p.add_argument("--width", type=_decimal)
+    p.add_argument("--height", type=_decimal)
 
     p = sub.add_parser("bench", help="compression rates on seeded random bits")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--fmax", type=int, required=True)
+    p.add_argument("--n", type=_decimal, required=True)
+    p.add_argument("--fmax", type=_decimal, required=True)
     p.add_argument("--p0", required=True, help="comma-separated P(0) values")
-    p.add_argument("--bits", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--bits", type=_decimal, default=100_000)
+    p.add_argument("--seed", type=_decimal, default=1)
 
     p = sub.add_parser("analyze", help="full metric report for a PGM image")
     p.add_argument("--plain", required=True, help="input P5 image")
@@ -136,7 +145,9 @@ def cmd_keygen(args) -> int:
     import secrets  # loads hashlib and OpenSSL, which no other command needs
 
     key = secrets.token_bytes(8).hex()
-    with open(args.out, "w", encoding="ascii") as fh:
+    fd = os.open(args.out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    with open(fd, "w", encoding="ascii") as fh:
+        os.fchmod(fd, 0o600)  # a file that existed keeps its mode through open
         fh.write(key + "\n")
     return 0
 
@@ -181,11 +192,10 @@ def _read_plain_bits(path, fmt: str) -> Bits:
 
 def cmd_encode(args) -> int:
     seed = _load_seed(args)
-    jump_q = _parse_jump_prob(args.jump_prob)
-    params = _params(args, jump_q)
+    params = _params(args, args.jump_prob)
     plain = _read_plain_bits(args.infile, args.format)
     codec = build_codec(params)
-    cipher, _ = encrypt_bits(plain, codec, KeySchedule(seed, jump_q))
+    cipher, _ = encrypt_bits(plain, codec, KeySchedule(seed, args.jump_prob))
     blob = serialize(CipherContainer(params, plain.n, cipher))
     with open(args.out, "wb") as fh:
         fh.write(blob)
@@ -197,18 +207,19 @@ def cmd_decode(args) -> int:
     with open(args.infile, "rb") as fh:
         container = parse(fh.read())
     params = container.params
-    codec = build_codec(params)
-    ks = KeySchedule(seed, params.jump_q_num)
-    data = decrypt_bits(container.cipher, codec, ks, container.plain_bit_len).data
+    n_bits = container.plain_bit_len
     if args.format == "pgm":
-        if args.width is None or args.height is None:
-            raise UsageError("--format pgm needs --width and --height")
-        if args.width * args.height * 8 != container.plain_bit_len:
+        if not (args.width and args.height):
+            raise UsageError("--format pgm needs positive --width and --height")
+        if args.width * args.height * 8 != n_bits:
             raise ContainerError(
-                "container holds "
-                f"{container.plain_bit_len} plain bits, not "
+                f"container holds {n_bits} plain bits, not "
                 f"{args.width}x{args.height} pixels"
             )
+    codec = build_codec(params)
+    ks = KeySchedule(seed, params.jump_q_num)
+    data = decrypt_bits(container.cipher, codec, ks, n_bits).data
+    if args.format == "pgm":
         data = pgm_bytes(GrayImage(args.width, args.height, data))
     with open(args.out, "wb") as fh:
         fh.write(data)
@@ -237,8 +248,7 @@ def cmd_bench(args) -> int:
 
 def cmd_analyze(args) -> int:
     seed = _load_seed(args)
-    jump_q = _parse_jump_prob(args.jump_prob)
-    params = _params(args, jump_q)
+    params = _params(args, args.jump_prob)
     img = read_pgm(args.plain)
     report = analyze_image(img, params, seed)
     sys.stdout.write(report.to_csv() if args.format == "csv" else report.to_text())

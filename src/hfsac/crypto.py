@@ -25,9 +25,6 @@ MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-# up to this many draws, the scalar recurrence beats numpy's per-call cost
-# (measured crossover: 12-16 draws)
-_SHORT_BLOCK = 12
 
 TAG_JUMP = 1
 TAG_STATE = 2
@@ -68,8 +65,6 @@ class SplitMix64:
 
     def next_block(self, m: int) -> np.ndarray:
         """The next m draws as uint64, equal to m calls of next_u64."""
-        if m <= _SHORT_BLOCK:
-            return np.array([self.next_u64() for _ in range(m)], np.uint64)
         z = np.arange(1, m + 1, dtype=np.uint64)
         z *= GOLDEN
         z += self.state

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -216,9 +215,8 @@ class HfsacCodec:
     Row r of `rm` has the codeword of `code_len[r]` bits `code_bits[r]`;
     the global row ids of `outputs` are those of `rm.inputs`.  A step's
     swap position is its swap draw modulo its state's entry of
-    `swap_moduli`, max_len + 1; `no_swap_draw`, -1 modulo every entry,
-    puts the swap at max_len, past the last bit of every codeword.
-    `tables` is an object view, built on first access.
+    `swap_moduli`, max_len + 1.  `tables` is an object view, built on
+    first access.
     """
 
     def __init__(self, rm: ReducedMachine, code_len, code_bits):
@@ -227,7 +225,6 @@ class HfsacCodec:
         self.code_bits = np.asarray(code_bits, np.uint64)
         max_len = np.maximum.reduceat(self.code_len, rm.row_base[:-1])
         self.swap_moduli = (max_len + 1).astype(np.uint64)
-        self.no_swap_draw = math.lcm(*set(self.swap_moduli.tolist())) - 1
 
     @functools.cached_property
     def outputs(self) -> PrefixTable:
@@ -343,9 +340,9 @@ def hfac_encode(bits: str, codec: HfsacCodec) -> str:
 
 def hfac_decode(code: str, codec: HfsacCodec, n_bits: int) -> str:
     """Keyless decode of hfac_encode output, truncated to n_bits."""
-    no_swap = codec.no_swap_draw
+    # a draw of -1 puts every swap at max_len, past the codeword's last bit
     blocks = walk_codewords(
-        codec, Bits.from_text(code), n_bits, no_jumps, lambda m: [no_swap] * m,
+        codec, Bits.from_text(code), n_bits, no_jumps, lambda m: [-1] * m,
         CorruptStreamError, CorruptStreamError,
     )
     return "".join(codec.rm.inputs.expand(rows) for rows in blocks)[:n_bits]

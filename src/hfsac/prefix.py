@@ -1,11 +1,10 @@
 """Prefix-code lookup by fixed-width bit windows.
 
 A `PrefixTable` holds one prefix code per state: the input blocks of a
-reduced machine, its arithmetic outputs, or the codewords of its code
-tables.  Every word gets a global row id; the words of state s are rows
-`row_base[s]` up to `row_base[s + 1]`, in transition order.  Word r is
-given as columns: its length and its bits as an integer, most significant
-bit first.
+reduced machine or the codewords of its code tables.  Every word gets a
+global row id; the words of state s are rows `row_base[s]` up to
+`row_base[s + 1]`, in transition order.  Word r is given as columns: its
+length and its bits as an integer, most significant bit first.
 
 The window index maps a state and the next WINDOW_BITS bits of a stream to
 the row whose word prefixes those bits, in one lookup at
@@ -39,11 +38,6 @@ BLOCK_STEPS = 1 << 13
 # the window at bit k of a byte: its 16-bit read shifted right by 8 - k
 _SHIFTS = np.arange(WINDOW_BITS, 0, -1, dtype=np.uint16)
 _CHUNK = 1 << 12
-# below these sizes numpy's per-call cost outweighs its speed: windows of
-# a short stream come from one Python int, a few unswapped words are
-# sliced one by one (measured crossovers: 10-12 bytes, 16-20 words)
-_SHORT_BYTES = 10
-_FEW_ROWS = 16
 # output bits per gather pass: bounds its temporaries (about 25 B per bit)
 # and holds a keystream block of short words in one pass
 _PASS_BITS = 1 << 16
@@ -68,10 +62,6 @@ def windows(bits: Bits) -> bytearray:
     bounds its temporaries.
     """
     n_bytes = len(bits.data)
-    if n_bytes <= _SHORT_BYTES:
-        top = 8 * n_bytes
-        value = int.from_bytes(bits.data, "big") << WINDOW_BITS
-        return bytearray([value >> (top - p) & WINDOW_MASK for p in range(top + 1)])
     data = np.zeros(n_bytes + 1, np.uint8)
     data[:-1] = np.frombuffer(bits.data, np.uint8)
     win = bytearray(8 * n_bytes + 1)
@@ -192,27 +182,19 @@ class PrefixTable:
             order = link.argsort(kind="stable")
             at, link = at[order], link[order]
             rows, off, left = rows[at], off[at] + k, left[at] - k
-            # one child, as along (12, 1, 3)'s 256-round chain: without this
-            # branch its input index builds in 12.0 ms against the 256-entry
-            # layout's 11.0 ms, with it in 8.0 ms (medians of 7, one CPU)
-            if link[0] == link[-1]:
-                width = min(int(left.max()), k)
-                fills.append(([link[0]], [0], [-2 - (size << 3 | (k - width))]))
-                start = size
-                size += 1 << width
-            else:  # a child is as wide as the most bits any of its words has left
-                head = np.empty(link.size, bool)
-                head[:1] = True
-                np.not_equal(link[1:], link[:-1], out=head[1:])
-                heads = np.flatnonzero(head)
-                widths = np.minimum(np.maximum.reduceat(left, heads), k)
-                sizes = 1 << widths
-                starts = size + np.cumsum(sizes) - sizes
-                links = -2 - (starts << 3 | (k - widths))
-                fills.append((link[heads], np.zeros_like(heads), links))
-                child = np.cumsum(head) - 1
-                start, width = starts[child], widths[child]
-                size += int(sizes.sum())
+            # a child is as wide as the most bits any of its words has left
+            head = np.empty(link.size, bool)
+            head[:1] = True
+            np.not_equal(link[1:], link[:-1], out=head[1:])
+            heads = np.flatnonzero(head)
+            widths = np.minimum(np.maximum.reduceat(left, heads), k)
+            sizes = 1 << widths
+            starts = size + np.cumsum(sizes) - sizes
+            links = -2 - (starts << 3 | (k - widths))
+            fills.append((link[heads], np.zeros_like(heads), links))
+            child = np.cumsum(head) - 1
+            start, width = starts[child], widths[child]
+            size += int(sizes.sum())
         return fills, size
 
     def descend(self, win, entry: int, pos: int, swap_pos: int = _PAST_WORDS) -> int:
@@ -238,11 +220,6 @@ class PrefixTable:
         """Concatenated words of `rows` as 0/1 bytes; each complemented
         from its `swap_pos` on, when given."""
         lengths = self.lengths[rows]
-        if swap_pos is None and 0 < len(rows) <= _FEW_ROWS:
-            offsets = self._offsets[rows].tolist()
-            return np.concatenate(
-                [self._bits[a : a + n] for a, n in zip(offsets, lengths.tolist())]
-            )
         ends = np.cumsum(lengths, dtype=np.int64)
         starts = ends - lengths
         out = np.empty(int(ends[-1]) if len(rows) else 0, np.uint8)

@@ -37,10 +37,10 @@ class ReducedMachine:
 
     State s owns `counts[s]` rows, the global rows `row_base[s]` up to
     `row_base[s + 1]` in parse-tree order; `row_state[r]` is row r's state,
-    and the machine's prefix tables share this layout.  Row r reads the
-    input block of `block_len[r]` bits, given as the Python int
-    `block_bits[r]` and kept only in `inputs`, emits the arithmetic output
-    of `out_len[r]` bits `out_bits[r]`, and moves to `next_state[r]`.
+    and the prefix tables `inputs` and `codec.outputs` share this layout.
+    Row r reads the input block of `block_len[r]` bits, given as the Python
+    int `block_bits[r]` and kept only in `inputs`, emits the arithmetic
+    output of `out_len[r]` bits `out_bits[r]`, and moves to `next_state[r]`.
     `origin_bounds[s]` is the (low, high, follow) the state came from.
     `transitions` and `origin` are object views, built on first access.
     """
@@ -61,12 +61,6 @@ class ReducedMachine:
         self.out_bits = np.asarray(out_bits, np.int64)
         self.next_state = np.asarray(next_state, np.int32)
         self.origin_bounds = np.asarray(origin_bounds, np.int64).reshape(-1, 3)
-
-    @functools.cached_property
-    def ac_outputs(self) -> PrefixTable:
-        """The arithmetic outputs of every state, built on first use."""
-        bits = self.out_bits.tolist()
-        return PrefixTable(self.row_base, self.row_state, self.out_len, bits)
 
     @functools.cached_property
     def transitions(self) -> tuple[tuple[ReducedTransition, ...], ...]:
@@ -298,4 +292,6 @@ def fsac_parse(bits: str, rm: ReducedMachine):
 
 def fsac_encode(bits: str, rm: ReducedMachine) -> str:
     """Table-driven encode: concatenated arithmetic outputs along the parse."""
-    return rm.ac_outputs.expand(parse_rows(bits, rm))
+    rows = parse_rows(bits, rm)
+    outputs = rm.out_len[rows].tolist(), rm.out_bits[rows].tolist()
+    return "".join(map(bit_string, *outputs))

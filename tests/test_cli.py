@@ -1,3 +1,4 @@
+import os
 import re
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from hfsac import parse, write_pgm
+from hfsac import cli, parse, write_pgm
 from hfsac.cli import main
 from conftest import rand_bits, synthetic_image
 
@@ -31,6 +32,21 @@ class TestKeygen:
         assert main(["keygen", "--out", str(a)]) == 0
         assert main(["keygen", "--out", str(b)]) == 0
         assert read_text(a) != read_text(b)
+
+    def test_key_file_is_private(self, tmp_path):
+        # the key is the whole secret: no access for group or others, also
+        # when a world-readable file is overwritten
+        fresh, old = tmp_path / "fresh", tmp_path / "old"
+        old.write_text("x")
+        old.chmod(0o644)
+        umask = os.umask(0o022)
+        try:
+            for path in (fresh, old):
+                assert main(["keygen", "--out", str(path)]) == 0
+                assert path.stat().st_mode & 0o077 == 0, oct(path.stat().st_mode)
+        finally:
+            os.umask(umask)
+        assert re.fullmatch(r"[0-9a-f]{16}\n", read_text(old))
 
 
 class TestTables:
@@ -129,6 +145,23 @@ class TestEncodeDecode:
              "--format", "pgm", "--width", "5", "--height", "5"]
         )
         assert rc == 2
+
+    def test_pgm_decode_checks_dimensions_before_decrypting(
+        self, tmp_path, keyfile, monkeypatch
+    ):
+        container = self.encode(tmp_path, keyfile, bytes(64))
+
+        def no_codec(params):
+            raise AssertionError("built a codec")
+
+        monkeypatch.setattr(cli, "build_codec", no_codec)
+        argv = ["decode", "--in", str(container), "--out", str(tmp_path / "x"),
+                "--key-file", str(keyfile), "--format", "pgm"]
+        assert main(argv) == 1
+        assert main(argv + ["--width", "8"]) == 1
+        assert main(argv + ["--width", "0", "--height", "64"]) == 1
+        assert main(argv + ["--width", "5", "--height", "5"]) == 2
+        assert not (tmp_path / "x").exists()
 
     def test_wrong_key_never_silent_identity(self, tmp_path, keyfile):
         data = bytes(range(256)) * 4
@@ -254,6 +287,17 @@ class TestUsage:
              "--jump-prob", "230/100"]
         )
         assert rc == 1
+        # int() would read each of these as 12
+        for bad in ("1_2", "+12", " 12 ", "\uff11\uff12", "12/ 256 ", "12/2_56"):
+            rc = main(
+                ["encode", "--in", str(src), "--out", str(tmp_path / "c"),
+                 "--key-file", str(keyfile),
+                 "--n", "6", "--p0-num", "28", "--fmax", "3", "--jump-prob", bad]
+            )
+            assert rc == 1, bad
+        assert not (tmp_path / "c").exists()
+        # the other integer options take the same digits: not n = 10
+        assert main(["tables", "--n", "1_0", "--p0-num", "512", "--fmax", "1"]) == 1
 
     def test_import_leaves_scipy_unloaded(self):
         # importing scipy would cost every CLI call ~0.3 s

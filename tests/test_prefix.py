@@ -46,14 +46,12 @@ def test_long_words_at_stream_end(cache, n, p0, fm):
 
 @pytest.mark.parametrize("n,p0,fm", [(7, 44, 10), (10, 1, 3)])
 def test_gather_matches_word_text(cache, n, p0, fm):
-    # row counts on both sides of the slice-per-word path's limit
     codec = cache.codec(n, p0, fm)
     rm = codec.rm
     blocks = [t.input_block for ts in rm.transitions for t in ts]
     codewords = [w for table in codec.tables for w in table.codewords]
     rng = np.random.default_rng(n)
-    few = prefix._FEW_ROWS
-    for k in (0, 1, few, few + 1, 3 * few):
+    for k in (0, 1, 16, 17, 48):
         rows = rng.integers(0, len(blocks), k).astype(np.int32)
         got = rm.inputs.gather(rows)
         assert "".join(map(str, got.tolist())) == "".join(blocks[r] for r in rows)

@@ -73,7 +73,7 @@ class TestReduce:
         rm = codec.rm
         assert not hasattr(rm, "block_bits")
         assert rm.inputs.lengths is rm.block_len
-        for table in (rm.inputs, rm.ac_outputs, codec.outputs):
+        for table in (rm.inputs, codec.outputs):
             assert table._row_base is rm.row_base
             assert table._row_state is rm.row_state
         assert rm.row_state.tolist() == [
