@@ -25,7 +25,6 @@ from .coder import (
     CoderParams,
     FullMachine,
     FullState,
-    FullTransition,
     StateExplosionError,
     TruncatedCodeError,
     ac_decode_stream,
@@ -62,8 +61,6 @@ from .huffman import (
     StateCodeTable,
     attach_tables,
     build_codec,
-    build_state_code,
-    heuristic_weights,
     hfac_decode,
     hfac_encode,
     swap_codeword,

@@ -27,7 +27,8 @@ from .crypto import (
 )
 from .huffman import build_codec, swap_codeword
 from .pgm import PgmError, parse_pgm, pgm_bytes, read_pgm
-from .reducer import validate_reduced
+from .prefix import bit_string
+from .reducer import kraft_sum, validate_reduced
 
 
 class UsageError(Exception):
@@ -123,7 +124,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bench", help="compression rates on seeded random bits")
     p.add_argument("--n", type=_decimal, required=True)
     p.add_argument("--fmax", type=_decimal, required=True)
-    p.add_argument("--p0", required=True, help="comma-separated P(0) values")
+    p.add_argument("--p0", required=True, help="comma-separated P(0) values in (0, 1)")
     p.add_argument("--bits", type=_decimal, default=100_000)
     p.add_argument("--seed", type=_decimal, default=1)
 
@@ -135,8 +136,7 @@ def build_parser() -> _Parser:
     p.add_argument("--hist-csv", help="write plain/cipher histograms as CSV")
     p.add_argument("--visits-csv", help="write state visit counts as CSV")
 
-    p = sub.add_parser("selftest", help="run the built-in invariant sweep")
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
+    sub.add_parser("selftest", help="run the built-in invariant sweep")
 
     return parser
 
@@ -153,13 +153,14 @@ def cmd_keygen(args) -> int:
 
 
 def _table_rows(codec):
-    rows = []
-    for s, row in enumerate(codec.rm.transitions):
-        for i, t in enumerate(row):
-            rows.append(
-                (s, t.input_block, t.output_bits, codec.tables[s].codewords[i], t.to)
-            )
-    return rows
+    rm = codec.rm
+    return list(zip(
+        rm.row_state.tolist(),
+        rm.inputs.words(),
+        map(bit_string, rm.out_len.tolist(), rm.out_bits.tolist()),
+        codec.outputs.words(),
+        rm.next_state.tolist(),
+    ))
 
 
 def cmd_tables(args) -> int:
@@ -233,6 +234,10 @@ def cmd_bench(args) -> int:
         raise UsageError(f"invalid --p0 list {args.p0!r}") from None
     if not p0_list:
         raise UsageError("empty --p0 list")
+    if not all(0 < p0 < 1 for p0 in p0_list):  # also refuses nan and inf
+        raise UsageError(f"--p0 values must lie in (0, 1): {args.p0!r}")
+    if args.bits < 1:
+        raise UsageError("--bits must be at least 1")
     print("p0,p0_num,states,ac_pct,fsac_pct,hfac_pct")
     for p0 in p0_list:
         params = CoderParams.from_probability(args.n, p0, args.fmax)
@@ -268,17 +273,11 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def run_selftest(corrupt: bool = False) -> bool:
+def run_selftest() -> bool:
     """Invariant sweep over small parameter sets, printing a PASS or FAIL
-    line per check; returns overall pass.
-
-    `corrupt` deliberately breaks one code table first, to prove the checks
-    can fail.
-    """
-    from fractions import Fraction
-
+    line per check; returns overall pass."""
     from .coder import ac_decode_stream, ac_encode_parts, ac_encode_stream
-    from .huffman import HfsacCodec, hfac_decode, hfac_encode
+    from .huffman import hfac_decode, hfac_encode
     from .reducer import fsac_encode, fsac_parse
 
     ok = True
@@ -299,26 +298,20 @@ def run_selftest(corrupt: bool = False) -> bool:
     for params in sweep:
         codec = build_codec(params)
         rm = codec.rm
-        if corrupt and params.n_bits == 4:
-            code_len, code_bits = codec.code_len.copy(), codec.code_bits.copy()
-            last = rm.row_base[1] - 1
-            # duplicate codeword: breaks prefix-freeness/Kraft
-            code_len[0], code_bits[0] = code_len[last], code_bits[last]
-            codec = HfsacCodec(rm, code_len, code_bits)
         tag = f"n={params.n_bits} p0={params.p0_num} fmax={params.f_max}"
         check(f"{tag}: reduced machine valid", validate_reduced(rm).passed)
-        kraft_ok = all(
-            sum(Fraction(1, 1 << len(c)) for c in t.codewords) == 1
-            for t in codec.tables
-        )
+        base = rm.row_base.tolist()
+        states = list(zip(base, base[1:]))
+        code_len = codec.code_len.tolist()
+        kraft_ok = all(kraft_sum(code_len[a:b]) == 1 for a, b in states)
         check(f"{tag}: code tables complete", kraft_ok)
+        words = codec.outputs.words()
         swap_ok = True
-        for t in codec.tables:
-            for p in range(t.max_len + 2):
-                swapped = [swap_codeword(c, p) for c in t.codewords]
-                if len(set(swapped)) != len(swapped):
-                    swap_ok = False
-                if [swap_codeword(c, p) for c in swapped] != list(t.codewords):
+        for a, b in states:
+            for p in range(max(code_len[a:b]) + 2):
+                swapped = [swap_codeword(c, p) for c in words[a:b]]
+                back = [swap_codeword(c, p) for c in swapped]
+                if len(set(swapped)) != len(swapped) or back != words[a:b]:
                     swap_ok = False
         check(f"{tag}: swap involutive and injective", swap_ok)
         plain = bernoulli_bits(rng, 400, 0.35)
@@ -346,7 +339,7 @@ def run_selftest(corrupt: bool = False) -> bool:
 
 
 def cmd_selftest(args) -> int:
-    return 0 if run_selftest(corrupt=args.corrupt) else 2
+    return 0 if run_selftest() else 2
 
 
 _COMMANDS = {

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prefix import bit_string
-
 STATE_CEILING = 10**6
 
 
@@ -83,18 +81,6 @@ class FullState:
     follow: int
 
 
-@dataclass(frozen=True)
-class FullTransition:
-    from_state: int
-    symbol: int
-    emitted: str
-    to: int
-
-    @property
-    def mute(self) -> bool:
-        return self.emitted == ""
-
-
 class FullMachine:
     """Complete state graph of the coder, as columns; immutable.
 
@@ -102,8 +88,7 @@ class FullMachine:
     middle expansions.  Its two edges are e = 2*s (symbol 0) and 2*s + 1
     (symbol 1): edge e leads to target[e] and emits the emit_len[e] bits of
     emit_val[e], most significant first; at most n_bits + f_max <= 31 bits.
-    `states`, `transitions` and `outgoing` are object views, built on
-    first access.
+    `states` is an object view, built on first access.
     """
 
     def __init__(
@@ -127,18 +112,6 @@ class FullMachine:
         return tuple(
             map(FullState, self.low.tolist(), self.high.tolist(), self.follow.tolist())
         )
-
-    @functools.cached_property
-    def transitions(self) -> tuple[FullTransition, ...]:
-        edges = range(len(self.target))
-        emitted = map(bit_string, self.emit_len.tolist(), self.emit_val.tolist())
-        return tuple(
-            FullTransition(e >> 1, e & 1, bits, to)
-            for e, bits, to in zip(edges, emitted, self.target.tolist())
-        )
-
-    def outgoing(self, state: int) -> tuple[FullTransition, FullTransition]:
-        return self.transitions[2 * state], self.transitions[2 * state + 1]
 
     @property
     def mute_count(self) -> int:

@@ -13,7 +13,7 @@ rests on seed secrecy (known-plaintext attacks are out of scope).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp, lgamma, log2, sqrt
+from math import exp, inf, lgamma, log2, sqrt
 
 import numpy as np
 
@@ -277,22 +277,28 @@ def keyspace_bits(
 
     Exact mode counts half-weight jump patterns via log-gamma; asymptotic
     mode applies the Stirling closed form (coefficient 0.8, or 0.4 when the
-    first jump is forced).
+    first jump is forced).  The result is a float, so it must stay within
+    sys.float_info.max (~1.8e308): n = 1,000 gives ~2.7e299 * log2(S), and
+    both modes raise ValueError from about n = 1,030 on.
     """
     if state_count < 1:
         raise ValueError("state_count must be >= 1")
-    if mode == "exact":
-        if n < 2 or n % 2:
-            raise ValueError("exact mode needs even n >= 2")
-        if forced_first:
-            a, b = n - 1, n // 2 - 1
+    try:
+        if mode == "exact":
+            if n < 2 or n % 2:
+                raise ValueError("exact mode needs even n >= 2")
+            a, b = (n - 1, n // 2 - 1) if forced_first else (n, n // 2)
+            log_comb = lgamma(a + 1) - lgamma(b + 1) - lgamma(a - b + 1)
+            bits = exp(log_comb) * log2(state_count)
+        elif mode == "asymptotic":
+            if n < 1:
+                raise ValueError("n must be >= 1")
+            coeff = 0.4 if forced_first else 0.8
+            bits = coeff * (2**n / sqrt(n)) * log2(state_count)
         else:
-            a, b = n, n // 2
-        log_comb = lgamma(a + 1) - lgamma(b + 1) - lgamma(a - b + 1)
-        return exp(log_comb) * log2(state_count)
-    if mode == "asymptotic":
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        coeff = 0.4 if forced_first else 0.8
-        return coeff * (2**n / sqrt(n)) * log2(state_count)
-    raise ValueError(f"unknown mode {mode!r}")
+            raise ValueError(f"unknown mode {mode!r}")
+    except OverflowError:
+        bits = inf
+    if bits == inf:
+        raise ValueError(f"the key space of n = {n} bits exceeds the float range")
+    return bits

@@ -11,9 +11,7 @@ prefix-freeness survives.
 from __future__ import annotations
 
 import functools
-import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -31,21 +29,9 @@ class CorruptStreamError(ValueError):
     """Keyless decode hit bits that match no codeword."""
 
 
-def heuristic_weights(rm: ReducedMachine, state: int) -> list[Fraction]:
-    """Normalized 2**(-output length) weights, in transition order.
-
-    The reference form of the weights; `attach_tables` builds the same codes
-    from their integer multiples (see `integer_weights`).
-    """
-    rows = slice(rm.row_base[state], rm.row_base[state + 1])
-    raw = [Fraction(1, 1 << n) for n in rm.out_len[rows].tolist()]
-    total = sum(raw)
-    return [w / total for w in raw]
-
-
 def integer_weights(rm: ReducedMachine) -> np.ndarray:
-    """`heuristic_weights` of every row, scaled per state to integers:
-    2**(the state's longest output - length).
+    """The weight of every row, 2**-(output length) normalized per state,
+    scaled per state to integers: 2**(the state's longest output - length).
 
     Every weight of a state is multiplied by the same positive constant,
     which keeps both the order of any two sums and their ties, so Huffman
@@ -55,53 +41,8 @@ def integer_weights(rm: ReducedMachine) -> np.ndarray:
     return np.left_shift(1, np.repeat(top, rm.counts) - rm.out_len, dtype=np.int64)
 
 
-def huffman_code_lengths(weights) -> list[int]:
-    """Optimal prefix-code lengths by pairwise merging of smallest weights.
-
-    Deterministic tie-break: equal weights prefer leaves over merged nodes,
-    then the node holding the smallest transition index.  Each merge records
-    its children's parent; one pass from the root down then gives depths.
-    """
-    k = len(weights)
-    if k < 2:
-        raise ValueError("need at least 2 weights")
-    # (weight, merged, smallest leaf index, node); no two live nodes share a
-    # smallest leaf index, so the node id never decides an order
-    heap = [(w, 0, i, i) for i, w in enumerate(weights)]
-    heapq.heapify(heap)
-    parent = [0] * (2 * k - 1)
-    pop, replace = heapq.heappop, heapq.heapreplace
-    for node in range(k, 2 * k - 1):
-        wa, _, ia, na = pop(heap)
-        wb, _, ib, nb = heap[0]
-        replace(heap, (wa + wb, 1, min(ia, ib), node))
-        parent[na] = parent[nb] = node
-    # parents are numbered after their children; the root is the last node
-    depth = [0] * (2 * k - 1)
-    for i in range(2 * k - 3, -1, -1):
-        depth[i] = depth[parent[i]] + 1
-    return depth[:k]
-
-
-def canonical_codewords(lengths) -> list[str]:
-    """Canonical assignment: sort by (length, index), count upward."""
-    order = sorted(zip(lengths, range(len(lengths))))
-    codes = [""] * len(lengths)
-    code, prev = -1, order[0][0]
-    for n, i in order:
-        code = (code + 1) << (n - prev)
-        codes[i] = format(code, "b").zfill(n)
-        prev = n
-    return codes
-
-
-def build_state_code(weights) -> list[str]:
-    """Canonical Huffman codewords for one state's weights."""
-    return canonical_codewords(huffman_code_lengths(weights))
-
-
 def _merge_group(weights: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """`huffman_code_lengths` of every row of a (states, width) weight array
+    """Huffman code lengths of every row of a (states, width) weight array
     whose row s holds `counts[s]` weights, then padding.
 
     A live node sits in the column of its smallest leaf index, and its key
@@ -160,10 +101,15 @@ def _merge_group(weights: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def code_lengths(counts, weights) -> np.ndarray:
-    """Huffman code lengths of every state at once, by `huffman_code_lengths`'
-    merge order; `counts[s]` consecutive weights belong to state s.  States
+    """Optimal prefix-code lengths of every state at once, by pairwise
+    merging of smallest weights; `counts[s]` consecutive weights belong to
+    state s.
+
+    Ties break deterministically: equal weights prefer leaves over merged
+    nodes, then the node holding the smallest transition index.  States
     merge together in groups whose row counts round up to the same power of
-    two."""
+    two.
+    """
     counts = np.asarray(counts, np.int64)
     base = np.cumsum(counts) - counts
     width = np.left_shift(1, np.ceil(np.log2(np.maximum(counts, 2))).astype(np.int64))
@@ -179,7 +125,8 @@ def code_lengths(counts, weights) -> np.ndarray:
 
 
 def canonical_bits(counts, lengths) -> np.ndarray:
-    """`canonical_codewords` of every state at once, as uint64 values.
+    """Canonical codewords of every state at once, as uint64 values: sorted
+    by (length, index), they count upward.
 
     In (length, index) order, codeword j of a state is the Kraft prefix sum
     of the words before it, sum 2**(L_j - L_i), computed at the state's

@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .bitio import Bits
 from .coder import CoderParams, FullMachine
 from .prefix import BLOCK_STEPS, WINDOW_BITS, PrefixTable, bit_string, no_jumps, windows
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class NonEmittingCycleError(RuntimeError):
@@ -42,7 +45,7 @@ class ReducedMachine:
     int `block_bits[r]` and kept only in `inputs`, emits the arithmetic
     output of `out_len[r]` bits `out_bits[r]`, and moves to `next_state[r]`.
     `origin_bounds[s]` is the (low, high, follow) the state came from.
-    `transitions` and `origin` are object views, built on first access.
+    `transitions` is an object view, built on first access.
     """
 
     def __init__(
@@ -75,10 +78,6 @@ class ReducedMachine:
         )
         base = self.row_base.tolist()
         return tuple(tuple(rows[a:b]) for a, b in zip(base, base[1:]))
-
-    @functools.cached_property
-    def origin(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(map(tuple, self.origin_bounds.tolist()))
 
     def _columns(self):
         return (
@@ -245,30 +244,40 @@ def _is_prefix_free(blocks) -> bool:
     )
 
 
+def kraft_sum(lengths) -> Fraction:
+    """The Kraft sum of words of the given lengths, sum 2**-length: an exact
+    integer sum at the longest length, over 2**(longest length)."""
+    from fractions import Fraction  # only the structural checks need it
+
+    top = max(lengths, default=0)
+    return Fraction(sum(1 << (top - n) for n in lengths), 1 << top)
+
+
 def validate_reduced(rm: ReducedMachine) -> ValidationReport:
     """Per-state structural checks: prefix-freeness, Kraft equality, reachability."""
-    reached = {0}
-    frontier = [0]
+    base = rm.row_base.tolist()
+    next_state = rm.next_state.tolist()
+    reached, frontier = {0}, [0]
     while frontier:
         s = frontier.pop()
-        for t in rm.transitions[s]:
-            if t.to not in reached:
-                reached.add(t.to)
-                frontier.append(t.to)
-    checks = []
-    for s, row in enumerate(rm.transitions):
-        blocks = [t.input_block for t in row]
-        kraft = sum((Fraction(1, 1 << len(b)) for b in blocks), Fraction(0))
-        checks.append(
+        for t in next_state[base[s] : base[s + 1]]:
+            if t not in reached:
+                reached.add(t)
+                frontier.append(t)
+    blocks = rm.inputs.words()
+    lengths = rm.block_len.tolist()
+    return ValidationReport(
+        tuple(
             StateCheck(
                 state=s,
-                prefix_free=_is_prefix_free(blocks),
-                kraft_sum=kraft,
+                prefix_free=_is_prefix_free(blocks[a:b]),
+                kraft_sum=kraft_sum(lengths[a:b]),
                 reachable=s in reached,
-                n_transitions=len(row),
+                n_transitions=b - a,
             )
+            for s, (a, b) in enumerate(zip(base, base[1:]))
         )
-    return ValidationReport(tuple(checks))
+    )
 
 
 def parse_rows(bits: str, rm: ReducedMachine) -> np.ndarray:

@@ -1,3 +1,4 @@
+import heapq
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -34,17 +35,14 @@ def rand_bits(seed: int, n: int, p_zero: float = 0.5) -> str:
     return bernoulli_bits(SplitMix64(seed), n, p_zero)
 
 
-def full_from_rows(params, states, transitions) -> FullMachine:
-    """A hand-written full machine as the builder's columns: `FullState`s
-    and their flat `FullTransition`s, edge 2*s + symbol."""
+def full_from_rows(params, states, edges) -> FullMachine:
+    """A hand-written full machine as the builder's columns: (low, high,
+    follow) per state and (emitted bits, target) per edge, edge 2*s + symbol."""
+    low, high, follow = zip(*states)
+    emitted, target = zip(*edges)
     return FullMachine(
-        params,
-        [s.low for s in states],
-        [s.high for s in states],
-        [s.follow for s in states],
-        [t.to for t in transitions],
-        [len(t.emitted) for t in transitions],
-        [int(t.emitted or "0", 2) for t in transitions],
+        params, low, high, follow, target,
+        [len(e) for e in emitted], [int(e or "0", 2) for e in emitted],
     )
 
 
@@ -118,6 +116,61 @@ def is_prefix_free(codes) -> bool:
 
 def kraft(codes) -> Fraction:
     return sum(Fraction(1, 1 << len(c)) for c in codes)
+
+
+def heuristic_weights(rm, state: int) -> list[Fraction]:
+    """Normalized 2**(-output length) weights, in transition order: the
+    reference form of `integer_weights`, which scales them per state."""
+    rows = slice(rm.row_base[state], rm.row_base[state + 1])
+    raw = [Fraction(1, 1 << n) for n in rm.out_len[rows].tolist()]
+    total = sum(raw)
+    return [w / total for w in raw]
+
+
+def huffman_code_lengths(weights) -> list[int]:
+    """Optimal prefix-code lengths by pairwise merging of smallest weights,
+    one state at a time: the reference for `code_lengths`.
+
+    Deterministic tie-break: equal weights prefer leaves over merged nodes,
+    then the node holding the smallest transition index.  Each merge records
+    its children's parent; one pass from the root down then gives depths.
+    """
+    k = len(weights)
+    if k < 2:
+        raise ValueError("need at least 2 weights")
+    # (weight, merged, smallest leaf index, node); no two live nodes share a
+    # smallest leaf index, so the node id never decides an order
+    heap = [(w, 0, i, i) for i, w in enumerate(weights)]
+    heapq.heapify(heap)
+    parent = [0] * (2 * k - 1)
+    for node in range(k, 2 * k - 1):
+        wa, _, ia, na = heapq.heappop(heap)
+        wb, _, ib, nb = heap[0]
+        heapq.heapreplace(heap, (wa + wb, 1, min(ia, ib), node))
+        parent[na] = parent[nb] = node
+    # parents are numbered after their children; the root is the last node
+    depth = [0] * (2 * k - 1)
+    for i in range(2 * k - 3, -1, -1):
+        depth[i] = depth[parent[i]] + 1
+    return depth[:k]
+
+
+def canonical_codewords(lengths) -> list[str]:
+    """Canonical assignment: sort by (length, index), count upward; the
+    reference for `canonical_bits`."""
+    order = sorted(zip(lengths, range(len(lengths))))
+    codes = [""] * len(lengths)
+    code, prev = -1, order[0][0]
+    for n, i in order:
+        code = (code + 1) << (n - prev)
+        codes[i] = format(code, "b").zfill(n)
+        prev = n
+    return codes
+
+
+def build_state_code(weights) -> list[str]:
+    """Canonical Huffman codewords for one state's weights."""
+    return canonical_codewords(huffman_code_lengths(weights))
 
 
 @lru_cache(maxsize=None)

@@ -38,7 +38,6 @@ from hfsac import (
     encrypt,
     fsac_encode,
     fsac_parse,
-    heuristic_weights,
     hfac_encode,
     histogram,
     histogram_chi_square,
@@ -55,7 +54,14 @@ from hfsac import (
     validate_reduced,
 )
 from hfsac.crypto import TAG_JUMP, TAG_STATE
-from conftest import SWEEP, is_prefix_free, kraft, optimal_expected_length, rand_bits
+from conftest import (
+    SWEEP,
+    heuristic_weights,
+    is_prefix_free,
+    kraft,
+    optimal_expected_length,
+    rand_bits,
+)
 
 IMAGE_SEED = 3
 IMAGE_PARAMS = (7, 44, 10, 230)

@@ -1,9 +1,11 @@
-"""Every package name the benchmark's scripts use resolves.
+"""Every package name and codec attribute the benchmark's scripts use
+resolves.
 
 `perfbench/` reads the package as `hf.<name>` after `import hfsac as hf`
-and through `from hfsac... import name`.  Its traced run is not part of
-this suite, so a name deleted from the package would otherwise first fail
-there.  The scripts are parsed, not run.
+and through `from hfsac... import name`, and reads attributes off the
+machines it builds, bound to `fm`, `rm` and `codec`.  Its traced run is not
+part of this suite, so a name or view deleted from the package would
+otherwise first fail there.  The scripts are parsed, not run.
 """
 
 import ast
@@ -11,6 +13,9 @@ import importlib
 from pathlib import Path
 
 import pytest
+
+from hfsac import CoderParams, build_full_fsm, reduce_machine
+from hfsac.huffman import attach_tables
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SCRIPTS = sorted(BENCH.glob("*.py"))
@@ -54,6 +59,46 @@ def resolves(module: str, name: str | None) -> bool:
     return True
 
 
+# the names the scripts bind a full machine, a reduced machine and a codec to
+MACHINES = ("fm", "rm", "codec")
+
+
+def attribute_reads(source: str) -> set[tuple[str, ...]]:
+    """Every chain of attribute reads off a name in MACHINES, from that
+    name on: `codec.tables[i].max_len` gives ("codec", "tables", "[]",
+    "max_len"), and its prefix ("codec", "tables") too."""
+    chains = set()
+    for node in ast.walk(ast.parse(source)):
+        path = []
+        while isinstance(node, (ast.Attribute, ast.Subscript)):
+            path.append(node.attr if isinstance(node, ast.Attribute) else "[]")
+            node = node.value
+        if path and path[-1] != "[]" and isinstance(node, ast.Name) and node.id in MACHINES:
+            chains.add((node.id, *reversed(path)))
+    return chains
+
+
+def unresolved(chain: tuple[str, ...], machines: dict) -> str | None:
+    """The first step of `chain` that the built machines lack, if any; a
+    subscript reads element 0."""
+    obj = machines[chain[0]]
+    for step in chain[1:]:
+        if step == "[]":
+            obj = obj[0]
+        elif hasattr(obj, step):
+            obj = getattr(obj, step)
+        else:
+            return step
+    return None
+
+
+@pytest.fixture(scope="module")
+def machines():
+    fm = build_full_fsm(CoderParams(7, 44, 10))
+    rm = reduce_machine(fm)
+    return {"fm": fm, "rm": rm, "codec": attach_tables(rm)}
+
+
 def test_scripts_found():
     names = {p.name for p in SCRIPTS}
     assert {"pin.py", "run.py", "traced.py"} <= names
@@ -77,3 +122,21 @@ def test_a_missing_name_is_caught():
     assert [r for r in refs if not resolves(*r)] == [
         ("hfsac.crypto", "no_such_name"), ("hfsac", "nowhere"),
     ]
+
+
+def test_benchmark_attributes_resolve(machines):
+    chains = set().union(*(attribute_reads(p.read_text()) for p in SCRIPTS))
+    read = {chain[-1] for chain in chains if "[]" not in chain}
+    assert {"states", "mute_count", "state_count", "transitions", "tables", "rm"} <= read
+    missing = [c for c in sorted(chains) if unresolved(c, machines)]
+    assert not missing, f"perfbench reads attributes the codec lacks: {missing}"
+
+
+def test_a_missing_attribute_is_caught(machines):
+    source = "len(fm.states)\ncodec.rm.no_such_column\ncodec.tables[0].nowhere\n"
+    missing = {c: unresolved(c, machines) for c in attribute_reads(source)}
+    assert {c: step for c, step in missing.items() if step} == {
+        ("codec", "rm", "no_such_column"): "no_such_column",
+        ("codec", "tables", "[]", "nowhere"): "nowhere",
+    }
+    assert ("fm", "states") in missing

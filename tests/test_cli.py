@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -7,7 +8,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from hfsac import cli, parse, write_pgm
+from hfsac import HfsacCodec, cli, parse, write_pgm
 from hfsac.cli import main
 from conftest import rand_bits, synthetic_image
 
@@ -72,6 +73,34 @@ class TestTables:
         assert main(["tables", "--n", "3", "--p0-num", "3", "--fmax", "1"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0].split() == ["state", "input", "output", "huffman", "next"]
+
+    # sha256 of the whole output in text and CSV, taken from the build that
+    # dumped the per-row object views; (12, 1, 3) has one state whose input
+    # blocks run to 2048 bits
+    DIGESTS = {
+        (4, 3, 1): (
+            "ab6ea4907f931c0a69c79995f5fb734f1998dc29b0ff1763f8fa419f3ece2441",
+            "59e4c5746feb89e7f39f71c72d01cba37698f9ba57897f0d8c550547d0f31b35",
+        ),
+        (7, 44, 10): (
+            "63ea6b23f696df2be7b1e56d2761627ff05ab0a73ab87df706389f9c4bd0cc40",
+            "81218a9e4e3f1e2a0441a1ccc88d3372098fa59c8c28300bfbd05e04ac82bc53",
+        ),
+        (12, 1, 3): (
+            "6ea64eee10640ae6e2ee6de06efb45a3b7d2e85cfa03e0c7af3fb2267ca495d4",
+            "3f6604c0788ceba1318e554f120084c503f8d98da09332e32c91e7370c541f78",
+        ),
+    }
+
+    @pytest.mark.parametrize("params", sorted(DIGESTS), ids=str)
+    def test_output_digests(self, capsys, params):
+        n, p0, fm = map(str, params)
+        got = []
+        for fmt in ("text", "csv"):
+            argv = ["tables", "--n", n, "--p0-num", p0, "--fmax", fm, "--format", fmt]
+            assert main(argv) == 0
+            got.append(hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest())
+        assert tuple(got) == self.DIGESTS[params]
 
 
 class TestEncodeDecode:
@@ -233,6 +262,26 @@ class TestBench:
     def test_bad_p0_list(self, capsys):
         assert main(["bench", "--n", "6", "--fmax", "3", "--p0", "a,b"]) == 1
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ("--p0", "inf"), ("--p0", "1e400"), ("--p0", "nan"), ("--p0", "-1"),
+            ("--p0", "0"), ("--p0", "1"), ("--p0", "2"), ("--p0", "0.2,1"),
+            ("--bits", "0"),
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_range_is_a_usage_error(self, capsys, option):
+        # P(0) must lie strictly inside (0, 1): 0 and 1 would be clamped to
+        # another model and draw constant bits; every check runs before the
+        # CSV header is printed
+        argv = {"--p0": "0.3", "--bits": "100", **dict([option])}
+        args = [x for kv in argv.items() for x in kv]
+        assert main(["bench", "--n", "4", "--fmax", "1", *args]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "usage error" in out.err
+
 
 class TestAnalyze:
     def test_report_and_csv(self, tmp_path, keyfile, capsys):
@@ -265,9 +314,25 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "FAIL" not in out
 
-    def test_corrupted_table_fails(self, capsys):
-        assert main(["selftest", "--corrupt"]) != 0
-        assert "FAIL" in capsys.readouterr().out
+    def test_corrupted_table_fails(self, capsys, monkeypatch):
+        # the checks can fail: on n = 4, state 0's first codeword is
+        # replaced by a copy of its last, which breaks prefix-freeness and Kraft
+        build_codec = cli.build_codec
+
+        def corrupted(params):
+            codec = build_codec(params)
+            if params.n_bits != 4:
+                return codec
+            code_len, code_bits = codec.code_len.copy(), codec.code_bits.copy()
+            last = codec.rm.row_base[1] - 1
+            code_len[0], code_bits[0] = code_len[last], code_bits[last]
+            return HfsacCodec(codec.rm, code_len, code_bits)
+
+        monkeypatch.setattr(cli, "build_codec", corrupted)
+        assert main(["selftest"]) != 0
+        out = capsys.readouterr().out
+        assert "FAIL  n=4 p0=3 fmax=1: code tables complete" in out
+        assert "FAIL  n=4 p0=3 fmax=1: swap involutive and injective" in out
 
 
 class TestUsage:
@@ -311,8 +376,12 @@ class TestUsage:
 
     def test_commands_leave_openssl_and_numpy_ma_unloaded(self, tmp_path):
         # secrets pulls in hashlib and OpenSSL (~3.6 MiB), numpy.ma ~1.3 MiB;
-        # encode, decode and analyze use neither, keygen imports secrets itself
-        watched = "{'secrets', 'hashlib', '_hashlib', 'numpy.ma'}"
+        # encode, decode and analyze use neither, keygen imports secrets itself.
+        # fractions, which loads decimal, serves only the structural checks,
+        # heapq no command
+        watched = (
+            "{'secrets', 'hashlib', '_hashlib', 'numpy.ma', 'fractions', 'decimal', 'heapq'}"
+        )
         report = f"print('loaded', *{watched} & set(sys.modules))"
         calls = tmp_path / "calls.py"
         calls.write_text(textwrap.dedent(f"""\

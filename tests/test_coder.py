@@ -15,6 +15,7 @@ from hfsac import (
     renormalize,
     split_interval,
 )
+from hfsac.prefix import bit_string
 from conftest import SWEEP, rand_bits
 
 
@@ -79,15 +80,14 @@ class TestRenormalize:
 class TestFullMachine:
     def test_small_skewed_machine_shape(self, cache):
         m = cache.machine(3, 3, 1)
-        assert len(m.transitions) == 2 * len(m.states)
         assert len(m.states) == 5
-        assert len(m.transitions) == 10
+        assert len(m.target) == 10  # edges 2*s and 2*s + 1 per state
         assert m.mute_count == 3
 
     def test_symmetric_split_single_state(self, cache):
         m = cache.machine(3, 4, 0)
         assert len(m.states) == 1
-        assert all(len(t.emitted) == 1 for t in m.transitions)
+        assert m.emit_len.tolist() == [1, 1]
 
     def test_symmetric_split_n8(self, cache):
         assert len(cache.machine(8, 128, 3).states) == 1
@@ -103,10 +103,10 @@ class TestFullMachine:
         frontier = [0]
         while frontier:
             s = frontier.pop()
-            for t in m.outgoing(s):
-                if t.to not in reached:
-                    reached.add(t.to)
-                    frontier.append(t.to)
+            for t in m.target[2 * s : 2 * s + 2].tolist():
+                if t not in reached:
+                    reached.add(t)
+                    frontier.append(t)
         assert reached == set(range(len(m.states)))
 
     def test_deterministic(self):
@@ -135,7 +135,7 @@ class TestFullMachine:
     @pytest.mark.parametrize("n,p0,fm", [(4, 3, 1), (5, 13, 3), (8, 51, 1)])
     def test_emitted_bits_bound(self, cache, n, p0, fm):
         m = cache.machine(n, p0, fm)
-        assert all(len(t.emitted) <= n + fm for t in m.transitions)
+        assert m.emit_len.max() <= n + fm
 
 
 class TestStreamCoder:
@@ -196,11 +196,13 @@ class TestStreamCoder:
         # walking the full machine must reproduce the stream coder bit for bit
         m = cache.machine(n, p0, fm)
         bits = rand_bits(n * 31 + p0, 300, 0.4)
+        target = m.target.tolist()
+        emitted = list(map(bit_string, m.emit_len.tolist(), m.emit_val.tolist()))
         state = 0
-        emitted = []
+        path = []
         for b in bits:
-            t = m.outgoing(state)[int(b)]
-            emitted.append(t.emitted)
-            state = t.to
+            e = 2 * state + int(b)
+            path.append(emitted[e])
+            state = target[e]
         body, _ = ac_encode_parts(bits, m.params)
-        assert "".join(emitted) == body
+        assert "".join(path) == body

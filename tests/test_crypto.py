@@ -35,7 +35,7 @@ from hfsac import (
     unpack_bits,
     validate_reduced,
 )
-from hfsac import coder, huffman, reducer
+from hfsac import cli, coder, huffman, reducer
 from hfsac.crypto import GOLDEN, TAG_JUMP, TAG_STATE, TAG_SWAP
 from conftest import SWEEP, rand_bits, reference_encrypt, reference_match, synthetic_image
 
@@ -457,6 +457,15 @@ class TestKeyspace:
         with pytest.raises(ValueError):
             keyspace_bits(8, 0)
 
+    @pytest.mark.parametrize("mode", ["exact", "asymptotic"])
+    def test_float_range(self, mode):
+        # 2**1000 / sqrt(1000) is ~3.4e299; past n ~ 1,030 the count of a
+        # float overflows, for a 64x64 image (n = 32,768) by far
+        assert math.isfinite(keyspace_bits(1000, 10**6, mode=mode))
+        for n in (1100, 32768):
+            with pytest.raises(ValueError, match="exceeds the float range"):
+                keyspace_bits(n, 2, mode=mode)
+
 
 class TestColumnBuild:
     @pytest.mark.parametrize("params", [(3, 3, 1), (4, 6, 15), (16, 32768, 15)], ids=str)
@@ -475,16 +484,16 @@ class TestColumnBuild:
             cipher, _ = encrypt(bits, codec, ks)
             assert decrypt(cipher, codec, ks, len(bits)) == bits
 
-    def test_codec_paths_build_no_row_objects(self, monkeypatch):
-        # encode, decode and analyze read the columns only: building any
-        # row view raises while they run.  analyze samples 1000 distinct
-        # adjacent pairs per direction, hence 40x40 pixels
+    def test_codec_paths_build_no_row_objects(self, monkeypatch, capsys):
+        # encode, decode, analyze, the structural checks, `hfsac tables` and
+        # `hfsac selftest` read the columns only: building any row view
+        # raises while they run.  analyze samples 1000 distinct adjacent
+        # pairs per direction, hence 40x40 pixels
         def no_rows(*args):
             raise AssertionError("row object built")
 
         for module, name in (
             (coder, "FullState"),
-            (coder, "FullTransition"),
             (reducer, "ReducedTransition"),
             (huffman, "StateCodeTable"),
         ):
@@ -498,5 +507,12 @@ class TestColumnBuild:
         assert decrypt(cipher, codec, ks, len(bits)) == bits
         report = analyze_image(img, params, 0x5EED)
         assert sum(report.state_visits) == len(encrypt(bits, codec, ks)[1])
+        assert validate_reduced(codec.rm).passed
+        for fmt in ("text", "csv"):
+            assert cli.main(
+                ["tables", "--n", "7", "--p0-num", "44", "--fmax", "10", "--format", fmt]
+            ) == 0
+        assert cli.run_selftest()
+        assert "FAIL" not in capsys.readouterr().out
         with pytest.raises(AssertionError, match="row object built"):
             codec.tables

@@ -8,23 +8,19 @@ from hfsac import (
     CorruptStreamError,
     ReducedTransition,
     SplitMix64,
-    build_state_code,
     fsac_parse,
-    heuristic_weights,
     hfac_decode,
     hfac_encode,
     swap_codeword,
 )
-from hfsac.huffman import (
-    canonical_bits,
-    canonical_codewords,
-    code_lengths,
-    huffman_code_lengths,
-    integer_weights,
-)
+from hfsac.huffman import canonical_bits, code_lengths, integer_weights
 from hfsac.prefix import bit_string
 from conftest import (
     SWEEP,
+    build_state_code,
+    canonical_codewords,
+    heuristic_weights,
+    huffman_code_lengths,
     is_prefix_free,
     kraft,
     optimal_expected_length,
@@ -170,11 +166,9 @@ class TestAttachTables:
 
     @pytest.mark.parametrize("n,p0,fm", [(4, 3, 1), (5, 6, 1), (6, 13, 3)])
     def test_expected_length_optimal_per_state(self, cache, n, p0, fm):
-        from hfsac import heuristic_weights as hw
-
         codec = cache.codec(n, p0, fm)
         for s, table in enumerate(codec.tables):
-            weights = hw(codec.rm, s)
+            weights = heuristic_weights(codec.rm, s)
             if len(weights) > 8:
                 continue
             got = sum(w * len(c) for w, c in zip(weights, table.codewords))

@@ -30,15 +30,13 @@ from hfsac import (
     bernoulli_bits,
     build_codec,
     build_full_fsm,
-    build_state_code,
     decrypt,
     encrypt,
-    heuristic_weights,
     reduce_machine,
 )
 from hfsac.crypto import TAG_STATE, TAG_SWAP
-from hfsac.prefix import WINDOW_BITS
-from conftest import SWEEP
+from hfsac.prefix import WINDOW_BITS, bit_string
+from conftest import SWEEP, build_state_code, heuristic_weights
 
 SEED = 0x0123456789ABCDEF
 TWEAKS = ((TAG_STATE, 1 << 63), (TAG_SWAP, 0x5A5A))
@@ -221,12 +219,17 @@ MACHINE_DIGESTS = {
 
 
 def machine_text(fm) -> str:
-    states = "".join(f"{s.low} {s.high} {s.follow}\n" for s in fm.states)
-    return states + "".join(f"{t.emitted} {t.to}\n" for t in fm.transitions)
+    states = zip(fm.low.tolist(), fm.high.tolist(), fm.follow.tolist())
+    emitted = map(bit_string, fm.emit_len.tolist(), fm.emit_val.tolist())
+    return "".join(f"{low} {high} {follow}\n" for low, high, follow in states) + "".join(
+        f"{bits} {to}\n" for bits, to in zip(emitted, fm.target.tolist())
+    )
 
 
 def origin_text(rm) -> str:
-    return "".join(f"{low} {high} {follow}\n" for low, high, follow in rm.origin)
+    return "".join(
+        f"{low} {high} {follow}\n" for low, high, follow in rm.origin_bounds.tolist()
+    )
 
 
 @pytest.mark.parametrize("params", sorted(MACHINE_DIGESTS), ids=str)

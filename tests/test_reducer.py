@@ -4,8 +4,6 @@ import pytest
 
 from hfsac import (
     CoderParams,
-    FullState,
-    FullTransition,
     NonEmittingCycleError,
     ReducedTransition,
     ac_encode_parts,
@@ -50,8 +48,9 @@ class TestReduce:
         m = cache.machine(4, 3, 1)
         rm = cache.reduced(4, 3, 1)
         full = {(s.low, s.high, s.follow) for s in m.states}
-        assert rm.origin[0] == (0, 16, 0)
-        assert set(rm.origin) <= full
+        origin = list(map(tuple, rm.origin_bounds.tolist()))
+        assert origin[0] == (0, 16, 0)
+        assert set(origin) <= full
 
     def test_deterministic(self, cache):
         m = cache.machine(5, 6, 1)
@@ -97,51 +96,43 @@ class TestReduce:
 
     def test_non_emitting_cycle_detected(self):
         params = CoderParams(3, 3, 1)
-        states = (FullState(0, 8, 0), FullState(3, 8, 0))
-        transitions = (
-            FullTransition(0, 0, "", 1),
-            FullTransition(0, 1, "0", 0),
-            FullTransition(1, 0, "", 0),
-            FullTransition(1, 1, "1", 0),
+        states = ((0, 8, 0), (3, 8, 0))
+        edges = (
+            ("", 1), ("0", 0),  # state 0: symbol 0, symbol 1
+            ("", 0), ("1", 0),
         )
-        broken = full_from_rows(params, states, transitions)
+        broken = full_from_rows(params, states, edges)
         with pytest.raises(NonEmittingCycleError):
             reduce_machine(broken)
 
     def test_cycle_past_the_start_detected(self):
         # 0 -0/-> 1 -0/-> 2 -0/-> 1: the loop does not pass the start state
         params = CoderParams(3, 3, 1)
-        states = tuple(FullState(0, 8, f) for f in range(3))
-        transitions = (
-            FullTransition(0, 0, "", 1),
-            FullTransition(0, 1, "1", 0),
-            FullTransition(1, 0, "", 2),
-            FullTransition(1, 1, "1", 0),
-            FullTransition(2, 0, "", 1),
-            FullTransition(2, 1, "0", 0),
+        states = [(0, 8, f) for f in range(3)]
+        edges = (
+            ("", 1), ("1", 0),  # state 0: symbol 0, symbol 1
+            ("", 2), ("1", 0),
+            ("", 1), ("0", 0),
         )
         with pytest.raises(NonEmittingCycleError):
-            reduce_machine(full_from_rows(params, states, transitions))
+            reduce_machine(full_from_rows(params, states, edges))
 
     def test_state_shared_by_two_chains_is_no_cycle(self):
         # both edges of state 0 are mute into state 1: two chains through
         # the same state, each composed in full, in parse-tree order
         params = CoderParams(3, 3, 1)
-        states = (FullState(0, 8, 0), FullState(2, 6, 1), FullState(0, 8, 1))
-        transitions = (
-            FullTransition(0, 0, "", 1),
-            FullTransition(0, 1, "", 1),
-            FullTransition(1, 0, "01", 0),
-            FullTransition(1, 1, "10", 2),
-            FullTransition(2, 0, "0", 0),
-            FullTransition(2, 1, "1", 2),
+        states = ((0, 8, 0), (2, 6, 1), (0, 8, 1))
+        edges = (
+            ("", 1), ("", 1),  # state 0: symbol 0, symbol 1
+            ("01", 0), ("10", 2),
+            ("0", 0), ("1", 2),
         )
-        rm = reduce_machine(full_from_rows(params, states, transitions))
+        rm = reduce_machine(full_from_rows(params, states, edges))
         assert rows_of(rm, 0) == [
             ("00", "01", 0), ("01", "10", 1), ("10", "01", 0), ("11", "10", 1),
         ]
         assert rows_of(rm, 1) == [("0", "0", 0), ("1", "1", 1)]
-        assert rm.origin == ((0, 8, 0), (0, 8, 1))
+        assert rm.origin_bounds.tolist() == [[0, 8, 0], [0, 8, 1]]
         assert validate_reduced(rm).passed
 
 
