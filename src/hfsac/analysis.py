@@ -221,6 +221,8 @@ def gammaincc(a: float, x: float) -> float:
 
 def block_frequency(bits: str, m: int = 128) -> float:
     """Block-frequency test p-value over blocks of m bits."""
+    if m < 1:
+        raise ValueError(f"block length m must be >= 1, got {m}")
     n = len(bits)
     if n < m:
         raise ValueError(f"need at least {m} bits")
@@ -326,25 +328,25 @@ class MetricsReport:
 def _ac_stream_len(bits: str, rm, rows: np.ndarray) -> int:
     """`len(ac_encode_stream(bits))` from the block parse `rows` of `bits`.
 
-    The stream coder emits the outputs of the complete blocks, then a flush
-    of follow + 2 bits, follow being that of the state the last real bit
-    reaches.  The real bits of a zero-padded last block are mute edges:
-    they emit nothing and are walked only for that follow.
+    The stream coder emits the outputs of the blocks before the last, then
+    what renormalize emits on the last block's real bits, walked from that
+    block's origin state, then a flush of follow + 2 bits, follow being that
+    of the state the last real bit reaches.  On a complete last block the
+    walk emits the row's out_len and ends on the origin of its next state.
     """
     if not len(rows):
         return 2
     last = int(rows[-1])
     real = len(bits) - int(rm.block_len[rows[:-1]].sum())
-    if real == rm.block_len[last]:
-        follow = int(rm.origin_bounds[rm.next_state[last], 2])
-        return int(rm.out_len[rows].sum()) + follow + 2
     params = rm.params
     low, high, follow = rm.origin_bounds[rm.row_state[last]].tolist()
+    emitted = 0
     for b in bits[len(bits) - real :]:
         s = split_interval(low, high, params)
         low, high = (low, s) if b == "0" else (s, high)
-        low, high, follow, _ = renormalize(low, high, follow, params)
-    return int(rm.out_len[rows[:-1]].sum()) + follow + 2
+        low, high, follow, out = renormalize(low, high, follow, params)
+        emitted += len(out)
+    return int(rm.out_len[rows[:-1]].sum()) + emitted + follow + 2
 
 
 def compression_rates(bits: str, codec) -> dict[str, float]:

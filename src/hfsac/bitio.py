@@ -112,6 +112,9 @@ def pack_bits(bits: str) -> bytes:
 
 
 def unpack_bits(data: bytes, n_bits: int | None = None) -> str:
-    """Unpack bytes to a bit string; n_bits trims trailing pad bits."""
+    """Unpack bytes to a bit string; n_bits, at most 8 * len(data), trims
+    trailing pad bits."""
+    if n_bits is not None and not 0 <= n_bits <= 8 * len(data):
+        raise ValueError(f"n_bits must be in 0..{8 * len(data)}, got {n_bits}")
     bits = Bits._trusted(bytes(data), 8 * len(data)).to_text()
     return bits if n_bits is None else bits[:n_bits]

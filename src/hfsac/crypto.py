@@ -95,9 +95,13 @@ def draw_uniform(gen: SplitMix64, m: int) -> int:
 
 
 def bernoulli_bits(gen: SplitMix64, n: int, p_zero: float) -> str:
-    """n i.i.d. bits with P('0') = p_zero, for benchmarks and tests."""
-    threshold = min(max(round(p_zero * (1 << 64)), 0), 1 << 64)
-    return "".join("0" if gen.next_u64() < threshold else "1" for _ in range(n))
+    """n i.i.d. bits with P('0') = p_zero, for benchmarks and tests: bit i is
+    '0' when draw i is below p_zero * 2**64; drawn in blocks of 2**16."""
+    if not 0.0 <= p_zero <= 1.0:
+        raise ValueError(f"p_zero must be in [0, 1], got {p_zero!r}")
+    threshold = round(p_zero * (1 << 64))
+    blocks = (gen.next_block(min(n - i, 1 << 16)) for i in range(0, n, 1 << 16))
+    return b"".join(np.where(z < threshold, b"0", b"1").tobytes() for z in blocks).decode()
 
 
 def seed_from_hex(text: str) -> int:

@@ -209,6 +209,11 @@ class TestRandomnessTests:
         with pytest.raises(ValueError):
             block_frequency("01" * 50, m=128)
 
+    @pytest.mark.parametrize("m", [0, -1, -4])
+    def test_block_frequency_refuses_block_length_below_one(self, m):
+        with pytest.raises(ValueError, match=f"m must be >= 1, got {m}"):
+            block_frequency("01" * 50, m=m)
+
     def test_runs_random(self):
         assert runs(rand_bits(13, 100_000)) >= 0.01
 

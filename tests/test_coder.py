@@ -1,6 +1,8 @@
 import gc
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from hfsac import coder
@@ -43,8 +45,15 @@ class TestCoderParams:
     def test_from_probability_quantizes_and_clamps(self):
         assert CoderParams.from_probability(4, 0.2, 1).p0_num == 3
         assert CoderParams.from_probability(8, 0.2, 1).p0_num == 51
-        assert CoderParams.from_probability(4, 0.0, 1).p0_num == 1
-        assert CoderParams.from_probability(4, 1.0, 1).p0_num == 15
+        assert CoderParams.from_probability(4, 0.01, 1).p0_num == 1
+        assert CoderParams.from_probability(4, 0.99, 1).p0_num == 15
+
+    @pytest.mark.parametrize(
+        "p_zero", [math.inf, -math.inf, math.nan, -1.0, 0.0, 1.0, 2.0], ids=repr
+    )
+    def test_from_probability_refuses_out_of_range(self, p_zero):
+        with pytest.raises(ValueError, match=rf"p_zero must be .*got {p_zero!r}"):
+            CoderParams.from_probability(4, p_zero, 1)
 
 
 class TestSplitInterval:
@@ -150,6 +159,58 @@ class TestStreamCoder:
     def test_invalid_symbol(self):
         with pytest.raises(ValueError, match="invalid bit"):
             ac_encode_stream("01x", CoderParams(4, 3, 1))
+
+    @pytest.mark.parametrize("code", ["01x0", "0 10", "2"])
+    def test_decode_invalid_symbol(self, code):
+        with pytest.raises(ValueError, match="invalid bit"):
+            ac_decode_stream(code, 3, CoderParams(4, 3, 1))
+
+    @pytest.mark.parametrize(
+        "params,n_symbols",
+        [
+            # symbol 0 owns [0, 15), [0, 14), ..., [0, 8): no doubling until
+            # the ninth symbol, which needs one code bit past the pad
+            (CoderParams(4, 15, 1), 8),
+            # symbol 0 owns [0, 128) = [0, half): the second symbol needs a bit
+            (CoderParams(8, 128, 1), 1),
+        ],
+    )
+    def test_truncation_threshold(self, params, n_symbols):
+        # the empty code reads exactly n_bits pad bits into its first window
+        assert ac_decode_stream("", n_symbols, params) == "0" * n_symbols
+        with pytest.raises(TruncatedCodeError):
+            ac_decode_stream("", n_symbols + 1, params)
+
+    def test_decoder_digest(self):
+        # every case's output or exception class, on valid codes, the same
+        # codes cut at a random point, and random bits with random symbol
+        # counts; the digest was taken from the decoder with its own copy
+        # of the doubling rules
+        rng = np.random.default_rng(13)
+        h = hashlib.sha256()
+        for n in range(3, 11):
+            full = 1 << n
+            for p0 in sorted({1, full // 5, full // 3, full // 2, full - 1}):
+                for fm in (0, 1, 3, 15):
+                    params = CoderParams(n, p0, fm)
+                    for _ in range(4):
+                        bits = "".join(map(str, rng.integers(0, 2, rng.integers(120))))
+                        code = ac_encode_stream(bits, params)
+                        cut = code[: rng.integers(len(code) + 1)]
+                        noise = "".join(map(str, rng.integers(0, 2, rng.integers(120))))
+                        for c, m in (
+                            (code, len(bits)),
+                            (cut, len(bits)),
+                            (noise, int(rng.integers(120))),
+                        ):
+                            try:
+                                result = ac_decode_stream(c, m, params)
+                            except ValueError as e:
+                                result = type(e).__name__
+                            h.update(f"{n},{p0},{fm},{c},{m}:{result}\n".encode())
+        assert h.hexdigest() == (
+            "e0628e6e5856ce290033d7f82d0f446911434e68eb4171355cf128216896346a"
+        )
 
     def test_roundtrip_exhaustive_length_10(self):
         params = CoderParams(4, 3, 1)

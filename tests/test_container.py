@@ -35,6 +35,13 @@ class TestBitPacking:
         bits = rand_bits(n, n)
         assert unpack_bits(pack_bits(bits), n) == bits
 
+    @pytest.mark.parametrize(
+        "data,n_bits", [(b"\x81", 12), (b"\x81", 9), (b"\x81", -3), (b"", 1), (b"", -1)]
+    )
+    def test_unpack_refuses_out_of_range_length(self, data, n_bits):
+        with pytest.raises(ValueError, match=f"n_bits must be .*got {n_bits}"):
+            unpack_bits(data, n_bits)
+
 
 class TestContainer:
     def roundtrip(self, container):

@@ -99,6 +99,20 @@ class TestDraws:
         hits = sum(draw_bernoulli(gen, 128) for _ in range(100_000))
         assert abs(hits / 100_000 - 0.5) < 0.01
 
+    @pytest.mark.parametrize("n", [0, 1, 7, 8192, 8193, 100_000])
+    @pytest.mark.parametrize("p_zero", [0, 0.02, 0.35, 0.5, 1])
+    def test_bernoulli_bits_match_per_draw_reference(self, n, p_zero):
+        gen, ref = SplitMix64(n + 3), SplitMix64(n + 3)
+        threshold = round(p_zero * (1 << 64))
+        expected = "".join("0" if ref.next_u64() < threshold else "1" for _ in range(n))
+        assert bernoulli_bits(gen, n, p_zero) == expected
+        assert gen.state == ref.state
+
+    @pytest.mark.parametrize("p_zero", [math.nan, -1.0, -1e-9, 1.5, 2.0, math.inf], ids=repr)
+    def test_bernoulli_bits_refuse_out_of_range(self, p_zero):
+        with pytest.raises(ValueError, match=rf"p_zero must be in \[0, 1\], got {p_zero!r}"):
+            bernoulli_bits(SplitMix64(1), 20, p_zero)
+
     def test_uniform_m1(self):
         gen = SplitMix64(13)
         assert all(draw_uniform(gen, 1) == 0 for _ in range(100))
