@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitio import Bits, pack_bits
+from .bitio import Bits
 from .coder import CoderParams, renormalize, split_interval
 from .crypto import (
     TAG_JUMP,
@@ -62,15 +62,16 @@ class GrayImage:
         )
 
 
-def shannon_entropy_binary(bits: str) -> float:
-    """Empirical two-symbol entropy of a bit string, in bits per symbol."""
-    if not bits:
+def shannon_entropy_binary(bits: Bits | str) -> float:
+    """Empirical two-symbol entropy of a bit sequence, in bits per symbol."""
+    n = len(bits)
+    if not n:
         raise ValueError("empty bit string")
-    ones = bits.count("1")
+    ones = int(np.count_nonzero(_bit_array(bits)))
     h = 0.0
-    for count in (ones, len(bits) - ones):
+    for count in (ones, n - ones):
         if count:
-            p = count / len(bits)
+            p = count / n
             h -= p * math.log2(p)
     return h
 
@@ -100,6 +101,8 @@ def adjacent_pixel_corr(
         raise ValueError(f"unknown direction {direction!r}") from None
     cols = img.width - dx
     rows = img.height - dy
+    if pairs < 2:
+        raise ValueError(f"need at least 2 pairs, got {pairs}")
     if pairs > cols * rows:
         raise ValueError(f"image too small for {pairs} distinct pairs")
     if gen is None:
@@ -154,14 +157,12 @@ def compression_rate(in_bits: int, out_bits: int) -> float:
     return (1.0 - out_bits / in_bits) * 100.0
 
 
-def _bit_array(bits: str) -> np.ndarray:
-    arr = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
-    if arr.max(initial=0) > 1:
-        raise ValueError("bit string contains characters other than 0/1")
-    return arr
+def _bit_array(bits: Bits | str) -> np.ndarray:
+    bits = Bits.from_text(bits) if isinstance(bits, str) else bits
+    return np.unpackbits(np.frombuffer(bits.data, np.uint8), count=bits.n)
 
 
-def monobit(bits: str) -> float:
+def monobit(bits: Bits | str) -> float:
     """Frequency test p-value: erfc(|#1 - #0| / sqrt(2n))."""
     n = len(bits)
     if n < 100:
@@ -219,7 +220,7 @@ def gammaincc(a: float, x: float) -> float:
     raise ArithmeticError(f"gammaincc({a}, {x}) did not converge")
 
 
-def block_frequency(bits: str, m: int = 128) -> float:
+def block_frequency(bits: Bits | str, m: int = 128) -> float:
     """Block-frequency test p-value over blocks of m bits."""
     if m < 1:
         raise ValueError(f"block length m must be >= 1, got {m}")
@@ -233,7 +234,7 @@ def block_frequency(bits: str, m: int = 128) -> float:
     return gammaincc(k / 2.0, chi2 / 2.0)
 
 
-def runs(bits: str) -> float:
+def runs(bits: Bits | str) -> float:
     """Runs test p-value; 0.0 when the monobit prerequisite fails."""
     n = len(bits)
     if n < 100:
@@ -253,12 +254,12 @@ def state_visit_histogram(states, state_count: int) -> list[int]:
     return np.bincount(states, minlength=state_count).tolist()
 
 
-def bits_to_image(bits: str, width: int, height: int) -> GrayImage:
-    """Pack cipher bits MSB-first and fit them to width x height bytes.
+def bits_to_image(bits: Bits | str, width: int, height: int) -> GrayImage:
+    """Cipher bits as bytes, MSB-first, fit to width x height.
 
     Shorter payloads tile cyclically; longer ones are truncated.
     """
-    data = pack_bits(bits)
+    data = np.packbits(_bit_array(bits)).tobytes()
     if not data:
         raise ValueError("empty bit stream")
     need = width * height
@@ -325,38 +326,39 @@ class MetricsReport:
         )
 
 
-def _ac_stream_len(bits: str, rm, rows: np.ndarray) -> int:
-    """`len(ac_encode_stream(bits))` from the block parse `rows` of `bits`.
+def _ac_stream_len(n: int, rm, rows: np.ndarray) -> int:
+    """`len(ac_encode_stream(bits))` from the block parse `rows` of n bits.
 
     The stream coder emits the outputs of the blocks before the last, then
     what renormalize emits on the last block's real bits, walked from that
     block's origin state, then a flush of follow + 2 bits, follow being that
-    of the state the last real bit reaches.  On a complete last block the
-    walk emits the row's out_len and ends on the origin of its next state.
+    of the state the last real bit reaches.  The parse matched the
+    zero-padded tail, so the real bits lead the last row's input block.  On
+    a complete last block the walk emits the row's out_len and ends on the
+    origin of its next state.
     """
     if not len(rows):
         return 2
-    last = int(rows[-1])
-    real = len(bits) - int(rm.block_len[rows[:-1]].sum())
+    real = n - int(rm.block_len[rows[:-1]].sum())
     params = rm.params
-    low, high, follow = rm.origin_bounds[rm.row_state[last]].tolist()
+    low, high, follow = rm.origin_bounds[rm.row_state[rows[-1]]].tolist()
     emitted = 0
-    for b in bits[len(bits) - real :]:
+    for b in rm.inputs.gather(rows[-1:])[:real].tolist():
         s = split_interval(low, high, params)
-        low, high = (low, s) if b == "0" else (s, high)
+        low, high = (s, high) if b else (low, s)
         low, high, follow, out = renormalize(low, high, follow, params)
         emitted += len(out)
     return int(rm.out_len[rows[:-1]].sum()) + emitted + follow + 2
 
 
-def compression_rates(bits: str, codec) -> dict[str, float]:
+def compression_rates(bits: Bits, codec) -> dict[str, float]:
     """AC / FSAC / HFAC output sizes for one input, as percent saved, all
     from one block parse."""
     rm = codec.rm
-    n = len(bits)
+    n = bits.n
     rows = parse_rows(bits, rm)
     return {
-        "ac": compression_rate(n, _ac_stream_len(bits, rm, rows)),
+        "ac": compression_rate(n, _ac_stream_len(n, rm, rows)),
         "fsac": compression_rate(n, int(rm.out_len[rows].sum())),
         "hfac": compression_rate(n, int(codec.code_len[rows].sum())),
     }
@@ -371,10 +373,8 @@ def analyze_image(img: GrayImage, params: CoderParams, seed: int) -> MetricsRepo
     """
     codec = build_codec(params)
     plain = Bits(img.pixels)
-    plain_bits = plain.to_text()
     ks = KeySchedule(seed, params.jump_q_num)
-    packed, trace = encrypt_bits(plain, codec, ks, trace=True)
-    cipher = packed.to_text()
+    cipher, trace = encrypt_bits(plain, codec, ks, trace=True)
     cipher_img = bits_to_image(cipher, img.width, img.height)
 
     sample_gen = substream_init(ANALYSIS_SEED, TAG_SWAP)
@@ -388,7 +388,7 @@ def analyze_image(img: GrayImage, params: CoderParams, seed: int) -> MetricsRepo
     # plaintext sensitivity: flip the first bit, same key
     flipped = Bits(bytes([plain.data[0] ^ 0x80]) + plain.data[1:])
     cipher_flip, _ = encrypt_bits(flipped, codec, ks)
-    flip_img = bits_to_image(cipher_flip.to_text(), img.width, img.height)
+    flip_img = bits_to_image(cipher_flip, img.width, img.height)
 
     # key sensitivity: one-bit change confined to single substreams
     key_flip_corr: dict[str, float] = {}
@@ -402,24 +402,25 @@ def analyze_image(img: GrayImage, params: CoderParams, seed: int) -> MetricsRepo
             seed, params.jump_q_num, tuple((t, 1) for t in tags)
         )
         other, _ = encrypt_bits(plain, codec, tweaked)
-        m = min(len(cipher), len(other))
-        key_flip_corr[name] = pearson_corr(base[:m], _bit_array(other.to_text())[:m])
+        m = min(cipher.n, other.n)
+        key_flip_corr[name] = pearson_corr(base[:m], _bit_array(other)[:m])
 
-    compression = compression_rates(plain_bits, codec)
-    compression["hfsac"] = compression_rate(len(plain_bits), len(cipher))
+    compression = compression_rates(plain, codec)
+    compression["hfsac"] = compression_rate(plain.n, cipher.n)
+    cipher_histogram = histogram(cipher_img)
 
     return MetricsReport(
         width=img.width,
         height=img.height,
-        plain_entropy=shannon_entropy_binary(plain_bits),
+        plain_entropy=shannon_entropy_binary(plain),
         cipher_entropy=shannon_entropy_binary(cipher),
         plain_corr=plain_corr,
         cipher_corr=cipher_corr,
         npcr=npcr(cipher_img, flip_img),
         uaci=uaci(cipher_img, flip_img),
         plain_histogram=histogram(img),
-        cipher_histogram=histogram(cipher_img),
-        cipher_hist_chi2=histogram_chi_square(histogram(cipher_img)),
+        cipher_histogram=cipher_histogram,
+        cipher_hist_chi2=histogram_chi_square(cipher_histogram),
         compression=compression,
         randomness={
             "monobit": monobit(cipher),

@@ -17,7 +17,8 @@ def _pad_mask(n: int) -> int:
 
 class Bits:
     """`n` bits packed MSB-first into `data`: ceil(n / 8) bytes whose bits
-    past `n` are zero.  Immutable; equal when data and length are."""
+    past `n` are zero, checked on construction of every `Bits`.  Immutable;
+    equal when data and length are."""
 
     __slots__ = ("data", "n")
 
@@ -33,24 +34,14 @@ class Bits:
         self.n = n
 
     @classmethod
-    def _trusted(cls, data: bytes, n: int) -> Bits:
-        """Wrap bytes known to satisfy the invariant, without checking."""
-        self = object.__new__(cls)
-        self.data = data
-        self.n = n
-        return self
-
-    @classmethod
     def from_text(cls, bits: str) -> Bits:
         """Pack '0'/'1' characters, zero-padding the last byte."""
         if bits.count("0") + bits.count("1") != len(bits):
             raise ValueError("bit strings hold only '0' and '1'")
         n = len(bits)
-        if not n:
-            return cls._trusted(b"", 0)
         n_bytes = (n + 7) // 8
-        value = int(bits, 2) << (8 * n_bytes - n)
-        return cls._trusted(value.to_bytes(n_bytes, "big"), n)
+        value = int(bits or "0", 2) << (8 * n_bytes - n)
+        return cls(value.to_bytes(n_bytes, "big"), n)
 
     def to_text(self) -> str:
         """The bits as '0'/'1' characters."""
@@ -94,16 +85,16 @@ class BitWriter:
     def finish(self, n: int | None = None) -> Bits:
         """Everything written, or its first n bits."""
         total = 8 * len(self._out) + len(self._carry)
-        self._out += np.packbits(self._carry).tobytes()
-        self._carry = self._carry[:0]
         if n is None:
             n = total
-        elif n > total:
+        elif not 0 <= n <= total:  # refused before the writer changes
             raise ValueError(f"{n} bits asked of {total} written")
+        self._out += np.packbits(self._carry).tobytes()
+        self._carry = self._carry[:0]
         del self._out[(n + 7) // 8 :]
         if self._out:
             self._out[-1] &= ~_pad_mask(n) & 0xFF
-        return Bits._trusted(bytes(self._out), n)
+        return Bits(self._out, n)
 
 
 def pack_bits(bits: str) -> bytes:
@@ -116,5 +107,5 @@ def unpack_bits(data: bytes, n_bits: int | None = None) -> str:
     trailing pad bits."""
     if n_bits is not None and not 0 <= n_bits <= 8 * len(data):
         raise ValueError(f"n_bits must be in 0..{8 * len(data)}, got {n_bits}")
-    bits = Bits._trusted(bytes(data), 8 * len(data)).to_text()
+    bits = Bits(data).to_text()
     return bits if n_bits is None else bits[:n_bits]

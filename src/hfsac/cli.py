@@ -242,7 +242,7 @@ def cmd_bench(args) -> int:
     for p0 in p0_list:
         params = CoderParams.from_probability(args.n, p0, args.fmax)
         codec = build_codec(params)
-        bits = bernoulli_bits(SplitMix64(args.seed), args.bits, p0)
+        bits = Bits.from_text(bernoulli_bits(SplitMix64(args.seed), args.bits, p0))
         rates = compression_rates(bits, codec)
         print(
             f"{p0:g},{params.p0_num},{codec.rm.state_count},"

@@ -70,8 +70,8 @@ class CoderParams:
         nearest numerator in 1..2**n_bits - 1."""
         if not 0.0 < p_zero < 1.0:
             raise ValueError(f"p_zero must be strictly inside (0, 1), got {p_zero!r}")
-        scale = 1 << n_bits
-        num = min(max(round(p_zero * scale), 1), scale - 1)
+        full = cls(n_bits, 1, f_max, jump_q_num).full  # checks n_bits first
+        num = min(max(round(p_zero * full), 1), full - 1)
         return cls(n_bits, num, f_max, jump_q_num)
 
 
@@ -264,6 +264,8 @@ def ac_decode_stream(code: str, n_symbols: int, params: CoderParams) -> str:
     never needs more); needing more raises TruncatedCodeError.  A code
     holding a character other than '0' and '1' raises ValueError.
     """
+    if n_symbols < 0:
+        raise ValueError(f"n_symbols must be >= 0, got {n_symbols}")
     _check_bits(code)
     n = params.n_bits
     padded = code + "0" * n

@@ -65,6 +65,8 @@ class SplitMix64:
 
     def next_block(self, m: int) -> np.ndarray:
         """The next m draws as uint64, equal to m calls of next_u64."""
+        if m < 0:
+            raise ValueError(f"m must be >= 0, got {m}")
         z = np.arange(1, m + 1, dtype=np.uint64)
         z *= GOLDEN
         z += self.state
@@ -97,6 +99,8 @@ def draw_uniform(gen: SplitMix64, m: int) -> int:
 def bernoulli_bits(gen: SplitMix64, n: int, p_zero: float) -> str:
     """n i.i.d. bits with P('0') = p_zero, for benchmarks and tests: bit i is
     '0' when draw i is below p_zero * 2**64; drawn in blocks of 2**16."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if not 0.0 <= p_zero <= 1.0:
         raise ValueError(f"p_zero must be in [0, 1], got {p_zero!r}")
     threshold = round(p_zero * (1 << 64))
@@ -243,11 +247,7 @@ def encrypt_bits(
             columns.append(
                 (targets >= 0, states, rows - rm.row_base[states], swap_pos)
             )
-    if not trace:
-        return out.finish(), None
-    if len(columns) > 1:
-        columns = [tuple(map(np.concatenate, zip(*columns)))]
-    return out.finish(), StepTrace(*columns[0]) if columns else StepTrace()
+    return out.finish(), StepTrace(*map(np.concatenate, zip(*columns))) if trace else None
 
 
 def decrypt_bits(cipher: Bits, codec: HfsacCodec, ks: KeySchedule, n_bits: int) -> Bits:

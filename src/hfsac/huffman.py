@@ -282,7 +282,7 @@ def swap_codeword(code: str, pos: int) -> str:
 
 def hfac_encode(bits: str, codec: HfsacCodec) -> str:
     """Keyless encode: concatenated codewords along the block parse."""
-    return codec.outputs.expand(parse_rows(bits, codec.rm))
+    return codec.outputs.expand(parse_rows(Bits.from_text(bits), codec.rm))
 
 
 def hfac_decode(code: str, codec: HfsacCodec, n_bits: int) -> str:

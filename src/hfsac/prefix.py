@@ -157,7 +157,7 @@ class PrefixTable:
         int32 (at most _MAX_ENTRIES), and so do the columns.
         """
         k = WINDOW_BITS
-        packed = Bits._trusted(np.packbits(self._bits).tobytes(), len(self._bits))
+        packed = Bits(np.packbits(self._bits).tobytes(), len(self._bits))
         win = np.frombuffer(windows(packed), np.uint8)
         rows = np.arange(len(self.lengths), dtype=np.int32)
         start = self._row_state << k  # first entry of each word's node

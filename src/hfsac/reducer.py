@@ -280,9 +280,9 @@ def validate_reduced(rm: ReducedMachine) -> ValidationReport:
     )
 
 
-def parse_rows(bits: str, rm: ReducedMachine) -> np.ndarray:
+def parse_rows(bits: Bits, rm: ReducedMachine) -> np.ndarray:
     """Global rows of the greedy block parse from state 0."""
-    blocks = [rows for rows, _ in walk_blocks(rm, Bits.from_text(bits), no_jumps)]
+    blocks = [rows for rows, _ in walk_blocks(rm, bits, no_jumps)]
     return np.concatenate(blocks) if blocks else np.zeros(0, np.int32)
 
 
@@ -292,7 +292,7 @@ def fsac_parse(bits: str, rm: ReducedMachine):
     Returns ([(state, transition index), ...], padded input); the input is
     zero-padded at the tail to complete the final block.
     """
-    rows = parse_rows(bits, rm)
+    rows = parse_rows(Bits.from_text(bits), rm)
     states = rm.row_state[rows]
     index = rows - rm.row_base[states]
     pad = int(rm.block_len[rows].sum()) - len(bits)
@@ -301,6 +301,6 @@ def fsac_parse(bits: str, rm: ReducedMachine):
 
 def fsac_encode(bits: str, rm: ReducedMachine) -> str:
     """Table-driven encode: concatenated arithmetic outputs along the parse."""
-    rows = parse_rows(bits, rm)
+    rows = parse_rows(Bits.from_text(bits), rm)
     outputs = rm.out_len[rows].tolist(), rm.out_bits[rows].tolist()
     return "".join(map(bit_string, *outputs))

@@ -4,7 +4,9 @@ import sys
 import numpy as np
 import pytest
 
+import hfsac.bitio
 from hfsac import (
+    Bits,
     CoderParams,
     GrayImage,
     SplitMix64,
@@ -35,20 +37,29 @@ def image_from_fn(w, h, fn):
     return GrayImage(w, h, bytes(fn(x, y) % 256 for y in range(h) for x in range(w)))
 
 
+# the bit statistics take packed bits, and '0'/'1' text until the
+# benchmark's traced run stops passing it; each case runs on both forms
+FORMS = (str, Bits.from_text)
+
+
 class TestEntropy:
     def test_balanced_is_one(self):
-        assert shannon_entropy_binary("01" * 500) == 1.0
+        for form in FORMS:
+            assert shannon_entropy_binary(form("01" * 500)) == 1.0
 
     def test_quarter_three_quarter(self):
-        bits = "0" * 250 + "1" * 750
-        assert shannon_entropy_binary(bits) == pytest.approx(0.811278, abs=1e-6)
+        for form in FORMS:
+            bits = form("0" * 250 + "1" * 750)
+            assert shannon_entropy_binary(bits) == pytest.approx(0.811278, abs=1e-6)
 
     def test_constant_is_zero(self):
-        assert shannon_entropy_binary("0" * 100) == 0.0
+        for form in FORMS:
+            assert shannon_entropy_binary(form("0" * 100)) == 0.0
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            shannon_entropy_binary("")
+        for form in FORMS:
+            with pytest.raises(ValueError):
+                shannon_entropy_binary(form(""))
 
 
 class TestPearson:
@@ -99,6 +110,12 @@ class TestAdjacentCorr:
         img = image_from_fn(4, 4, lambda x, y: x + y)
         with pytest.raises(ValueError, match="too small"):
             adjacent_pixel_corr(img, "diagonal", pairs=100)
+
+    @pytest.mark.parametrize("pairs", [1, 0, -5])
+    def test_too_few_pairs(self, pairs):
+        img = image_from_fn(16, 16, lambda x, y: x ^ y)
+        with pytest.raises(ValueError, match=f"need at least 2 pairs, got {pairs}"):
+            adjacent_pixel_corr(img, "horizontal", pairs=pairs)
 
     def test_default_generator_reproducible(self):
         img = image_from_fn(64, 64, lambda x, y: (x * 7 + y * 13) ^ (x >> 2))
@@ -177,7 +194,7 @@ class TestCompressionRates:
         for p_zero in (0.1, 0.35, 0.5, 0.9):
             for length in [*range(1, 24), 255, 1000, 3000]:
                 bits = rand_bits(97 * length + int(100 * p_zero), length, p_zero)
-                assert compression_rates(bits, codec) == {
+                assert compression_rates(Bits.from_text(bits), codec) == {
                     "ac": compression_rate(length, len(ac_encode_stream(bits, rm.params))),
                     "fsac": compression_rate(length, len(fsac_encode(bits, rm))),
                     "hfac": compression_rate(length, len(hfac_encode(bits, codec))),
@@ -185,49 +202,60 @@ class TestCompressionRates:
 
     def test_empty_input_rejected(self, cache):
         with pytest.raises(ValueError):
-            compression_rates("", cache.codec(4, 3, 1))
+            compression_rates(Bits(), cache.codec(4, 3, 1))
 
 
 class TestRandomnessTests:
     def test_monobit_alternating(self):
-        assert monobit("01" * 500) == 1.0
+        for form in FORMS:
+            assert monobit(form("01" * 500)) == 1.0
 
     def test_monobit_all_ones(self):
-        assert monobit("1" * 10_000) < 1e-10
+        for form in FORMS:
+            assert monobit(form("1" * 10_000)) < 1e-10
 
     def test_monobit_needs_100_bits(self):
-        with pytest.raises(ValueError):
-            monobit("01" * 49)
+        for form in FORMS:
+            with pytest.raises(ValueError):
+                monobit(form("01" * 49))
 
     def test_block_frequency_random(self):
-        assert block_frequency(rand_bits(12, 100_000)) >= 0.01
+        for form in FORMS:
+            assert block_frequency(form(rand_bits(12, 100_000))) >= 0.01
 
     def test_block_frequency_structured(self):
-        assert block_frequency("0" * 64_000 + "1" * 64_000) < 1e-10
+        for form in FORMS:
+            assert block_frequency(form("0" * 64_000 + "1" * 64_000)) < 1e-10
 
     def test_block_frequency_needs_one_block(self):
-        with pytest.raises(ValueError):
-            block_frequency("01" * 50, m=128)
+        for form in FORMS:
+            with pytest.raises(ValueError):
+                block_frequency(form("01" * 50), m=128)
 
     @pytest.mark.parametrize("m", [0, -1, -4])
     def test_block_frequency_refuses_block_length_below_one(self, m):
-        with pytest.raises(ValueError, match=f"m must be >= 1, got {m}"):
-            block_frequency("01" * 50, m=m)
+        for form in FORMS:
+            with pytest.raises(ValueError, match=f"m must be >= 1, got {m}"):
+                block_frequency(form("01" * 50), m=m)
 
     def test_runs_random(self):
-        assert runs(rand_bits(13, 100_000)) >= 0.01
+        for form in FORMS:
+            assert runs(form(rand_bits(13, 100_000))) >= 0.01
 
     def test_runs_alternating_fails(self):
-        assert runs("01" * 5000) < 1e-10
+        for form in FORMS:
+            assert runs(form("01" * 5000)) < 1e-10
 
     def test_runs_prerequisite_short_circuit(self):
-        assert runs("1" * 9_000 + "0" * 1_000) == 0.0
+        for form in FORMS:
+            assert runs(form("1" * 9_000 + "0" * 1_000)) == 0.0
 
     def test_keystream_passes_all_three(self):
-        bits = rand_bits(1_000_003, 200_000)
-        assert monobit(bits) >= 0.01
-        assert block_frequency(bits) >= 0.01
-        assert runs(bits) >= 0.01
+        for form in FORMS:
+            bits = form(rand_bits(1_000_003, 200_000))
+            assert monobit(bits) >= 0.01
+            assert block_frequency(bits) >= 0.01
+            assert runs(bits) >= 0.01
 
 
 class TestGammaincc:
@@ -268,17 +296,20 @@ class TestStateVisits:
 
 class TestBitsToImage:
     def test_truncates_long_stream(self):
-        bits = "10000000" * 20  # 20 bytes of 0x80
-        img = bits_to_image(bits, 4, 4)
-        assert img.pixels == bytes([0x80]) * 16
+        for form in FORMS:
+            bits = form("10000000" * 20)  # 20 bytes of 0x80
+            img = bits_to_image(bits, 4, 4)
+            assert img.pixels == bytes([0x80]) * 16
 
     def test_tiles_short_stream(self):
-        img = bits_to_image("1111111100000000", 4, 2)
-        assert img.pixels == bytes([255, 0, 255, 0, 255, 0, 255, 0])
+        for form in FORMS:
+            img = bits_to_image(form("1111111100000000"), 4, 2)
+            assert img.pixels == bytes([255, 0, 255, 0, 255, 0, 255, 0])
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            bits_to_image("", 4, 4)
+        for form in FORMS:
+            with pytest.raises(ValueError):
+                bits_to_image(form(""), 4, 4)
 
 
 class TestGrayImage:
@@ -324,6 +355,20 @@ class TestAnalyzeImage:
         assert csv.startswith("metric,value\n")
         assert len(csv.splitlines()) == len(rep.rows()) + 1
         assert "npcr_pct" in rep.to_text()
+
+    def test_analyze_converts_no_text(self, monkeypatch):
+        # the report is computed on packed bits from pixels to statistics
+        img = image_from_fn(40, 40, lambda x, y: (x * 5 + y * y) ^ (y >> 1))
+        params = CoderParams(7, 44, 10, 230)
+        expected = analyze_image(img, params, seed=0x5EED).rows()
+
+        def refuse(*args):
+            raise AssertionError("'0'/'1' text on the analyze path")
+
+        monkeypatch.setattr(Bits, "to_text", refuse)
+        monkeypatch.setattr(Bits, "from_text", refuse)
+        monkeypatch.setattr(hfsac.bitio, "pack_bits", refuse)
+        assert analyze_image(img, params, seed=0x5EED).rows() == expected
 
     def test_analyze_leaves_scipy_unloaded(self):
         # the block-frequency p-value needs no scipy, whose import alone

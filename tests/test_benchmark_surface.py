@@ -5,16 +5,19 @@ resolves.
 and through `from hfsac... import name`, and reads attributes off the
 machines it builds, bound to `fm`, `rm` and `codec`.  Its traced run is not
 part of this suite, so a name or view deleted from the package would
-otherwise first fail there.  The scripts are parsed, not run.
+otherwise first fail there.  The scripts are parsed, not run, except
+`traced._cipher_stats`, which still hands the analysis statistics text.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hfsac import CoderParams, build_full_fsm, reduce_machine
+import hfsac
+from hfsac import Bits, CoderParams, KeySchedule, build_full_fsm, encrypt_bits, reduce_machine
 from hfsac.huffman import attach_tables
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -140,3 +143,17 @@ def test_a_missing_attribute_is_caught(machines):
         ("codec", "tables", "[]", "nowhere"): "nowhere",
     }
     assert ("fm", "states") in missing
+
+
+def test_cipher_stats_take_text(machines, monkeypatch):
+    # the traced run passes the analysis statistics '0'/'1' text: they keep
+    # giving what they give on packed bits until it stops
+    monkeypatch.syspath_prepend(str(BENCH))
+    traced = importlib.import_module("traced")
+    codec = machines["codec"]
+    ks = KeySchedule(0x0123456789ABCDEF, 230)
+    plain = np.random.default_rng(14).bytes(4096)
+    cipher, _ = encrypt_bits(Bits(plain), codec, ks)
+    flipped, _ = encrypt_bits(Bits(bytes([plain[0] ^ 0x80]) + plain[1:]), codec, ks)
+    as_text = traced._cipher_stats(hfsac, cipher.to_text(), flipped.to_text(), 64, 64)
+    assert as_text == traced._cipher_stats(hfsac, cipher, flipped, 64, 64)

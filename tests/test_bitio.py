@@ -62,6 +62,14 @@ class TestBitWriter:
         else:
             assert writer.finish(n) == Bits.from_text(text[:n])
 
+    @pytest.mark.parametrize("n", [-1, -3, -9, 21])
+    def test_finish_refuses_out_of_range_length(self, n):
+        writer = BitWriter()
+        writer.write(np.ones(20, np.uint8))
+        with pytest.raises(ValueError, match=f"{n} bits asked of 20 written"):
+            writer.finish(n)
+        assert writer.finish() == Bits.from_text("1" * 20)
+
     def test_flushes_across_writes(self):
         # each write packs its whole bytes and carries the rest
         rng = np.random.default_rng(7)

@@ -55,6 +55,11 @@ class TestCoderParams:
         with pytest.raises(ValueError, match=rf"p_zero must be .*got {p_zero!r}"):
             CoderParams.from_probability(4, p_zero, 1)
 
+    @pytest.mark.parametrize("n_bits", [-1, -5])
+    def test_from_probability_refuses_negative_n_bits(self, n_bits):
+        with pytest.raises(ValueError, match=f"n_bits must be in 3..16, got {n_bits}"):
+            CoderParams.from_probability(n_bits, 0.5, 1)
+
 
 class TestSplitInterval:
     def test_basic(self):
@@ -159,6 +164,11 @@ class TestStreamCoder:
     def test_invalid_symbol(self):
         with pytest.raises(ValueError, match="invalid bit"):
             ac_encode_stream("01x", CoderParams(4, 3, 1))
+
+    @pytest.mark.parametrize("n_symbols", [-1, -3])
+    def test_decode_refuses_negative_count(self, n_symbols):
+        with pytest.raises(ValueError, match=f"n_symbols must be >= 0, got {n_symbols}"):
+            ac_decode_stream("01", n_symbols, CoderParams(4, 3, 1))
 
     @pytest.mark.parametrize("code", ["01x0", "0 10", "2"])
     def test_decode_invalid_symbol(self, code):

@@ -76,6 +76,13 @@ class TestSplitMix:
         ]
         assert a.state == b.state
 
+    @pytest.mark.parametrize("m", [-1, -5])
+    def test_block_refuses_negative_count(self, m):
+        gen = SplitMix64(7)
+        with pytest.raises(ValueError, match=f"m must be >= 0, got {m}"):
+            gen.next_block(m)
+        assert gen.state == SplitMix64(7).state
+
     def test_tweaked_substream_block_draws(self):
         ks = KeySchedule(2**64 - 1, 128, ((TAG_SWAP, 1 << 63), (TAG_JUMP, 3)))
         for tag in (TAG_JUMP, TAG_STATE, TAG_SWAP):
@@ -112,6 +119,11 @@ class TestDraws:
     def test_bernoulli_bits_refuse_out_of_range(self, p_zero):
         with pytest.raises(ValueError, match=rf"p_zero must be in \[0, 1\], got {p_zero!r}"):
             bernoulli_bits(SplitMix64(1), 20, p_zero)
+
+    @pytest.mark.parametrize("n", [-1, -5])
+    def test_bernoulli_bits_refuse_negative_count(self, n):
+        with pytest.raises(ValueError, match=f"n must be >= 0, got {n}"):
+            bernoulli_bits(SplitMix64(1), n, 0.5)
 
     def test_uniform_m1(self):
         gen = SplitMix64(13)
