@@ -20,7 +20,6 @@ from .crypto import (
     TAG_SWAP,
     KeySchedule,
     SplitMix64,
-    draw_uniform,
     encrypt_bits,
     substream_init,
 )
@@ -76,6 +75,10 @@ def shannon_entropy_binary(bits: Bits | str) -> float:
     return h
 
 
+class DegenerateSampleError(ValueError):
+    """A correlation's sample has zero variance."""
+
+
 def pearson_corr(xs, ys) -> float:
     """Correlation coefficient from the discrete mean/variance/covariance forms."""
     x = np.asarray(xs, dtype=np.float64)
@@ -87,7 +90,7 @@ def pearson_corr(xs, ys) -> float:
     vx = float((dx * dx).mean())
     vy = float((dy * dy).mean())
     if vx == 0.0 or vy == 0.0:
-        raise ValueError("degenerate sequence")
+        raise DegenerateSampleError("degenerate sequence")
     return float((dx * dy).mean() / math.sqrt(vx * vy))
 
 
@@ -109,11 +112,11 @@ def adjacent_pixel_corr(
         gen = substream_init(ANALYSIS_SEED, TAG_SWAP)
     chosen: list[int] = []
     seen: set[int] = set()
-    while len(chosen) < pairs:
-        p = draw_uniform(gen, cols * rows)
-        if p not in seen:
-            seen.add(p)
-            chosen.append(p)
+    while len(chosen) < pairs:  # a draw adds at most one pair: none is left over
+        for p in (gen.next_block(pairs - len(chosen)) % (cols * rows)).tolist():
+            if p not in seen:
+                seen.add(p)
+                chosen.append(p)
     arr = img.to_array()
     ys = np.array([p // cols for p in chosen])
     xs = np.array([p % cols for p in chosen])
@@ -378,12 +381,15 @@ def analyze_image(img: GrayImage, params: CoderParams, seed: int) -> MetricsRepo
     cipher_img = bits_to_image(cipher, img.width, img.height)
 
     sample_gen = substream_init(ANALYSIS_SEED, TAG_SWAP)
-    plain_corr = {
-        d: adjacent_pixel_corr(img, d, gen=sample_gen) for d in _DIRECTIONS
-    }
-    cipher_corr = {
-        d: adjacent_pixel_corr(cipher_img, d, gen=sample_gen) for d in _DIRECTIONS
-    }
+
+    def corr(image: GrayImage, direction: str) -> float:  # nan on a constant sample
+        try:
+            return adjacent_pixel_corr(image, direction, gen=sample_gen)
+        except DegenerateSampleError:
+            return math.nan
+
+    plain_corr = {d: corr(img, d) for d in _DIRECTIONS}
+    cipher_corr = {d: corr(cipher_img, d) for d in _DIRECTIONS}
 
     # plaintext sensitivity: flip the first bit, same key
     flipped = Bits(bytes([plain.data[0] ^ 0x80]) + plain.data[1:])

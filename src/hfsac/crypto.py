@@ -44,6 +44,14 @@ class TruncatedStreamError(ValueError):
     """Cipher ended mid-codeword."""
 
 
+def _mix(z):
+    """The splitmix output of counter value z, an int or a uint64 array (on
+    which the products wrap and the masks change nothing)."""
+    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
+    return z ^ (z >> 31)
+
+
 class SplitMix64:
     """Deterministic 64-bit generator (splitmix recurrence).
 
@@ -58,10 +66,7 @@ class SplitMix64:
 
     def next_u64(self) -> int:
         self.state = (self.state + GOLDEN) & MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-        return z ^ (z >> 31)
+        return _mix(self.state)
 
     def next_block(self, m: int) -> np.ndarray:
         """The next m draws as uint64, equal to m calls of next_u64."""
@@ -71,12 +76,7 @@ class SplitMix64:
         z *= GOLDEN
         z += self.state
         self.state = (self.state + m * GOLDEN) & MASK64
-        z ^= z >> 30
-        z *= _MIX1
-        z ^= z >> 27
-        z *= _MIX2
-        z ^= z >> 31
-        return z
+        return _mix(z)
 
 
 def substream_init(seed: int, tag: int) -> SplitMix64:

@@ -18,7 +18,7 @@ import numpy as np
 from .bitio import Bits
 from .coder import CoderParams, build_full_fsm
 from .prefix import (
-    BLOCK_STEPS, WINDOW_BITS, WINDOW_MASK, PrefixTable, bit_string, no_jumps, windows,
+    BLOCK_STEPS, WINDOW_BITS, WINDOW_MASK, PrefixTable, no_jumps, windows, word_bits,
 )
 from .reducer import ReducedMachine, parse_rows, reduce_machine
 
@@ -159,29 +159,24 @@ class StateCodeTable:
 class HfsacCodec:
     """Reduced machine plus one prefix code per state, as columns; immutable.
 
-    Row r of `rm` has the codeword of `code_len[r]` bits `code_bits[r]`;
-    the global row ids of `outputs` are those of `rm.inputs`.  A step's
-    swap position is its swap draw modulo its state's entry of
-    `swap_moduli`, max_len + 1.  `tables` is an object view, built on
-    first access.
+    Row r of `rm` has the codeword of `code_len[r]` bits, row r of the prefix
+    table `outputs`, which holds the integer `code_bits` as 0/1 bits; its row
+    ids are those of `rm.inputs`.  A step's swap position is its swap draw
+    modulo its state's entry of `swap_moduli`, max_len + 1.  `tables` is an
+    object view, built on first access.
     """
 
     def __init__(self, rm: ReducedMachine, code_len, code_bits):
         self.rm = rm
-        self.code_len = np.asarray(code_len, np.int32)
-        self.code_bits = np.asarray(code_bits, np.uint64)
+        bits = word_bits(code_len, code_bits)
+        self.outputs = PrefixTable(rm.row_base, rm.row_state, code_len, bits)
+        self.code_len = self.outputs.lengths
         max_len = np.maximum.reduceat(self.code_len, rm.row_base[:-1])
         self.swap_moduli = (max_len + 1).astype(np.uint64)
 
     @functools.cached_property
-    def outputs(self) -> PrefixTable:
-        """The codewords of every state, built on first use."""
-        rm = self.rm
-        return PrefixTable(rm.row_base, rm.row_state, self.code_len, self.code_bits.tolist())
-
-    @functools.cached_property
     def tables(self) -> tuple[StateCodeTable, ...]:
-        words = list(map(bit_string, self.code_len.tolist(), self.code_bits.tolist()))
+        words = self.outputs.words()
         base = self.rm.row_base.tolist()
         return tuple(
             StateCodeTable(s, tuple(words[a:b]), m - 1)
@@ -195,7 +190,7 @@ class HfsacCodec:
             isinstance(other, HfsacCodec)
             and self.rm == other.rm
             and np.array_equal(self.code_len, other.code_len)
-            and np.array_equal(self.code_bits, other.code_bits)
+            and np.array_equal(self.outputs._bits, other.outputs._bits)
         )
 
     __hash__ = None  # type: ignore[assignment]

@@ -3,8 +3,8 @@
 A `PrefixTable` holds one prefix code per state: the input blocks of a
 reduced machine or the codewords of its code tables.  Every word gets a
 global row id; the words of state s are rows `row_base[s]` up to
-`row_base[s + 1]`, in transition order.  Word r is given as columns: its
-length and its bits as an integer, most significant bit first.
+`row_base[s + 1]`, in transition order.  The words are given as their
+lengths and all their bits in row order, as 0/1 bytes, each word MSB first.
 
 The window index maps a state and the next WINDOW_BITS bits of a stream to
 the row whose word prefixes those bits, in one lookup at
@@ -43,7 +43,6 @@ _CHUNK = 1 << 12
 _PASS_BITS = 1 << 16
 # a swap position beyond the longest word: nothing is complemented
 _PAST_WORDS = sys.maxsize
-_LIMB_MASK = (1 << 64) - 1
 # a child link holds its node's first entry above 3 bits of width
 _MAX_ENTRIES = (1 << 28) - 1
 
@@ -78,25 +77,15 @@ def bit_string(length: int, value: int) -> str:
     return bin(value | 1 << length)[3:]
 
 
-def _word_bits(lengths: np.ndarray, bits) -> np.ndarray:
-    """The bits of every word as 0/1 bytes, most significant bit first.
-
-    Python int arithmetic cuts each word into 64-bit limbs, one pass per
-    limb: one pass on every practical machine, 2**(n_bits - 7) passes for
-    the longest input blocks of skewed ones.  The words' big-endian bytes,
-    unpacked, are cut to their lengths.
-    """
-    width = max(int(lengths.max(initial=0)), 1)
-    n_limbs = -(-width // 64)
-    limbs = np.empty((len(lengths), n_limbs), ">u8")
-    for j in range(n_limbs):
-        shift = 64 * (n_limbs - 1 - j)
-        limbs[:, j] = [v >> shift & _LIMB_MASK for v in bits]
-    n_bytes = -(-width // 8)
-    raw = limbs.view(np.uint8).reshape(len(lengths), -1)[:, -n_bytes:]
+def word_bits(lengths, values) -> np.ndarray:
+    """The bits of words of at most 64 bits, given as integer `values`, as
+    0/1 bytes in row order, most significant bit first: the values'
+    big-endian bytes, unpacked, cut to the words' lengths."""
+    lengths = np.asarray(lengths, np.int64)
+    n_bytes = -(-int(lengths.max(initial=0)) // 8)
+    raw = np.asarray(values, ">u8").view(np.uint8).reshape(-1, 8)[:, 8 - n_bytes :]
     grid = np.unpackbits(raw, 1)
-    starts = (8 * n_bytes - lengths)[:, None]
-    return grid[np.arange(8 * n_bytes, dtype=lengths.dtype) >= starts]
+    return grid[np.arange(8 * n_bytes) >= (8 * n_bytes - lengths)[:, None]]
 
 
 class PrefixTable:
@@ -110,13 +99,15 @@ class PrefixTable:
 
     def __init__(self, row_base, row_state, lengths, bits):
         """`row_base` and `row_state` (int32) are the machine's row layout,
-        held by reference; word r has `lengths[r]` bits, the Python int
-        `bits[r]`.  Words may be longer than 64 bits: the input blocks of
-        skewed machines run to 2**(n_bits - 1) bits."""
+        held by reference; word r has `lengths[r]` of the 0/1 `bits`, in row
+        order.  Words may be longer than 64 bits: the input blocks of skewed
+        machines run to 2**(n_bits - 1) bits."""
         self._row_base, self._row_state = row_base, row_state
         self.lengths = np.asarray(lengths, np.int32)
         self._offsets = np.cumsum(self.lengths, dtype=np.int64) - self.lengths
-        self._bits = _word_bits(self.lengths, bits)
+        self._bits = np.asarray(bits, np.uint8)
+        if len(self._bits) != self.lengths.sum():
+            raise ValueError("the bits are not as long as the words")
         self._index: memoryview | None = None
 
     @property

@@ -41,9 +41,9 @@ class ReducedMachine:
     State s owns `counts[s]` rows, the global rows `row_base[s]` up to
     `row_base[s + 1]` in parse-tree order; `row_state[r]` is row r's state,
     and the prefix tables `inputs` and `codec.outputs` share this layout.
-    Row r reads the input block of `block_len[r]` bits, given as the Python
-    int `block_bits[r]` and kept only in `inputs`, emits the arithmetic
-    output of `out_len[r]` bits `out_bits[r]`, and moves to `next_state[r]`.
+    Row r reads the input block of `block_len[r]` bits, kept only in
+    `inputs` (`block_bits` is every block's 0/1 bytes, in row order), emits
+    the output of `out_len[r]` bits `out_bits[r]`, and moves to `next_state[r]`.
     `origin_bounds[s]` is the (low, high, follow) the state came from.
     `transitions` is an object view, built on first access.
     """
@@ -142,35 +142,37 @@ def reduce_machine(machine: FullMachine) -> ReducedMachine:
     Each reduced state's rows come from a depth-first walk of its parse
     tree: an emitting edge ends a row, a mute edge continues the block into
     its successor's two edges, so the rows come out in parse-tree order and
-    their targets are numbered as they come.  A block is carried as
-    (length, value).  Mute chains are loop-free on valid machines (follow
-    never decreases without an emission, and at fixed follow the intervals
-    strictly nest), so a state met again on the chain being walked is
-    reported as a coder bug.  Done iteratively: chains can run to
-    ~2**n_bits on skewed splits.
+    their targets are numbered as they come; a row's block, the bits read
+    along its chain, is appended to one bytearray as 0/1 bytes.  Mute chains
+    are loop-free on valid machines (follow never decreases without an
+    emission, and at fixed follow the intervals strictly nest), so a state
+    met again on the chain being walked is reported as a coder bug.  Done
+    iteratively: chains can run to ~2**n_bits on skewed splits.
     """
     target = machine.target.tolist()
     mute = (machine.emit_len == 0).tolist()
     numbered = bytearray(len(machine.low))
     numbered[0] = 1
-    # the chain being walked: path[d] is its state at depth d, and a state
-    # last entered at depth entered[t] is on it if path still holds it there
+    # the chain being walked has state path[d] and bit chain[d] at depth d;
+    # a state last entered at depth entered[t] is on it if path still holds it there
     path = [0]
+    chain = bytearray(1)
     entered = [-1] * len(machine.low)
     order = [0]
     counts: list[int] = []
     block_len: list[int] = []
-    block_bits: list[int] = []
+    blocks = bytearray()
     row_edge: list[int] = []
     for old_s in order:  # the BFS queue: grows as it is read
         first = len(row_edge)
         path[0] = old_s
         entered[old_s] = 0
-        # (edge, length and value of the block through its bit); the edge
-        # leaves the state at depth length - 1
-        stack = [(2 * old_s + 1, 1, 1), (2 * old_s, 1, 0)]
+        # (edge, length of the block through its bit); the edge leaves the
+        # state at depth length - 1
+        stack = [(2 * old_s + 1, 1), (2 * old_s, 1)]
         while stack:
-            e, length, value = stack.pop()
+            e, length = stack.pop()
+            chain[length - 1] = e & 1
             to = target[e]
             if mute[e]:
                 d = entered[to]
@@ -178,18 +180,18 @@ def reduce_machine(machine: FullMachine) -> ReducedMachine:
                     raise NonEmittingCycleError("non-emitting cycle")
                 if length == len(path):
                     path.append(to)
+                    chain.append(0)
                 else:
                     path[length] = to
                 entered[to] = length
-                value <<= 1
                 length += 1
-                stack += ((2 * to + 1, length, value | 1), (2 * to, length, value))
+                stack += ((2 * to + 1, length), (2 * to, length))
                 continue
             if not numbered[to]:
                 numbered[to] = 1
                 order.append(to)
             block_len.append(length)
-            block_bits.append(value)
+            blocks += chain[:length]
             row_edge.append(e)
         counts.append(len(row_edge) - first)
     edges = np.array(row_edge, np.int64)
@@ -197,7 +199,7 @@ def reduce_machine(machine: FullMachine) -> ReducedMachine:
     renumber[order] = np.arange(len(order), dtype=np.int32)
     origin = np.stack([machine.low, machine.high, machine.follow], 1)[order]
     return ReducedMachine(
-        machine.params, counts, block_len, block_bits,
+        machine.params, counts, block_len, np.frombuffer(blocks, np.uint8),
         machine.emit_len[edges], machine.emit_val[edges],
         renumber[machine.target[edges]], origin,
     )

@@ -54,7 +54,7 @@ def reduced_from_rows(params, rows, origin) -> ReducedMachine:
         params,
         [len(row) for row in rows],
         [len(t.input_block) for t in flat],
-        [int(t.input_block, 2) for t in flat],
+        [int(b) for t in flat for b in t.input_block],
         [len(t.output_bits) for t in flat],
         [int(t.output_bits or "0", 2) for t in flat],
         [t.to for t in flat],

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 
@@ -17,6 +18,7 @@ from hfsac import (
     block_frequency,
     compression_rate,
     compression_rates,
+    draw_uniform,
     fsac_encode,
     hfac_encode,
     histogram,
@@ -116,6 +118,22 @@ class TestAdjacentCorr:
         img = image_from_fn(16, 16, lambda x, y: x ^ y)
         with pytest.raises(ValueError, match=f"need at least 2 pairs, got {pairs}"):
             adjacent_pixel_corr(img, "horizontal", pairs=pairs)
+
+    def test_draws_as_one_per_candidate(self):
+        # 49 positions for 40 pairs: many repeats; the block draws leave
+        # the pairs and the generator as one draw_uniform per candidate does
+        img = image_from_fn(8, 8, lambda x, y: x * y)
+        gen, ref = SplitMix64(5), SplitMix64(5)
+        got = adjacent_pixel_corr(img, "diagonal", pairs=40, gen=gen)
+        chosen: list[int] = []
+        while len(chosen) < 40:
+            p = draw_uniform(ref, 49)
+            if p not in chosen:
+                chosen.append(p)
+        assert gen.state == ref.state
+        ys, xs = np.divmod(chosen, 7)
+        arr = img.to_array()
+        assert got == pearson_corr(arr[ys, xs], arr[ys + 1, xs + 1])
 
     def test_default_generator_reproducible(self):
         img = image_from_fn(64, 64, lambda x, y: (x * 7 + y * 13) ^ (x >> 2))
@@ -355,6 +373,15 @@ class TestAnalyzeImage:
         assert csv.startswith("metric,value\n")
         assert len(csv.splitlines()) == len(rep.rows()) + 1
         assert "npcr_pct" in rep.to_text()
+
+    def test_constant_image_reports_nan(self):
+        # a constant image has no plain pixel correlation: those three rows
+        # are nan, and the rest of the report is computed as usual
+        img = GrayImage(64, 64, bytes(64 * 64))
+        rows = dict(analyze_image(img, CoderParams(5, 14, 3, 200), seed=0xBEEF).rows())
+        plain = [k for k in rows if k.startswith("plain_corr_")]
+        assert len(plain) == 3 and all(math.isnan(rows[k]) for k in plain)
+        assert all(math.isfinite(v) for k, v in rows.items() if k not in plain)
 
     def test_analyze_converts_no_text(self, monkeypatch):
         # the report is computed on packed bits from pixels to statistics

@@ -304,6 +304,20 @@ class TestAnalyze:
         assert read_text(visits).splitlines()[0] == "state,visits"
 
 
+    def test_constant_image(self, tmp_path, keyfile, capsys):
+        # zero-variance plain correlations are reported as nan, not refused
+        src = tmp_path / "flat.pgm"
+        src.write_bytes(b"P5\n64 64\n255\n" + bytes(64 * 64))
+        rc = main(
+            ["analyze", "--plain", str(src), "--key-file", str(keyfile),
+             "--n", "5", "--p0-num", "14", "--fmax", "3"]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^plain_corr_horizontal +nan$", out, re.M)
+        assert re.search(r"^cipher_corr_horizontal +-?0\.", out, re.M)
+
+
 class TestSelftest:
     def test_passes_quickly(self, capsys):
         import time
@@ -323,7 +337,8 @@ class TestSelftest:
             codec = build_codec(params)
             if params.n_bits != 4:
                 return codec
-            code_len, code_bits = codec.code_len.copy(), codec.code_bits.copy()
+            code_len = codec.code_len.copy()
+            code_bits = [int(w, 2) for w in codec.outputs.words()]
             last = codec.rm.row_base[1] - 1
             code_len[0], code_bits[0] = code_len[last], code_bits[last]
             return HfsacCodec(codec.rm, code_len, code_bits)

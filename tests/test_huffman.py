@@ -13,7 +13,7 @@ from hfsac import (
     hfac_encode,
     swap_codeword,
 )
-from hfsac.huffman import canonical_bits, code_lengths, integer_weights
+from hfsac.huffman import attach_tables, canonical_bits, code_lengths, integer_weights
 from hfsac.prefix import bit_string
 from conftest import (
     SWEEP,
@@ -159,6 +159,14 @@ class TestAttachTables:
         moduli = codec.swap_moduli
         assert moduli.tolist() == [t.max_len + 1 for t in codec.tables]
         assert codec.swap_moduli is moduli  # built once per codec
+
+    def test_codewords_held_once(self, cache):
+        # the codec keeps its codewords only as the 0/1 bits of `outputs`,
+        # built with it rather than on first use
+        codec = attach_tables(cache.reduced(4, 3, 1))
+        assert "outputs" in vars(codec)
+        assert not hasattr(codec, "code_bits")
+        assert codec.code_len is codec.outputs.lengths
 
     def test_reference_table_shape(self, cache):
         codec = cache.codec(4, 3, 1)

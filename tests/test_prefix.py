@@ -83,16 +83,25 @@ def test_gather_in_passes(cache, monkeypatch, pass_bits):
 def test_index_size_cap(monkeypatch):
     # "0" and a 17-bit word: a root node, a width-8 child and a width-1
     # grandchild, 514 entries; a child link holds at most _MAX_ENTRIES
-    long_word = 1 << 16 | 0x1234
+    long_word = prefix.bit_string(17, 1 << 16 | 0x1234)
     layout = np.array([0, 2]), np.zeros(2, np.int32)
+    bits = [0] + [int(b) for b in long_word]
     monkeypatch.setattr(prefix, "_MAX_ENTRIES", 514)
-    table = prefix.PrefixTable(*layout, [1, 17], [0, long_word])
+    table = prefix.PrefixTable(*layout, [1, 17], bits)
     assert len(table.index) == 514
-    win = prefix.windows(Bits.from_text(prefix.bit_string(17, long_word)))
+    win = prefix.windows(Bits.from_text(long_word))
     assert _lookup(table, win, 0, 0, prefix._PAST_WORDS) == 1
     monkeypatch.setattr(prefix, "_MAX_ENTRIES", 513)
     with pytest.raises(ValueError, match="over 513 entries"):
-        prefix.PrefixTable(*layout, [1, 17], [0, long_word]).index
+        prefix.PrefixTable(*layout, [1, 17], bits).index
+
+
+@pytest.mark.parametrize("n_bits", [2, 4])
+def test_bits_must_be_the_words_long(n_bits):
+    # words "0" and "10": three bits in row order
+    layout = np.array([0, 2]), np.zeros(2, np.int32)
+    with pytest.raises(ValueError, match="not as long as the words"):
+        prefix.PrefixTable(*layout, [1, 2], np.zeros(n_bits, np.uint8))
 
 
 def _lookup(table, win, state, pos, swap_pos):

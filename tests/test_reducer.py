@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hfsac import (
     NonEmittingCycleError,
     ReducedTransition,
     ac_encode_parts,
+    build_full_fsm,
     fsac_encode,
     fsac_parse,
     reduce_machine,
@@ -66,6 +68,20 @@ class TestReduce:
         assert machine("11", "10") == machine("11", "10")
         assert machine("11", "10") != machine("10", "11")
         assert [r[0] for r in rows_of(machine("11", "10"), 0)] == ["0", "11", "10"]
+
+    def test_blocks_cost_about_one_byte_per_bit(self):
+        # (12, 1, 3) reads 2,100,224 block bits in 2,049 rows of up to
+        # 2,048 bits; written as 0/1 bytes where they are made, the traced
+        # peak of the reduction is ~1.3 B per block bit (5.6 B when each
+        # block was a Python int unpacked afterwards)
+        fm = build_full_fsm(CoderParams(12, 1, 3))
+        tracemalloc.start()
+        try:
+            rm = reduce_machine(fm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * rm.block_len.sum()
 
     def test_tables_share_the_row_layout(self, cache):
         codec = cache.codec(7, 44, 10)
