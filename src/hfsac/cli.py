@@ -62,7 +62,8 @@ def _jump_prob(text: str) -> int:
 def _load_seed(args) -> int:
     if args.key is not None:
         return seed_from_hex(args.key)
-    with open(args.key_file, "r", encoding="ascii") as fh:
+    # a non-ASCII byte reads as U+FFFD, which no key holds
+    with open(args.key_file, "r", encoding="ascii", errors="replace") as fh:
         return seed_from_hex(fh.read())
 
 
@@ -76,7 +77,7 @@ def _add_params(sub, jump: bool) -> None:
         help="precision in bits (3..16); with --p0-num and --fmax it must give "
         "at most 10**6 full states (coder.STATE_CEILING): (16, 32768, 15) has "
         "1, (12, 1000, 2) 999,909, and (13, 3000, 0) fails after ~3.5 s; skewed "
-        "models bind on memory first: (16, 1, 3) has 32,768 but peaks at ~1.2 GiB",
+        "models bind on memory first: (16, 1, 3) has 32,768 but peaks at ~620 MiB",
     )
     sub.add_argument(
         "--p0-num", type=_decimal, required=True,
@@ -130,7 +131,11 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=_decimal, default=1)
 
     p = sub.add_parser("analyze", help="full metric report for a PGM image")
-    p.add_argument("--plain", required=True, help="input P5 image")
+    p.add_argument(
+        "--plain", required=True,
+        help="input P5 image; (width - 1) * (height - 1) must be at least 1000, "
+        "the distinct diagonal pixel pairs sampled",
+    )
     _add_key(p)
     _add_params(p, jump=True)
     p.add_argument("--format", choices=("text", "csv"), default="text")

@@ -148,8 +148,8 @@ class PrefixTable:
         int32 (at most _MAX_ENTRIES), and so do the columns.
         """
         k = WINDOW_BITS
-        packed = Bits(np.packbits(self._bits).tobytes(), len(self._bits))
-        win = np.frombuffer(windows(packed), np.uint8)
+        packed = np.packbits(self._bits)
+        last = len(packed) - 1
         rows = np.arange(len(self.lengths), dtype=np.int32)
         start = self._row_state << k  # first entry of each word's node
         width = k  # its node's width
@@ -162,7 +162,12 @@ class PrefixTable:
                 raise ValueError(f"a window index of over {_MAX_ENTRIES} entries")
             keep = np.minimum(left, width)
             drop = width - keep
-            first = start + ((win[off] >> (k - keep)) << drop)
+            # a word's kept bits lie in the byte holding bit `off` and the
+            # next; the clamp rereads only bits past the table, cut off here
+            at = off >> 3
+            pair = packed[at].astype(np.int32) << 8 | packed[np.minimum(at + 1, last)]
+            pair >>= 16 - (off & 7) - keep  # in place, so it stays int32
+            first = start + ((pair & ((1 << keep) - 1)) << drop)
             short = left <= width
             fills.append((first[short], drop[short], rows[short]))
             # the words that go on, grouped by the entry they continue from

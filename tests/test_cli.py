@@ -227,6 +227,18 @@ class TestEncodeDecode:
         )
         assert rc == 3
 
+    def test_non_ascii_key_file(self, tmp_path):
+        # a key file that is not ASCII is a bad key, not a data error
+        src, key = tmp_path / "p", tmp_path / "key.hex"
+        src.write_bytes(b"hi")
+        key.write_bytes(b"\xff\xfe")
+        rc = main(
+            ["encode", "--in", str(src), "--out", str(tmp_path / "c"),
+             "--key-file", str(key),
+             "--n", "6", "--p0-num", "28", "--fmax", "3"]
+        )
+        assert rc == 3
+
     def test_malformed_pgm(self, tmp_path, keyfile):
         src = tmp_path / "bad.pgm"
         src.write_bytes(b"P5\n10 10\n255\nshort")
@@ -316,6 +328,20 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert re.search(r"^plain_corr_horizontal +nan$", out, re.M)
         assert re.search(r"^cipher_corr_horizontal +-?0\.", out, re.M)
+
+    @pytest.mark.parametrize("side,rc", [(32, 2), (33, 0)])
+    def test_smallest_image(self, tmp_path, keyfile, capsys, side, rc):
+        # the diagonal samples 1000 distinct pairs of (side - 1)**2: 961 at
+        # 32 x 32, 1024 at 33 x 33
+        src = tmp_path / "img.pgm"
+        write_pgm(synthetic_image(side, side), src)
+        got = main(
+            ["analyze", "--plain", str(src), "--key-file", str(keyfile),
+             "--n", "5", "--p0-num", "14", "--fmax", "3"]
+        )
+        assert got == rc
+        if rc:
+            assert "image too small for 1000 distinct pairs" in capsys.readouterr().err
 
 
 class TestSelftest:

@@ -10,6 +10,8 @@ the lengths below.  `TestDecrypt::test_every_cut_raises` covers the read
 past the end of a cut ciphertext.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -163,9 +165,34 @@ def test_sized_child_nodes_match_a_scan(cache, n, p0, fm):
                 assert got == _scan(words, base[state], tail, swap_pos), (state, trial)
 
 
-def test_child_node_sizes(cache):
-    # (9, 150, 3) held 9.3 / 9.5 MiB with 256-entry child nodes
-    codec = cache.codec(9, 150, 3)
-    sizes = codec.rm.inputs.index.nbytes, codec.outputs.index.nbytes
-    assert sizes == (6_086_712, 5_279_136)
-    assert sizes[0] <= 2 / 3 * 9.32 * 2**20 and sizes[1] <= 2 / 3 * 9.54 * 2**20
+# per codec: the byte size and sha256 of the window index of its input
+# blocks, then of its codewords; (9, 150, 3) held 9.3 / 9.5 MiB with
+# 256-entry child nodes
+INDEX_LAYOUT = {
+    (7, 44, 10): (
+        (582_752, "b99be540eefcbb46c37581fa86d316dcff18676f307d826fbbe509815234a57b"),
+        (488_368, "a8139326598bf0fa5bdcfd488d36302d8176fa3fb9988013dc1de18d56b38076"),
+    ),
+    (9, 150, 3): (
+        (6_086_712, "8fdfde0497c90e2a229fa5774123c60d1f1ea2f74d29100225fb99d8f05c1b78"),
+        (5_279_136, "180072bfc15b89a3673710ac7527e3764a1dbd1908ec39baa321fb756889c0f1"),
+    ),
+    (10, 1, 3): (
+        (65_536, "16ae21d6db85902b5dd4bee9e7e3015670da6cdde9663e6a7146ab5235e9d6fc"),
+        (3_072, "6265805516289408ff835f28209aef22c1da3db328256700077db7999811c18c"),
+    ),
+    (12, 1, 3): (
+        (262_144, "58d150cb5cedd377b3f5a336547a0241b087a568647f4fc759d40713d811e031"),
+        (9_216, "873d73841b10b8e437c9e6ac18dce6a69dcfee79380737c52b30cff278138f8f"),
+    ),
+}
+
+
+@pytest.mark.parametrize("n,p0,fm", list(INDEX_LAYOUT))
+def test_child_node_sizes(cache, n, p0, fm):
+    codec = cache.codec(n, p0, fm)
+    got = tuple(
+        (table.index.nbytes, hashlib.sha256(np.asarray(table.index).tobytes()).hexdigest())
+        for table in (codec.rm.inputs, codec.outputs)
+    )
+    assert got == INDEX_LAYOUT[n, p0, fm]

@@ -83,6 +83,20 @@ class TestReduce:
             tracemalloc.stop()
         assert peak <= 2 * rm.block_len.sum()
 
+    def test_window_index_rounds_cost_a_fraction_of_a_byte_per_bit(self):
+        # (14, 1, 3) reads 33,566,720 block bits in 8,193 rows of up to
+        # 8,192 bits; cutting each word's window out of the packed bits at
+        # its offset, the rounds of its input index peak at ~0.15 B per
+        # block bit (1.25 B with a window byte written for every bit)
+        rm = reduce_machine(build_full_fsm(CoderParams(14, 1, 3)))
+        tracemalloc.start()
+        try:
+            rm.inputs._fills()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * rm.block_len.sum()
+
     def test_tables_share_the_row_layout(self, cache):
         codec = cache.codec(7, 44, 10)
         rm = codec.rm
