@@ -217,9 +217,6 @@ class _Draws:
         targets[jumped] = draws % self.state_count
         return targets
 
-    def swaps(self, m: int) -> list[int]:
-        return self.swap.next_block(m).tolist()
-
 
 def encrypt_bits(
     plain: Bits, codec: HfsacCodec, ks: KeySchedule, *, trace: bool = False
@@ -256,8 +253,8 @@ def decrypt_bits(cipher: Bits, codec: HfsacCodec, ks: KeySchedule, n_bits: int) 
     draws = _Draws(ks, codec.rm.state_count)
     out = BitWriter()
     for rows in walk_codewords(
-        codec, cipher, n_bits, draws.jumps, draws.swaps, TruncatedStreamError,
-        WrongKeyError,
+        codec, cipher, n_bits, draws.jumps, draws.swap.next_block,
+        TruncatedStreamError, WrongKeyError,
     ):
         out.write(codec.rm.inputs.gather(rows))
     return out.finish(n_bits)

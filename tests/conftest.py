@@ -7,10 +7,13 @@ import pytest
 
 from hfsac import (
     CoderParams,
+    CorruptStreamError,
     FullMachine,
     GrayImage,
     ReducedMachine,
     SplitMix64,
+    TruncatedStreamError,
+    WrongKeyError,
     attach_tables,
     bernoulli_bits,
     build_full_fsm,
@@ -105,6 +108,54 @@ def reference_encrypt(codec, bits: str, ks) -> str:
         pos += length
         state = rm.transitions[state][idx].to
     return "".join(out)
+
+
+def reference_decrypt(codec, cipher: str, ks, n_bits: int) -> str:
+    """`decrypt` step by step through the substreams' scalar draws, on
+    '0'/'1' text: the first n_bits decoded bits, or the same error class and
+    message.  With `ks` None it is `hfac_decode`: no jumps, no swaps, and
+    `CorruptStreamError` for every failure."""
+    rm = codec.rm
+    if ks is None:
+        truncated = corrupt = CorruptStreamError
+    else:
+        truncated, corrupt = TruncatedStreamError, WrongKeyError
+        jump, state_gen, swap = (ks.substream(t) for t in (TAG_JUMP, TAG_STATE, TAG_SWAP))
+    codes = {}  # state: ({codeword: transition index}, its codeword lengths)
+    out = []
+    pos = state = steps = done = 0
+    while done < n_bits:
+        if ks is not None and (draw_bernoulli(jump, ks.jump_q_num) or not steps):
+            state = draw_uniform(state_gen, rm.state_count)
+        table = codec.tables[state]
+        swap_pos = table.max_len if ks is None else draw_uniform(swap, table.max_len + 1)
+        if state not in codes:
+            words = table.codewords
+            codes[state] = ({w: i for i, w in enumerate(words)}, sorted(set(map(len, words))))
+        code, lengths = codes[state]
+        idx = None
+        for length in lengths:
+            # complementing is its own inverse: undo the swap on the cipher
+            word = swap_codeword(cipher[pos : pos + length], swap_pos)
+            if len(word) == length and word in code:
+                idx = code[word]
+                break
+        if idx is None:
+            where = f"step {steps}, bit {pos}"
+            if pos + table.max_len > len(cipher):
+                raise truncated(f"stream ends inside a codeword at {where}")
+            raise corrupt(f"no codeword of state {state} matches at {where}")
+        t = rm.transitions[state][idx]
+        out.append(t.input_block)
+        pos += len(table.codewords[idx])
+        done += len(t.input_block)
+        steps += 1
+        state = t.to
+    if pos != len(cipher):
+        raise corrupt(
+            f"{len(cipher) - pos} stream bits left over after step {steps}, at bit {pos}"
+        )
+    return "".join(out)[:n_bits]
 
 
 def is_prefix_free(codes) -> bool:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hfsac import (
     Bits,
     CoderParams,
+    CorruptStreamError,
     KeyFormatError,
     KeySchedule,
     SplitMix64,
@@ -25,6 +26,8 @@ from hfsac import (
     draw_uniform,
     encrypt,
     encrypt_bits,
+    hfac_decode,
+    hfac_encode,
     keyspace_bits,
     monobit,
     pearson_corr,
@@ -37,7 +40,11 @@ from hfsac import (
 )
 from hfsac import cli, coder, huffman, reducer
 from hfsac.crypto import GOLDEN, TAG_JUMP, TAG_STATE, TAG_SWAP
-from conftest import SWEEP, rand_bits, reference_encrypt, reference_match, synthetic_image
+from hfsac.prefix import BLOCK_STEPS
+from conftest import (
+    SWEEP, rand_bits, reference_decrypt, reference_encrypt, reference_match,
+    synthetic_image,
+)
 
 
 class TestSplitMix:
@@ -381,6 +388,140 @@ class TestDecrypt:
             match=f"stream ends inside a codeword at step {len(trace) - 1}, bit {start}$",
         ):
             decrypt(cipher[:-1], codec, ks, 3000)
+
+
+def _outcome(decode, *args):
+    """What a decode gives: its '0'/'1' text, or its error's (type, message)."""
+    try:
+        return decode(*args)
+    except (TruncatedStreamError, WrongKeyError, CorruptStreamError) as exc:
+        return type(exc), str(exc)
+
+
+def _decrypt_text(codec, cipher: str, ks, n_bits: int) -> str:
+    return decrypt_bits(Bits.from_text(cipher), codec, ks, n_bits).to_text()
+
+
+def _flip(text: str, i: int) -> str:
+    return text[:i] + "10"[int(text[i])] + text[i + 1 :]
+
+
+class TestDecodeMatchesReference:
+    """Every decode outcome, plain bits or error class and message, equals
+    the one of the scalar `reference_decrypt`."""
+
+    def check(self, codec, cipher: str, ks, n_bits: int):
+        expected = _outcome(reference_decrypt, codec, cipher, ks, n_bits)
+        if ks is None:
+            got = _outcome(hfac_decode, cipher, codec, n_bits)
+        else:
+            got = _outcome(_decrypt_text, codec, cipher, ks, n_bits)
+        assert got == expected
+        return got
+
+    @pytest.mark.parametrize("params", [(4, 3, 1), (7, 44, 10), (10, 1, 3)])
+    def test_every_cut(self, cache, params):
+        codec = cache.codec(*params)
+        bits = rand_bits(606, 300, 0.5)
+        ks = KeySchedule(0xC0DE, 230)
+        cipher, _ = encrypt(bits, codec, ks)
+        assert self.check(codec, cipher, ks, len(bits)) == bits
+        for k in range(len(cipher)):
+            assert isinstance(self.check(codec, cipher[:k], ks, len(bits)), tuple)
+
+    def test_check_figure_flips_and_wrong_keys(self, cache):
+        # the ciphers of TestDecrypt::test_whole_cipher_check_figures
+        codec = cache.codec(7, 44, 10)
+        seed = 0x0123456789ABCDEF
+        bits = rand_bits(5, 15_000, 0.5)
+        cipher, _ = encrypt(bits, codec, KeySchedule(seed, 230))
+        for j in range(1, 51):
+            self.check(codec, cipher, KeySchedule(seed + j, 230), len(bits))
+        for i in range(0, len(cipher), len(cipher) // 50):
+            self.check(codec, _flip(cipher, i), KeySchedule(seed, 230), len(bits))
+
+    @pytest.mark.parametrize("params", [(4, 3, 1), (7, 44, 10), (10, 1, 3)])
+    def test_appended_bits(self, cache, params):
+        codec = cache.codec(*params)
+        bits = rand_bits(707, 200, 0.5)
+        ks = KeySchedule(0xA99E, 128)
+        cipher, _ = encrypt(bits, codec, ks)
+        for tail in ("0", "1", "01", "0" * 8, "1" * 9, rand_bits(8, 40, 0.5)):
+            assert isinstance(self.check(codec, cipher + tail, ks, len(bits)), tuple)
+
+    def test_failures_past_the_first_keystream_block(self, cache):
+        # the failing step is the last of the first block, the first of the
+        # second, or in the last block
+        codec = cache.codec(4, 3, 1)
+        ks = KeySchedule(0x5EC0, 230)
+        bits = rand_bits(808, 36_000, 0.5)
+        cipher, trace = encrypt(bits, codec, ks)
+        steps = len(trace)
+        assert steps > 2 * BLOCK_STEPS
+        rows = codec.rm.row_base[trace.state] + trace.transition
+        starts = (np.cumsum(codec.code_len[rows]) - codec.code_len[rows]).tolist()
+        fed = np.cumsum(codec.rm.block_len[rows]).tolist()
+        for k in (BLOCK_STEPS - 1, BLOCK_STEPS, steps - 3):
+            _, message = self.check(codec, cipher[: starts[k]], ks, len(bits))
+            assert f"step {k}, bit {starts[k]}" in message
+            self.check(codec, cipher[: starts[k] + 1], ks, len(bits))
+            self.check(codec, _flip(cipher, starts[k]), ks, len(bits))
+            # n_bits reached at step k: the rest of the cipher is left over
+            _, message = self.check(codec, cipher, ks, fed[k])
+            assert f"after step {k + 1}, at bit {starts[k + 1]}" in message
+
+    @pytest.mark.parametrize("q", [0, 230])
+    def test_long_block_cipher(self, cache, q):
+        # more than two keystream blocks, decoded whole and with its last bit cut
+        codec = cache.codec(4, 3, 1)
+        ks = KeySchedule(0xB10C, q)
+        bits = rand_bits(909, 36_000, 0.5)
+        cipher, trace = encrypt(bits, codec, ks)
+        assert len(trace) > 2 * BLOCK_STEPS
+        assert self.check(codec, cipher, ks, len(bits)) == bits
+        self.check(codec, cipher[:-1], ks, len(bits))
+
+    def test_incomplete_code(self, cache):
+        # state 0's first codeword grows a bit, which leaves a gap in its
+        # code: windows in the gap match nothing, and no step overruns there
+        codec = cache.codec(4, 3, 1)
+        code_len = codec.code_len.copy()
+        code_bits = [int(w, 2) for w in codec.outputs.words()]
+        code_len[0] += 1
+        code_bits[0] <<= 1
+        gapped = huffman.HfsacCodec(codec.rm, code_len, code_bits)
+        messages = set()
+        for i in range(60):
+            ks = KeySchedule(0x6A9 + i, 230)
+            bits = rand_bits(i, 40, 0.5)
+            cipher, _ = encrypt(bits, gapped, ks)
+            assert self.check(gapped, cipher, ks, len(bits)) == bits
+            for cut in range(40, 61):
+                got = self.check(gapped, rand_bits(100 + i, cut, 0.5), ks, len(bits))
+                if isinstance(got, tuple):
+                    messages.add(got[1].split(" at ")[0])
+        assert "no codeword of state 0 matches" in messages
+        # keyless, from state 0: the gap at bit 0 of streams of every length
+        gap = format(code_bits[0] | 1, f"0{code_len[0]}b") + "0" * 8
+        outcomes = {self.check(gapped, gap[:k], None, 8) for k in range(len(gap) + 1)}
+        assert {o[1].split(" at ")[0] for o in outcomes} == {
+            "stream ends inside a codeword", "no codeword of state 0 matches",
+        }
+
+    def test_keyless_long_codewords(self, cache):
+        # (10, 1, 3) has 10-bit codewords, which go through `descend`: the
+        # keyless swap must lie past every one of them
+        codec = cache.codec(10, 1, 3)
+        assert codec.code_len.max() == 10
+        bits = rand_bits(1010, 300, 0.5)
+        code = hfac_encode(bits, codec)
+        assert self.check(codec, code, None, len(bits)) == bits
+        for k in range(len(code)):
+            assert isinstance(self.check(codec, code[:k], None, len(bits)), tuple)
+        for i in range(0, len(code), 7):
+            self.check(codec, _flip(code, i), None, len(bits))
+        for tail in ("0", "1", "1" * 10, rand_bits(9, 25, 0.5)):
+            assert isinstance(self.check(codec, code + tail, None, len(bits)), tuple)
 
 
 # every sweep machine, plus one whose input blocks (up to 512 bits) and
