@@ -18,8 +18,8 @@ from math import exp, inf, lgamma, log2, sqrt
 import numpy as np
 
 from .bitio import BitWriter, Bits
-from .huffman import HfsacCodec, walk_codewords
-from .reducer import walk_blocks
+from .huffman import HfsacCodec
+from .prefix import walk
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -235,7 +235,7 @@ def encrypt_bits(
     draws = _Draws(ks, rm.state_count)
     out = BitWriter()
     columns = []
-    for rows, targets in walk_blocks(rm, plain, draws.jumps):
+    for rows, targets in walk(rm, rm.inputs, plain, plain.n, draws.jumps):
         states = rm.row_state[rows]
         swap_pos = draws.swap.next_block(len(rows)) % codec.swap_moduli[states]
         swap_pos = swap_pos.astype(np.int32)
@@ -252,10 +252,9 @@ def decrypt_bits(cipher: Bits, codec: HfsacCodec, ks: KeySchedule, n_bits: int) 
     decoded bits.  The codewords must use every bit of `cipher`."""
     draws = _Draws(ks, codec.rm.state_count)
     out = BitWriter()
-    for rows in walk_codewords(
-        codec, cipher, n_bits, draws.jumps, draws.swap.next_block,
-        TruncatedStreamError, WrongKeyError,
-    ):
+    swaps = (draws.swap.next_block, codec.swap_moduli, codec._moduli)
+    fail = (TruncatedStreamError, WrongKeyError)
+    for rows, _ in walk(codec.rm, codec.outputs, cipher, n_bits, draws.jumps, swaps, fail):
         out.write(codec.rm.inputs.gather(rows))
     return out.finish(n_bits)
 

@@ -12,20 +12,15 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .bitio import Bits
 from .coder import CoderParams, build_full_fsm
-from .prefix import (
-    BLOCK_STEPS, WINDOW_BITS, WINDOW_MASK, PrefixTable, no_jumps, windows, word_bits,
-)
+from .prefix import PrefixTable, no_jumps, walk, word_bits
 from .reducer import ReducedMachine, parse_rows, reduce_machine
 
 _FLIP = str.maketrans("01", "10")
-# the window XOR of each swap position; codewords are at most 63 bits
-_SWAP_MASKS = WINDOW_MASK >> np.minimum(np.arange(64), WINDOW_BITS)
 
 
 class CorruptStreamError(ValueError):
@@ -176,7 +171,7 @@ class HfsacCodec:
         self.code_len = self.outputs.lengths
         max_len = np.maximum.reduceat(self.code_len, rm.row_base[:-1])
         self.swap_moduli = (max_len + 1).astype(np.uint64)
-        self._moduli = self.swap_moduli.tolist()  # read per step by walk_codewords
+        self._moduli = self.swap_moduli.tolist()  # read per step by prefix.walk
 
     @functools.cached_property
     def tables(self) -> tuple[StateCodeTable, ...]:
@@ -201,102 +196,6 @@ class HfsacCodec:
 
     def __repr__(self) -> str:
         return f"HfsacCodec(states={self.rm.state_count})"
-
-
-def _block_keys(swap_moduli, targets, drawn) -> memoryview:
-    """The lookup keys of a block's steps, `(target << WINDOW_BITS) | swap
-    mask` for a jump step; the swap draws `drawn` are taken modulo the
-    targets' `swap_moduli` in uint64, and with `drawn` None every swap lies
-    at max_len.  A step that does not jump (target -1) keeps a negative
-    key, -1 << WINDOW_BITS | mask; the modulus read for it, at index -1,
-    goes unused."""
-    moduli = swap_moduli[targets]
-    swap = moduli - 1 if drawn is None else drawn % moduli
-    return memoryview(targets << WINDOW_BITS | _SWAP_MASKS[swap])
-
-
-def walk_codewords(
-    codec: HfsacCodec, code: Bits, n_bits: int, jumps, swaps, truncated, corrupt
-):
-    """Parse `code` into codewords from state 0 until n_bits input bits are
-    decoded, a block of steps at a time; the codewords must use all of
-    `code`.
-
-    `jumps(m)` gives the next m steps' jump targets (see `prefix`) and
-    `swaps(m)` their swap draws as uint64; a step's swap position is its
-    draw modulo its state's max_len + 1.  With `swaps` None every swap lies
-    at max_len, past the last bit of every codeword.  Yields the global rows
-    matched, per block.  A window that matches no codeword within `code`
-    raises `truncated` when `code` ends within its state's longest
-    codeword, `corrupt` otherwise; bits left over at the end raise
-    `corrupt`.  Messages name the step and its bit offset.
-
-    A jump step's state is known before the walk, so `_block_keys` gives
-    the lookup keys of a block's jump steps at once, and the loop builds
-    keys only for the steps that keep the state the last step carried over.
-    The loop checks neither the end of `code` nor n_bits: it runs the block
-    until a window matches nothing or lies past the windows' end, and the
-    running sums of the block's codeword and input-block lengths then find
-    the step that reached n_bits and the first step that failed.
-    """
-    table = codec.outputs
-    index = table.index
-    code_lengths = memoryview(table.lengths)
-    next_state = memoryview(codec.rm.next_state)
-    modulus = codec._moduli
-    win = windows(code)
-    n = code.n
-    shift, mask = WINDOW_BITS, WINDOW_MASK
-    pos = done = state = steps = 0
-    while done < n_bits:
-        m = min(BLOCK_STEPS, n_bits - done)
-        drawn = None if swaps is None else swaps(m)
-        keys = _block_keys(codec.swap_moduli, jumps(m), drawn)
-        # a draw of -1 puts the swap at max_len: -1 % modulus is modulus - 1
-        draws = repeat(-1) if drawn is None else memoryview(drawn)
-        pos0, state0 = pos, state
-        rows: list[int] = []
-        append = rows.append
-        try:
-            for key, draw in zip(keys, draws):
-                if key < 0:
-                    key = state << shift | mask >> draw % modulus[state]
-                row = index[key ^ win[pos]]
-                if row < 0:  # no match, or a codeword longer than the window
-                    row = table.descend(win, row, pos, draw % modulus[key >> shift])
-                    if row < 0:
-                        break
-                append(row)
-                pos += code_lengths[row]
-                state = next_state[row]
-        except IndexError:  # a window past the end of `code`: a step overran it
-            pass
-        k = len(rows)
-        rows = np.array(rows, np.int64)
-        # bits read and input bits decoded in the block by the end of each step
-        ends = table.lengths[rows].cumsum()
-        fed = codec.rm.inputs.lengths[rows].cumsum()
-        bad = int(ends.searchsorted(n - pos0, "right"))  # first step past the end
-        stop = int(fed.searchsorted(n_bits - done))  # first step to reach n_bits
-        if bad <= stop and (bad < k or k < m):
-            at = pos0 + (int(ends[bad - 1]) if bad else 0)
-            key = keys[bad]
-            if key >= 0:
-                state = key >> shift
-            else:
-                state = next_state[rows[bad - 1]] if bad else state0
-            where = f"step {steps + bad}, bit {at}"
-            if at + modulus[state] - 1 > n:
-                raise truncated(f"stream ends inside a codeword at {where}")
-            raise corrupt(f"no codeword of state {state} matches at {where}")
-        last = min(stop, k - 1)
-        pos, done = pos0 + int(ends[last]), done + int(fed[last])
-        steps += last + 1
-        yield rows[: last + 1]
-    if pos != n:
-        raise corrupt(
-            f"{n - pos} stream bits left over after step {steps}, at bit {pos}"
-        )
 
 
 def attach_tables(rm: ReducedMachine) -> HfsacCodec:
@@ -327,8 +226,8 @@ def hfac_encode(bits: str, codec: HfsacCodec) -> str:
 
 def hfac_decode(code: str, codec: HfsacCodec, n_bits: int) -> str:
     """Keyless decode of hfac_encode output, truncated to n_bits."""
-    blocks = walk_codewords(
-        codec, Bits.from_text(code), n_bits, no_jumps, None,
-        CorruptStreamError, CorruptStreamError,
+    blocks = walk(
+        codec.rm, codec.outputs, Bits.from_text(code), n_bits, no_jumps,
+        fail=(CorruptStreamError, CorruptStreamError),
     )
-    return "".join(codec.rm.inputs.expand(rows) for rows in blocks)[:n_bits]
+    return "".join(codec.rm.inputs.expand(rows) for rows, _ in blocks)[:n_bits]

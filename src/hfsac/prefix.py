@@ -1,4 +1,4 @@
-"""Prefix-code lookup by fixed-width bit windows.
+"""Prefix-code lookup by fixed-width bit windows, and the one walk over it.
 
 A `PrefixTable` holds one prefix code per state: the input blocks of a
 reduced machine or the codewords of its code tables.  Every word gets a
@@ -18,9 +18,12 @@ Complementing a word's bits from position p on commutes with taking a
 prefix, so a swapped word is matched by XOR-ing the window before the
 lookup.
 
-The walks over these tables run a block of steps at a time; `jumps(m)`
-callables give each of the next m steps its jump target, or -1 where the
-step stays on the state the last step carried over.
+`walk` steps a reduced machine through a stream over one of its tables,
+a keystream block of steps at a time: the input blocks for encrypt and
+the block parse, the codewords for decrypt and the keyless decode.
+`jumps(m)` callables give each of the next m steps its jump target, or -1
+where the step stays on the state the last step carried over.  Only a
+keyed decode complements words, and only it takes the step body with swaps.
 """
 
 from __future__ import annotations
@@ -38,9 +41,11 @@ BLOCK_STEPS = 1 << 13
 # the window at bit k of a byte: its 16-bit read shifted right by 8 - k
 _SHIFTS = np.arange(WINDOW_BITS, 0, -1, dtype=np.uint16)
 _CHUNK = 1 << 12
-# output bits per gather pass: bounds its temporaries (about 25 B per bit)
-# and holds a keystream block of short words in one pass
-_PASS_BITS = 1 << 16
+# output bits per gather pass: bounds its temporaries (about 25 B per bit).
+# Their int64 arrays stay at 64 KiB, under glibc's default 128-KiB trim
+# threshold: larger passes let the heap shrink and regrow every keystream
+# block, and a decode of 96 KiB then faulted in ~4,000 pages, not ~500
+_PASS_BITS = 1 << 13
 # a swap position beyond the longest word: nothing is complemented
 _PAST_WORDS = sys.maxsize
 # a child link holds its node's first entry above 3 bits of width
@@ -242,3 +247,111 @@ class PrefixTable:
         text = (self._bits | ord("0")).tobytes().decode("ascii")
         ends = np.cumsum(self.lengths, dtype=np.int64).tolist()
         return [text[a:b] for a, b in zip(self._offsets.tolist(), ends)]
+
+
+def walk(rm, table: PrefixTable, stream: Bits, limit: int, jumps, swaps=None, fail=None):
+    """Parse `stream` into the words of `table`, the input blocks or the
+    codewords of the reduced machine `rm`, from state 0, a keystream block
+    of at most BLOCK_STEPS steps at a time, until the input blocks of the
+    rows matched add up to `limit` bits.  Yields, per block, the rows
+    matched (int64) and their steps' jump targets.
+
+    `swaps`, given only for a keyed decode, is (draws, moduli, modulus):
+    `draws(m)` gives the next m steps' swap draws as uint64, and a step
+    matches its word complemented from its draw modulo its state's entry
+    of `moduli` (uint64), or of `modulus` (the same, as a list), on.
+
+    With `fail` None the stream is zero-padded past its end, and a window
+    that no word of its state prefixes raises AssertionError.  Otherwise
+    `fail` is (truncated, corrupt): a step that matches nothing or runs
+    past the stream's end raises `truncated` when the stream ends within
+    the state's longest word, `corrupt` otherwise, and stream bits left
+    over at the end raise `corrupt`.  Messages name the step and its bit
+    offset.
+
+    The loop tests neither the stream's end nor the limit: it runs the
+    block until a window matches nothing or lies past the windows' end,
+    and the running sums of the block's word and input-block lengths then
+    give the step that reached the limit and the first step that failed.
+    With swaps, a jump step's state is known before the block is walked,
+    so the lookup keys of its jump steps, `(target << WINDOW_BITS) | swap
+    mask`, come from numpy at once; a step that does not jump has a
+    negative key, and the loop builds its key from the state the last step
+    carried over.
+    """
+    index = table.index
+    lengths = memoryview(table.lengths)
+    next_state = memoryview(rm.next_state)
+    win = windows(stream)
+    n = stream.n
+    shift, mask = WINDOW_BITS, WINDOW_MASK
+    pos = done = state = steps = 0
+    while done < limit:
+        m = min(BLOCK_STEPS, limit - done)
+        targets = jumps(m)
+        pos0, state0 = pos, state
+        rows: list[int] = []
+        append = rows.append
+        try:
+            if swaps is None:
+                for target in targets.tolist():
+                    if target >= 0:
+                        state = target
+                    row = index[state << shift | win[pos]]
+                    if row < 0:  # no match, or a word longer than the window
+                        row = table.descend(win, row, pos)
+                        if row < 0:
+                            break
+                    append(row)
+                    pos += lengths[row]
+                    state = next_state[row]
+            else:
+                draws, moduli, modulus = swaps
+                drawn = draws(m)
+                # swap positions: below 64, as no codeword has more than 63 bits
+                swap = (drawn % moduli[targets]).view(np.int64)
+                keys = memoryview(targets << shift | mask >> swap)
+                for key, draw in zip(keys, memoryview(drawn)):
+                    if key < 0:
+                        key = state << shift | mask >> draw % modulus[state]
+                    row = index[key ^ win[pos]]
+                    if row < 0:
+                        row = table.descend(win, row, pos, draw % modulus[key >> shift])
+                        if row < 0:
+                            break
+                    append(row)
+                    pos += lengths[row]
+                    state = next_state[row]
+        except IndexError:  # a window past the windows' end: a step overran it
+            pass
+        k = len(rows)
+        rows = np.array(rows, np.int64)
+        # stream bits read and input bits fed in the block by the end of each
+        # step: one sum when the stream is the input
+        ends = table.lengths[rows].cumsum()
+        fed = ends if table is rm.inputs else rm.inputs.lengths[rows].cumsum()
+        # the first step that overran the stream, or k: a zero-padded stream
+        # has no end to overrun
+        bad = k if fail is None else int(ends.searchsorted(n - pos0, "right"))
+        stop = int(fed.searchsorted(limit - done))  # first step to reach the limit
+        if bad <= stop and (bad < k or k < m):
+            if targets[bad] >= 0:
+                state = int(targets[bad])
+            else:
+                state = next_state[rows[bad - 1]] if bad else state0
+            if fail is None:
+                raise AssertionError(f"incomplete input block set in state {state}")
+            at = pos0 + (int(ends[bad - 1]) if bad else 0)
+            where = f"step {steps + bad}, bit {at}"
+            words = table.lengths[rm.row_base[state] : rm.row_base[state + 1]]
+            if at + int(words.max()) > n:
+                raise fail[0](f"stream ends inside a codeword at {where}")
+            raise fail[1](f"no codeword of state {state} matches at {where}")
+        last = min(stop, k - 1)
+        pos, done = pos0 + int(ends[last]), done + int(fed[last])
+        steps += last + 1
+        yield rows[: last + 1], targets[: last + 1]
+    if pos < n:
+        raise fail[1](
+            f"{n - pos} stream bits left over after step {steps}, at bit {pos}"
+        )

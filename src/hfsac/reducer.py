@@ -17,7 +17,7 @@ import numpy as np
 
 from .bitio import Bits
 from .coder import CoderParams, FullMachine
-from .prefix import BLOCK_STEPS, WINDOW_BITS, PrefixTable, bit_string, no_jumps, windows
+from .prefix import PrefixTable, bit_string, no_jumps, walk
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -99,41 +99,6 @@ class ReducedMachine:
             f"ReducedMachine(params={self.params!r}, "
             f"states={self.state_count}, transitions={len(self.next_state)})"
         )
-
-
-def walk_blocks(rm: ReducedMachine, bits: Bits, jumps):
-    """Parse `bits` into input blocks from state 0, a block of steps at a time.
-
-    `jumps(m)` gives the next m steps' jump targets (see `prefix`).  Yields,
-    per block, the global rows matched and those steps' targets.  The tail
-    of `bits` is zero-padded to complete the last block.
-    """
-    table = rm.inputs
-    index = table.index
-    lengths = memoryview(table.lengths)
-    next_state = memoryview(rm.next_state)
-    win = windows(bits)
-    n = bits.n
-    shift = WINDOW_BITS
-    pos = state = 0
-    while pos < n:
-        targets = jumps(min(BLOCK_STEPS, n - pos))
-        rows: list[int] = []
-        append = rows.append
-        for target in targets.tolist():
-            if target >= 0:
-                state = target
-            row = index[(state << shift) | win[pos]]
-            if row < 0:  # a block longer than the window, or none
-                row = table.descend(win, row, pos)
-                if row < 0:
-                    raise AssertionError(f"incomplete input block set in state {state}")
-            append(row)
-            pos += lengths[row]
-            state = next_state[row]
-            if pos >= n:
-                break
-        yield np.array(rows, np.int32), targets[: len(rows)]
 
 
 def reduce_machine(machine: FullMachine) -> ReducedMachine:
@@ -284,8 +249,8 @@ def validate_reduced(rm: ReducedMachine) -> ValidationReport:
 
 def parse_rows(bits: Bits, rm: ReducedMachine) -> np.ndarray:
     """Global rows of the greedy block parse from state 0."""
-    blocks = [rows for rows, _ in walk_blocks(rm, bits, no_jumps)]
-    return np.concatenate(blocks) if blocks else np.zeros(0, np.int32)
+    blocks = [rows for rows, _ in walk(rm, rm.inputs, bits, bits.n, no_jumps)]
+    return np.concatenate(blocks) if blocks else np.zeros(0, np.int64)
 
 
 def fsac_parse(bits: str, rm: ReducedMachine):

@@ -505,7 +505,7 @@ def test_encode_decode_memory_per_input_byte(tmp_path):
 def test_decode_memory_long_blocks(tmp_path):
     # (10, 1, 3), q = 0: 256 KiB of ones decode as one keystream block of
     # 4,096 steps of 512-bit input blocks.  That block's 2 Mbit as 0/1 bytes
-    # (2 MiB), its packed copy and gather passes of at most 64 Kbit (~1.6 MiB
+    # (2 MiB), its packed copy and gather passes of at most 8 Kbit (~0.2 MiB
     # of index temporaries) stay under 12 MiB over a 1-byte call; gathering
     # the whole block in one pass took ~35 MiB.
     key = ["--key", "00112233445566ff"]

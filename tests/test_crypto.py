@@ -26,6 +26,7 @@ from hfsac import (
     draw_uniform,
     encrypt,
     encrypt_bits,
+    fsac_parse,
     hfac_decode,
     hfac_encode,
     keyspace_bits,
@@ -43,7 +44,7 @@ from hfsac.crypto import GOLDEN, TAG_JUMP, TAG_STATE, TAG_SWAP
 from hfsac.prefix import BLOCK_STEPS
 from conftest import (
     SWEEP, rand_bits, reference_decrypt, reference_encrypt, reference_match,
-    synthetic_image,
+    reference_parse, synthetic_image,
 )
 
 
@@ -552,6 +553,37 @@ class TestPackedCore:
         assert encrypt_bits(plain, codec, ks, trace=True) == (cipher, trace)
         assert decrypt_bits(cipher, codec, ks, plain.n) == plain
         assert decrypt(text_cipher, codec, ks, len(text)) == text
+
+    @pytest.mark.parametrize(
+        "params, n_bits, whole", [((4, 3, 1), 36_000, True), ((10, 1, 3), 17_000, False)]
+    )
+    def test_encrypt_and_parse_across_keystream_blocks(self, cache, params, n_bits, whole):
+        # texts whose last step is the last of the first keystream block, the
+        # first of the second or the one after; each ends one bit short of
+        # that step's state's longest block, which the zero padding completes
+        # (512 bits on (10, 1, 3)).  The whole (4, 3, 1) text runs over more
+        # than two blocks; the reference takes ~170 us a step on (10, 1, 3),
+        # which has 513 blocks, so there only the cut texts are checked.
+        codec = cache.codec(*params)
+        rm = codec.rm
+        ks = KeySchedule(0xB10C5, 230)
+        bits = rand_bits(1313, n_bits, 0.5)
+        rows = reducer.parse_rows(Bits.from_text(bits), rm)
+        starts = (np.cumsum(rm.block_len[rows]) - rm.block_len[rows]).tolist()
+        texts = {}
+        for k in (BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1):
+            blocks = rm.transitions[int(rm.row_state[rows[k]])]
+            longest = max((t.input_block for t in blocks), key=len)
+            texts[k] = bits[: starts[k]] + longest[:-1]
+        if whole:
+            assert len(rows) > 2 * BLOCK_STEPS
+            texts[len(rows) - 1] = bits
+        for last, text in texts.items():
+            steps, padded = reference_parse(rm, text)
+            assert len(steps) == last + 1
+            assert fsac_parse(text, rm) == (steps, padded)
+            cipher, _ = encrypt_bits(Bits.from_text(text), codec, ks)
+            assert cipher == Bits.from_text(reference_encrypt(codec, text, ks))
 
     @pytest.mark.parametrize("params", [(4, 3, 1), (10, 1, 3)])
     def test_cipher_lengths_off_byte_boundaries(self, cache, params):

@@ -14,6 +14,7 @@ from hfsac import (
     reduce_machine,
     validate_reduced,
 )
+from hfsac.prefix import BLOCK_STEPS
 from conftest import SWEEP, full_from_rows, rand_bits, reduced_from_rows
 
 
@@ -200,6 +201,17 @@ class TestValidateReduced:
         assert fsac_parse("0100", rm)[1] == "0100"
         with pytest.raises(AssertionError, match="incomplete input block set"):
             fsac_parse("011", rm)
+
+    def test_parse_rejects_incomplete_blocks_in_later_keystream_blocks(self):
+        # the gap is reached at the last step of the first keystream block,
+        # the first step of the second, or further on in it
+        rm = incomplete_machine()
+        for k in (BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 5):
+            assert fsac_parse("0" * k, rm)[1] == "0" * k
+            with pytest.raises(
+                AssertionError, match=r"^incomplete input block set in state 0$"
+            ):
+                fsac_parse("0" * k + "11", rm)
 
     def test_detects_unreachable_state(self):
         rm = reduced_from_rows(
