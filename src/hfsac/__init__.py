@@ -20,7 +20,7 @@ from .analysis import (
     state_visit_histogram,
     uaci,
 )
-from .bitio import Bits, pack_bits, unpack_bits
+from .bitio import BitSource, Bits, BitWriter, pack_bits, unpack_bits
 from .coder import (
     CoderParams,
     FullMachine,
@@ -46,10 +46,12 @@ from .crypto import (
     bernoulli_bits,
     decrypt,
     decrypt_bits,
+    decrypt_stream,
     draw_bernoulli,
     draw_uniform,
     encrypt,
     encrypt_bits,
+    encrypt_stream,
     keyspace_bits,
     seed_from_hex,
     seed_to_hex,

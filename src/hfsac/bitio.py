@@ -1,16 +1,20 @@
 """Packed bit sequences, most significant bit first.
 
 `Bits` is the one bit type of the encode and decode paths: bytes plus a bit
-length.  `BitWriter` packs 0/1 arrays as they are produced.  `pack_bits`
-and `unpack_bits` convert '0'/'1' text, which tests and tools still use.
+length.  `BitSource` reads packed bits a chunk of bytes at a time, from
+`Bits` or from a file, and `BitWriter` packs 0/1 arrays as they are
+produced and hands their whole bytes on.  `pack_bits` and `unpack_bits`
+convert '0'/'1' text, which tests and tools still use.
 """
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 
 
-def _pad_mask(n: int) -> int:
+def pad_mask(n: int) -> int:
     """The padding bits of the last byte of an n-bit sequence."""
     return 0xFF >> (n % 8) if n % 8 else 0
 
@@ -28,7 +32,7 @@ class Bits:
             n = 8 * len(data)
         if n < 0 or len(data) != (n + 7) // 8:
             raise ValueError(f"{len(data)} bytes cannot hold exactly {n} bits")
-        if data and data[-1] & _pad_mask(n):
+        if data and data[-1] & pad_mask(n):
             raise ValueError("nonzero padding bits")
         self.data = data
         self.n = n
@@ -65,35 +69,63 @@ class Bits:
         return f"Bits(n={self.n})"
 
 
+class BitSource:
+    """`n` bits packed MSB first, read in order by `read(k)`, which gives
+    the next at most k of their ceil(n / 8) bytes, as a binary file's
+    `read` does."""
+
+    __slots__ = ("read", "n")
+
+    def __init__(self, read, n: int):
+        self.read, self.n = read, n
+
+    @classmethod
+    def of(cls, bits: Bits) -> BitSource:
+        return cls(io.BytesIO(bits.data).read, bits.n)
+
+
 class BitWriter:
-    """Packs 0/1 `uint8` arrays into bytes as they are written; the bits of
-    an unfinished byte are carried to the next write."""
+    """Packs 0/1 `uint8` arrays into bytes as they are written, and hands
+    each write's whole bytes to `sink`; the bits of an unfinished byte are
+    carried to the next write.  Without a sink the writer keeps the bytes
+    for `finish`."""
 
-    __slots__ = ("_out", "_carry")
+    __slots__ = ("_out", "_sink", "_carry", "n")
 
-    def __init__(self):
+    def __init__(self, sink=None):
         self._out = bytearray()
+        self._sink = self._out.extend if sink is None else sink
         self._carry = np.zeros(0, np.uint8)
+        self.n = 0  # bits written
 
     def write(self, bits01: np.ndarray) -> None:
+        self.n += len(bits01)
         if len(self._carry):
             bits01 = np.concatenate((self._carry, bits01))
         whole = len(bits01) & ~7
-        self._out += np.packbits(bits01[:whole]).tobytes()
+        if whole:
+            self._sink(np.packbits(bits01[:whole]).tobytes())
         self._carry = bits01[whole:].copy()
 
+    def flush(self) -> int:
+        """Hands the unfinished byte, zero-padded, to the sink; returns the
+        number of bits written.  Nothing is written after."""
+        if len(self._carry):
+            self._sink(np.packbits(self._carry).tobytes())
+            self._carry = self._carry[:0]
+        return self.n
+
     def finish(self, n: int | None = None) -> Bits:
-        """Everything written, or its first n bits."""
-        total = 8 * len(self._out) + len(self._carry)
+        """Everything written, or its first n bits, of a writer without a
+        sink."""
         if n is None:
-            n = total
-        elif not 0 <= n <= total:  # refused before the writer changes
-            raise ValueError(f"{n} bits asked of {total} written")
-        self._out += np.packbits(self._carry).tobytes()
-        self._carry = self._carry[:0]
+            n = self.n
+        elif not 0 <= n <= self.n:  # refused before the writer changes
+            raise ValueError(f"{n} bits asked of {self.n} written")
+        self.flush()
         del self._out[(n + 7) // 8 :]
         if self._out:
-            self._out[-1] &= ~_pad_mask(n) & 0xFF
+            self._out[-1] &= ~pad_mask(n) & 0xFF
         return Bits(self._out, n)
 
 

@@ -7,13 +7,16 @@ error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
+import stat
 import sys
+from contextlib import contextmanager
 
-from .analysis import GrayImage, analyze_image, compression_rates
-from .bitio import Bits
+from .analysis import analyze_image, compression_rates
+from .bitio import BitSource, BitWriter, Bits
 from .coder import CoderParams, StateExplosionError
-from .container import CipherContainer, ContainerError, parse, serialize
+from .container import ContainerError, pack_header, parse, read_header
 from .crypto import (
     KeyFormatError,
     KeySchedule,
@@ -22,11 +25,13 @@ from .crypto import (
     WrongKeyError,
     bernoulli_bits,
     decrypt_bits,
+    decrypt_stream,
     encrypt_bits,
+    encrypt_stream,
     seed_from_hex,
 )
 from .huffman import build_codec, swap_codeword
-from .pgm import PgmError, parse_pgm, pgm_bytes, read_pgm
+from .pgm import PgmError, parse_pgm, pgm_header, read_pgm, read_pgm_header
 from .prefix import bit_string
 from .reducer import kraft_sum, validate_reduced
 
@@ -189,47 +194,102 @@ def cmd_tables(args) -> int:
     return 0
 
 
-def _read_plain_bits(path, fmt: str) -> Bits:
-    with open(path, "rb") as fh:
+def _plain_source(fh, fmt: str) -> BitSource:
+    """The bits to encode from the open `--in` file: its bytes, or the
+    raster of a P5 image.  A regular file is read as the walk goes;
+    anything else is read whole."""
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
         data = fh.read()
+        return BitSource.of(Bits(parse_pgm(data).pixels if fmt == "pgm" else data))
     if fmt == "pgm":
-        return Bits(parse_pgm(data).pixels)
-    return Bits(data)
+        width, height = read_pgm_header(fh)
+        return BitSource(fh.read, 8 * width * height)
+    return BitSource(fh.read, 8 * os.fstat(fh.fileno()).st_size)
+
+
+def _cipher_source(fh) -> tuple[CoderParams, int, BitSource]:
+    """(params, plain_bit_len, cipher bits) of the container in the open
+    `--in` file, checked before any of its payload is read.  A regular file
+    is read as the walk goes; anything else is read whole."""
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        box = parse(fh.read())
+        return box.params, box.plain_bit_len, BitSource.of(box.cipher)
+    params, plain_len, cipher_len = read_header(fh)
+    return params, plain_len, BitSource(fh.read, cipher_len)
+
+
+@contextmanager
+def _replacing(path):
+    """A binary file that replaces `path` once the block ends without an
+    error; on an error it is removed, and `path` keeps what it held.
+
+    It is made beside `path` (a symbolic link's target), with the mode that
+    open(path, "wb") gives: an existing file's, else 0o666 less the umask.
+    A `path` that exists and is not a regular file is refused.
+    """
+    path = os.path.realpath(path)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        raise OSError(f"not a regular file: {path!r}")
+    head, tail = os.path.split(path)
+    for i in itertools.count():
+        tmp = os.path.join(head, f".{tail}.{os.getpid()}-{i}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+    try:
+        with open(fd, "wb") as fh:
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def cmd_encode(args) -> int:
     seed = _load_seed(args)
     params = _params(args, args.jump_prob)
-    plain = _read_plain_bits(args.infile, args.format)
-    codec = build_codec(params)
-    cipher, _ = encrypt_bits(plain, codec, KeySchedule(seed, args.jump_prob))
-    blob = serialize(CipherContainer(params, plain.n, cipher))
-    with open(args.out, "wb") as fh:
-        fh.write(blob)
+    with open(args.infile, "rb") as src:
+        plain = _plain_source(src, args.format)
+        with _replacing(args.out) as out:
+            codec = build_codec(params)
+            # cipher_bit_len is known once the payload is out
+            out.write(pack_header(params, plain.n, 0))
+            writer = BitWriter(out.write)
+            encrypt_stream(plain, codec, KeySchedule(seed, args.jump_prob), writer)
+            cipher_len = writer.flush()
+            out.seek(0)
+            out.write(pack_header(params, plain.n, cipher_len))
     return 0
 
 
 def cmd_decode(args) -> int:
     seed = _load_seed(args)
-    with open(args.infile, "rb") as fh:
-        container = parse(fh.read())
-    params = container.params
-    n_bits = container.plain_bit_len
-    if args.format == "pgm":
-        if not (args.width and args.height):
-            raise UsageError("--format pgm needs positive --width and --height")
-        if args.width * args.height * 8 != n_bits:
-            raise ContainerError(
-                f"container holds {n_bits} plain bits, not "
-                f"{args.width}x{args.height} pixels"
-            )
-    codec = build_codec(params)
-    ks = KeySchedule(seed, params.jump_q_num)
-    data = decrypt_bits(container.cipher, codec, ks, n_bits).data
-    if args.format == "pgm":
-        data = pgm_bytes(GrayImage(args.width, args.height, data))
-    with open(args.out, "wb") as fh:
-        fh.write(data)
+    with open(args.infile, "rb") as src:
+        params, n_bits, cipher = _cipher_source(src)
+        if args.format == "pgm":
+            if not (args.width and args.height):
+                raise UsageError("--format pgm needs positive --width and --height")
+            if args.width * args.height * 8 != n_bits:
+                raise ContainerError(
+                    f"container holds {n_bits} plain bits, not "
+                    f"{args.width}x{args.height} pixels"
+                )
+        with _replacing(args.out) as out:
+            codec = build_codec(params)
+            if args.format == "pgm":
+                out.write(pgm_header(args.width, args.height))
+            writer = BitWriter(out.write)
+            ks = KeySchedule(seed, params.jump_q_num)
+            decrypt_stream(cipher, codec, ks, n_bits, writer)
+            writer.flush()
     return 0
 
 

@@ -3,21 +3,26 @@
 Layout (big endian): magic "HFSA", version byte 0x01, n_bits u8, f_max u8,
 p0_num u32, jump_q_num u16, plain_bit_len u64, cipher_bit_len u64, then the
 cipher bits packed MSB-first with zero padding.  Everything but the seed is
-public; the header alone reconstructs the codec.
+public; the header alone reconstructs the codec.  `parse_header` checks a
+header against its payload's size and last byte, so a file's container is
+checked before its payload is read; an encoder that streams the payload
+writes the header again, with cipher_bit_len, once the payload is out.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
-from .bitio import Bits
+from .bitio import Bits, pad_mask
 from .coder import CoderParams
 
 MAGIC = b"HFSA"
 VERSION = 1
 
 _HEADER = struct.Struct(">4sBBBIHQQ")
+HEADER_SIZE = _HEADER.size
 
 
 class ContainerError(ValueError):
@@ -45,26 +50,32 @@ class CipherContainer:
         return self.cipher.to_text()
 
 
-def serialize(container: CipherContainer) -> bytes:
-    p = container.params
-    header = _HEADER.pack(
+def pack_header(params: CoderParams, plain_bit_len: int, cipher_bit_len: int) -> bytes:
+    return _HEADER.pack(
         MAGIC,
         VERSION,
-        p.n_bits,
-        p.f_max,
-        p.p0_num,
-        p.jump_q_num,
-        container.plain_bit_len,
-        container.cipher.n,
+        params.n_bits,
+        params.f_max,
+        params.p0_num,
+        params.jump_q_num,
+        plain_bit_len,
+        cipher_bit_len,
     )
+
+
+def serialize(container: CipherContainer) -> bytes:
+    header = pack_header(container.params, container.plain_bit_len, container.cipher.n)
     return header + container.cipher.data
 
 
-def parse(data: bytes) -> CipherContainer:
-    if len(data) < _HEADER.size:
+def parse_header(head: bytes, payload_size: int, last: bytes) -> tuple[CoderParams, int, int]:
+    """(params, plain_bit_len, cipher_bit_len) of a container whose first
+    bytes are `head`, checked against its payload's size in bytes and its
+    last byte `last` (empty when the payload is): every check of `parse`."""
+    if len(head) < HEADER_SIZE:
         raise ContainerError("truncated container header")
     magic, version, n_bits, f_max, p0_num, jump_q, plain_len, cipher_len = (
-        _HEADER.unpack_from(data)
+        _HEADER.unpack_from(head)
     )
     if magic != MAGIC:
         raise ContainerError(f"bad magic {magic!r}")
@@ -74,14 +85,30 @@ def parse(data: bytes) -> CipherContainer:
         params = CoderParams(n_bits, p0_num, f_max, jump_q)
     except ValueError as exc:
         raise ContainerError(f"invalid header parameters: {exc}") from None
-    payload = data[_HEADER.size :]
     need = (cipher_len + 7) // 8
-    if len(payload) < need:
+    if payload_size < need:
         raise ContainerError("truncated container payload")
-    if len(payload) > need:
+    if payload_size > need:
         raise ContainerError("trailing bytes after container payload")
-    try:
-        cipher = Bits(payload, cipher_len)
-    except ValueError as exc:  # nonzero padding bits
-        raise ContainerError(str(exc)) from None
-    return CipherContainer(params, plain_len, cipher)
+    if last and last[0] & pad_mask(cipher_len):
+        raise ContainerError("nonzero padding bits")
+    return params, plain_len, cipher_len
+
+
+def parse(data: bytes) -> CipherContainer:
+    payload = data[HEADER_SIZE:]
+    params, plain_len, cipher_len = parse_header(data, len(payload), payload[-1:])
+    return CipherContainer(params, plain_len, Bits(payload, cipher_len))
+
+
+def read_header(fh) -> tuple[CoderParams, int, int]:
+    """`parse_header` of the container in the open regular file `fh`, from
+    its first bytes, its size and its last byte; leaves `fh` at the
+    payload's first byte."""
+    size = os.fstat(fh.fileno()).st_size
+    head, last = fh.read(HEADER_SIZE), b""
+    if size > HEADER_SIZE:
+        fh.seek(size - 1)
+        last = fh.read(1)
+        fh.seek(HEADER_SIZE)
+    return parse_header(head, size - HEADER_SIZE, last)

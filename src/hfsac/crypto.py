@@ -17,7 +17,7 @@ from math import exp, inf, lgamma, log2, sqrt
 
 import numpy as np
 
-from .bitio import BitWriter, Bits
+from .bitio import BitSource, BitWriter, Bits
 from .huffman import HfsacCodec
 from .prefix import walk
 
@@ -218,11 +218,11 @@ class _Draws:
         return targets
 
 
-def encrypt_bits(
-    plain: Bits, codec: HfsacCodec, ks: KeySchedule, *, trace: bool = False
-) -> tuple[Bits, StepTrace | None]:
-    """Encrypt packed bits; returns (cipher bits, per-step trace), the
-    trace only when asked for, else None.
+def encrypt_stream(
+    plain: BitSource, codec: HfsacCodec, ks: KeySchedule, out: BitWriter, *, trace: bool = False
+) -> StepTrace | None:
+    """Encrypt the bits `plain` reads into `out`, a keystream block of
+    steps at a time; returns the per-step trace when asked for, else None.
 
     Per step: draw the jump flag (the first step always jumps), on a jump
     draw the target state, draw the swap position, parse one input block,
@@ -233,7 +233,6 @@ def encrypt_bits(
     """
     rm = codec.rm
     draws = _Draws(ks, rm.state_count)
-    out = BitWriter()
     columns = []
     for rows, targets in walk(rm, rm.inputs, plain, plain.n, draws.jumps):
         states = rm.row_state[rows]
@@ -244,18 +243,39 @@ def encrypt_bits(
             columns.append(
                 (targets >= 0, states, rows - rm.row_base[states], swap_pos)
             )
-    return out.finish(), StepTrace(*map(np.concatenate, zip(*columns))) if trace else None
+    return StepTrace(*map(np.concatenate, zip(*columns))) if trace else None
+
+
+def decrypt_stream(
+    cipher: BitSource, codec: HfsacCodec, ks: KeySchedule, n_bits: int, out: BitWriter
+) -> None:
+    """Invert encrypt_stream under the same schedule: write the first
+    n_bits decoded bits into `out`.  The codewords must use every bit that
+    `cipher` reads."""
+    draws = _Draws(ks, codec.rm.state_count)
+    swaps = (draws.swap.next_block, codec.swap_moduli, codec._moduli)
+    fail = (TruncatedStreamError, WrongKeyError)
+    left = n_bits  # the last input block may run past the plain bits
+    for rows, _ in walk(codec.rm, codec.outputs, cipher, n_bits, draws.jumps, swaps, fail):
+        bits01 = codec.rm.inputs.gather(rows)[:left]
+        left -= len(bits01)
+        out.write(bits01)
+
+
+def encrypt_bits(
+    plain: Bits, codec: HfsacCodec, ks: KeySchedule, *, trace: bool = False
+) -> tuple[Bits, StepTrace | None]:
+    """`encrypt_stream` on packed bits; returns (cipher bits, per-step
+    trace), the trace only when asked for, else None."""
+    out = BitWriter()
+    steps = encrypt_stream(BitSource.of(plain), codec, ks, out, trace=trace)
+    return out.finish(), steps
 
 
 def decrypt_bits(cipher: Bits, codec: HfsacCodec, ks: KeySchedule, n_bits: int) -> Bits:
-    """Invert encrypt_bits under the same schedule: the first n_bits
-    decoded bits.  The codewords must use every bit of `cipher`."""
-    draws = _Draws(ks, codec.rm.state_count)
+    """`decrypt_stream` on packed bits: the first n_bits decoded bits."""
     out = BitWriter()
-    swaps = (draws.swap.next_block, codec.swap_moduli, codec._moduli)
-    fail = (TruncatedStreamError, WrongKeyError)
-    for rows, _ in walk(codec.rm, codec.outputs, cipher, n_bits, draws.jumps, swaps, fail):
-        out.write(codec.rm.inputs.gather(rows))
+    decrypt_stream(BitSource.of(cipher), codec, ks, n_bits, out)
     return out.finish(n_bits)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitio import Bits
+from .bitio import BitSource, Bits
 from .coder import CoderParams, build_full_fsm
 from .prefix import PrefixTable, no_jumps, walk, word_bits
 from .reducer import ReducedMachine, parse_rows, reduce_machine
@@ -227,7 +227,7 @@ def hfac_encode(bits: str, codec: HfsacCodec) -> str:
 def hfac_decode(code: str, codec: HfsacCodec, n_bits: int) -> str:
     """Keyless decode of hfac_encode output, truncated to n_bits."""
     blocks = walk(
-        codec.rm, codec.outputs, Bits.from_text(code), n_bits, no_jumps,
+        codec.rm, codec.outputs, BitSource.of(Bits.from_text(code)), n_bits, no_jumps,
         fail=(CorruptStreamError, CorruptStreamError),
     )
     return "".join(codec.rm.inputs.expand(rows) for rows, _ in blocks)[:n_bits]

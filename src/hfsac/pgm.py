@@ -2,15 +2,26 @@
 
 from __future__ import annotations
 
+import os
+
 from .analysis import GrayImage
+
+# bytes read for a header first; a longer one is read in doubling steps
+_HEAD = 1 << 12
 
 
 class PgmError(ValueError):
     """Malformed PGM data."""
 
 
-def _tokens(data: bytes):
-    """Yield header tokens, skipping whitespace and # comments."""
+class _Incomplete(Exception):
+    """The header may go on past the bytes read so far."""
+
+
+def _tokens(data: bytes, complete: bool):
+    """Yield header tokens, skipping whitespace and # comments.  Unless
+    `data` is `complete`, whatever may go on past its end raises
+    _Incomplete."""
     i = 0
     n = len(data)
     while i < n:
@@ -21,19 +32,26 @@ def _tokens(data: bytes):
         if c == b"#":
             j = data.find(b"\n", i)
             if j < 0:
+                if not complete:
+                    raise _Incomplete
                 raise PgmError("unterminated comment")
             i = j + 1
             continue
         j = i
         while j < n and data[j : j + 1] not in b" \t\r\n":
             j += 1
+        if j == n and not complete:
+            raise _Incomplete
         yield data[i:j], j
         i = j
+    if not complete:
+        raise _Incomplete
 
 
-def parse_pgm(data: bytes) -> GrayImage:
-    """Parse raw P5 bytes into a GrayImage; maxval must be 255."""
-    toks = _tokens(data)
+def _header(data: bytes, complete: bool = True) -> tuple[int, int, int]:
+    """(width, height, offset of the raster) of the P5 header that `data`
+    starts with, which is the whole file when `complete`."""
+    toks = _tokens(data, complete)
     try:
         magic, _ = next(toks)
         if magic != b"P5":
@@ -55,16 +73,47 @@ def parse_pgm(data: bytes) -> GrayImage:
     # exactly one whitespace byte separates the header from the raster
     if end >= len(data) or data[end : end + 1] not in b" \t\r\n":
         raise PgmError("missing raster separator")
-    raster = data[end + 1 :]
-    if len(raster) != width * height:
-        raise PgmError(
-            f"raster holds {len(raster)} bytes, expected {width * height}"
-        )
+    return width, height, end + 1
+
+
+def _check_raster(size: int, width: int, height: int) -> None:
+    if size != width * height:
+        raise PgmError(f"raster holds {size} bytes, expected {width * height}")
+
+
+def parse_pgm(data: bytes) -> GrayImage:
+    """Parse raw P5 bytes into a GrayImage; maxval must be 255."""
+    width, height, at = _header(data)
+    raster = data[at:]
+    _check_raster(len(raster), width, height)
     return GrayImage(width, height, raster)
 
 
+def read_pgm_header(fh) -> tuple[int, int]:
+    """(width, height) of the P5 image in the open regular file `fh`, with
+    every check of `parse_pgm`, reading the file only as far as its header
+    goes; leaves `fh` at the raster's first byte."""
+    head = b""
+    while True:
+        want = max(len(head), _HEAD)
+        more = fh.read(want)
+        head += more
+        try:
+            width, height, at = _header(head, len(more) < want)
+            break
+        except _Incomplete:
+            pass
+    _check_raster(os.fstat(fh.fileno()).st_size - at, width, height)
+    fh.seek(at)
+    return width, height
+
+
+def pgm_header(width: int, height: int) -> bytes:
+    return b"P5\n%d %d\n255\n" % (width, height)
+
+
 def pgm_bytes(img: GrayImage) -> bytes:
-    return b"P5\n%d %d\n255\n" % (img.width, img.height) + img.pixels
+    return pgm_header(img.width, img.height) + img.pixels
 
 
 def read_pgm(path) -> GrayImage:

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bitio import Bits
+from .bitio import BitSource, Bits
 from .coder import CoderParams, FullMachine
 from .prefix import PrefixTable, bit_string, no_jumps, walk
 
@@ -249,7 +249,7 @@ def validate_reduced(rm: ReducedMachine) -> ValidationReport:
 
 def parse_rows(bits: Bits, rm: ReducedMachine) -> np.ndarray:
     """Global rows of the greedy block parse from state 0."""
-    blocks = [rows for rows, _ in walk(rm, rm.inputs, bits, bits.n, no_jumps)]
+    blocks = [rows for rows, _ in walk(rm, rm.inputs, BitSource.of(bits), bits.n, no_jumps)]
     return np.concatenate(blocks) if blocks else np.zeros(0, np.int64)
 
 

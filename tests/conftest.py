@@ -65,26 +65,30 @@ def reduced_from_rows(params, rows, origin) -> ReducedMachine:
     )
 
 
-def reference_match(rm, state: int, bits: str, pos: int) -> tuple[int, int]:
-    """(transition index, block length) of the one row of `state` whose input
-    block prefixes bits[pos:], zero-padded; read off `rm.transitions` alone."""
-    found = [
-        (i, len(t.input_block))
-        for i, t in enumerate(rm.transitions[state])
-        if bits[pos : pos + len(t.input_block)].ljust(len(t.input_block), "0")
-        == t.input_block
-    ]
-    assert len(found) == 1, f"state {state} at {pos}: {found}"
-    return found[0]
+def reference_match(rm, state: int, bits: str, pos: int, blocks: dict) -> tuple[int, int]:
+    """(transition index, block length) of the row of `state` whose input
+    block prefixes bits[pos:], zero-padded; read off `rm.transitions` alone.
+    `blocks` caches, per state, its blocks' transition indexes by block and
+    their lengths, shortest first, which are tried in turn."""
+    if state not in blocks:
+        words = [t.input_block for t in rm.transitions[state]]
+        blocks[state] = ({w: i for i, w in enumerate(words)}, sorted(set(map(len, words))))
+    code, lengths = blocks[state]
+    for length in lengths:
+        idx = code.get(bits[pos : pos + length].ljust(length, "0"))
+        if idx is not None:
+            return idx, length
+    raise AssertionError(f"no block of state {state} matches at {pos}")
 
 
 def reference_parse(rm, bits: str) -> tuple[list[tuple[int, int]], str]:
     """`fsac_parse` by `reference_match`: (state, transition index) per step
     and the zero-padded input."""
+    blocks = {}
     steps = []
     pos = state = 0
     while pos < len(bits):
-        idx, length = reference_match(rm, state, bits, pos)
+        idx, length = reference_match(rm, state, bits, pos, blocks)
         steps.append((state, idx))
         pos += length
         state = rm.transitions[state][idx].to
@@ -96,6 +100,7 @@ def reference_encrypt(codec, bits: str, ks) -> str:
     `reference_match`: the cipher as '0'/'1' text."""
     rm = codec.rm
     jump, state_gen, swap = (ks.substream(t) for t in (TAG_JUMP, TAG_STATE, TAG_SWAP))
+    blocks = {}
     out = []
     pos = state = 0
     while pos < len(bits):
@@ -103,7 +108,7 @@ def reference_encrypt(codec, bits: str, ks) -> str:
             state = draw_uniform(state_gen, rm.state_count)
         table = codec.tables[state]
         swap_pos = draw_uniform(swap, table.max_len + 1)
-        idx, length = reference_match(rm, state, bits, pos)
+        idx, length = reference_match(rm, state, bits, pos, blocks)
         out.append(swap_codeword(table.codewords[idx], swap_pos))
         pos += length
         state = rm.transitions[state][idx].to

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from hfsac import Bits
 from hfsac import prefix
-from hfsac.bitio import BitWriter
-from hfsac.prefix import windows
+from hfsac.bitio import BitSource, BitWriter
+from hfsac.prefix import WindowBuffer, windows
 
 bit_text = st.text(alphabet="01", max_size=200)
 
@@ -95,3 +95,55 @@ class TestWindows:
         finally:
             prefix._CHUNK = saved
         assert bytes(got) == reference_windows(Bits(data).to_text())
+
+
+class TestWindowBuffer:
+    def slide_through(self, data, n, span, strides):
+        """Slides a buffer of `span` over `n` bits of `data` by `strides` in
+        turn, then by 1 to the end, checking the windows at every start."""
+        text = Bits(data).to_text()[:n]
+        want = reference_windows(text)
+        buf = WindowBuffer(BitSource.of(Bits.from_text(text)), span)
+        pos = 0
+        strides = iter(strides)
+        while True:
+            win, start = buf.slide(pos)
+            assert buf.base + start == pos
+            held = buf.held - start
+            assert bytes(win[start : buf.held]) == want[pos : pos + held], pos
+            if pos + held == len(want):  # the end: past it, the windows raise
+                assert len(win) == buf.held
+            else:
+                assert held >= span - 8, (pos, held)
+                assert len(win) <= 2 * span
+            if pos == len(want) - 1:
+                return
+            # the walk slides no further than the windows it holds
+            pos += max(1, min(next(strides, 1), held - 1))
+
+    @pytest.mark.parametrize("span", [9, 16, 17, 23, 40, 1000])
+    def test_every_start_offset(self, span):
+        data = np.random.default_rng(span).bytes(24)
+        for n in (0, 1, 8, 13, 64, 185, 192):
+            self.slide_through(data, n, span, [])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.binary(max_size=40),
+        st.integers(0, 7),
+        st.integers(9, 80),
+        st.lists(st.integers(1, 90), max_size=30),
+        st.integers(1, 5),
+    )
+    def test_strides_and_chunks(self, data, cut, span, strides, chunk):
+        # reads of a few bytes: every window pass carries a byte over
+        prefix._CHUNK, saved = chunk, prefix._CHUNK
+        try:
+            self.slide_through(data, max(8 * len(data) - cut, 0), span, strides)
+        finally:
+            prefix._CHUNK = saved
+
+    def test_a_short_read_raises(self):
+        source = BitSource(lambda k: b"\x01", 24)
+        with pytest.raises(ValueError, match="ends 2 bytes short"):
+            WindowBuffer(source, 100).slide(0)

@@ -250,6 +250,97 @@ class TestEncodeDecode:
         assert rc == 2
 
 
+class TestAtomicOutput:
+    """`--out` is written as a new file beside it, which replaces it only
+    once the whole output is out: a failed call leaves it as it was."""
+
+    KEY = "00112233445566ff"
+
+    def encode(self, tmp_path, data=bytes(range(256)) * 4):
+        plain, box = tmp_path / "plain.bin", tmp_path / "box.hfsa"
+        plain.write_bytes(data)
+        assert main(
+            ["encode", "--in", str(plain), "--out", str(box), "--key", self.KEY,
+             "--n", "6", "--p0-num", "28", "--fmax", "3", "--jump-prob", "230"]
+        ) == 0
+        return box
+
+    def decode(self, box, out, key=KEY):
+        return main(["decode", "--in", str(box), "--out", str(out), "--key", key])
+
+    def failures(self, tmp_path):
+        """(name, container) pairs that fail to decode only while the payload
+        is walked."""
+        blob = self.encode(tmp_path).read_bytes()
+        header = bytearray(blob[:29])
+        header[21:29] = (8 * (len(blob) - 30)).to_bytes(8, "big")  # the last byte cut off
+        flipped = bytearray(blob)
+        flipped[40] ^= 0x10
+        cases = {"flipped": bytes(flipped), "truncated": bytes(header) + blob[29:-1]}
+        for name, data in cases.items():
+            path = tmp_path / f"{name}.hfsa"
+            path.write_bytes(data)
+            yield name, path
+
+    def test_failures_leave_no_output(self, tmp_path):
+        box = self.encode(tmp_path)
+        before = set(os.listdir(tmp_path))
+        wrong = "f" + self.KEY[1:]
+        assert self.decode(box, tmp_path / "back", wrong) == 3
+        for name, path in self.failures(tmp_path):
+            before.add(path.name)
+            assert self.decode(path, tmp_path / "back") == 3, name
+        # a payload cut short of its header's length fails before any output
+        short = tmp_path / "short.hfsa"
+        short.write_bytes(box.read_bytes()[:-1])
+        before.add(short.name)
+        assert self.decode(short, tmp_path / "back") == 2
+        assert set(os.listdir(tmp_path)) == before
+
+    def test_failures_keep_an_existing_output(self, tmp_path):
+        back = tmp_path / "back"
+        back.write_bytes(b"kept")
+        back.chmod(0o640)
+        for name, path in self.failures(tmp_path):
+            assert self.decode(path, back) == 3, name
+            assert back.read_bytes() == b"kept"
+            assert back.stat().st_mode & 0o777 == 0o640
+        # a call that succeeds replaces the bytes, and keeps the mode
+        assert self.decode(self.encode(tmp_path), back) == 0
+        assert back.read_bytes() == bytes(range(256)) * 4
+        assert back.stat().st_mode & 0o777 == 0o640
+
+    def test_new_output_mode(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            with open(tmp_path / "opened", "wb"):
+                pass
+            box = self.encode(tmp_path)
+            assert self.decode(box, tmp_path / "back") == 0
+        finally:
+            os.umask(umask)
+        mode = (tmp_path / "opened").stat().st_mode
+        assert mode & 0o777 == 0o640
+        assert box.stat().st_mode == (tmp_path / "back").stat().st_mode == mode
+
+    def test_refuses_an_output_that_is_not_a_regular_file(self, tmp_path, monkeypatch):
+        box = self.encode(tmp_path)
+        folder = tmp_path / "folder"
+        folder.mkdir()
+
+        def no_codec(params):
+            raise AssertionError("built a codec")
+
+        monkeypatch.setattr(cli, "build_codec", no_codec)
+        assert self.decode(box, folder) == 2
+        assert main(
+            ["encode", "--in", str(box), "--out", str(folder), "--key", self.KEY,
+             "--n", "6", "--p0-num", "28", "--fmax", "3"]
+        ) == 2
+        assert folder.is_dir() and not os.listdir(folder)
+        assert sorted(os.listdir(tmp_path)) == ["box.hfsa", "folder", "plain.bin"]
+
+
 class TestBench:
     def test_csv_output(self, capsys):
         assert main(
@@ -519,3 +610,25 @@ def test_decode_memory_long_blocks(tmp_path):
         peaks[size] = _cli_peak_mib("decode", "--in", box, "--out", back, *key)
         assert back.read_bytes() == plain.read_bytes()
     assert peaks[1 << 18] - peaks[1] < 12, peaks
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_encode_decode_memory_bounded(tmp_path):
+    # Encode and decode stream their input and output through one window
+    # buffer of two keystream blocks' longest words (~0.3 MB on
+    # (7, 44, 10)), so 4 MiB of input peaks within 4 MiB of a 1-byte call.  Holding the
+    # whole stream's windows, input and output took ~45 MiB more.
+    key = ["--key", "00112233445566ff"]
+    params = ["--n", "7", "--p0-num", "44", "--fmax", "10", "--jump-prob", "230"]
+    peaks = {}
+    for name, size in (("small", 1), ("large", 4 << 20)):
+        plain = tmp_path / f"{name}.bin"
+        plain.write_bytes(np.random.default_rng(size).bytes(size))
+        box, back = tmp_path / f"{name}.hfsa", tmp_path / f"{name}.back"
+        peaks[name, "encode"] = _cli_peak_mib(
+            "encode", "--in", plain, "--out", box, *key, *params
+        )
+        peaks[name, "decode"] = _cli_peak_mib("decode", "--in", box, "--out", back, *key)
+        assert back.read_bytes() == plain.read_bytes()
+    for op in ("encode", "decode"):
+        assert peaks["large", op] - peaks["small", op] < 4, peaks

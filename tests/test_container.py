@@ -1,3 +1,5 @@
+import tempfile
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from hfsac import (
     serialize,
     unpack_bits,
 )
+from hfsac.container import read_header
 from conftest import rand_bits
 
 
@@ -144,3 +147,28 @@ class TestFuzz:
         blob = bytearray(blob)
         blob[at % len(blob)] = value
         self.parse_or_reject(bytes(blob))
+
+    @given(
+        st.sampled_from(VALID), st.integers(0, 1 << 16), st.integers(0, 255),
+        st.integers(0, 2),
+    )
+    def test_file_header_checks_match_parse(self, blob, at, value, cut):
+        # decode checks a file's header, payload size and padding bits
+        # before it reads the payload: the same outcome and message as parse
+        blob = bytearray(blob)
+        blob[at % len(blob)] = value
+        blob = bytes(blob[: len(blob) - cut])
+        try:
+            box = parse(blob)
+            want = (box.params, box.plain_bit_len, box.cipher.n)
+        except ContainerError as exc:
+            want = str(exc)
+        with tempfile.TemporaryFile() as fh:
+            fh.write(blob)
+            fh.seek(0)
+            try:
+                got = read_header(fh)
+                assert fh.tell() == 29
+            except ContainerError as exc:
+                got = str(exc)
+        assert got == want

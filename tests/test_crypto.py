@@ -41,6 +41,7 @@ from hfsac import (
 )
 from hfsac import cli, coder, huffman, reducer
 from hfsac.crypto import GOLDEN, TAG_JUMP, TAG_STATE, TAG_SWAP
+from hfsac import prefix
 from hfsac.prefix import BLOCK_STEPS
 from conftest import (
     SWEEP, rand_bits, reference_decrypt, reference_encrypt, reference_match,
@@ -225,6 +226,7 @@ class TestEncrypt:
         pos = 0
         carried = 0
         emitted = []
+        blocks = {}
         for i, rec in enumerate(trace):
             jumped = draw_bernoulli(gj, 128) or i == 0
             assert rec.jumped == jumped
@@ -232,7 +234,7 @@ class TestEncrypt:
             assert rec.state == state
             swap_pos = draw_uniform(gw, codec.tables[state].max_len + 1)
             assert rec.swap_pos == swap_pos
-            idx, length = reference_match(rm, state, bits, pos)
+            idx, length = reference_match(rm, state, bits, pos, blocks)
             assert rec.transition == idx
             emitted.append(
                 swap_codeword(codec.tables[state].codewords[idx], swap_pos)
@@ -555,15 +557,17 @@ class TestPackedCore:
         assert decrypt(text_cipher, codec, ks, len(text)) == text
 
     @pytest.mark.parametrize(
-        "params, n_bits, whole", [((4, 3, 1), 36_000, True), ((10, 1, 3), 17_000, False)]
+        "params, n_bits, three_blocks",
+        [((4, 3, 1), 36_000, True), ((10, 1, 3), 17_000, False)],
     )
-    def test_encrypt_and_parse_across_keystream_blocks(self, cache, params, n_bits, whole):
+    def test_encrypt_and_parse_across_keystream_blocks(
+        self, cache, params, n_bits, three_blocks
+    ):
         # texts whose last step is the last of the first keystream block, the
         # first of the second or the one after; each ends one bit short of
         # that step's state's longest block, which the zero padding completes
-        # (512 bits on (10, 1, 3)).  The whole (4, 3, 1) text runs over more
-        # than two blocks; the reference takes ~170 us a step on (10, 1, 3),
-        # which has 513 blocks, so there only the cut texts are checked.
+        # (512 bits on (10, 1, 3)).  The whole text is checked too: on
+        # (4, 3, 1) it runs over three keystream blocks, on (10, 1, 3) over two.
         codec = cache.codec(*params)
         rm = codec.rm
         ks = KeySchedule(0xB10C5, 230)
@@ -575,9 +579,8 @@ class TestPackedCore:
             blocks = rm.transitions[int(rm.row_state[rows[k]])]
             longest = max((t.input_block for t in blocks), key=len)
             texts[k] = bits[: starts[k]] + longest[:-1]
-        if whole:
-            assert len(rows) > 2 * BLOCK_STEPS
-            texts[len(rows) - 1] = bits
+        assert len(rows) > (2 if three_blocks else 1) * BLOCK_STEPS + 1
+        texts[len(rows) - 1] = bits
         for last, text in texts.items():
             steps, padded = reference_parse(rm, text)
             assert len(steps) == last + 1
@@ -597,6 +600,67 @@ class TestPackedCore:
             assert Bits(cipher.data, cipher.n) == cipher
             assert decrypt_bits(cipher, codec, ks, plain.n) == plain
         assert tails - {0}
+
+
+class TestWindowRefill:
+    """The walks read their streams through one window buffer, slid to the
+    first bit of each keystream block.  With a few steps per block, so that
+    it slides and refills at every few words, encrypt, decrypt and the parse
+    still equal the scalar references; so does every decode outcome of the
+    cipher, one bit short and one bit long."""
+
+    CODECS = [(4, 3, 1), (7, 44, 10), (10, 1, 3)]
+
+    def check(self, codec, text: str, ks) -> list:
+        steps, padded = reference_parse(codec.rm, text)
+        assert fsac_parse(text, codec.rm) == (steps, padded)
+        cipher = reference_encrypt(codec, text, ks)
+        assert encrypt_bits(Bits.from_text(text), codec, ks)[0] == Bits.from_text(cipher)
+        for c in (cipher, cipher[:-1], cipher + "0"):
+            want = _outcome(reference_decrypt, codec, c, ks, len(text))
+            assert _outcome(_decrypt_text, codec, c, ks, len(text)) == want
+        return steps
+
+    @pytest.mark.parametrize("block_steps", [1, 2, 3])
+    @pytest.mark.parametrize("params", CODECS)
+    def test_random_texts(self, cache, monkeypatch, params, block_steps):
+        # the buffer slides to every bit offset within a byte, and many a
+        # block's last word starts within the 8 bits before the next slide
+        # (with one step a block, every word of at most 8 bits does)
+        monkeypatch.setattr(prefix, "BLOCK_STEPS", block_steps)
+        codec = cache.codec(*params)
+        ks = KeySchedule(0x5EED + block_steps, 230)
+        for n in (0, 1, 9, 2500):
+            self.check(codec, rand_bits(n + block_steps, n, 0.4), ks)
+
+    @pytest.mark.parametrize("block_steps", [1, 2])
+    def test_longest_blocks_across_slides(self, cache, monkeypatch, block_steps):
+        # (10, 1, 3): a run of 512-bit blocks of ones fills each keystream
+        # block's stretch of the buffer to its last 16 windows, so the next
+        # block's first 512-bit word lies in windows kept by the slide and in
+        # windows computed after it; the random bits before the run move it
+        # off byte boundaries
+        monkeypatch.setattr(prefix, "BLOCK_STEPS", block_steps)
+        codec = cache.codec(10, 1, 3)
+        ks = KeySchedule(0x10B, 230)
+        blocks = codec.rm.transitions[0]
+        for lead in (0, 3, 13):
+            text = rand_bits(lead, lead, 0.5) + "1" * (512 * 6) + rand_bits(lead + 1, 40, 0.5)
+            steps = self.check(codec, text, ks)
+            assert sum(len(blocks[i].input_block) == 512 for _, i in steps) >= 5
+
+    @pytest.mark.parametrize("params", CODECS)
+    def test_streams_ending_at_a_slide(self, cache, monkeypatch, params):
+        # three steps a block: texts of exactly one and two blocks end where
+        # the next slide would be, the others one step before or after
+        monkeypatch.setattr(prefix, "BLOCK_STEPS", 3)
+        codec = cache.codec(*params)
+        ks = KeySchedule(0xE4D, 230)
+        bits = rand_bits(77, 600, 0.5)
+        rows = reducer.parse_rows(Bits.from_text(bits), codec.rm)
+        ends = np.cumsum(codec.rm.block_len[rows]).tolist()
+        for k in (2, 3, 4, 5, 6, 7):
+            assert len(self.check(codec, bits[: ends[k - 1]], ks)) == k
 
 
 class TestKeySchedule:

@@ -1,8 +1,11 @@
+import tempfile
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hfsac import GrayImage, PgmError, parse_pgm, pgm_bytes, read_pgm, write_pgm
+from hfsac import GrayImage, PgmError, parse_pgm, pgm, pgm_bytes, read_pgm, write_pgm
+from hfsac.pgm import read_pgm_header
 from conftest import synthetic_image
 
 VALID = [
@@ -75,3 +78,56 @@ class TestFuzz:
         blob = bytearray(blob)
         blob[at % len(blob)] = value
         self.parse_or_reject(bytes(blob))
+
+
+def _header_outcomes(blob: bytes):
+    """(what parse_pgm gives, what read_pgm_header gives on a file of
+    `blob`): (width, height, raster) or the PgmError message."""
+    try:
+        img = parse_pgm(blob)
+        want = (img.width, img.height, img.pixels)
+    except PgmError as exc:
+        want = str(exc)
+    with tempfile.TemporaryFile() as fh:
+        fh.write(blob)
+        fh.seek(0)
+        try:
+            got = (*read_pgm_header(fh), fh.read())
+        except PgmError as exc:
+            got = str(exc)
+    return want, got
+
+
+class TestStreamedHeader:
+    """encode reads a P5 file's header from its head and streams the
+    raster: every outcome and message is parse_pgm's."""
+
+    @given(st.sampled_from(VALID), st.integers(0, 1 << 16), st.integers(0, 255))
+    def test_single_byte_mutations(self, blob, at, value):
+        blob = bytearray(blob)
+        blob[at % len(blob)] = value
+        want, got = _header_outcomes(bytes(blob))
+        assert got == want
+
+    @pytest.mark.parametrize("head", [1, 2, 5, 12, 4096])
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            VALID[1],
+            b"P5\n2 2\n255\n" + bytes(3),
+            b"P5\n2 2\n" + b"9" * 5000 + b"\n" + bytes(4),
+            b"P5\n#" + b"c" * 9000 + b"\n2 2\n255\n" + bytes(4),
+            b"P5\n#" + b"c" * 9000,
+            b"P5\n2 2\n255",
+            b"P" + b"5" * 9000 + b"\n2 2\n255\n" + bytes(4),
+            b"P5\n2 2",
+            b"",
+        ],
+        ids=range(9),
+    )
+    def test_headers_across_head_reads(self, monkeypatch, head, blob):
+        # headers cut at every few bytes of the first read, and ones longer
+        # than it, a comment or a field of 9,000 bytes among them
+        monkeypatch.setattr(pgm, "_HEAD", head)
+        want, got = _header_outcomes(blob)
+        assert got == want
