@@ -76,7 +76,8 @@ def shannon_entropy_binary(bits: Bits | str) -> float:
 
 
 class DegenerateSampleError(ValueError):
-    """A correlation's sample has zero variance."""
+    """A correlation's sample has zero variance, or an image has too few
+    distinct pairs to draw it from."""
 
 
 def pearson_corr(xs, ys) -> float:
@@ -107,7 +108,7 @@ def adjacent_pixel_corr(
     if pairs < 2:
         raise ValueError(f"need at least 2 pairs, got {pairs}")
     if pairs > cols * rows:
-        raise ValueError(f"image too small for {pairs} distinct pairs")
+        raise DegenerateSampleError(f"image too small for {pairs} distinct pairs")
     if gen is None:
         gen = substream_init(ANALYSIS_SEED, TAG_SWAP)
     chosen: list[int] = []
@@ -382,7 +383,8 @@ def analyze_image(img: GrayImage, params: CoderParams, seed: int) -> MetricsRepo
 
     sample_gen = substream_init(ANALYSIS_SEED, TAG_SWAP)
 
-    def corr(image: GrayImage, direction: str) -> float:  # nan on a constant sample
+    # nan on a constant sample, or where the image has too few pairs
+    def corr(image: GrayImage, direction: str) -> float:
         try:
             return adjacent_pixel_corr(image, direction, gen=sample_gen)
         except DegenerateSampleError:

@@ -87,14 +87,12 @@ class BitSource:
 class BitWriter:
     """Packs 0/1 `uint8` arrays into bytes as they are written, and hands
     each write's whole bytes to `sink`; the bits of an unfinished byte are
-    carried to the next write.  Without a sink the writer keeps the bytes
-    for `finish`."""
+    carried to the next write."""
 
-    __slots__ = ("_out", "_sink", "_carry", "n")
+    __slots__ = ("_sink", "_carry", "n")
 
-    def __init__(self, sink=None):
-        self._out = bytearray()
-        self._sink = self._out.extend if sink is None else sink
+    def __init__(self, sink):
+        self._sink = sink
         self._carry = np.zeros(0, np.uint8)
         self.n = 0  # bits written
 
@@ -114,19 +112,6 @@ class BitWriter:
             self._sink(np.packbits(self._carry).tobytes())
             self._carry = self._carry[:0]
         return self.n
-
-    def finish(self, n: int | None = None) -> Bits:
-        """Everything written, or its first n bits, of a writer without a
-        sink."""
-        if n is None:
-            n = self.n
-        elif not 0 <= n <= self.n:  # refused before the writer changes
-            raise ValueError(f"{n} bits asked of {self.n} written")
-        self.flush()
-        del self._out[(n + 7) // 8 :]
-        if self._out:
-            self._out[-1] &= ~pad_mask(n) & 0xFF
-        return Bits(self._out, n)
 
 
 def pack_bits(bits: str) -> bytes:

@@ -7,6 +7,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import os
 import stat
@@ -16,7 +17,7 @@ from contextlib import contextmanager
 from .analysis import analyze_image, compression_rates
 from .bitio import BitSource, BitWriter, Bits
 from .coder import CoderParams, StateExplosionError
-from .container import ContainerError, pack_header, parse, read_header
+from .container import ContainerError, pack_header, read_header
 from .crypto import (
     KeyFormatError,
     KeySchedule,
@@ -31,7 +32,7 @@ from .crypto import (
     seed_from_hex,
 )
 from .huffman import build_codec, swap_codeword
-from .pgm import PgmError, parse_pgm, pgm_header, read_pgm, read_pgm_header
+from .pgm import PgmError, pgm_header, read_pgm, read_pgm_header
 from .prefix import bit_string
 from .reducer import kraft_sum, validate_reduced
 
@@ -138,8 +139,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="full metric report for a PGM image")
     p.add_argument(
         "--plain", required=True,
-        help="input P5 image; (width - 1) * (height - 1) must be at least 1000, "
-        "the distinct diagonal pixel pairs sampled",
+        help="input P5 image; a direction with fewer than 1000 distinct pixel "
+        "pairs, the number sampled, reports its correlations as nan",
     )
     _add_key(p)
     _add_params(p, jump=True)
@@ -194,28 +195,15 @@ def cmd_tables(args) -> int:
     return 0
 
 
-def _plain_source(fh, fmt: str) -> BitSource:
-    """The bits to encode from the open `--in` file: its bytes, or the
-    raster of a P5 image.  A regular file is read as the walk goes;
-    anything else is read whole."""
-    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-        data = fh.read()
-        return BitSource.of(Bits(parse_pgm(data).pixels if fmt == "pgm" else data))
-    if fmt == "pgm":
-        width, height = read_pgm_header(fh)
-        return BitSource(fh.read, 8 * width * height)
-    return BitSource(fh.read, 8 * os.fstat(fh.fileno()).st_size)
-
-
-def _cipher_source(fh) -> tuple[CoderParams, int, BitSource]:
-    """(params, plain_bit_len, cipher bits) of the container in the open
-    `--in` file, checked before any of its payload is read.  A regular file
-    is read as the walk goes; anything else is read whole."""
-    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-        box = parse(fh.read())
-        return box.params, box.plain_bit_len, BitSource.of(box.cipher)
-    params, plain_len, cipher_len = read_header(fh)
-    return params, plain_len, BitSource(fh.read, cipher_len)
+def _open_in(path):
+    """The `--in` file, opened for binary reading.  A regular file is read
+    as the walk goes; anything else, a pipe say, is read whole into memory
+    here, so that both can seek."""
+    fh = open(path, "rb")
+    if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        return fh
+    with fh:
+        return io.BytesIO(fh.read())
 
 
 @contextmanager
@@ -256,8 +244,13 @@ def _replacing(path):
 def cmd_encode(args) -> int:
     seed = _load_seed(args)
     params = _params(args, args.jump_prob)
-    with open(args.infile, "rb") as src:
-        plain = _plain_source(src, args.format)
+    with _open_in(args.infile) as src:
+        if args.format == "pgm":
+            width, height = read_pgm_header(src)
+            plain = BitSource(src.read, 8 * width * height)
+        else:
+            plain = BitSource(src.read, 8 * src.seek(0, os.SEEK_END))
+            src.seek(0)
         with _replacing(args.out) as out:
             codec = build_codec(params)
             # cipher_bit_len is known once the payload is out
@@ -272,8 +265,9 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     seed = _load_seed(args)
-    with open(args.infile, "rb") as src:
-        params, n_bits, cipher = _cipher_source(src)
+    with _open_in(args.infile) as src:
+        params, n_bits, cipher_len = read_header(src)
+        cipher = BitSource(src.read, cipher_len)
         if args.format == "pgm":
             if not (args.width and args.height):
                 raise UsageError("--format pgm needs positive --width and --height")

@@ -102,13 +102,13 @@ def parse(data: bytes) -> CipherContainer:
 
 
 def read_header(fh) -> tuple[CoderParams, int, int]:
-    """`parse_header` of the container in the open regular file `fh`, from
-    its first bytes, its size and its last byte; leaves `fh` at the
+    """`parse_header` of the container in the seekable binary file `fh`,
+    from its first bytes, its size and its last byte; leaves `fh` at the
     payload's first byte."""
-    size = os.fstat(fh.fileno()).st_size
-    head, last = fh.read(HEADER_SIZE), b""
+    size = fh.seek(0, os.SEEK_END)
+    last = b""
     if size > HEADER_SIZE:
         fh.seek(size - 1)
         last = fh.read(1)
-        fh.seek(HEADER_SIZE)
-    return parse_header(head, size - HEADER_SIZE, last)
+    fh.seek(0)
+    return parse_header(fh.read(HEADER_SIZE), size - HEADER_SIZE, last)

@@ -252,6 +252,8 @@ def decrypt_stream(
     """Invert encrypt_stream under the same schedule: write the first
     n_bits decoded bits into `out`.  The codewords must use every bit that
     `cipher` reads."""
+    if n_bits < 0:
+        raise ValueError(f"n_bits must be >= 0, got {n_bits}")
     draws = _Draws(ks, codec.rm.state_count)
     swaps = (draws.swap.next_block, codec.swap_moduli, codec._moduli)
     fail = (TruncatedStreamError, WrongKeyError)
@@ -267,16 +269,18 @@ def encrypt_bits(
 ) -> tuple[Bits, StepTrace | None]:
     """`encrypt_stream` on packed bits; returns (cipher bits, per-step
     trace), the trace only when asked for, else None."""
-    out = BitWriter()
+    buf = bytearray()
+    out = BitWriter(buf.extend)
     steps = encrypt_stream(BitSource.of(plain), codec, ks, out, trace=trace)
-    return out.finish(), steps
+    return Bits(buf, out.flush()), steps
 
 
 def decrypt_bits(cipher: Bits, codec: HfsacCodec, ks: KeySchedule, n_bits: int) -> Bits:
     """`decrypt_stream` on packed bits: the first n_bits decoded bits."""
-    out = BitWriter()
+    buf = bytearray()
+    out = BitWriter(buf.extend)
     decrypt_stream(BitSource.of(cipher), codec, ks, n_bits, out)
-    return out.finish(n_bits)
+    return Bits(buf, out.flush())
 
 
 def encrypt(plain: str, codec: HfsacCodec, ks: KeySchedule) -> tuple[str, StepTrace]:

@@ -90,7 +90,7 @@ def parse_pgm(data: bytes) -> GrayImage:
 
 
 def read_pgm_header(fh) -> tuple[int, int]:
-    """(width, height) of the P5 image in the open regular file `fh`, with
+    """(width, height) of the P5 image in the seekable binary file `fh`, with
     every check of `parse_pgm`, reading the file only as far as its header
     goes; leaves `fh` at the raster's first byte."""
     head = b""
@@ -103,7 +103,7 @@ def read_pgm_header(fh) -> tuple[int, int]:
             break
         except _Incomplete:
             pass
-    _check_raster(os.fstat(fh.fileno()).st_size - at, width, height)
+    _check_raster(fh.seek(0, os.SEEK_END) - at, width, height)
     fh.seek(at)
     return width, height
 

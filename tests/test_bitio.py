@@ -44,41 +44,35 @@ class TestBits:
 
 
 class TestBitWriter:
-    @given(st.lists(st.lists(st.integers(0, 1), max_size=40), max_size=12))
-    def test_writes_concatenate(self, chunks):
-        writer = BitWriter()
+    @staticmethod
+    def written(chunks) -> tuple[list[bytes], int]:
+        """What a writer hands its sink for `chunks` of 0/1 bits, and the
+        bit count its flush returns."""
+        sunk: list[bytes] = []
+        writer = BitWriter(sunk.append)
         for chunk in chunks:
             writer.write(np.array(chunk, np.uint8))
+        return sunk, writer.flush()
+
+    @given(st.lists(st.lists(st.integers(0, 1), max_size=40), max_size=12))
+    def test_writes_concatenate(self, chunks):
+        sunk, n = self.written(chunks)
         text = "".join(str(b) for chunk in chunks for b in chunk)
-        assert writer.finish() == Bits.from_text(text)
-
-    @given(bit_text, st.integers(0, 200))
-    def test_finish_keeps_a_prefix(self, text, n):
-        writer = BitWriter()
-        writer.write(np.frombuffer(text.encode(), np.uint8) & 1)
-        if n > len(text):
-            with pytest.raises(ValueError):
-                writer.finish(n)
-        else:
-            assert writer.finish(n) == Bits.from_text(text[:n])
-
-    @pytest.mark.parametrize("n", [-1, -3, -9, 21])
-    def test_finish_refuses_out_of_range_length(self, n):
-        writer = BitWriter()
-        writer.write(np.ones(20, np.uint8))
-        with pytest.raises(ValueError, match=f"{n} bits asked of 20 written"):
-            writer.finish(n)
-        assert writer.finish() == Bits.from_text("1" * 20)
+        assert n == len(text)
+        # Bits refuses nonzero padding bits: the last byte is zero-padded
+        assert Bits(b"".join(sunk), n) == Bits.from_text(text)
 
     def test_flushes_across_writes(self):
-        # each write packs its whole bytes and carries the rest
+        # each write hands on its whole bytes and carries the rest
         rng = np.random.default_rng(7)
         chunks = [rng.integers(0, 2, k, dtype=np.uint8) for k in (5, 9, 1, 30, 0, 17)]
-        writer = BitWriter()
-        for chunk in chunks:
-            writer.write(chunk)
+        sunk, n = self.written(chunks)
+        # 14, 37 and 22 bits reach the packer on the writes that have a
+        # whole byte; flush hands on the last 6 bits
+        assert [len(b) for b in sunk] == [1, 4, 2, 1]
         text = "".join(map(str, np.concatenate(chunks).tolist()))
-        assert writer.finish() == Bits.from_text(text)
+        assert n == 62
+        assert Bits(b"".join(sunk), n) == Bits.from_text(text)
 
 
 class TestWindows:

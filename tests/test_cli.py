@@ -8,7 +8,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from hfsac import HfsacCodec, cli, parse, write_pgm
+from hfsac import HfsacCodec, cli, parse, pgm_bytes, write_pgm
 from hfsac.cli import main
 from conftest import rand_bits, synthetic_image
 
@@ -420,19 +420,86 @@ class TestAnalyze:
         assert re.search(r"^plain_corr_horizontal +nan$", out, re.M)
         assert re.search(r"^cipher_corr_horizontal +-?0\.", out, re.M)
 
-    @pytest.mark.parametrize("side,rc", [(32, 2), (33, 0)])
-    def test_smallest_image(self, tmp_path, keyfile, capsys, side, rc):
-        # the diagonal samples 1000 distinct pairs of (side - 1)**2: 961 at
-        # 32 x 32, 1024 at 33 x 33
+    @pytest.mark.parametrize("width,height", [(32, 32), (33, 33), (40, 26)])
+    def test_smallest_image(self, tmp_path, keyfile, capsys, width, height):
+        # each direction samples 1000 distinct pairs; one with fewer reports
+        # nan and the rest of the report is computed: the diagonal has 961 at
+        # 32 x 32, 1024 at 33 x 33 and 975 at 40 x 26, whose horizontal and
+        # vertical have 1014 and 1000
         src = tmp_path / "img.pgm"
-        write_pgm(synthetic_image(side, side), src)
-        got = main(
+        write_pgm(synthetic_image(width, height), src)
+        assert main(
             ["analyze", "--plain", str(src), "--key-file", str(keyfile),
              "--n", "5", "--p0-num", "14", "--fmax", "3"]
+        ) == 0
+        out = capsys.readouterr().out
+        pairs = {
+            "horizontal": (width - 1) * height,
+            "vertical": width * (height - 1),
+            "diagonal": (width - 1) * (height - 1),
+        }
+        for direction, count in pairs.items():
+            for image in ("plain", "cipher"):
+                value = re.search(rf"^{image}_corr_{direction} +(\S+)$", out, re.M)[1]
+                assert (value == "nan") == (count < 1000), (image, direction, value)
+        assert re.search(r"^npcr_pct +[0-9.]+$", out, re.M)
+
+
+class TestPipedInput:
+    """An `--in` that is not a regular file, a pipe here, is read whole and
+    goes through the same readers as a file: the same output and the same
+    errors."""
+
+    KEY = ["--key", "00112233445566ff"]
+    PARAMS = ["--n", "6", "--p0-num", "28", "--fmax", "3", "--jump-prob", "230"]
+    PGM = ["--format", "pgm", "--width", "24", "--height", "16"]
+
+    @staticmethod
+    def hfsac(*argv, stdin=None):
+        """(exit code, stderr) of one CLI call, with `stdin` piped in."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "hfsac.cli", *map(str, argv)],
+            input=stdin, capture_output=True,
         )
-        assert got == rc
-        if rc:
-            assert "image too small for 1000 distinct pairs" in capsys.readouterr().err
+        return proc.returncode, proc.stderr.decode()
+
+    def both(self, tmp_path, data, *argv):
+        """The outcomes of one command on a file holding `data` and on a
+        pipe of it, writing `file.out` and `pipe.out`."""
+        src = tmp_path / "in"
+        src.write_bytes(data)
+        return [
+            self.hfsac(argv[0], "--in", path, "--out", tmp_path / f"{name}.out",
+                       *argv[1:], *self.KEY, stdin=stdin)
+            for name, path, stdin in (("file", src, None), ("pipe", "/dev/stdin", data))
+        ]
+
+    @pytest.mark.parametrize("fmt", ["bits", "pgm"])
+    def test_encode_and_decode(self, tmp_path, fmt):
+        if fmt == "pgm":
+            data, decode = pgm_bytes(synthetic_image(24, 16)), self.PGM
+        else:
+            data, decode = bytes(range(256)) * 3, []
+        assert self.both(tmp_path, data, "encode", *self.PARAMS, "--format", fmt) == [(0, "")] * 2
+        box = (tmp_path / "file.out").read_bytes()
+        assert (tmp_path / "pipe.out").read_bytes() == box
+        assert self.both(tmp_path, box, "decode", *decode) == [(0, "")] * 2
+        assert (tmp_path / "file.out").read_bytes() == data
+        assert (tmp_path / "pipe.out").read_bytes() == data
+
+    def test_truncated_pgm(self, tmp_path):
+        data = pgm_bytes(synthetic_image(24, 16))[:-3]
+        outcomes = self.both(tmp_path, data, "encode", *self.PARAMS, "--format", "pgm")
+        assert outcomes == [(2, "error: raster holds 381 bytes, expected 384\n")] * 2
+
+    def test_truncated_container(self, tmp_path):
+        plain = tmp_path / "plain"
+        plain.write_bytes(bytes(range(200)))
+        box = tmp_path / "box"
+        assert main(["encode", "--in", str(plain), "--out", str(box), *self.KEY, *self.PARAMS]) == 0
+        outcomes = self.both(tmp_path, box.read_bytes()[:-4], "decode")
+        assert outcomes == [(2, "error: truncated container payload\n")] * 2
+        assert not {"file.out", "pipe.out"} & set(os.listdir(tmp_path))
 
 
 class TestSelftest:

@@ -6,6 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hfsac import (
+    BitSource,
+    BitWriter,
     Bits,
     CoderParams,
     CorruptStreamError,
@@ -22,6 +24,7 @@ from hfsac import (
     build_full_fsm,
     decrypt,
     decrypt_bits,
+    decrypt_stream,
     draw_bernoulli,
     draw_uniform,
     encrypt,
@@ -304,6 +307,21 @@ class TestDecrypt:
     def test_zero_bits(self, cache):
         codec = cache.codec(4, 3, 1)
         assert decrypt("", codec, KeySchedule(9, 128), 0) == ""
+
+    @pytest.mark.parametrize("n_bits", [-1, -3, -9])
+    def test_refuses_negative_n_bits(self, cache, n_bits):
+        # refused at entry, also on an empty cipher, which no step would read
+        codec = cache.codec(4, 3, 1)
+        ks = KeySchedule(9, 128)
+        cipher, _ = encrypt_bits(Bits.from_text("0110"), codec, ks)
+        message = f"n_bits must be >= 0, got {n_bits}"
+        for bits in (Bits(), cipher):
+            with pytest.raises(ValueError, match=message):
+                decrypt_bits(bits, codec, ks, n_bits)
+            written = []
+            with pytest.raises(ValueError, match=message):
+                decrypt_stream(BitSource.of(bits), codec, ks, n_bits, BitWriter(written.append))
+            assert written == []
 
     def test_wrong_key_never_silently_matches(self, cache):
         codec = cache.codec(6, 28, 1)
