@@ -2,7 +2,6 @@
 state jumps / codeword swaps, plus the statistical analysis toolkit."""
 
 from .analysis import (
-    GrayImage,
     MetricsReport,
     adjacent_pixel_corr,
     analyze_image,
@@ -67,7 +66,7 @@ from .huffman import (
     hfac_encode,
     swap_codeword,
 )
-from .pgm import PgmError, parse_pgm, pgm_bytes, read_pgm, write_pgm
+from .pgm import GrayImage, PgmError, parse_pgm, pgm_bytes, read_pgm, write_pgm
 from .reducer import (
     NonEmittingCycleError,
     ReducedMachine,

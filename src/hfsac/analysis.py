@@ -24,41 +24,13 @@ from .crypto import (
     substream_init,
 )
 from .huffman import build_codec
+from .pgm import GrayImage
 from .reducer import parse_rows
 
 # fixed seed for the default sampling generator, so reports reproduce
 ANALYSIS_SEED = 0x414E414C59534953
 
 _DIRECTIONS = {"horizontal": (1, 0), "vertical": (0, 1), "diagonal": (1, 1)}
-
-
-@dataclass(frozen=True)
-class GrayImage:
-    """8-bit grayscale image, row-major pixel bytes."""
-
-    width: int
-    height: int
-    pixels: bytes
-
-    def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be positive")
-        if len(self.pixels) != self.width * self.height:
-            raise ValueError(
-                f"expected {self.width * self.height} pixels, got {len(self.pixels)}"
-            )
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "GrayImage":
-        arr = np.asarray(arr, dtype=np.uint8)
-        if arr.ndim != 2:
-            raise ValueError("expected a 2-d array")
-        return cls(arr.shape[1], arr.shape[0], arr.tobytes())
-
-    def to_array(self) -> np.ndarray:
-        return np.frombuffer(self.pixels, dtype=np.uint8).reshape(
-            self.height, self.width
-        )
 
 
 def shannon_entropy_binary(bits: Bits | str) -> float:
@@ -411,7 +383,12 @@ def analyze_image(img: GrayImage, params: CoderParams, seed: int) -> MetricsRepo
         )
         other, _ = encrypt_bits(plain, codec, tweaked)
         m = min(cipher.n, other.n)
-        key_flip_corr[name] = pearson_corr(base[:m], _bit_array(other)[:m])
+        try:  # nan on a cipher of one bit or of one value, as tiny images give
+            if m < 2:
+                raise DegenerateSampleError
+            key_flip_corr[name] = pearson_corr(base[:m], _bit_array(other)[:m])
+        except DegenerateSampleError:
+            key_flip_corr[name] = math.nan
 
     compression = compression_rates(plain, codec)
     compression["hfsac"] = compression_rate(plain.n, cipher.n)
@@ -430,10 +407,14 @@ def analyze_image(img: GrayImage, params: CoderParams, seed: int) -> MetricsRepo
         cipher_histogram=cipher_histogram,
         cipher_hist_chi2=histogram_chi_square(cipher_histogram),
         compression=compression,
+        # nan where the cipher is shorter than a test needs
         randomness={
-            "monobit": monobit(cipher),
-            "block_frequency": block_frequency(cipher),
-            "runs": runs(cipher),
+            name: test(cipher) if cipher.n >= need else math.nan
+            for name, test, need in (
+                ("monobit", monobit, 100),
+                ("block_frequency", block_frequency, 128),
+                ("runs", runs, 100),
+            )
         },
         key_flip_corr=key_flip_corr,
         state_visits=state_visit_histogram(trace.state, codec.rm.state_count),

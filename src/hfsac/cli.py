@@ -32,9 +32,9 @@ from .crypto import (
     seed_from_hex,
 )
 from .huffman import build_codec, swap_codeword
-from .pgm import PgmError, pgm_header, read_pgm, read_pgm_header
+from .pgm import pgm_header, read_pgm, read_pgm_header
 from .prefix import bit_string
-from .reducer import kraft_sum, validate_reduced
+from .reducer import kraft_complete, validate_reduced
 
 
 class UsageError(Exception):
@@ -363,7 +363,7 @@ def run_selftest() -> bool:
         base = rm.row_base.tolist()
         states = list(zip(base, base[1:]))
         code_len = codec.code_len.tolist()
-        kraft_ok = all(kraft_sum(code_len[a:b]) == 1 for a, b in states)
+        kraft_ok = all(kraft_complete(code_len[a:b]) for a, b in states)
         check(f"{tag}: code tables complete", kraft_ok)
         words = codec.outputs.words()
         swap_ok = True
@@ -424,10 +424,9 @@ def main(argv=None) -> int:
     except (KeyFormatError, WrongKeyError, TruncatedStreamError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ContainerError, PgmError, StateExplosionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (StateExplosionError, ValueError, OSError) as exc:
+        # ContainerError and PgmError are ValueErrors, as the exit-3 errors
+        # above are: this clause comes after theirs
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

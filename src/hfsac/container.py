@@ -3,14 +3,17 @@
 Layout (big endian): magic "HFSA", version byte 0x01, n_bits u8, f_max u8,
 p0_num u32, jump_q_num u16, plain_bit_len u64, cipher_bit_len u64, then the
 cipher bits packed MSB-first with zero padding.  Everything but the seed is
-public; the header alone reconstructs the codec.  `parse_header` checks a
-header against its payload's size and last byte, so a file's container is
-checked before its payload is read; an encoder that streams the payload
-writes the header again, with cipher_bit_len, once the payload is out.
+public; the header alone reconstructs the codec.  One reader, `read_header`,
+checks a header against its payload's size and last byte in a seekable
+binary file, so a file's container is checked before its payload is read;
+`parse` applies it to bytes through `io.BytesIO`, so every message is the
+same for bytes and files.  An encoder that streams the payload writes the
+header again, with cipher_bit_len, once the payload is out.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 from dataclasses import dataclass
@@ -68,14 +71,16 @@ def serialize(container: CipherContainer) -> bytes:
     return header + container.cipher.data
 
 
-def parse_header(head: bytes, payload_size: int, last: bytes) -> tuple[CoderParams, int, int]:
-    """(params, plain_bit_len, cipher_bit_len) of a container whose first
-    bytes are `head`, checked against its payload's size in bytes and its
-    last byte `last` (empty when the payload is): every check of `parse`."""
+def read_header(fh) -> tuple[CoderParams, int, int]:
+    """(params, plain_bit_len, cipher_bit_len) of the container in the
+    seekable binary file `fh`, read from its position and checked against
+    the payload's size and last byte before the rest of the payload is
+    read; leaves `fh` at the payload's first byte."""
+    head = fh.read(HEADER_SIZE)
     if len(head) < HEADER_SIZE:
         raise ContainerError("truncated container header")
     magic, version, n_bits, f_max, p0_num, jump_q, plain_len, cipher_len = (
-        _HEADER.unpack_from(head)
+        _HEADER.unpack(head)
     )
     if magic != MAGIC:
         raise ContainerError(f"bad magic {magic!r}")
@@ -85,30 +90,22 @@ def parse_header(head: bytes, payload_size: int, last: bytes) -> tuple[CoderPara
         params = CoderParams(n_bits, p0_num, f_max, jump_q)
     except ValueError as exc:
         raise ContainerError(f"invalid header parameters: {exc}") from None
+    at = fh.tell()
+    payload_size = fh.seek(0, os.SEEK_END) - at
     need = (cipher_len + 7) // 8
     if payload_size < need:
         raise ContainerError("truncated container payload")
     if payload_size > need:
         raise ContainerError("trailing bytes after container payload")
-    if last and last[0] & pad_mask(cipher_len):
-        raise ContainerError("nonzero padding bits")
+    if need:
+        fh.seek(-1, os.SEEK_END)
+        if fh.read(1)[0] & pad_mask(cipher_len):
+            raise ContainerError("nonzero padding bits")
+    fh.seek(at)
     return params, plain_len, cipher_len
 
 
 def parse(data: bytes) -> CipherContainer:
-    payload = data[HEADER_SIZE:]
-    params, plain_len, cipher_len = parse_header(data, len(payload), payload[-1:])
-    return CipherContainer(params, plain_len, Bits(payload, cipher_len))
-
-
-def read_header(fh) -> tuple[CoderParams, int, int]:
-    """`parse_header` of the container in the seekable binary file `fh`,
-    from its first bytes, its size and its last byte; leaves `fh` at the
-    payload's first byte."""
-    size = fh.seek(0, os.SEEK_END)
-    last = b""
-    if size > HEADER_SIZE:
-        fh.seek(size - 1)
-        last = fh.read(1)
-    fh.seek(0)
-    return parse_header(fh.read(HEADER_SIZE), size - HEADER_SIZE, last)
+    fh = io.BytesIO(data)
+    params, plain_len, cipher_len = read_header(fh)
+    return CipherContainer(params, plain_len, Bits(fh.read(), cipher_len))

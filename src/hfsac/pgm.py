@@ -1,64 +1,79 @@
-"""Binary (P5) PGM reader/writer for 8-bit grayscale images."""
+"""Binary (P5) PGM reader/writer for 8-bit grayscale images.
+
+One reader, `read_pgm_header`, reads a header from a seekable binary file;
+`parse_pgm` applies it to bytes through `io.BytesIO`, and `read_pgm` to a
+path, so bytes and files give the same outcomes and messages.
+"""
 
 from __future__ import annotations
 
+import io
 import os
+from dataclasses import dataclass
 
-from .analysis import GrayImage
+import numpy as np
 
-# bytes read for a header first; a longer one is read in doubling steps
-_HEAD = 1 << 12
+_SPACE = b" \t\r\n"
+
+
+@dataclass(frozen=True)
+class GrayImage:
+    """8-bit grayscale image, row-major pixel bytes."""
+
+    width: int
+    height: int
+    pixels: bytes
+
+    def __post_init__(self) -> None:
+        if self.width < 1 or self.height < 1:
+            raise ValueError("image dimensions must be positive")
+        if len(self.pixels) != self.width * self.height:
+            raise ValueError(
+                f"expected {self.width * self.height} pixels, got {len(self.pixels)}"
+            )
+
+    @classmethod
+    def from_array(cls, arr: np.ndarray) -> "GrayImage":
+        arr = np.asarray(arr, dtype=np.uint8)
+        if arr.ndim != 2:
+            raise ValueError("expected a 2-d array")
+        return cls(arr.shape[1], arr.shape[0], arr.tobytes())
+
+    def to_array(self) -> np.ndarray:
+        return np.frombuffer(self.pixels, dtype=np.uint8).reshape(
+            self.height, self.width
+        )
 
 
 class PgmError(ValueError):
     """Malformed PGM data."""
 
 
-class _Incomplete(Exception):
-    """The header may go on past the bytes read so far."""
+def _token(fh) -> tuple[bytes, bytes]:
+    """The next header token of `fh`, skipping whitespace and # comments,
+    and the byte read after it: whitespace, or empty at the end of the file."""
+    c = fh.read(1)
+    while c and c in _SPACE + b"#":
+        if c == b"#" and not fh.readline().endswith(b"\n"):
+            raise PgmError("unterminated comment")
+        c = fh.read(1)
+    if not c:
+        raise PgmError("truncated PGM header")
+    tok = bytearray()
+    while c and c not in _SPACE:
+        tok += c
+        c = fh.read(1)
+    return bytes(tok), c
 
 
-def _tokens(data: bytes, complete: bool):
-    """Yield header tokens, skipping whitespace and # comments.  Unless
-    `data` is `complete`, whatever may go on past its end raises
-    _Incomplete."""
-    i = 0
-    n = len(data)
-    while i < n:
-        c = data[i : i + 1]
-        if c in b" \t\r\n":
-            i += 1
-            continue
-        if c == b"#":
-            j = data.find(b"\n", i)
-            if j < 0:
-                if not complete:
-                    raise _Incomplete
-                raise PgmError("unterminated comment")
-            i = j + 1
-            continue
-        j = i
-        while j < n and data[j : j + 1] not in b" \t\r\n":
-            j += 1
-        if j == n and not complete:
-            raise _Incomplete
-        yield data[i:j], j
-        i = j
-    if not complete:
-        raise _Incomplete
-
-
-def _header(data: bytes, complete: bool = True) -> tuple[int, int, int]:
-    """(width, height, offset of the raster) of the P5 header that `data`
-    starts with, which is the whole file when `complete`."""
-    toks = _tokens(data, complete)
-    try:
-        magic, _ = next(toks)
-        if magic != b"P5":
-            raise PgmError(f"not a binary PGM (magic {magic!r})")
-        (w_tok, _), (h_tok, _), (max_tok, end) = next(toks), next(toks), next(toks)
-    except StopIteration:
-        raise PgmError("truncated PGM header") from None
+def read_pgm_header(fh) -> tuple[int, int]:
+    """(width, height) of the P5 image in the seekable binary file `fh`, read
+    from its position, with the raster's size checked against the file's;
+    leaves `fh` at the raster's first byte.  maxval must be 255."""
+    magic, _ = _token(fh)
+    if magic != b"P5":
+        raise PgmError(f"not a binary PGM (magic {magic!r})")
+    (w_tok, _), (h_tok, _), (max_tok, sep) = _token(fh), _token(fh), _token(fh)
     fields = (w_tok, h_tok, max_tok)
     try:  # ASCII digits only: int() also takes signs and '_'
         if not all(f.isdigit() for f in fields):
@@ -71,41 +86,24 @@ def _header(data: bytes, complete: bool = True) -> tuple[int, int, int]:
     if width < 1 or height < 1:
         raise PgmError("non-positive PGM dimensions")
     # exactly one whitespace byte separates the header from the raster
-    if end >= len(data) or data[end : end + 1] not in b" \t\r\n":
+    if not sep:
         raise PgmError("missing raster separator")
-    return width, height, end + 1
-
-
-def _check_raster(size: int, width: int, height: int) -> None:
+    at = fh.tell()
+    size = fh.seek(0, os.SEEK_END) - at
     if size != width * height:
         raise PgmError(f"raster holds {size} bytes, expected {width * height}")
+    fh.seek(at)
+    return width, height
+
+
+def _read(fh) -> GrayImage:
+    width, height = read_pgm_header(fh)
+    return GrayImage(width, height, fh.read())
 
 
 def parse_pgm(data: bytes) -> GrayImage:
     """Parse raw P5 bytes into a GrayImage; maxval must be 255."""
-    width, height, at = _header(data)
-    raster = data[at:]
-    _check_raster(len(raster), width, height)
-    return GrayImage(width, height, raster)
-
-
-def read_pgm_header(fh) -> tuple[int, int]:
-    """(width, height) of the P5 image in the seekable binary file `fh`, with
-    every check of `parse_pgm`, reading the file only as far as its header
-    goes; leaves `fh` at the raster's first byte."""
-    head = b""
-    while True:
-        want = max(len(head), _HEAD)
-        more = fh.read(want)
-        head += more
-        try:
-            width, height, at = _header(head, len(more) < want)
-            break
-        except _Incomplete:
-            pass
-    _check_raster(fh.seek(0, os.SEEK_END) - at, width, height)
-    fh.seek(at)
-    return width, height
+    return _read(io.BytesIO(data))
 
 
 def pgm_header(width: int, height: int) -> bytes:
@@ -118,7 +116,7 @@ def pgm_bytes(img: GrayImage) -> bytes:
 
 def read_pgm(path) -> GrayImage:
     with open(path, "rb") as fh:
-        return parse_pgm(fh.read())
+        return _read(fh)
 
 
 def write_pgm(img: GrayImage, path) -> None:

@@ -11,16 +11,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .bitio import BitSource, Bits
 from .coder import CoderParams, FullMachine
 from .prefix import PrefixTable, bit_string, no_jumps, walk
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 class NonEmittingCycleError(RuntimeError):
@@ -174,13 +170,9 @@ def reduce_machine(machine: FullMachine) -> ReducedMachine:
 class StateCheck:
     state: int
     prefix_free: bool
-    kraft_sum: Fraction
+    complete: bool
     reachable: bool
     n_transitions: int
-
-    @property
-    def complete(self) -> bool:
-        return self.kraft_sum == 1
 
     @property
     def ok(self) -> bool:
@@ -211,13 +203,11 @@ def _is_prefix_free(blocks) -> bool:
     )
 
 
-def kraft_sum(lengths) -> Fraction:
-    """The Kraft sum of words of the given lengths, sum 2**-length: an exact
-    integer sum at the longest length, over 2**(longest length)."""
-    from fractions import Fraction  # only the structural checks need it
-
+def kraft_complete(lengths) -> bool:
+    """Kraft equality, sum 2**-length == 1, for words of the given lengths:
+    an exact integer sum at the longest length."""
     top = max(lengths, default=0)
-    return Fraction(sum(1 << (top - n) for n in lengths), 1 << top)
+    return sum(1 << (top - n) for n in lengths) == 1 << top
 
 
 def validate_reduced(rm: ReducedMachine) -> ValidationReport:
@@ -238,7 +228,7 @@ def validate_reduced(rm: ReducedMachine) -> ValidationReport:
             StateCheck(
                 state=s,
                 prefix_free=_is_prefix_free(blocks[a:b]),
-                kraft_sum=kraft_sum(lengths[a:b]),
+                complete=kraft_complete(lengths[a:b]),
                 reachable=s in reached,
                 n_transitions=b - a,
             )

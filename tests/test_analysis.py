@@ -383,6 +383,18 @@ class TestAnalyzeImage:
         assert len(plain) == 3 and all(math.isnan(rows[k]) for k in plain)
         assert all(math.isfinite(v) for k, v in rows.items() if k not in plain)
 
+    def test_one_bit_cipher_reports_nan(self):
+        # (6, 63, 3) takes a zero byte in one step of one cipher bit: the
+        # randomness p-values and the key-flip correlations read nan, and
+        # the tests called on their own still refuse so short a sample
+        rep = analyze_image(GrayImage(1, 1, bytes(1)), CoderParams(6, 63, 3, 128), seed=7)
+        assert rep.compression["hfsac"] == 87.5
+        assert all(math.isnan(v) for v in rep.randomness.values())
+        assert all(math.isnan(v) for v in rep.key_flip_corr.values())
+        for test, need in ((monobit, 100), (block_frequency, 128), (runs, 100)):
+            with pytest.raises(ValueError, match=f"need at least {need} bits"):
+                test("0" * (need - 1))
+
     def test_analyze_converts_no_text(self, monkeypatch):
         # the report is computed on packed bits from pixels to statistics
         img = image_from_fn(40, 40, lambda x, y: (x * 5 + y * y) ^ (y >> 1))

@@ -6,7 +6,8 @@ and through `from hfsac... import name`, and reads attributes off the
 machines it builds, bound to `fm`, `rm` and `codec`.  Its traced run is not
 part of this suite, so a name or view deleted from the package would
 otherwise first fail there.  The scripts are parsed, not run, except
-`traced._cipher_stats`, which still hands the analysis statistics text.
+`traced._cipher_stats`, which still hands the analysis statistics text, and
+the trace replays and counts that check the traced run's encrypt.
 """
 
 import ast
@@ -17,7 +18,10 @@ import numpy as np
 import pytest
 
 import hfsac
-from hfsac import Bits, CoderParams, KeySchedule, build_full_fsm, encrypt_bits, reduce_machine
+from hfsac import (
+    Bits, CoderParams, KeySchedule, build_full_fsm, encrypt, encrypt_bits, fsac_parse,
+    reduce_machine,
+)
 from hfsac.huffman import attach_tables
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -102,6 +106,12 @@ def machines():
     return {"fm": fm, "rm": rm, "codec": attach_tables(rm)}
 
 
+@pytest.fixture
+def traced(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("traced")
+
+
 def test_scripts_found():
     names = {p.name for p in SCRIPTS}
     assert {"pin.py", "run.py", "traced.py"} <= names
@@ -145,11 +155,9 @@ def test_a_missing_attribute_is_caught(machines):
     assert ("fm", "states") in missing
 
 
-def test_cipher_stats_take_text(machines, monkeypatch):
+def test_cipher_stats_take_text(machines, traced):
     # the traced run passes the analysis statistics '0'/'1' text: they keep
     # giving what they give on packed bits until it stops
-    monkeypatch.syspath_prepend(str(BENCH))
-    traced = importlib.import_module("traced")
     codec = machines["codec"]
     ks = KeySchedule(0x0123456789ABCDEF, 230)
     plain = np.random.default_rng(14).bytes(4096)
@@ -157,3 +165,22 @@ def test_cipher_stats_take_text(machines, monkeypatch):
     flipped, _ = encrypt_bits(Bits(bytes([plain[0] ^ 0x80]) + plain[1:]), codec, ks)
     as_text = traced._cipher_stats(hfsac, cipher.to_text(), flipped.to_text(), 64, 64)
     assert as_text == traced._cipher_stats(hfsac, cipher, flipped, 64, 64)
+
+
+def test_trace_replays_and_counts(machines, traced):
+    # the traced run checks its encrypt by redrawing every keystream draw
+    # and by swapping every traced codeword again: both must reproduce it
+    codec = machines["codec"]
+    ks = KeySchedule(0x0123456789ABCDEF, 230)
+    bits = Bits(np.random.default_rng(21).bytes(4096)).to_text()
+    cipher, trace = encrypt(bits, codec, ks)
+    draws, same = traced._replay_keystream(hfsac, trace, codec, ks)
+    assert same
+    assert traced._swap_trace(hfsac, trace, codec) == cipher
+    parse_steps, padded = fsac_parse(bits, machines["rm"])
+    counts = traced.exact_counts(
+        machines["fm"], machines["rm"], codec, parse_steps, padded, trace, cipher, bits
+    )
+    assert draws == counts["crypto.keystream_draws"] == 2 * len(trace) + sum(trace.jumped)
+    assert counts["crypto.steps"] == len(trace) > 0
+    assert counts["cipher_ratio"] == len(cipher) / len(bits)

@@ -444,6 +444,30 @@ class TestAnalyze:
                 assert (value == "nan") == (count < 1000), (image, direction, value)
         assert re.search(r"^npcr_pct +[0-9.]+$", out, re.M)
 
+    @pytest.mark.parametrize(
+        "pixels,params",
+        [(b"\x5a", ("7", "44", "10")), (b"\x10\x80\xff\x03", ("5", "14", "3"))],
+        ids=["1x1", "2x2"],
+    )
+    def test_tiny_image(self, tmp_path, capsys, pixels, params):
+        # a cipher under 100 bits reports the randomness p-values as nan,
+        # as it does the pixel correlations, and the rest of the report
+        side = int(len(pixels) ** 0.5)
+        src = tmp_path / "tiny.pgm"
+        src.write_bytes(b"P5\n%d %d\n255\n" % (side, side) + pixels)
+        n, p0, fmax = params
+        assert main(
+            ["analyze", "--plain", str(src), "--key", "00112233445566ff",
+             "--n", n, "--p0-num", p0, "--fmax", fmax]
+        ) == 0
+        rows = dict(line.split() for line in capsys.readouterr().out.splitlines())
+        nan = {name for name, value in rows.items() if value == "nan"}
+        assert nan == {
+            f"{image}_corr_{d}"
+            for image in ("plain", "cipher")
+            for d in ("horizontal", "vertical", "diagonal")
+        } | {f"randomness_{t}_p" for t in ("monobit", "block_frequency", "runs")}
+
 
 class TestPipedInput:
     """An `--in` that is not a regular file, a pipe here, is read whole and

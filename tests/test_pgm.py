@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hfsac import GrayImage, PgmError, parse_pgm, pgm, pgm_bytes, read_pgm, write_pgm
+from hfsac import GrayImage, PgmError, parse_pgm, pgm_bytes, read_pgm, write_pgm
 from hfsac.pgm import read_pgm_header
 from conftest import synthetic_image
 
@@ -81,20 +81,25 @@ class TestFuzz:
         self.parse_or_reject(bytes(blob))
 
 
-def _header_outcomes(blob: bytes):
+def _header_outcomes(blob: bytes, buffer_size: int | None = None):
     """What parse_pgm gives, then what read_pgm_header gives on a file of
-    `blob` and on a `BytesIO` of it (a pipe read whole): (width, height,
-    raster) or the PgmError message."""
+    `blob` and on a `BytesIO` of it (a pipe read whole), and with a
+    `buffer_size`, on a reader of that buffer size: (width, height, raster)
+    or the PgmError message."""
     try:
         img = parse_pgm(blob)
         want = (img.width, img.height, img.pixels)
     except PgmError as exc:
         want = str(exc)
     outcomes = [want]
-    for fh in (tempfile.TemporaryFile(), io.BytesIO()):
+    handles = [tempfile.TemporaryFile(), io.BytesIO()]
+    if buffer_size:
+        handles.append(io.BufferedReader(io.BytesIO(blob), buffer_size))
+    for fh in handles:
         with fh:
-            fh.write(blob)
-            fh.seek(0)
+            if fh.writable():
+                fh.write(blob)
+                fh.seek(0)
             try:
                 outcomes.append((*read_pgm_header(fh), fh.read()))
             except PgmError as exc:
@@ -103,8 +108,8 @@ def _header_outcomes(blob: bytes):
 
 
 class TestStreamedHeader:
-    """encode reads a P5 file's header from its head and streams the
-    raster: every outcome and message is parse_pgm's."""
+    """encode reads a P5 file's header and streams the raster: every
+    outcome and message is parse_pgm's."""
 
     @given(st.sampled_from(VALID), st.integers(0, 1 << 16), st.integers(0, 255))
     def test_single_byte_mutations(self, blob, at, value):
@@ -129,9 +134,22 @@ class TestStreamedHeader:
         ],
         ids=range(9),
     )
-    def test_headers_across_head_reads(self, monkeypatch, head, blob):
-        # headers cut at every few bytes of the first read, and ones longer
-        # than it, a comment or a field of 9,000 bytes among them
-        monkeypatch.setattr(pgm, "_HEAD", head)
-        want, *got = _header_outcomes(blob)
-        assert got == [want, want]
+    def test_headers_across_head_reads(self, head, blob):
+        # headers cut at every few bytes of a reader's buffer of `head`
+        # bytes, and ones longer than it, a comment or a field of 9,000
+        # bytes among them
+        want, *got = _header_outcomes(blob, head)
+        assert got == [want, want, want]
+
+    def test_comment_is_read_by_the_line(self):
+        # a comment costs one readline, not a read per byte
+        calls = []
+
+        class Counting(io.BytesIO):
+            def read(self, size=-1):
+                calls.append(size)
+                return super().read(size)
+
+        fh = Counting(b"P5\n#" + b"c" * 9000 + b"\n2 2\n255\n" + bytes(4))
+        assert read_pgm_header(fh) == (2, 2)
+        assert calls == [1] * len(b"P5\n#2 2\n255\n")  # a read per byte outside it
