@@ -48,8 +48,9 @@ def shannon_entropy_binary(bits: Bits | str) -> float:
 
 
 class DegenerateSampleError(ValueError):
-    """A correlation's sample has zero variance, or an image has too few
-    distinct pairs to draw it from."""
+    """A correlation's sample has zero variance, an image has too few
+    distinct pairs to draw it from, or a bit sequence is shorter than a
+    randomness test needs."""
 
 
 def pearson_corr(xs, ys) -> float:
@@ -142,7 +143,7 @@ def monobit(bits: Bits | str) -> float:
     """Frequency test p-value: erfc(|#1 - #0| / sqrt(2n))."""
     n = len(bits)
     if n < 100:
-        raise ValueError("need at least 100 bits")
+        raise DegenerateSampleError("need at least 100 bits")
     arr = _bit_array(bits)
     excess = abs(2 * int(arr.sum()) - n)
     return math.erfc(excess / math.sqrt(2 * n))
@@ -202,7 +203,7 @@ def block_frequency(bits: Bits | str, m: int = 128) -> float:
         raise ValueError(f"block length m must be >= 1, got {m}")
     n = len(bits)
     if n < m:
-        raise ValueError(f"need at least {m} bits")
+        raise DegenerateSampleError(f"need at least {m} bits")
     arr = _bit_array(bits)
     k = n // m
     pis = arr[: k * m].reshape(k, m).mean(axis=1)
@@ -214,7 +215,7 @@ def runs(bits: Bits | str) -> float:
     """Runs test p-value; 0.0 when the monobit prerequisite fails."""
     n = len(bits)
     if n < 100:
-        raise ValueError("need at least 100 bits")
+        raise DegenerateSampleError("need at least 100 bits")
     arr = _bit_array(bits)
     pi = float(arr.mean())
     if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
@@ -340,6 +341,16 @@ def compression_rates(bits: Bits, codec) -> dict[str, float]:
     }
 
 
+def _or_nan(metric, *args, **kwargs) -> float:
+    """`metric` of the arguments; nan where its sample is degenerate: a
+    constant sequence, an image with too few pairs, or a cipher shorter
+    than a randomness test needs, as tiny images give."""
+    try:
+        return metric(*args, **kwargs)
+    except DegenerateSampleError:
+        return math.nan
+
+
 def analyze_image(img: GrayImage, params: CoderParams, seed: int) -> MetricsReport:
     """Encrypt an image and compute the full metric suite.
 
@@ -355,12 +366,8 @@ def analyze_image(img: GrayImage, params: CoderParams, seed: int) -> MetricsRepo
 
     sample_gen = substream_init(ANALYSIS_SEED, TAG_SWAP)
 
-    # nan on a constant sample, or where the image has too few pairs
     def corr(image: GrayImage, direction: str) -> float:
-        try:
-            return adjacent_pixel_corr(image, direction, gen=sample_gen)
-        except DegenerateSampleError:
-            return math.nan
+        return _or_nan(adjacent_pixel_corr, image, direction, gen=sample_gen)
 
     plain_corr = {d: corr(img, d) for d in _DIRECTIONS}
     cipher_corr = {d: corr(cipher_img, d) for d in _DIRECTIONS}
@@ -383,12 +390,11 @@ def analyze_image(img: GrayImage, params: CoderParams, seed: int) -> MetricsRepo
         )
         other, _ = encrypt_bits(plain, codec, tweaked)
         m = min(cipher.n, other.n)
-        try:  # nan on a cipher of one bit or of one value, as tiny images give
-            if m < 2:
-                raise DegenerateSampleError
-            key_flip_corr[name] = pearson_corr(base[:m], _bit_array(other)[:m])
-        except DegenerateSampleError:
-            key_flip_corr[name] = math.nan
+        # a cipher of one bit, as tiny images give, has no correlation
+        key_flip_corr[name] = (
+            math.nan if m < 2
+            else _or_nan(pearson_corr, base[:m], _bit_array(other)[:m])
+        )
 
     compression = compression_rates(plain, codec)
     compression["hfsac"] = compression_rate(plain.n, cipher.n)
@@ -407,13 +413,12 @@ def analyze_image(img: GrayImage, params: CoderParams, seed: int) -> MetricsRepo
         cipher_histogram=cipher_histogram,
         cipher_hist_chi2=histogram_chi_square(cipher_histogram),
         compression=compression,
-        # nan where the cipher is shorter than a test needs
         randomness={
-            name: test(cipher) if cipher.n >= need else math.nan
-            for name, test, need in (
-                ("monobit", monobit, 100),
-                ("block_frequency", block_frequency, 128),
-                ("runs", runs, 100),
+            name: _or_nan(test, cipher)
+            for name, test in (
+                ("monobit", monobit),
+                ("block_frequency", block_frequency),
+                ("runs", runs),
             )
         },
         key_flip_corr=key_flip_corr,

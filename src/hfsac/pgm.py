@@ -1,8 +1,9 @@
 """Binary (P5) PGM reader/writer for 8-bit grayscale images.
 
 One reader, `read_pgm_header`, reads a header from a seekable binary file;
-`parse_pgm` applies it to bytes through `io.BytesIO`, and `read_pgm` to a
-path, so bytes and files give the same outcomes and messages.
+`parse_pgm` applies it to bytes through `io.BytesIO`, and `read_pgm` to the
+bytes of a path read whole, so bytes and files give the same outcomes and
+messages.
 """
 
 from __future__ import annotations
@@ -96,14 +97,11 @@ def read_pgm_header(fh) -> tuple[int, int]:
     return width, height
 
 
-def _read(fh) -> GrayImage:
-    width, height = read_pgm_header(fh)
-    return GrayImage(width, height, fh.read())
-
-
 def parse_pgm(data: bytes) -> GrayImage:
     """Parse raw P5 bytes into a GrayImage; maxval must be 255."""
-    return _read(io.BytesIO(data))
+    fh = io.BytesIO(data)
+    width, height = read_pgm_header(fh)
+    return GrayImage(width, height, fh.read())
 
 
 def pgm_header(width: int, height: int) -> bytes:
@@ -115,8 +113,9 @@ def pgm_bytes(img: GrayImage) -> bytes:
 
 
 def read_pgm(path) -> GrayImage:
+    """The P5 image at `path`, read whole: a pipe or FIFO works too."""
     with open(path, "rb") as fh:
-        return _read(fh)
+        return parse_pgm(fh.read())
 
 
 def write_pgm(img: GrayImage, path) -> None:

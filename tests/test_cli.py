@@ -525,6 +525,22 @@ class TestPipedInput:
         assert outcomes == [(2, "error: truncated container payload\n")] * 2
         assert not {"file.out", "pipe.out"} & set(os.listdir(tmp_path))
 
+    def test_analyze(self, tmp_path):
+        # analyze reads its P5 image whole, so a pipe gives the file's report
+        src = tmp_path / "in.pgm"
+        src.write_bytes(pgm_bytes(synthetic_image(24, 16)))
+        outcomes = [
+            subprocess.run(
+                [sys.executable, "-m", "hfsac.cli", "analyze", "--plain", str(path),
+                 *self.PARAMS, *self.KEY],
+                input=stdin, capture_output=True,
+            )
+            for path, stdin in ((src, None), ("/dev/stdin", src.read_bytes()))
+        ]
+        assert [(p.returncode, p.stderr) for p in outcomes] == [(0, b"")] * 2
+        assert outcomes[1].stdout == outcomes[0].stdout
+        assert b"npcr" in outcomes[0].stdout
+
 
 class TestSelftest:
     def test_passes_quickly(self, capsys):

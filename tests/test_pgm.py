@@ -120,26 +120,28 @@ class TestStreamedHeader:
 
     @pytest.mark.parametrize("head", [1, 2, 5, 12, 4096])
     @pytest.mark.parametrize(
-        "blob",
+        "blob,expected",
         [
-            VALID[1],
-            b"P5\n2 2\n255\n" + bytes(3),
-            b"P5\n2 2\n" + b"9" * 5000 + b"\n" + bytes(4),
-            b"P5\n#" + b"c" * 9000 + b"\n2 2\n255\n" + bytes(4),
-            b"P5\n#" + b"c" * 9000,
-            b"P5\n2 2\n255",
-            b"P" + b"5" * 9000 + b"\n2 2\n255\n" + bytes(4),
-            b"P5\n2 2",
-            b"",
+            (VALID[1], (3, 2, bytes(range(6)))),
+            (b"P5\n2 2\n255\n" + bytes(3), "raster holds 3 bytes, expected 4"),
+            (b"P5\n2 2\n" + b"9" * 5000 + b"\n" + bytes(4), "non-numeric PGM header field"),
+            (b"P5\n#" + b"c" * 9000 + b"\n2 2\n255\n" + bytes(4), (2, 2, bytes(4))),
+            (b"P5\n#" + b"c" * 9000, "unterminated comment"),
+            (b"P5\n2 2\n255", "missing raster separator"),
+            (
+                b"P" + b"5" * 9000 + b"\n2 2\n255\n" + bytes(4),
+                f"not a binary PGM (magic {b'P' + b'5' * 9000!r})",
+            ),
+            (b"P5\n2 2", "truncated PGM header"),
+            (b"", "truncated PGM header"),
         ],
         ids=range(9),
     )
-    def test_headers_across_head_reads(self, head, blob):
+    def test_headers_across_head_reads(self, head, blob, expected):
         # headers cut at every few bytes of a reader's buffer of `head`
         # bytes, and ones longer than it, a comment or a field of 9,000
-        # bytes among them
-        want, *got = _header_outcomes(blob, head)
-        assert got == [want, want, want]
+        # bytes among them; each outcome is pinned
+        assert _header_outcomes(blob, head) == [expected] * 4
 
     def test_comment_is_read_by_the_line(self):
         # a comment costs one readline, not a read per byte
