@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _SPACE = b" \t\r\n"
+# bytes of a header token: a longer one is refused without reading it all
+_TOKEN_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,8 @@ class PgmError(ValueError):
 
 def _token(fh) -> tuple[bytes, bytes]:
     """The next header token of `fh`, skipping whitespace and # comments,
-    and the byte read after it: whitespace, or empty at the end of the file."""
+    and the byte read after it: whitespace, or empty at the end of the file.
+    A token longer than _TOKEN_MAX is cut after _TOKEN_MAX + 1 bytes."""
     c = fh.read(1)
     while c and c in _SPACE + b"#":
         if c == b"#" and not fh.readline().endswith(b"\n"):
@@ -61,7 +64,7 @@ def _token(fh) -> tuple[bytes, bytes]:
     if not c:
         raise PgmError("truncated PGM header")
     tok = bytearray()
-    while c and c not in _SPACE:
+    while c and c not in _SPACE and len(tok) <= _TOKEN_MAX:
         tok += c
         c = fh.read(1)
     return bytes(tok), c
@@ -76,12 +79,10 @@ def read_pgm_header(fh) -> tuple[int, int]:
         raise PgmError(f"not a binary PGM (magic {magic!r})")
     (w_tok, _), (h_tok, _), (max_tok, sep) = _token(fh), _token(fh), _token(fh)
     fields = (w_tok, h_tok, max_tok)
-    try:  # ASCII digits only: int() also takes signs and '_'
-        if not all(f.isdigit() for f in fields):
-            raise ValueError
-        width, height, maxval = map(int, fields)
-    except ValueError:  # also a field too long for int()
-        raise PgmError("non-numeric PGM header field") from None
+    # ASCII digits only: int() also takes signs and '_'
+    if not all(f.isdigit() and len(f) <= _TOKEN_MAX for f in fields):
+        raise PgmError("non-numeric PGM header field")
+    width, height, maxval = map(int, fields)
     if maxval != 255:
         raise PgmError(f"unsupported maxval {maxval} (only 255)")
     if width < 1 or height < 1:

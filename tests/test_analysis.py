@@ -277,9 +277,12 @@ class TestRandomnessTests:
 
 
 class TestGammaincc:
-    # a spans block counts of 1 to 6000 blocks; x runs from far below a to
-    # far above it, across the series / continued-fraction switch at a + 1
-    @pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 10.0, 64.0, 128.5, 500.0, 3000.0])
+    # a spans block counts of 1 to 200,000 blocks, the largest summing
+    # 100,000 terms; x runs from far below a to far above it
+    @pytest.mark.parametrize(
+        "a",
+        [0.5, 1.0, 2.5, 10.0, 64.0, 128.5, 500.0, 3000.0, 10_000.5, 36_700.0, 100_000.0],
+    )
     def test_matches_scipy(self, a):
         from scipy.special import gammaincc as reference
 
@@ -288,6 +291,7 @@ class TestGammaincc:
         for x in xs:
             want = float(reference(a, x))
             got = gammaincc(a, x)
+            assert 0.0 <= got <= 1.0, (a, x)
             if want > 1e-300:
                 assert got == pytest.approx(want, rel=1e-9), (a, x)
             else:  # scipy flushes some subnormal results to zero
@@ -299,6 +303,13 @@ class TestGammaincc:
         for a, x in ((0.0, 1.0), (-1.0, 1.0), (1.0, -0.5)):
             with pytest.raises(ValueError):
                 gammaincc(a, x)
+
+    @pytest.mark.parametrize("a", [0.3, 2.25])
+    def test_shape_in_halves_only(self, a):
+        # block frequency's shape is a block count over 2; the finite sum
+        # holds for no other
+        with pytest.raises(ValueError, match="multiple of 1/2"):
+            gammaincc(a, 1.0)
 
 
 class TestStateVisits:

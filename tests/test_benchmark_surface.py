@@ -22,6 +22,7 @@ from hfsac import (
     Bits, CoderParams, KeySchedule, build_full_fsm, encrypt, encrypt_bits, fsac_parse,
     reduce_machine,
 )
+from hfsac import cli
 from hfsac.huffman import attach_tables
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -112,6 +113,12 @@ def traced(monkeypatch):
     return importlib.import_module("traced")
 
 
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("workloads")
+
+
 def test_scripts_found():
     names = {p.name for p in SCRIPTS}
     assert {"pin.py", "run.py", "traced.py"} <= names
@@ -184,3 +191,42 @@ def test_trace_replays_and_counts(machines, traced):
     assert draws == counts["crypto.keystream_draws"] == 2 * len(trace) + sum(trace.jumped)
     assert counts["crypto.steps"] == len(trace) > 0
     assert counts["cipher_ratio"] == len(cipher) / len(bits)
+
+
+def test_cli_outputs_match_pins(workloads, tmp_path, monkeypatch, capsys):
+    # the timed run checks every CLI output against pins.json: on variant 0
+    # of each workload, run as it runs them, the setup and encode
+    # containers, the decoded bytes and the analyze report match here too
+    pins = workloads.load_pins()
+    sha256, key = workloads.sha256, ["--key", workloads.KEY_HEX]
+    mismatches = []
+    for w in workloads.WORKLOADS.values():
+        inp, expect = workloads.make_inputs(w, 0), workloads.pinned(pins, w, 0)
+        work = tmp_path / w.name
+        work.mkdir()
+        monkeypatch.chdir(work)
+        (work / "one").write_bytes(workloads.SETUP_INPUT)
+        (work / "plain").write_bytes(inp.plain)
+        (work / "analyze.pgm").write_bytes(inp.analyze_pgm)
+        pgm = ["--format", "pgm"] if inp.is_pgm else []
+        shape = ["--width", str(inp.width), "--height", str(inp.height)] if pgm else []
+        params = w.cli_params()
+        calls = {
+            "setup": ["encode", "--in", "one", "--out", "one.hfsa", *key, *params],
+            "encode": ["encode", "--in", "plain", "--out", "plain.hfsa", *key, *params, *pgm],
+            "decode": ["decode", "--in", "plain.hfsa", "--out", "back", *key, *pgm, *shape],
+            "analyze": ["analyze", "--plain", "analyze.pgm", *key, *params],
+        }
+        stdout = {}
+        for op, argv in calls.items():
+            assert cli.main(argv) == 0, (w.name, op)
+            stdout[op] = capsys.readouterr().out
+        checks = {
+            "setup": sha256((work / "one.hfsa").read_bytes())
+            == pins["workloads"][w.name]["setup_sha256"],
+            "encode": sha256((work / "plain.hfsa").read_bytes()) == expect["encode_sha256"],
+            "decode": (work / "back").read_bytes() == inp.plain,
+            "analyze": sha256(stdout["analyze"].encode()) == expect["analyze_sha256"],
+        }
+        mismatches += [(w.name, op) for op, same in checks.items() if not same]
+    assert not mismatches, f"outputs differ from perfbench/pins.json: {mismatches}"

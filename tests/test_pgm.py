@@ -81,6 +81,18 @@ class TestFuzz:
         self.parse_or_reject(bytes(blob))
 
 
+class CountingReader(io.BytesIO):
+    """An in-memory file that records the size of every `read`."""
+
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.calls: list[int] = []
+
+    def read(self, size=-1):
+        self.calls.append(size)
+        return super().read(size)
+
+
 def _header_outcomes(blob: bytes, buffer_size: int | None = None):
     """What parse_pgm gives, then what read_pgm_header gives on a file of
     `blob` and on a `BytesIO` of it (a pipe read whole), and with a
@@ -130,7 +142,7 @@ class TestStreamedHeader:
             (b"P5\n2 2\n255", "missing raster separator"),
             (
                 b"P" + b"5" * 9000 + b"\n2 2\n255\n" + bytes(4),
-                f"not a binary PGM (magic {b'P' + b'5' * 9000!r})",
+                f"not a binary PGM (magic {b'P' + b'5' * 64!r})",
             ),
             (b"P5\n2 2", "truncated PGM header"),
             (b"", "truncated PGM header"),
@@ -145,13 +157,25 @@ class TestStreamedHeader:
 
     def test_comment_is_read_by_the_line(self):
         # a comment costs one readline, not a read per byte
-        calls = []
-
-        class Counting(io.BytesIO):
-            def read(self, size=-1):
-                calls.append(size)
-                return super().read(size)
-
-        fh = Counting(b"P5\n#" + b"c" * 9000 + b"\n2 2\n255\n" + bytes(4))
+        fh = CountingReader(b"P5\n#" + b"c" * 9000 + b"\n2 2\n255\n" + bytes(4))
         assert read_pgm_header(fh) == (2, 2)
-        assert calls == [1] * len(b"P5\n#2 2\n255\n")  # a read per byte outside it
+        assert fh.calls == [1] * len(b"P5\n#2 2\n255\n")  # a read per byte outside it
+
+    @pytest.mark.parametrize(
+        "head,message,most",
+        [
+            # the magic's echo holds only the 65 bytes read of it
+            (b"P", f"not a binary PGM (magic {b'P' + b'5' * 64!r})", 70),
+            # a field's: the width's 65 bytes and two more tokens cut alike
+            (b"P5\n", "non-numeric PGM header field", 3 * 70),
+        ],
+        ids=["magic", "width"],
+    )
+    def test_long_token_is_cut(self, head, message, most):
+        # a token of a megabyte is refused after its first bytes, not read
+        # to its end, and the message does not echo it
+        fh = CountingReader(head + b"5" * 10**6 + b"\n2 2\n255\n" + bytes(4))
+        with pytest.raises(PgmError) as exc:
+            read_pgm_header(fh)
+        assert str(exc.value) == message
+        assert sum(fh.calls) <= most
