@@ -17,7 +17,7 @@ import numpy as np
 
 from .bitio import BitSource, Bits
 from .coder import CoderParams, build_full_fsm
-from .prefix import PrefixTable, no_jumps, walk, word_bits
+from .prefix import PrefixTable, kraft_words, no_jumps, walk, word_bits
 from .reducer import ReducedMachine, parse_rows, reduce_machine
 
 _FLIP = str.maketrans("01", "10")
@@ -124,25 +124,10 @@ def code_lengths(counts, weights) -> np.ndarray:
 
 def canonical_bits(counts, lengths) -> np.ndarray:
     """Canonical codewords of every state at once, as uint64 values: sorted
-    by (length, index), they count upward.
-
-    In (length, index) order, codeword j of a state is the Kraft prefix sum
-    of the words before it, sum 2**(L_j - L_i), computed at the state's
-    longest length and shifted down.
-    """
-    counts = np.asarray(counts, np.int64)
-    base = np.cumsum(counts) - counts
-    top = np.repeat(np.maximum.reduceat(lengths, base), counts)
-    if top.max(initial=0) > 63:
-        raise OverflowError("codewords longer than 63 bits")
+    by (length, index), they count upward: the Kraft prefix sums taken in
+    that order."""
     order = np.lexsort((lengths, np.repeat(np.arange(len(counts)), counts)))
-    shift = (top - lengths)[order].astype(np.uint64)
-    step = np.uint64(1) << shift
-    before = np.cumsum(step) - step  # wraps modulo 2**64; differences stay exact
-    before -= np.repeat(before[base], counts)
-    bits = np.empty(len(lengths), np.uint64)
-    bits[order] = before >> shift
-    return bits
+    return kraft_words(counts, lengths, order)
 
 
 @dataclass(frozen=True)

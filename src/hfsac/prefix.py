@@ -156,15 +156,41 @@ def bit_string(length: int, value: int) -> str:
     return bin(value | 1 << length)[3:]
 
 
+def kraft_words(counts, lengths, order=slice(None)) -> np.ndarray:
+    """The words of every state's complete prefix code, as uint64 values,
+    from their lengths alone; `counts[s]` consecutive lengths belong to
+    state s.
+
+    Taken in `order`, a permutation of the rows that keeps each state's
+    rows in its own span (row order by default), a word is the Kraft
+    prefix sum of the words before it, sum 2**(L_j - L_i), computed at
+    the state's longest length and shifted down.  A code's lexicographic
+    order and its canonical (length, index) order are two such orders.
+    """
+    counts = np.asarray(counts, np.int64)
+    base = np.cumsum(counts) - counts
+    top = np.repeat(np.maximum.reduceat(lengths, base), counts)
+    if top.max(initial=0) > 63:
+        raise OverflowError("codewords longer than 63 bits")
+    shift = (top - lengths)[order].astype(np.uint64)
+    step = np.uint64(1) << shift
+    before = np.cumsum(step) - step  # wraps modulo 2**64; differences stay exact
+    before -= np.repeat(before[base], counts)
+    words = np.empty(len(shift), np.uint64)
+    words[order] = before >> shift
+    return words
+
+
 def word_bits(lengths, values) -> np.ndarray:
     """The bits of words of at most 64 bits, given as integer `values`, as
     0/1 bytes in row order, most significant bit first: the values'
     big-endian bytes, unpacked, cut to the words' lengths."""
-    lengths = np.asarray(lengths, np.int64)
+    lengths = np.asarray(lengths, np.uint8)  # bytes compare fastest in the cut
     n_bytes = -(-int(lengths.max(initial=0)) // 8)
     raw = np.asarray(values, ">u8").view(np.uint8).reshape(-1, 8)[:, 8 - n_bytes :]
     grid = np.unpackbits(raw, 1)
-    return grid[np.arange(8 * n_bytes) >= (8 * n_bytes - lengths)[:, None]]
+    width = 8 * n_bytes
+    return grid[np.arange(width, dtype=np.uint8) >= width - lengths[:, None]]
 
 
 class PrefixTable:

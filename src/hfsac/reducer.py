@@ -16,7 +16,7 @@ import numpy as np
 
 from .bitio import BitSource, Bits
 from .coder import CoderParams, FullMachine
-from .prefix import PrefixTable, bit_string, no_jumps, walk
+from .prefix import PrefixTable, bit_string, kraft_words, no_jumps, walk, word_bits
 
 
 class NonEmittingCycleError(RuntimeError):
@@ -97,73 +97,148 @@ class ReducedMachine:
         )
 
 
+# the symbols of a state's two edges, 2*s + symbol
+_SYMBOLS = np.arange(2, dtype=np.int32)
+
+
 def reduce_machine(machine: FullMachine) -> ReducedMachine:
     """Eliminate mute transitions, drop unreachable states, renumber by BFS.
 
-    Each reduced state's rows come from a depth-first walk of its parse
-    tree: an emitting edge ends a row, a mute edge continues the block into
-    its successor's two edges, so the rows come out in parse-tree order and
-    their targets are numbered as they come; a row's block, the bits read
-    along its chain, is appended to one bytearray as 0/1 bytes.  Mute chains
-    are loop-free on valid machines (follow never decreases without an
-    emission, and at fixed follow the intervals strictly nest), so a state
-    met again on the chain being walked is reported as a coder bug.  Done
-    iteratively: chains can run to ~2**n_bits on skewed splits.
+    A state's parse tree reads one bit per level: an emitting edge ends a
+    row, a mute edge continues the block into its successor's two edges.
+    The trees of every candidate state, state 0 and the targets of the
+    emitting edges, grow together, one array pass per chain depth.  Each
+    node's rows are counted bottom-up, then each subtree's rows are placed
+    top-down, so a state's rows come out in parse-tree order, the
+    lexicographic order of its blocks.  Breadth first from state 0, the
+    targets of those rows number the reduced states, a whole wave at a
+    time, and candidates never reached are dropped.  Mute chains are
+    loop-free on valid machines (follow never decreases without an
+    emission, and at fixed follow the intervals strictly nest), so a chain
+    deeper than the machine's state count, which must pass some state
+    twice, is reported as a coder bug.
     """
-    target = machine.target.tolist()
-    mute = (machine.emit_len == 0).tolist()
-    numbered = bytearray(len(machine.low))
-    numbered[0] = 1
-    # the chain being walked has state path[d] and bit chain[d] at depth d;
-    # a state last entered at depth entered[t] is on it if path still holds it there
-    path = [0]
-    chain = bytearray(1)
-    entered = [-1] * len(machine.low)
-    order = [0]
-    counts: list[int] = []
-    block_len: list[int] = []
-    blocks = bytearray()
-    row_edge: list[int] = []
-    for old_s in order:  # the BFS queue: grows as it is read
-        first = len(row_edge)
-        path[0] = old_s
-        entered[old_s] = 0
-        # (edge, length of the block through its bit); the edge leaves the
-        # state at depth length - 1
-        stack = [(2 * old_s + 1, 1), (2 * old_s, 1)]
-        while stack:
-            e, length = stack.pop()
-            chain[length - 1] = e & 1
-            to = target[e]
-            if mute[e]:
-                d = entered[to]
-                if 0 <= d < length and path[d] == to:
-                    raise NonEmittingCycleError("non-emitting cycle")
-                if length == len(path):
-                    path.append(to)
-                    chain.append(0)
-                else:
-                    path[length] = to
-                entered[to] = length
-                length += 1
-                stack += ((2 * to + 1, length), (2 * to, length))
-                continue
-            if not numbered[to]:
-                numbered[to] = 1
-                order.append(to)
-            block_len.append(length)
-            blocks += chain[:length]
-            row_edge.append(e)
-        counts.append(len(row_edge) - first)
-    edges = np.array(row_edge, np.int64)
-    renumber = np.zeros(len(numbered), np.int32)
+    n_states = len(machine.low)
+    mute = machine.emit_len == 0
+    kids = 2 * machine.target[:, None] + _SYMBOLS  # the two edges after each edge
+    cand = np.zeros(n_states, bool)
+    cand[0] = True
+    cand[machine.target[~mute]] = True
+    cand = np.flatnonzero(cand).astype(np.int32)
+    # every level's edges in one array, level after level: level d, from
+    # bounds[d] up to bounds[d + 1], holds the edges that read bit d of a
+    # block, in parse-tree order within each tree, and the k-th mute edge
+    # of a level continues into the 2k-th and (2k + 1)-th edges of the next.
+    # Flat columns, not an array per level: a skewed machine has 2**(n - 1)
+    # levels of two edges, whose objects would scatter the heap
+    lo, hi = 0, 2 * len(cand)
+    bounds = [lo, hi]
+    edges = np.empty(4 * hi, np.int32)
+    edges[:hi] = (2 * cand[:, None] + _SYMBOLS).ravel()
+    while lo < hi:
+        if len(bounds) > n_states + 1:
+            raise NonEmittingCycleError("non-emitting cycle")
+        level = edges[lo:hi]
+        on = level[mute[level]]
+        lo, hi = hi, hi + 2 * len(on)
+        if hi > len(edges):
+            edges = np.concatenate((edges[:lo], np.empty(max(hi, 2 * lo) - lo, np.int32)))
+        edges[lo:hi] = kids.take(on, 0).ravel()
+        bounds.append(hi)
+    n_levels = len(bounds) - 2
+    n_nodes = hi
+    edges = edges[:n_nodes]
+    going = mute[edges]
+    del kids, mute
+    # rows under each edge, bottom-up
+    rows = np.ones(n_nodes, np.int32)
+    for d in range(n_levels - 1, -1, -1):
+        lo, hi, below = bounds[d], bounds[d + 1], rows[bounds[d + 1] : bounds[d + 2]]
+        rows[lo:hi][going[lo:hi]] = below[0::2] + below[1::2]
+    sizes = rows[0 : bounds[1] : 2] + rows[1 : bounds[1] : 2]  # rows of each candidate
+    tree_base = np.cumsum(sizes, dtype=np.int32) - sizes
+    # each edge's first row, top-down: a 1-edge's is its 0-sibling's plus
+    # the rows under that sibling, and a 0-edge's is its parent's
+    first = np.empty(n_nodes, np.int32)
+    first[0 : bounds[1] : 2] = tree_base
+    for d in range(n_levels):
+        lo, hi = bounds[d], bounds[d + 1]
+        at = first[lo:hi]
+        at[1::2] = at[0::2] + rows[lo:hi:2]
+        first[hi : bounds[d + 2] : 2] = at[going[lo:hi]]
+    del rows
+    depth = np.repeat(np.arange(1, n_levels + 1, dtype=np.int32), np.diff(bounds[:-1]))
+    done = ~going
+    leaf = first[done]
+    n_rows = len(leaf)
+    row_edge = np.empty(n_rows, np.int32)
+    row_edge[leaf] = edges[done]
+    row_len = np.empty(n_rows, np.int32)
+    row_len[leaf] = depth[done]
+    # the index of each block's last 1, -1 in a tree's first block: a
+    # 1-edge's first row has it at the edge's own bit (levels hold edge
+    # pairs, so the 1-edges are the odd entries of the whole column)
+    branch = np.full(n_rows, -1, np.int32)
+    branch[first[1::2]] = depth[1::2] - 1
+    del first, done, edges, going, depth, leaf
+    # the reduced states, breadth first: the candidates that each wave's
+    # rows reach, in order of their first row
+    index = np.zeros(n_states, np.int32)
+    index[cand] = np.arange(len(cand), dtype=np.int32)
+    row_to = index[machine.target[row_edge]]
+    seen = np.zeros(len(cand), bool)
+    seen[0] = True
+    waves = [np.zeros(1, np.int32)]
+    while waves[-1].size:
+        wave = waves[-1]
+        to = row_to[_spans(tree_base[wave], sizes[wave])]
+        to = to[~seen[to]]
+        by = to.argsort(kind="stable")  # np.unique would import numpy.ma
+        head = np.ones(len(to), bool)
+        np.not_equal(to[by[1:]], to[by[:-1]], out=head[1:])
+        wave = to[np.sort(by[head])]
+        seen[wave] = True
+        waves.append(wave)
+    order = np.concatenate(waves)
+    rows = _spans(tree_base[order], sizes[order])
+    renumber = np.zeros(len(cand), np.int32)
     renumber[order] = np.arange(len(order), dtype=np.int32)
-    origin = np.stack([machine.low, machine.high, machine.follow], 1)[order]
+    next_state = renumber[row_to[rows]]
+    edges = row_edge[rows]
+    counts, block_len, branch = sizes[order], row_len[rows], branch[rows]
+    origin = np.stack([machine.low, machine.high, machine.follow], 1)[cand[order]]
+    del row_to, row_edge, row_len, rows  # the block bits are the peak: free them first
     return ReducedMachine(
-        machine.params, counts, block_len, np.frombuffer(blocks, np.uint8),
-        machine.emit_len[edges], machine.emit_val[edges],
-        renumber[machine.target[edges]], origin,
+        machine.params, counts, block_len, _block_bits(counts, block_len, branch),
+        machine.emit_len[edges], machine.emit_val[edges], next_state, origin,
     )
+
+
+def _spans(starts, lengths) -> np.ndarray:
+    """starts[i] up to starts[i] + lengths[i], for every i in turn."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1])
+
+
+def _block_bits(counts, lengths, branch) -> np.ndarray:
+    """Every row's block as 0/1 bytes, in row order, from the lengths of
+    each state's blocks in parse-tree order.
+
+    Blocks of at most 63 bits are Kraft prefix sums.  Where some block is
+    longer, each block is the one before it up to `branch`, the index of
+    its own last 1, where the two part, then a 1, then 0s.
+    """
+    if lengths.max() <= 63:
+        return word_bits(lengths, kraft_words(counts, lengths))
+    ends = np.cumsum(lengths, dtype=np.int64)
+    bits = np.empty(int(ends[-1]), np.uint8)
+    at = (ends - lengths).tolist()
+    for o, q, n, p in zip(at, [0, *at], lengths.tolist(), branch.tolist()):
+        bits[o + p + 1 : o + n] = 0
+        if p >= 0:
+            bits[o : o + p] = bits[q : q + p]
+            bits[o + p] = 1
+    return bits
 
 
 @dataclass(frozen=True)

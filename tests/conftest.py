@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from hfsac import (
@@ -10,6 +11,7 @@ from hfsac import (
     CorruptStreamError,
     FullMachine,
     GrayImage,
+    NonEmittingCycleError,
     ReducedMachine,
     SplitMix64,
     TruncatedStreamError,
@@ -63,6 +65,74 @@ def reduced_from_rows(params, rows, origin) -> ReducedMachine:
         [t.to for t in flat],
         origin,
     )
+
+
+def reference_reduce(machine) -> ReducedMachine:
+    """`reduce_machine` by a depth-first walk of each reduced state's parse
+    tree, one state at a time from a BFS queue.
+
+    An emitting edge ends a row, a mute edge continues the block into its
+    successor's two edges; the stack pops the 0 edge first, so the rows come
+    out in parse-tree order and their targets are numbered as they come. A
+    row's block, the bits read along its chain, is appended to one
+    bytearray as 0/1 bytes. A state met again on the chain being walked is
+    a non-emitting cycle.
+    """
+    target = machine.target.tolist()
+    mute = (machine.emit_len == 0).tolist()
+    numbered = bytearray(len(machine.low))
+    numbered[0] = 1
+    # the chain being walked has state path[d] and bit chain[d] at depth d;
+    # a state last entered at depth entered[t] is on it if path still holds it there
+    path = [0]
+    chain = bytearray(1)
+    entered = [-1] * len(machine.low)
+    order = [0]
+    counts: list[int] = []
+    block_len: list[int] = []
+    blocks = bytearray()
+    row_edge: list[int] = []
+    for old_s in order:  # the BFS queue: grows as it is read
+        first = len(row_edge)
+        path[0] = old_s
+        entered[old_s] = 0
+        # (edge, length of the block through its bit); the edge leaves the
+        # state at depth length - 1
+        stack = [(2 * old_s + 1, 1), (2 * old_s, 1)]
+        while stack:
+            e, length = stack.pop()
+            chain[length - 1] = e & 1
+            to = target[e]
+            if mute[e]:
+                d = entered[to]
+                if 0 <= d < length and path[d] == to:
+                    raise NonEmittingCycleError("non-emitting cycle")
+                if length == len(path):
+                    path.append(to)
+                    chain.append(0)
+                else:
+                    path[length] = to
+                entered[to] = length
+                length += 1
+                stack += ((2 * to + 1, length), (2 * to, length))
+                continue
+            if not numbered[to]:
+                numbered[to] = 1
+                order.append(to)
+            block_len.append(length)
+            blocks += chain[:length]
+            row_edge.append(e)
+        counts.append(len(row_edge) - first)
+    edges = np.array(row_edge, np.int64)
+    renumber = np.zeros(len(numbered), np.int32)
+    renumber[order] = np.arange(len(order), dtype=np.int32)
+    origin = np.stack([machine.low, machine.high, machine.follow], 1)[order]
+    return ReducedMachine(
+        machine.params, counts, block_len, np.frombuffer(blocks, np.uint8),
+        machine.emit_len[edges], machine.emit_val[edges],
+        renumber[machine.target[edges]], origin,
+    )
+
 
 
 def reference_match(rm, state: int, bits: str, pos: int, blocks: dict) -> tuple[int, int]:

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from hfsac import (
     validate_reduced,
 )
 from hfsac.prefix import BLOCK_STEPS
-from conftest import SWEEP, full_from_rows, rand_bits, reduced_from_rows
+from conftest import SWEEP, full_from_rows, rand_bits, reduced_from_rows, reference_reduce
 
 
 def incomplete_machine():
@@ -29,6 +30,19 @@ def incomplete_machine():
 
 def rows_of(rm, state):
     return [(t.input_block, t.output_bits, t.to) for t in rm.transitions[state]]
+
+
+def shared_state_machine():
+    """Both edges of state 0 are mute into state 1: two chains through the
+    same state."""
+    params = CoderParams(3, 3, 1)
+    states = ((0, 8, 0), (2, 6, 1), (0, 8, 1))
+    edges = (
+        ("", 1), ("", 1),  # state 0: symbol 0, symbol 1
+        ("01", 0), ("10", 2),
+        ("0", 0), ("1", 2),
+    )
+    return full_from_rows(params, states, edges)
 
 
 class TestReduce:
@@ -149,22 +163,54 @@ class TestReduce:
             reduce_machine(full_from_rows(params, states, edges))
 
     def test_state_shared_by_two_chains_is_no_cycle(self):
-        # both edges of state 0 are mute into state 1: two chains through
-        # the same state, each composed in full, in parse-tree order
-        params = CoderParams(3, 3, 1)
-        states = ((0, 8, 0), (2, 6, 1), (0, 8, 1))
-        edges = (
-            ("", 1), ("", 1),  # state 0: symbol 0, symbol 1
-            ("01", 0), ("10", 2),
-            ("0", 0), ("1", 2),
-        )
-        rm = reduce_machine(full_from_rows(params, states, edges))
+        # each of the two chains through state 1 is composed in full, in
+        # parse-tree order
+        rm = reduce_machine(shared_state_machine())
         assert rows_of(rm, 0) == [
             ("00", "01", 0), ("01", "10", 1), ("10", "01", 0), ("11", "10", 1),
         ]
         assert rows_of(rm, 1) == [("0", "0", 0), ("1", "1", 1)]
         assert rm.origin_bounds.tolist() == [[0, 8, 0], [0, 8, 1]]
         assert validate_reduced(rm).passed
+
+    def test_cycle_of_two_mute_edges_each_is_detected_at_once(self):
+        # 0 -> 1 <-> 2 with both edges of every state mute: the chains
+        # double at every level, so only a bound on their depth, the state
+        # count, stops them before memory does
+        params = CoderParams(3, 3, 1)
+        states = [(0, 8, f) for f in range(3)]
+        edges = (("", 1), ("", 1), ("", 2), ("", 2), ("", 1), ("", 1))
+        start = time.process_time()
+        with pytest.raises(NonEmittingCycleError):
+            reduce_machine(full_from_rows(params, states, edges))
+        assert time.process_time() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "n,p0,fm",
+        [
+            (3, 3, 1), (4, 6, 15), (7, 44, 10), (8, 51, 1), (8, 26, 3),
+            (8, 128, 3), (8, 1, 1), (9, 150, 3), (12, 1, 3), (10, 8, 3),
+        ],
+    )
+    def test_matches_the_depth_first_walk(self, cache, n, p0, fm):
+        machine = cache.machine(n, p0, fm)
+        assert reduce_machine(machine) == reference_reduce(machine)
+
+    def test_matches_the_depth_first_walk_on_a_shared_state(self):
+        machine = shared_state_machine()
+        assert reduce_machine(machine) == reference_reduce(machine)
+
+    def test_traced_peak_on_build_n9(self, cache):
+        # (9, 150, 3): 5,031 states, 63,084 rows, 445,098 block bits; the
+        # level passes peak at ~7.1 MiB, the depth-first walk at 8.85 MiB
+        machine = cache.machine(9, 150, 3)
+        tracemalloc.start()
+        try:
+            reduce_machine(machine)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9.5 * 2**20
 
 
 class TestValidateReduced:
