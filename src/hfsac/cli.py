@@ -213,9 +213,10 @@ def _replacing(path):
 
     It is made beside `path` (a symbolic link's target), with the mode that
     open(path, "wb") gives: an existing file's, else 0o666 less the umask.
-    A `path` that exists and is not a regular file is refused.
+    A `path` that exists and is not a regular file is refused, and an
+    error in making the new file names `path`, not the new file.
     """
-    path = os.path.realpath(path)
+    given, path = path, os.path.realpath(path)
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
@@ -230,6 +231,8 @@ def _replacing(path):
             break
         except FileExistsError:
             continue
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, given) from None
     try:
         with open(fd, "wb") as fh:
             if mode is not None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bitio import BitSource, Bits
 from .coder import CoderParams, build_full_fsm
-from .prefix import PrefixTable, kraft_words, no_jumps, walk, word_bits
+from .prefix import PrefixTable, kraft_bits, no_jumps, walk
 from .reducer import ReducedMachine, parse_rows, reduce_machine
 
 _FLIP = str.maketrans("01", "10")
@@ -123,11 +123,11 @@ def code_lengths(counts, weights) -> np.ndarray:
 
 
 def canonical_bits(counts, lengths) -> np.ndarray:
-    """Canonical codewords of every state at once, as uint64 values: sorted
-    by (length, index), they count upward: the Kraft prefix sums taken in
-    that order."""
+    """Canonical codewords of every state at once, as 0/1 bytes in row
+    order: sorted by (length, index), they count upward: the Kraft prefix
+    sums taken in that order."""
     order = np.lexsort((lengths, np.repeat(np.arange(len(counts)), counts)))
-    return kraft_words(counts, lengths, order)
+    return kraft_bits(counts, lengths, order)
 
 
 @dataclass(frozen=True)
@@ -143,15 +143,14 @@ class HfsacCodec:
     """Reduced machine plus one prefix code per state, as columns; immutable.
 
     Row r of `rm` has the codeword of `code_len[r]` bits, row r of the prefix
-    table `outputs`, which holds the integer `code_bits` as 0/1 bits; its row
-    ids are those of `rm.inputs`.  A step's swap position is its swap draw
-    modulo its state's entry of `swap_moduli`, max_len + 1.  `tables` is an
-    object view, built on first access.
+    table `outputs`, which holds all the codewords' `bits`, 0/1 bytes in row
+    order; its row ids are those of `rm.inputs`.  A step's swap position is
+    its swap draw modulo its state's entry of `swap_moduli`, max_len + 1.
+    `tables` is an object view, built on first access.
     """
 
-    def __init__(self, rm: ReducedMachine, code_len, code_bits):
+    def __init__(self, rm: ReducedMachine, code_len, bits):
         self.rm = rm
-        bits = word_bits(code_len, code_bits)
         self.outputs = PrefixTable(rm.row_base, rm.row_state, code_len, bits)
         self.code_len = self.outputs.lengths
         max_len = np.maximum.reduceat(self.code_len, rm.row_base[:-1])

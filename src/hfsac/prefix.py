@@ -156,40 +156,35 @@ def bit_string(length: int, value: int) -> str:
     return bin(value | 1 << length)[3:]
 
 
-def kraft_words(counts, lengths, order=slice(None)) -> np.ndarray:
-    """The words of every state's complete prefix code, as uint64 values,
-    from their lengths alone; `counts[s]` consecutive lengths belong to
-    state s.
+def kraft_bits(counts, lengths, order=slice(None)) -> np.ndarray:
+    """The words of every state's complete prefix code, from their lengths
+    alone, as 0/1 bytes in row order, each word most significant bit
+    first; `counts[s]` consecutive lengths belong to state s.
 
     Taken in `order`, a permutation of the rows that keeps each state's
     rows in its own span (row order by default), a word is the Kraft
-    prefix sum of the words before it, sum 2**(L_j - L_i), computed at
-    the state's longest length and shifted down.  A code's lexicographic
-    order and its canonical (length, index) order are two such orders.
+    prefix sum of the words before it, sum 2**(L_j - L_i), computed as a
+    uint64 at the state's longest length and shifted down; its big-endian
+    bytes, unpacked, are cut to its length.  A code's lexicographic order
+    and its canonical (length, index) order are two such orders.
     """
     counts = np.asarray(counts, np.int64)
     base = np.cumsum(counts) - counts
     top = np.repeat(np.maximum.reduceat(lengths, base), counts)
-    if top.max(initial=0) > 63:
-        raise OverflowError("codewords longer than 63 bits")
+    longest = int(top.max(initial=0))
+    if longest > 63:
+        raise OverflowError("words longer than 63 bits")
     shift = (top - lengths)[order].astype(np.uint64)
     step = np.uint64(1) << shift
     before = np.cumsum(step) - step  # wraps modulo 2**64; differences stay exact
     before -= np.repeat(before[base], counts)
-    words = np.empty(len(shift), np.uint64)
+    words = np.empty(len(shift), ">u8")
     words[order] = before >> shift
-    return words
-
-
-def word_bits(lengths, values) -> np.ndarray:
-    """The bits of words of at most 64 bits, given as integer `values`, as
-    0/1 bytes in row order, most significant bit first: the values'
-    big-endian bytes, unpacked, cut to the words' lengths."""
-    lengths = np.asarray(lengths, np.uint8)  # bytes compare fastest in the cut
-    n_bytes = -(-int(lengths.max(initial=0)) // 8)
-    raw = np.asarray(values, ">u8").view(np.uint8).reshape(-1, 8)[:, 8 - n_bytes :]
-    grid = np.unpackbits(raw, 1)
+    del top, shift, step, before  # the unpacked bits are the peak: free these first
+    n_bytes = -(-longest // 8)
+    grid = np.unpackbits(words.view(np.uint8).reshape(-1, 8)[:, 8 - n_bytes :], 1)
     width = 8 * n_bytes
+    lengths = np.asarray(lengths, np.uint8)  # bytes compare fastest in the cut
     return grid[np.arange(width, dtype=np.uint8) >= width - lengths[:, None]]
 
 

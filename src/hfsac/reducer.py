@@ -16,7 +16,7 @@ import numpy as np
 
 from .bitio import BitSource, Bits
 from .coder import CoderParams, FullMachine
-from .prefix import PrefixTable, bit_string, kraft_words, no_jumps, walk, word_bits
+from .prefix import PrefixTable, bit_string, kraft_bits, no_jumps, walk
 
 
 class NonEmittingCycleError(RuntimeError):
@@ -226,18 +226,18 @@ def _block_bits(counts, lengths, branch) -> np.ndarray:
 
     Blocks of at most 63 bits are Kraft prefix sums.  Where some block is
     longer, each block is the one before it up to `branch`, the index of
-    its own last 1, where the two part, then a 1, then 0s.
+    its own last 1, then that 1, then 0s; a state's first block is all 0s,
+    with branch -1.  The 1s are set at once on zeroed memory, then each
+    block copies its prefix from the one before, in row order, 1s included.
     """
     if lengths.max() <= 63:
-        return word_bits(lengths, kraft_words(counts, lengths))
+        return kraft_bits(counts, lengths)
     ends = np.cumsum(lengths, dtype=np.int64)
-    bits = np.empty(int(ends[-1]), np.uint8)
+    bits = np.zeros(int(ends[-1]), np.uint8)
+    bits[(ends - lengths + branch)[branch >= 0]] = 1
     at = (ends - lengths).tolist()
-    for o, q, n, p in zip(at, [0, *at], lengths.tolist(), branch.tolist()):
-        bits[o + p + 1 : o + n] = 0
-        if p >= 0:
-            bits[o : o + p] = bits[q : q + p]
-            bits[o + p] = 1
+    for o, q, p in zip(at, [0, *at], branch.clip(0).tolist()):  # -1 slices from the end
+        bits[o : o + p] = bits[q : q + p]
     return bits
 
 

@@ -1,7 +1,9 @@
 import heapq
 import math
+import os
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,11 @@ from hfsac import (
     swap_codeword,
 )
 from hfsac.crypto import TAG_JUMP, TAG_STATE, TAG_SWAP
+
+# child processes that run the package (`python -m hfsac.cli`) find it where
+# pytest's `pythonpath` setting finds it
+_PATH = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, _PATH))
 
 # parameter grid shared by the property suites: every (n, p0_num, f_max)
 # combination the package promises to handle well

@@ -323,6 +323,20 @@ class TestAtomicOutput:
         assert mode & 0o777 == 0o640
         assert box.stat().st_mode == (tmp_path / "back").stat().st_mode == mode
 
+    def test_missing_directory_names_the_output(self, tmp_path, capsys):
+        # the error names --out as given, not the new file made beside it
+        box = self.encode(tmp_path)
+        out = tmp_path / "nodir" / "x.hfsa"
+        encode = ["encode", "--in", str(box), "--out", str(out), "--key", self.KEY,
+                  "--n", "6", "--p0-num", "28", "--fmax", "3"]
+        decode = ["decode", "--in", str(box), "--out", str(out), "--key", self.KEY]
+        capsys.readouterr()
+        for argv in (encode, decode):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        assert sorted(os.listdir(tmp_path)) == ["box.hfsa", "plain.bin"]
+
     def test_refuses_an_output_that_is_not_a_regular_file(self, tmp_path, monkeypatch):
         box = self.encode(tmp_path)
         folder = tmp_path / "folder"
@@ -561,11 +575,11 @@ class TestSelftest:
             codec = build_codec(params)
             if params.n_bits != 4:
                 return codec
-            code_len = codec.code_len.copy()
-            code_bits = [int(w, 2) for w in codec.outputs.words()]
-            last = codec.rm.row_base[1] - 1
-            code_len[0], code_bits[0] = code_len[last], code_bits[last]
-            return HfsacCodec(codec.rm, code_len, code_bits)
+            words = codec.outputs.words()
+            words[0] = words[codec.rm.row_base[1] - 1]
+            return HfsacCodec(
+                codec.rm, [len(w) for w in words], [int(b) for w in words for b in w]
+            )
 
         monkeypatch.setattr(cli, "build_codec", corrupted)
         assert main(["selftest"]) != 0

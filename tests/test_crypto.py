@@ -506,11 +506,11 @@ class TestDecodeMatchesReference:
         # state 0's first codeword grows a bit, which leaves a gap in its
         # code: windows in the gap match nothing, and no step overruns there
         codec = cache.codec(4, 3, 1)
-        code_len = codec.code_len.copy()
-        code_bits = [int(w, 2) for w in codec.outputs.words()]
-        code_len[0] += 1
-        code_bits[0] <<= 1
-        gapped = huffman.HfsacCodec(codec.rm, code_len, code_bits)
+        words = codec.outputs.words()
+        words[0] += "0"
+        gapped = huffman.HfsacCodec(
+            codec.rm, [len(w) for w in words], [int(b) for w in words for b in w]
+        )
         messages = set()
         for i in range(60):
             ks = KeySchedule(0x6A9 + i, 230)
@@ -523,7 +523,7 @@ class TestDecodeMatchesReference:
                     messages.add(got[1].split(" at ")[0])
         assert "no codeword of state 0 matches" in messages
         # keyless, from state 0: the gap at bit 0 of streams of every length
-        gap = format(code_bits[0] | 1, f"0{code_len[0]}b") + "0" * 8
+        gap = words[0][:-1] + "1" + "0" * 8
         outcomes = {self.check(gapped, gap[:k], None, 8) for k in range(len(gap) + 1)}
         assert {o[1].split(" at ")[0] for o in outcomes} == {
             "stream ends inside a codeword", "no codeword of state 0 matches",

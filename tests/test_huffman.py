@@ -13,8 +13,9 @@ from hfsac import (
     hfac_encode,
     swap_codeword,
 )
-from hfsac.huffman import attach_tables, canonical_bits, code_lengths, integer_weights
-from hfsac.prefix import bit_string
+from hfsac.huffman import (
+    HfsacCodec, attach_tables, canonical_bits, code_lengths, integer_weights,
+)
 from conftest import (
     SWEEP,
     build_state_code,
@@ -128,14 +129,16 @@ class TestAllStatesAtOnce:
         else:
             weights = [1 << (gen.next_u64() % spread) for _ in range(sum(counts))]
         lengths = code_lengths(counts, np.array(weights))
-        bits = canonical_bits(counts, lengths).tolist()
-        base = 0
+        bits = "".join(map(str, canonical_bits(counts, lengths).tolist()))
+        base = at = 0
         for k in counts:
             reference = huffman_code_lengths(weights[base : base + k])
             assert lengths[base : base + k].tolist() == reference
-            words = [bit_string(n, v) for n, v in zip(reference, bits[base : base + k])]
-            assert words == canonical_codewords(reference)
+            # equal lengths, so equal words where the concatenations agree
+            assert bits[at : at + sum(reference)] == "".join(canonical_codewords(reference))
             base += k
+            at += sum(reference)
+        assert at == len(bits)
 
 
 class TestAttachTables:
@@ -167,6 +170,18 @@ class TestAttachTables:
         assert "outputs" in vars(codec)
         assert not hasattr(codec, "code_bits")
         assert codec.code_len is codec.outputs.lengths
+
+    @pytest.mark.parametrize("n,p0,fm", SWEEP[::7])
+    def test_codec_from_canonical_bits(self, cache, n, p0, fm):
+        # the codec takes its codewords as 0/1 bits in row order; each
+        # state's are its canonical code, counted upward by (length, index)
+        codec = cache.codec(n, p0, fm)
+        rm = codec.rm
+        rebuilt = HfsacCodec(rm, codec.code_len, canonical_bits(rm.counts, codec.code_len))
+        assert rebuilt == codec
+        for table in rebuilt.tables:
+            lengths = [len(c) for c in table.codewords]
+            assert list(table.codewords) == canonical_codewords(lengths)
 
     def test_reference_table_shape(self, cache):
         codec = cache.codec(4, 3, 1)

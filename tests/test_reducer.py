@@ -2,6 +2,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hfsac import (
@@ -15,7 +16,8 @@ from hfsac import (
     reduce_machine,
     validate_reduced,
 )
-from hfsac.prefix import BLOCK_STEPS
+from hfsac.prefix import BLOCK_STEPS, kraft_bits
+from hfsac.reducer import _block_bits
 from conftest import SWEEP, full_from_rows, rand_bits, reduced_from_rows, reference_reduce
 
 
@@ -200,9 +202,32 @@ class TestReduce:
         machine = shared_state_machine()
         assert reduce_machine(machine) == reference_reduce(machine)
 
+    @pytest.mark.parametrize(
+        "n,p0,fm",
+        # the skewed (n, 1, f) with n >= 7 have blocks of 2**(n - 1) > 63 bits
+        [(7, 44, 10), (9, 150, 3), *(m for m in SWEEP if m[0] < 7 or m[1] > 1)],
+    )
+    def test_copy_rule_matches_the_kraft_rule(self, cache, n, p0, fm):
+        # an appended state with the unary code 0, 10, ..., 1**63 0, 1**64
+        # has 64-bit blocks, which forces the copy rule on the whole machine
+        rm = cache.reduced(n, p0, fm)
+        assert rm.block_len.max() <= 63
+        kraft = kraft_bits(rm.counts, rm.block_len)
+        starts = np.cumsum(rm.block_len) - rm.block_len
+        at = np.arange(len(kraft)) - np.repeat(starts, rm.block_len)
+        branch = np.maximum.reduceat(np.where(kraft == 1, at, -1), starts)  # last 1
+        bits = _block_bits(
+            np.append(rm.counts, 65),
+            np.append(rm.block_len, np.arange(1, 66).clip(max=64)),
+            np.append(branch, np.arange(-1, 64)),
+        )
+        assert np.array_equal(bits[: len(kraft)], kraft)
+        unary = "".join("1" * k + "0" for k in range(64)) + "1" * 64
+        assert "".join(map(str, bits[len(kraft) :].tolist())) == unary
+
     def test_traced_peak_on_build_n9(self, cache):
         # (9, 150, 3): 5,031 states, 63,084 rows, 445,098 block bits; the
-        # level passes peak at ~7.1 MiB, the depth-first walk at 8.85 MiB
+        # level passes peak at ~6.7 MiB, the depth-first walk at 8.85 MiB
         machine = cache.machine(9, 150, 3)
         tracemalloc.start()
         try:
