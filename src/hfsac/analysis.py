@@ -48,17 +48,19 @@ def shannon_entropy_binary(bits: Bits | str) -> float:
 
 
 class DegenerateSampleError(ValueError):
-    """A correlation's sample has zero variance, an image has too few
-    distinct pairs to draw it from, or a bit sequence is shorter than a
-    randomness test needs."""
+    """A correlation's sample has fewer than two values or zero variance, an
+    image has too few distinct pairs to draw it from, or a bit sequence is
+    shorter than a randomness test needs."""
 
 
 def pearson_corr(xs, ys) -> float:
     """Correlation coefficient from the discrete mean/variance/covariance forms."""
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1 or x.size < 2:
-        raise ValueError("need two equal-length sequences of at least 2 values")
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError("need two equal-length sequences")
+    if x.size < 2:
+        raise DegenerateSampleError(f"degenerate sample of {x.size} values")
     dx = x - x.mean()
     dy = y - y.mean()
     vx = float((dx * dx).mean())
@@ -222,59 +224,24 @@ def bits_to_image(bits: Bits | str, width: int, height: int) -> GrayImage:
 
 @dataclass
 class MetricsReport:
-    """Full metric suite for one image/key pair."""
+    """Full metric suite for one image/key pair: `metrics` maps each printed
+    row's name to its value, in report order, and the three count lists
+    are the ones the CLI writes as CSV."""
 
-    width: int
-    height: int
-    plain_entropy: float
-    cipher_entropy: float
-    plain_corr: dict[str, float]
-    cipher_corr: dict[str, float]
-    npcr: float
-    uaci: float
+    metrics: dict[str, float]
     plain_histogram: list[int]
     cipher_histogram: list[int]
-    cipher_hist_chi2: float
-    compression: dict[str, float]
-    randomness: dict[str, float]
-    key_flip_corr: dict[str, float]
     state_visits: list[int]
 
-    def rows(self) -> list[tuple[str, float]]:
-        rows: list[tuple[str, float]] = [
-            ("plain_entropy", self.plain_entropy),
-            ("cipher_entropy", self.cipher_entropy),
-        ]
-        for d in _DIRECTIONS:
-            rows.append((f"plain_corr_{d}", self.plain_corr[d]))
-        for d in _DIRECTIONS:
-            rows.append((f"cipher_corr_{d}", self.cipher_corr[d]))
-        rows.append(("npcr_pct", self.npcr))
-        rows.append(("uaci_pct", self.uaci))
-        rows.append(("cipher_hist_chi2", self.cipher_hist_chi2))
-        for name, value in sorted(self.compression.items()):
-            rows.append((f"compression_{name}_pct", value))
-        for name, value in sorted(self.randomness.items()):
-            rows.append((f"randomness_{name}_p", value))
-        for name, value in sorted(self.key_flip_corr.items()):
-            rows.append((f"key_flip_corr_{name}", value))
-        visits = [v for v in self.state_visits if v]
-        if visits:
-            rows.append(("state_visits_min", float(min(visits))))
-            rows.append(("state_visits_max", float(max(visits))))
-            rows.append(("state_visits_ratio", max(visits) / min(visits)))
-        return rows
-
     def to_csv(self) -> str:
-        lines = ["metric,value"]
-        lines += [f"{name},{value:.6g}" for name, value in self.rows()]
-        return "\n".join(lines) + "\n"
+        return "metric,value\n" + "".join(
+            f"{name},{value:.6g}\n" for name, value in self.metrics.items()
+        )
 
     def to_text(self) -> str:
-        width = max(len(name) for name, _ in self.rows())
-        return (
-            "\n".join(f"{name:<{width}}  {value:.6g}" for name, value in self.rows())
-            + "\n"
+        width = max(map(len, self.metrics))
+        return "".join(
+            f"{name:<{width}}  {value:.6g}\n" for name, value in self.metrics.items()
         )
 
 
@@ -319,7 +286,7 @@ def compression_rates(bits: Bits, codec) -> dict[str, float]:
 def _or_nan(metric, *args, **kwargs) -> float:
     """`metric` of the arguments; nan where its sample is degenerate: a
     constant sequence, an image with too few pairs, or a cipher shorter
-    than a randomness test needs, as tiny images give."""
+    than a correlation or a randomness test needs, as tiny images give."""
     try:
         return metric(*args, **kwargs)
     except DegenerateSampleError:
@@ -332,70 +299,61 @@ def analyze_image(img: GrayImage, params: CoderParams, seed: int) -> MetricsRepo
     Covers entropy, plain/cipher correlations, NPCR/UACI under a one-bit
     plaintext flip, randomness of the cipher stream, one-bit key-flip
     correlations confined to single substreams, and state-visit counts.
+    Each row goes into `metrics` where it is computed, in report order.
     """
     codec = build_codec(params)
     plain = Bits(img.pixels)
     ks = KeySchedule(seed, params.jump_q_num)
     cipher, trace = encrypt_bits(plain, codec, ks, trace=True)
     cipher_img = bits_to_image(cipher, img.width, img.height)
+    metrics = {
+        "plain_entropy": shannon_entropy_binary(plain),
+        "cipher_entropy": shannon_entropy_binary(cipher),
+    }
 
+    # one sampling generator: the plain pairs are drawn before the cipher's
     sample_gen = substream_init(ANALYSIS_SEED, TAG_SWAP)
-
-    def corr(image: GrayImage, direction: str) -> float:
-        return _or_nan(adjacent_pixel_corr, image, direction, gen=sample_gen)
-
-    plain_corr = {d: corr(img, d) for d in _DIRECTIONS}
-    cipher_corr = {d: corr(cipher_img, d) for d in _DIRECTIONS}
+    for side, image in (("plain", img), ("cipher", cipher_img)):
+        for d in _DIRECTIONS:
+            metrics[f"{side}_corr_{d}"] = _or_nan(
+                adjacent_pixel_corr, image, d, gen=sample_gen
+            )
 
     # plaintext sensitivity: flip the first bit, same key
     flipped = Bits(bytes([plain.data[0] ^ 0x80]) + plain.data[1:])
-    cipher_flip, _ = encrypt_bits(flipped, codec, ks)
-    flip_img = bits_to_image(cipher_flip, img.width, img.height)
+    flip_img = bits_to_image(encrypt_bits(flipped, codec, ks)[0], img.width, img.height)
+    metrics["npcr_pct"] = npcr(cipher_img, flip_img)
+    metrics["uaci_pct"] = uaci(cipher_img, flip_img)
+    cipher_histogram = histogram(cipher_img)
+    metrics["cipher_hist_chi2"] = histogram_chi_square(cipher_histogram)
+
+    rates = compression_rates(plain, codec)
+    rates["hfsac"] = compression_rate(plain.n, cipher.n)
+    for name, rate in rates.items():
+        metrics[f"compression_{name}_pct"] = rate
+    for name, test in (
+        ("block_frequency", block_frequency), ("monobit", monobit), ("runs", runs)
+    ):
+        metrics[f"randomness_{name}_p"] = _or_nan(test, cipher)
 
     # key sensitivity: one-bit change confined to single substreams
-    key_flip_corr: dict[str, float] = {}
     base = _bit_array(cipher)
     for name, tags in (
+        ("both", (TAG_JUMP, TAG_STATE)),
         ("jump_stream", (TAG_JUMP,)),
         ("state_stream", (TAG_STATE,)),
-        ("both", (TAG_JUMP, TAG_STATE)),
     ):
-        tweaked = KeySchedule(
-            seed, params.jump_q_num, tuple((t, 1) for t in tags)
-        )
+        tweaked = KeySchedule(seed, params.jump_q_num, tuple((t, 1) for t in tags))
         other, _ = encrypt_bits(plain, codec, tweaked)
         m = min(cipher.n, other.n)
-        # a cipher of one bit, as tiny images give, has no correlation
-        key_flip_corr[name] = (
-            math.nan if m < 2
-            else _or_nan(pearson_corr, base[:m], _bit_array(other)[:m])
+        metrics[f"key_flip_corr_{name}"] = _or_nan(
+            pearson_corr, base[:m], _bit_array(other)[:m]
         )
 
-    compression = compression_rates(plain, codec)
-    compression["hfsac"] = compression_rate(plain.n, cipher.n)
-    cipher_histogram = histogram(cipher_img)
-
-    return MetricsReport(
-        width=img.width,
-        height=img.height,
-        plain_entropy=shannon_entropy_binary(plain),
-        cipher_entropy=shannon_entropy_binary(cipher),
-        plain_corr=plain_corr,
-        cipher_corr=cipher_corr,
-        npcr=npcr(cipher_img, flip_img),
-        uaci=uaci(cipher_img, flip_img),
-        plain_histogram=histogram(img),
-        cipher_histogram=cipher_histogram,
-        cipher_hist_chi2=histogram_chi_square(cipher_histogram),
-        compression=compression,
-        randomness={
-            name: _or_nan(test, cipher)
-            for name, test in (
-                ("monobit", monobit),
-                ("block_frequency", block_frequency),
-                ("runs", runs),
-            )
-        },
-        key_flip_corr=key_flip_corr,
-        state_visits=state_visit_histogram(trace.state, codec.rm.state_count),
-    )
+    state_visits = state_visit_histogram(trace.state, codec.rm.state_count)
+    visits = [v for v in state_visits if v]
+    if visits:
+        metrics["state_visits_min"] = float(min(visits))
+        metrics["state_visits_max"] = float(max(visits))
+        metrics["state_visits_ratio"] = max(visits) / min(visits)
+    return MetricsReport(metrics, histogram(img), cipher_histogram, state_visits)

@@ -314,6 +314,12 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _write_csv(path, header: str, rows) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
 def cmd_analyze(args) -> int:
     seed = _load_seed(args)
     params = _params(args, args.jump_prob)
@@ -321,18 +327,12 @@ def cmd_analyze(args) -> int:
     report = analyze_image(img, params, seed)
     sys.stdout.write(report.to_csv() if args.format == "csv" else report.to_text())
     if args.hist_csv:
-        with open(args.hist_csv, "w", encoding="ascii") as fh:
-            fh.write("level,plain_count,cipher_count\n")
-            for level in range(256):
-                fh.write(
-                    f"{level},{report.plain_histogram[level]},"
-                    f"{report.cipher_histogram[level]}\n"
-                )
+        _write_csv(
+            args.hist_csv, "level,plain_count,cipher_count",
+            zip(range(256), report.plain_histogram, report.cipher_histogram),
+        )
     if args.visits_csv:
-        with open(args.visits_csv, "w", encoding="ascii") as fh:
-            fh.write("state,visits\n")
-            for s, count in enumerate(report.state_visits):
-                fh.write(f"{s},{count}\n")
+        _write_csv(args.visits_csv, "state,visits", enumerate(report.state_visits))
     return 0
 
 

@@ -132,6 +132,7 @@ def test_c01_roundtrip_property(cache):
     check("1 roundtrip identity", elapsed < 300, f"elapsed {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_c02_block_stream_equivalence(cache):
     checked = 0
     for n, p0, fm in SWEEP:
@@ -211,6 +212,7 @@ AC_TARGETS = {0.1: 54.3, 0.2: 27.8, 0.3: 11.4, 0.5: -0.6}
 FSAC_TARGETS = {0.1: 53.4, 0.2: 25.8, 0.3: 7.4, 0.5: -0.8}
 
 
+@pytest.mark.slow
 def test_c04a_reference_compression(reference_rates):
     details = []
     for p_zero, target in AC_TARGETS.items():
@@ -226,6 +228,7 @@ def test_c04a_reference_compression(reference_rates):
     check("4a reference rates (AC bands, HFAC bound)", True, " ".join(details))
 
 
+@pytest.mark.slow
 def test_c04b_fsac_reference_band(reference_rates):
     """Each FSAC rate lies between its floor, target - 3, and the sample's
     Shannon ceiling, 100 * (1 - H_emp).

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import sys
@@ -31,7 +32,7 @@ from hfsac import (
     state_visit_histogram,
     uaci,
 )
-from hfsac.analysis import gammaincc
+from hfsac.analysis import DegenerateSampleError, gammaincc
 from conftest import rand_bits
 
 
@@ -75,12 +76,16 @@ class TestPearson:
         assert pearson_corr(xs, ys) == pytest.approx(-1.0)
 
     def test_degenerate(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            pearson_corr([1, 1, 1], [1, 2, 3])
+        # a constant sequence, and a sample of one value
+        for xs, ys in (([1, 1, 1], [1, 2, 3]), ([4], [2])):
+            with pytest.raises(DegenerateSampleError, match="degenerate"):
+                pearson_corr(xs, ys)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            pearson_corr([1, 2], [1, 2, 3])
+        for xs, ys in (([1, 2], [1, 2, 3]), ([1], [])):
+            with pytest.raises(ValueError) as exc:
+                pearson_corr(xs, ys)
+            assert not isinstance(exc.value, DegenerateSampleError)
 
     def test_symmetry_and_scale_invariance(self):
         gen = SplitMix64(99)
@@ -352,6 +357,8 @@ class TestGrayImage:
         arr = np.arange(64, dtype=np.uint8).reshape(8, 8)
         img = GrayImage.from_array(arr)
         assert (img.to_array() == arr).all()
+        with pytest.raises(ValueError):
+            GrayImage.from_array(np.arange(64, dtype=np.uint8))
 
 
 @pytest.fixture(scope="module")
@@ -361,35 +368,58 @@ def small_report():
     return img, params, analyze_image(img, params, seed=0xBEEF)
 
 
+# the rows `hfsac analyze` prints, in order; the state_visits_* rows only
+# when some state is visited
+REPORT_ROWS = [
+    "plain_entropy", "cipher_entropy",
+    *(f"{side}_corr_{d}" for side in ("plain", "cipher")
+      for d in ("horizontal", "vertical", "diagonal")),
+    "npcr_pct", "uaci_pct", "cipher_hist_chi2",
+    *(f"compression_{c}_pct" for c in ("ac", "fsac", "hfac", "hfsac")),
+    *(f"randomness_{t}_p" for t in ("block_frequency", "monobit", "runs")),
+    *(f"key_flip_corr_{k}" for k in ("both", "jump_stream", "state_stream")),
+    "state_visits_min", "state_visits_max", "state_visits_ratio",
+]
+
+
 class TestAnalyzeImage:
     def test_report_fields_sane(self, small_report):
         _img, _params, rep = small_report
-        assert 0.9 <= rep.cipher_entropy <= 1.0
-        assert 0 <= rep.npcr <= 100
-        assert 0 <= rep.uaci <= 100
+        assert [f.name for f in dataclasses.fields(rep)] == [
+            "metrics", "plain_histogram", "cipher_histogram", "state_visits",
+        ]
+        m = rep.metrics
+        assert list(m) == REPORT_ROWS
+        assert 0.9 <= m["cipher_entropy"] <= 1.0
+        assert 0 <= m["npcr_pct"] <= 100
+        assert 0 <= m["uaci_pct"] <= 100
         assert sum(rep.plain_histogram) == 48 * 48
         assert sum(rep.cipher_histogram) == 48 * 48
-        assert set(rep.compression) == {"ac", "fsac", "hfac", "hfsac"}
-        assert set(rep.key_flip_corr) == {"jump_stream", "state_stream", "both"}
         assert sum(rep.state_visits) > 0
+        visits = [v for v in rep.state_visits if v]
+        assert m["state_visits_ratio"] == max(visits) / min(visits)
 
     def test_report_deterministic(self, small_report):
         img, params, rep = small_report
         again = analyze_image(img, params, seed=0xBEEF)
-        assert again.rows() == rep.rows()
+        assert again == rep
 
     def test_report_serialization(self, small_report):
         _img, _params, rep = small_report
         csv = rep.to_csv()
         assert csv.startswith("metric,value\n")
-        assert len(csv.splitlines()) == len(rep.rows()) + 1
-        assert "npcr_pct" in rep.to_text()
+        assert [line.split(",")[0] for line in csv.splitlines()[1:]] == REPORT_ROWS
+        # names padded to the longest, then two spaces and the value
+        width = max(map(len, REPORT_ROWS))
+        text = rep.to_text().splitlines()
+        assert [line[:width].rstrip() for line in text] == REPORT_ROWS
+        assert all(line[width:width + 2] == "  " and line[width + 2] != " " for line in text)
 
     def test_constant_image_reports_nan(self):
         # a constant image has no plain pixel correlation: those three rows
         # are nan, and the rest of the report is computed as usual
         img = GrayImage(64, 64, bytes(64 * 64))
-        rows = dict(analyze_image(img, CoderParams(5, 14, 3, 200), seed=0xBEEF).rows())
+        rows = analyze_image(img, CoderParams(5, 14, 3, 200), seed=0xBEEF).metrics
         plain = [k for k in rows if k.startswith("plain_corr_")]
         assert len(plain) == 3 and all(math.isnan(rows[k]) for k in plain)
         assert all(math.isfinite(v) for k, v in rows.items() if k not in plain)
@@ -399,9 +429,11 @@ class TestAnalyzeImage:
         # randomness p-values and the key-flip correlations read nan, and
         # the tests called on their own still refuse so short a sample
         rep = analyze_image(GrayImage(1, 1, bytes(1)), CoderParams(6, 63, 3, 128), seed=7)
-        assert rep.compression["hfsac"] == 87.5
-        assert all(math.isnan(v) for v in rep.randomness.values())
-        assert all(math.isnan(v) for v in rep.key_flip_corr.values())
+        m = rep.metrics
+        assert m["compression_hfsac_pct"] == 87.5
+        for prefix in ("randomness_", "key_flip_corr_"):
+            rows = [k for k in m if k.startswith(prefix)]
+            assert len(rows) == 3 and all(math.isnan(m[k]) for k in rows)
         for test, need in ((monobit, 100), (block_frequency, 128), (runs, 100)):
             with pytest.raises(ValueError, match=f"need at least {need} bits"):
                 test("0" * (need - 1))
@@ -410,7 +442,7 @@ class TestAnalyzeImage:
         # the report is computed on packed bits from pixels to statistics
         img = image_from_fn(40, 40, lambda x, y: (x * 5 + y * y) ^ (y >> 1))
         params = CoderParams(7, 44, 10, 230)
-        expected = analyze_image(img, params, seed=0x5EED).rows()
+        expected = analyze_image(img, params, seed=0x5EED)
 
         def refuse(*args):
             raise AssertionError("'0'/'1' text on the analyze path")
@@ -418,7 +450,7 @@ class TestAnalyzeImage:
         monkeypatch.setattr(Bits, "to_text", refuse)
         monkeypatch.setattr(Bits, "from_text", refuse)
         monkeypatch.setattr(hfsac.bitio, "pack_bits", refuse)
-        assert analyze_image(img, params, seed=0x5EED).rows() == expected
+        assert analyze_image(img, params, seed=0x5EED) == expected
 
     def test_analyze_leaves_scipy_unloaded(self):
         # the block-frequency p-value needs no scipy, whose import alone

@@ -19,8 +19,8 @@ import pytest
 
 import hfsac
 from hfsac import (
-    Bits, CoderParams, KeySchedule, build_full_fsm, encrypt, encrypt_bits, fsac_parse,
-    reduce_machine,
+    Bits, CoderParams, KeySchedule, analyze_image, build_full_fsm, encrypt, encrypt_bits,
+    fsac_parse, reduce_machine,
 )
 from hfsac import cli
 from hfsac.huffman import attach_tables
@@ -230,3 +230,19 @@ def test_cli_outputs_match_pins(workloads, tmp_path, monkeypatch, capsys):
         }
         mismatches += [(w.name, op) for op, same in checks.items() if not same]
     assert not mismatches, f"outputs differ from perfbench/pins.json: {mismatches}"
+
+
+def test_every_pinned_analyze_digest(workloads):
+    # the timed run checks the analyze report of whichever variant its seed
+    # picks: every pinned variant of every workload reproduces here
+    pins, key = workloads.load_pins(), int(workloads.KEY_HEX, 16)
+    mismatches = []
+    for w in workloads.WORKLOADS.values():
+        params = CoderParams(w.n_bits, w.p0_num, w.f_max, w.jump_q)
+        for variant in w.variants():
+            img = hfsac.parse_pgm(workloads.make_inputs(w, variant).analyze_pgm)
+            digest = workloads.sha256(analyze_image(img, params, key).to_text().encode())
+            if digest != workloads.pinned(pins, w, variant)["analyze_sha256"]:
+                mismatches.append((w.name, variant))
+    assert sum(len(w.variants()) for w in workloads.WORKLOADS.values()) == 33
+    assert not mismatches, f"analyze reports differ from perfbench/pins.json: {mismatches}"

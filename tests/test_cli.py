@@ -337,6 +337,17 @@ class TestAtomicOutput:
             assert err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
         assert sorted(os.listdir(tmp_path)) == ["box.hfsa", "plain.bin"]
 
+    def test_skips_a_temporary_name_in_use(self, tmp_path):
+        # the first name for the new file is taken: the output is made under
+        # the next one, and the file that held the name keeps its bytes
+        taken = tmp_path / f".box.hfsa.{os.getpid()}-0.tmp"
+        taken.write_bytes(b"not ours")
+        box = self.encode(tmp_path)
+        assert self.decode(box, tmp_path / "back") == 0
+        assert (tmp_path / "back").read_bytes() == bytes(range(256)) * 4
+        assert taken.read_bytes() == b"not ours"
+        assert [p.name for p in tmp_path.glob("*.tmp")] == [taken.name]
+
     def test_refuses_an_output_that_is_not_a_regular_file(self, tmp_path, monkeypatch):
         box = self.encode(tmp_path)
         folder = tmp_path / "folder"
@@ -384,14 +395,14 @@ class TestBench:
         [
             ("--p0", "inf"), ("--p0", "1e400"), ("--p0", "nan"), ("--p0", "-1"),
             ("--p0", "0"), ("--p0", "1"), ("--p0", "2"), ("--p0", "0.2,1"),
-            ("--bits", "0"),
+            ("--p0", ","), ("--bits", "0"),
         ],
         ids=" ".join,
     )
     def test_out_of_range_is_a_usage_error(self, capsys, option):
         # P(0) must lie strictly inside (0, 1): 0 and 1 would be clamped to
-        # another model and draw constant bits; every check runs before the
-        # CSV header is printed
+        # another model and draw constant bits, and a list of no values is
+        # refused; every check runs before the CSV header is printed
         argv = {"--p0": "0.3", "--bits": "100", **dict([option])}
         args = [x for kv in argv.items() for x in kv]
         assert main(["bench", "--n", "4", "--fmax", "1", *args]) == 1
@@ -613,6 +624,12 @@ class TestUsage:
                  "--n", "6", "--p0-num", "28", "--fmax", "3", "--jump-prob", bad]
             )
             assert rc == 1, bad
+        # a numerator over 256
+        assert main(
+            ["encode", "--in", str(src), "--out", str(tmp_path / "c"),
+             "--key-file", str(keyfile),
+             "--n", "6", "--p0-num", "28", "--fmax", "3", "--jump-prob", "257"]
+        ) == 1
         assert not (tmp_path / "c").exists()
         # the other integer options take the same digits: not n = 10
         assert main(["tables", "--n", "1_0", "--p0-num", "512", "--fmax", "1"]) == 1
@@ -733,6 +750,7 @@ def test_decode_memory_long_blocks(tmp_path):
     assert peaks[1 << 18] - peaks[1] < 12, peaks
 
 
+@pytest.mark.slow
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
 def test_encode_decode_memory_bounded(tmp_path):
     # Encode and decode stream their input and output through one window

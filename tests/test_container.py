@@ -116,6 +116,8 @@ class TestContainer:
         assert c == CipherContainer(CoderParams(4, 3, 1), 4, Bits(b"\xa0", 4))
         assert c.cipher_bits == "1010"
         assert serialize(c)[-1:] == b"\xa0"
+        with pytest.raises(ValueError, match="negative plain_bit_len"):
+            CipherContainer(CoderParams(4, 3, 1), -1, Bits())
 
     def test_invalid_header_params(self):
         blob = bytearray(serialize(CipherContainer(CoderParams(4, 3, 1), 4, "1010")))

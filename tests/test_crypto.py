@@ -733,6 +733,8 @@ class TestKeyspace:
             keyspace_bits(7, 10)
         with pytest.raises(ValueError):
             keyspace_bits(0, 10)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            keyspace_bits(0, 10, mode="asymptotic")
         with pytest.raises(ValueError):
             keyspace_bits(8, 10, mode="nonsense")
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from hfsac import (
 from hfsac.huffman import (
     HfsacCodec, attach_tables, canonical_bits, code_lengths, integer_weights,
 )
+from hfsac.prefix import kraft_bits
 from conftest import (
     SWEEP,
     build_state_code,
@@ -101,6 +102,15 @@ class TestBuildStateCode:
 
     def test_canonical_assignment_orders_by_length_then_index(self):
         assert canonical_codewords([2, 1, 2]) == ["10", "0", "11"]
+        # codewords have at most 63 bits: the unary code 0, 10, ..., 1**k
+        # is built up to k = 63 and refused at 64
+        unary = np.append(np.arange(1, 64), 63)
+        bits = "".join(map(str, canonical_bits([64], unary).tolist()))
+        assert bits == "".join(canonical_codewords(unary.tolist()))
+        unary = np.append(np.arange(1, 65), 64)
+        for words in (kraft_bits, canonical_bits):
+            with pytest.raises(OverflowError, match="63 bits"):
+                words([65], unary)
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_optimality_random_weights(self, k):

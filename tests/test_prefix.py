@@ -130,7 +130,10 @@ CHILD_WIDTHS = {
 }
 
 
-@pytest.mark.parametrize("n,p0,fm", list(CHILD_WIDTHS))
+@pytest.mark.parametrize(
+    "n,p0,fm",
+    [pytest.param(*m, marks=pytest.mark.slow) if m == (9, 150, 3) else m for m in CHILD_WIDTHS],
+)
 def test_sized_child_nodes_match_a_scan(cache, n, p0, fm):
     # In every state: a stream that starts with one of its words, one cut
     # inside a word and one of random bits, each after 0-7 bits of junk;
