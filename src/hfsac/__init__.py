@@ -67,6 +67,7 @@ from .huffman import (
     swap_codeword,
 )
 from .pgm import GrayImage, PgmError, parse_pgm, pgm_bytes, read_pgm, write_pgm
+from .prefix import KernelBuildError
 from .reducer import (
     NonEmittingCycleError,
     ReducedMachine,

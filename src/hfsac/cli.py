@@ -33,7 +33,7 @@ from .crypto import (
 )
 from .huffman import build_codec, swap_codeword
 from .pgm import pgm_header, read_pgm, read_pgm_header
-from .prefix import bit_string
+from .prefix import KernelBuildError, bit_string
 from .reducer import kraft_complete, validate_reduced
 
 
@@ -427,7 +427,7 @@ def main(argv=None) -> int:
     except (KeyFormatError, WrongKeyError, TruncatedStreamError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (StateExplosionError, ValueError, OSError) as exc:
+    except (StateExplosionError, KernelBuildError, ValueError, OSError) as exc:
         # ContainerError and PgmError are ValueErrors, as the exit-3 errors
         # above are: this clause comes after theirs
         print(f"error: {exc}", file=sys.stderr)

@@ -255,7 +255,7 @@ def decrypt_stream(
     if n_bits < 0:
         raise ValueError(f"n_bits must be >= 0, got {n_bits}")
     draws = _Draws(ks, codec.rm.state_count)
-    swaps = (draws.swap.next_block, codec.swap_moduli, codec._moduli)
+    swaps = (draws.swap.next_block, codec.swap_moduli)
     fail = (TruncatedStreamError, WrongKeyError)
     left = n_bits  # the last input block may run past the plain bits
     for rows, _ in walk(codec.rm, codec.outputs, cipher, n_bits, draws.jumps, swaps, fail):

@@ -145,7 +145,8 @@ class HfsacCodec:
     Row r of `rm` has the codeword of `code_len[r]` bits, row r of the prefix
     table `outputs`, which holds all the codewords' `bits`, 0/1 bytes in row
     order; its row ids are those of `rm.inputs`.  A step's swap position is
-    its swap draw modulo its state's entry of `swap_moduli`, max_len + 1.
+    its swap draw modulo its state's entry of `swap_moduli`, max_len + 1
+    (uint64, as the keystream's draws), which the step loop reads per step.
     `tables` is an object view, built on first access.
     """
 
@@ -155,7 +156,6 @@ class HfsacCodec:
         self.code_len = self.outputs.lengths
         max_len = np.maximum.reduceat(self.code_len, rm.row_base[:-1])
         self.swap_moduli = (max_len + 1).astype(np.uint64)
-        self._moduli = self.swap_moduli.tolist()  # read per step by prefix.walk
 
     @functools.cached_property
     def tables(self) -> tuple[StateCodeTable, ...]:

@@ -24,20 +24,26 @@ the block parse, the codewords for decrypt and the keyless decode.  It
 reads the stream's windows through one `WindowBuffer`, which holds a
 block's worth of them, so its memory does not grow with the stream.
 `jumps(m)` callables give each of the next m steps its jump target, or -1
-where the step stays on the state the last step carried over.  Only a
-keyed decode complements words, and only it takes the step body with swaps.
+where the step stays on the state the last step carried over.  The steps
+themselves run in one C function, `walk_block` of _walk.c, which the
+package compiles with the system C compiler on first use and loads
+through ctypes; only a keyed decode passes it swap draws.
 """
 
 from __future__ import annotations
 
-import sys
+import ctypes
+import functools
+import os
+import shutil
+import tempfile
+import zlib
 
 import numpy as np
 
 from .bitio import BitSource, Bits
 
 WINDOW_BITS = 8
-WINDOW_MASK = (1 << WINDOW_BITS) - 1
 # steps per keystream block; bounds the memory of one block's emit, and a
 # walk's window buffer to BLOCK_STEPS longest words
 BLOCK_STEPS = 1 << 13
@@ -49,10 +55,12 @@ _CHUNK = 1 << 12
 # threshold: larger passes let the heap shrink and regrow every keystream
 # block, and a decode of 96 KiB then faulted in ~4,000 pages, not ~500
 _PASS_BITS = 1 << 13
-# a swap position beyond the longest word: nothing is complemented
-_PAST_WORDS = sys.maxsize
 # a child link holds its node's first entry above 3 bits of width
 _MAX_ENTRIES = (1 << 28) - 1
+# the step loop's source, compiled on first use with these flags; no
+# -march=native, so a cached library runs on any host of the architecture
+_SOURCE = os.path.join(os.path.dirname(__file__), "_walk.c")
+_CFLAGS = ("-O2", "-shared", "-fPIC")
 
 
 def no_jumps(m: int) -> np.ndarray:
@@ -211,14 +219,14 @@ class PrefixTable:
         self._bits = np.asarray(bits, np.uint8)
         if len(self._bits) != self.lengths.sum():
             raise ValueError("the bits are not as long as the words")
-        self._index: memoryview | None = None
+        self._index: np.ndarray | None = None
 
     @property
-    def index(self) -> memoryview:
+    def index(self) -> np.ndarray:
         """Flat int32 window index, one node of 2**WINDOW_BITS entries per
         state, then the child nodes of 2**w entries each."""
         if self._index is None:
-            self._index = memoryview(self._build_index())
+            self._index = self._build_index()
         return self._index
 
     def _build_index(self) -> np.ndarray:
@@ -296,25 +304,6 @@ class PrefixTable:
             size += int(sizes.sum())
         return fills, size
 
-    def descend(self, win, entry: int, pos: int, swap_pos: int = _PAST_WORDS) -> int:
-        """Row whose word prefixes the stream at `pos`, or -1.
-
-        `entry` is the index entry of the stream's window at `pos`; a child
-        link (`entry < -1`) is followed through the windows `win[pos + 8]`,
-        `win[pos + 16]`, ..., each cut to its node's width, and windows past
-        the end of `win` read as 0.  The word is matched as if complemented
-        from `swap_pos` on, which by default lies past every word.
-        """
-        index = self.index
-        off = WINDOW_BITS
-        while entry < -1:
-            link = -2 - entry
-            window = win[pos + off] if pos + off < len(win) else 0
-            window ^= WINDOW_MASK >> max(swap_pos - off, 0)
-            entry = index[(link >> 3) + (window >> (link & 7))]
-            off += WINDOW_BITS
-        return entry
-
     def gather(self, rows: np.ndarray, swap_pos: np.ndarray | None = None) -> np.ndarray:
         """Concatenated words of `rows` as 0/1 bytes; each complemented
         from its `swap_pos` on, when given."""
@@ -347,17 +336,130 @@ class PrefixTable:
         return [text[a:b] for a, b in zip(self._offsets.tolist(), ends)]
 
 
+class KernelBuildError(RuntimeError):
+    """The compiled step loop could not be built."""
+
+
+def _compiler() -> str | None:
+    """Path of the system C compiler, `cc`, or None."""
+    return shutil.which("cc")
+
+
+def _build(source: bytes, path: str) -> None:
+    """Compile `source` into the shared library `path`."""
+    cc = _compiler()
+    if cc is None:
+        raise KernelBuildError(
+            "no C compiler: `cc` is not on PATH, and hfsac compiles its step loop "
+            "(_walk.c) with it on first use"
+        )
+    import subprocess  # only a first use compiles; other calls skip its import
+
+    # each build writes a file of its own: CLI calls may build at once, and
+    # the last rename wins with the same library
+    fd, part = tempfile.mkstemp(".part", os.path.basename(path), os.path.dirname(path))
+    os.close(fd)
+    try:
+        done = subprocess.run(
+            [cc, *_CFLAGS, "-x", "c", "-", "-o", part], input=source, capture_output=True
+        )
+        if done.returncode:
+            raise KernelBuildError(
+                f"{cc} failed on _walk.c: {done.stderr.decode(errors='replace').strip()}"
+            )
+        os.chmod(part, 0o755)  # mkstemp made it 0o600: other users load it too
+        os.replace(part, path)
+    finally:
+        if os.path.exists(part):
+            os.remove(part)
+
+
+def _library(source: bytes) -> str:
+    """Path of the compiled step loop, built there first if missing: in the
+    package's __pycache__, or where that cannot be written, in a folder of
+    this user's own under the temporary directory.  The name digests the
+    source and the flags, so an edit builds a new library."""
+    name = f"_walk-{zlib.crc32(source + ' '.join(_CFLAGS).encode()):08x}.so"
+    folder = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
+    if not os.path.exists(os.path.join(folder, name)):
+        try:
+            os.makedirs(folder, exist_ok=True)
+            writable = os.access(folder, os.W_OK)
+        except OSError:
+            writable = False
+        if not writable:
+            folder = os.path.join(tempfile.gettempdir(), f"hfsac-{os.getuid()}")
+            os.makedirs(folder, 0o700, exist_ok=True)
+            # a library that another user can replace would run as this one
+            info = os.stat(folder)
+            if info.st_uid != os.getuid() or info.st_mode & 0o022:
+                raise KernelBuildError(f"{folder} is not private to this user")
+    path = os.path.join(folder, name)
+    if not os.path.exists(path):
+        _build(source, path)
+    return path
+
+
+@functools.cache
+def _walk_block():
+    """`walk_block` of _walk.c, through ctypes; compiled on first use."""
+    with open(_SOURCE, "rb") as f:
+        source = f.read()
+    fn = ctypes.CDLL(_library(source)).walk_block
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    fn.argtypes = [ptr, ptr, ptr, ptr, i64, i64, i64, ptr, ptr, ptr, i64, ptr]
+    fn.restype = i64
+    return fn
+
+
+def match_block(table, next_state, win, pos, state, targets, draws=None, moduli=None):
+    """Rows of up to len(targets) steps over `table`, from the window at
+    index `pos` of the windows `win` and from `state`, through the step loop
+    of _walk.c; a step jumps to its target where it is not negative, then
+    moves to `next_state` of its row.  Stops before a step whose window
+    matches nothing or lies past the end of `win`.
+
+    With `draws` (uint64, one per step) a step matches its word complemented
+    from its draw modulo its state's entry of `moduli` (uint64) on.
+    """
+    # pointers go to C: each array is held here, contiguous and of its type
+    index = np.ascontiguousarray(table.index, np.int32)
+    lengths = np.ascontiguousarray(table.lengths, np.int32)
+    next_state = np.ascontiguousarray(next_state, np.int32)
+    targets = np.ascontiguousarray(targets, np.int64)
+    states = len(table._row_base) - 1
+    if len(next_state) != len(lengths) or pos < 0 or not 0 <= state < states:
+        raise ValueError("one next state per row, and a window and a state that exist")
+    rows = np.empty(len(targets), np.int64)
+    swaps = (None, None)
+    if draws is not None:
+        draws = np.ascontiguousarray(draws, np.uint64)
+        moduli = np.ascontiguousarray(moduli, np.uint64)
+        if len(draws) != len(targets) or len(moduli) != states:
+            raise ValueError("one draw per step and one modulus per state")
+        swaps = draws.ctypes.data, moduli.ctypes.data
+    # a view of `win`, released on return: one held past it would make the
+    # window buffer's cut raise BufferError
+    grid = np.frombuffer(win, np.uint8)
+    k = _walk_block()(
+        index.ctypes.data, lengths.ctypes.data, next_state.ctypes.data,
+        grid.ctypes.data, len(grid), pos, state,
+        targets.ctypes.data, *swaps, len(targets), rows.ctypes.data,
+    )
+    return rows[:k]
+
+
 def walk(rm, table: PrefixTable, stream: BitSource, limit: int, jumps, swaps=None, fail=None):
     """Parse the bits that `stream` reads into the words of `table`, the
     input blocks or the codewords of the reduced machine `rm`, from state
     0, a keystream block of at most BLOCK_STEPS steps at a time, until the
-    input blocks of the rows matched add up to `limit` bits.  Yields, per block, the rows
-    matched (int64) and their steps' jump targets.
+    input blocks of the rows matched add up to `limit` bits.  Yields, per
+    block, the rows matched (int64) and their steps' jump targets.
 
-    `swaps`, given only for a keyed decode, is (draws, moduli, modulus):
-    `draws(m)` gives the next m steps' swap draws as uint64, and a step
-    matches its word complemented from its draw modulo its state's entry
-    of `moduli` (uint64), or of `modulus` (the same, as a list), on.
+    `swaps`, given only for a keyed decode, is (draws, moduli): `draws(m)`
+    gives the next m steps' swap draws as uint64, and a step matches its
+    word complemented from its draw modulo its state's entry of `moduli`
+    (uint64) on.
 
     With `fail` None the stream is zero-padded past its end, and a window
     that no word of its state prefixes raises AssertionError.  Otherwise
@@ -370,89 +472,52 @@ def walk(rm, table: PrefixTable, stream: BitSource, limit: int, jumps, swaps=Non
     The stream is read through one `WindowBuffer`, slid to each block's
     first bit.  A block of at most BLOCK_STEPS steps reads fewer than
     BLOCK_STEPS longest words of `table` from there, and the buffer holds
-    8 windows more, or all up to the windows' end, where it is cut.  The loop tests neither
-    the stream's end nor the limit: it runs the block until a window
-    matches nothing or lies past the windows' end, and the running sums of
-    the block's word and input-block lengths then give the step that
-    reached the limit and the first step that failed.  With swaps, a jump
-    step's state is known before the block is walked, so the lookup keys
-    of its jump steps, `(target << WINDOW_BITS) | swap mask`, come from
-    numpy at once; a step that does not jump has a negative key, and the
-    loop builds its key from the state the last step carried over.
+    8 windows more, or all up to the windows' end, where it is cut.  The
+    steps run in `match_block`, which tests neither the stream's end nor
+    the limit: it runs the block until a window matches nothing or lies
+    past the windows' end, and the running sums of the block's word and
+    input-block lengths then give the step that reached the limit and the
+    first step that failed.
     """
-    index = table.index
-    lengths = memoryview(table.lengths)
-    next_state = memoryview(rm.next_state)
+    draws, moduli = swaps or (None, None)
+    # the index is built first: its peak then holds no buffer or block arrays
+    table.index
     buffer = WindowBuffer(stream, BLOCK_STEPS * table.longest + 2 * WINDOW_BITS)
     n = stream.n
-    shift, mask = WINDOW_BITS, WINDOW_MASK
     pos = done = state = steps = 0
     while done < limit:
         m = min(BLOCK_STEPS, limit - done)
         targets = jumps(m)
-        pos0, state0 = pos, state
-        win, pos = buffer.slide(pos0)  # pos: the block's first bit in win
-        rows: list[int] = []
-        append = rows.append
-        try:
-            if swaps is None:
-                for target in targets.tolist():
-                    if target >= 0:
-                        state = target
-                    row = index[state << shift | win[pos]]
-                    if row < 0:  # no match, or a word longer than the window
-                        row = table.descend(win, row, pos)
-                        if row < 0:
-                            break
-                    append(row)
-                    pos += lengths[row]
-                    state = next_state[row]
-            else:
-                draws, moduli, modulus = swaps
-                drawn = draws(m)
-                # swap positions: below 64, as no codeword has more than 63 bits
-                swap = (drawn % moduli[targets]).view(np.int64)
-                keys = memoryview(targets << shift | mask >> swap)
-                for key, draw in zip(keys, memoryview(drawn)):
-                    if key < 0:
-                        key = state << shift | mask >> draw % modulus[state]
-                    row = index[key ^ win[pos]]
-                    if row < 0:
-                        row = table.descend(win, row, pos, draw % modulus[key >> shift])
-                        if row < 0:
-                            break
-                    append(row)
-                    pos += lengths[row]
-                    state = next_state[row]
-        except IndexError:  # a window past the windows' end: a step overran it
-            pass
+        drawn = None if draws is None else draws(m)
+        win, at = buffer.slide(pos)
+        rows = match_block(table, rm.next_state, win, at, state, targets, drawn, moduli)
         k = len(rows)
-        rows = np.fromiter(rows, np.int64, k)  # ~15 % faster than np.array
         # stream bits read and input bits fed in the block by the end of each
         # step: one sum when the stream is the input
         ends = table.lengths[rows].cumsum()
         fed = ends if table is rm.inputs else rm.inputs.lengths[rows].cumsum()
         # the first step that overran the stream, or k: a zero-padded stream
         # has no end to overrun
-        bad = k if fail is None else int(ends.searchsorted(n - pos0, "right"))
+        bad = k if fail is None else int(ends.searchsorted(n - pos, "right"))
         stop = int(fed.searchsorted(limit - done))  # first step to reach the limit
         if bad <= stop and (bad < k or k < m):
             if targets[bad] >= 0:
                 state = int(targets[bad])
-            else:
-                state = next_state[rows[bad - 1]] if bad else state0
+            elif bad:
+                state = int(rm.next_state[rows[bad - 1]])
             if fail is None:
                 raise AssertionError(f"incomplete input block set in state {state}")
-            at = pos0 + (int(ends[bad - 1]) if bad else 0)
-            where = f"step {steps + bad}, bit {at}"
+            bit = pos + (int(ends[bad - 1]) if bad else 0)
+            where = f"step {steps + bad}, bit {bit}"
             words = table.lengths[rm.row_base[state] : rm.row_base[state + 1]]
-            if at + int(words.max()) > n:
+            if bit + int(words.max()) > n:
                 raise fail[0](f"stream ends inside a codeword at {where}")
             raise fail[1](f"no codeword of state {state} matches at {where}")
         last = min(stop, k - 1)
-        pos, done = pos0 + int(ends[last]), done + int(fed[last])
+        pos, done = pos + int(ends[last]), done + int(fed[last])
+        state = int(rm.next_state[rows[last]])
         steps += last + 1
-        del ends, fed  # not held through the next block's loop
+        del ends, fed  # not held through the next block's walk
         yield rows[: last + 1], targets[: last + 1]
     if pos < n:
         raise fail[1](

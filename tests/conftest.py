@@ -26,6 +26,7 @@ from hfsac import (
     reduce_machine,
     swap_codeword,
 )
+from hfsac import prefix
 from hfsac.crypto import TAG_JUMP, TAG_STATE, TAG_SWAP
 
 # child processes that run the package (`python -m hfsac.cli`) find it where
@@ -353,6 +354,15 @@ class _CodecCache:
         if key not in self._codecs:
             self._codecs[key] = attach_tables(self.reduced(n, p0, fm, q))
         return self._codecs[key]
+
+
+@pytest.fixture(scope="session", autouse=True)
+def step_loop():
+    """The compiled step loop, built before any test runs.  A CLI child that
+    compiled it would count the compiler's peak RSS in its own: the memory
+    tests read `RUSAGE_CHILDREN` (`_cli_peak_mib` in test_cli.py), which
+    takes the largest of a child and the children it waited for."""
+    return prefix._walk_block()
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import os
 import re
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -8,7 +10,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from hfsac import HfsacCodec, cli, parse, pgm_bytes, write_pgm
+from hfsac import HfsacCodec, cli, parse, pgm_bytes, prefix, write_pgm
 from hfsac.cli import main
 from conftest import rand_bits, synthetic_image
 
@@ -687,6 +689,60 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert re.fullmatch(r"[0-9a-f]{16}\n?", out.read_text())
+
+
+class TestStepLoopBuild:
+    """The step loop (_walk.c) is compiled on first use into the package's
+    __pycache__ and loaded through ctypes."""
+
+    # the README's library key and parameters; the container's sha256 for
+    # 4 KiB of bytes 0..255 repeated
+    ENCODE = ["--key", "0123456789abcdef", "--n", "7", "--p0-num", "44", "--fmax", "10",
+              "--jump-prob", "230"]
+    PINNED = "625f1a97384c8fd96d475dca135bcea0cec050e5a08d3a6991bbe3491142656f"
+
+    def test_clean_checkout(self, tmp_path):
+        # two encodes at once in a copy of the package with an empty cache:
+        # each compiles into it, neither trips on the other, and both give
+        # the pinned container
+        package = tmp_path / "hfsac"
+        shutil.copytree(
+            os.path.dirname(prefix._SOURCE), package,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        plain = tmp_path / "plain"
+        plain.write_bytes(bytes(range(256)) * 16)
+        env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "hfsac.cli", "encode", "--in", str(plain),
+                 "--out", str(tmp_path / f"box{i}"), *self.ENCODE],
+                env=env, stderr=subprocess.PIPE,
+            )
+            for i in range(2)
+        ]
+        errors = [proc.communicate(timeout=120)[1] for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0], errors
+        for i in range(2):
+            box = (tmp_path / f"box{i}").read_bytes()
+            assert hashlib.sha256(box).hexdigest() == self.PINNED
+        built = os.listdir(package / "__pycache__")
+        assert len(built) == 1 and re.fullmatch(r"_walk-[0-9a-f]{8}\.so", built[0]), built
+
+    def test_missing_compiler_is_named(self, tmp_path, monkeypatch, capsys):
+        # an empty cache and no `cc`: the call fails before it writes anything
+        source = tmp_path / "_walk.c"
+        shutil.copy(prefix._SOURCE, source)
+        monkeypatch.setattr(prefix, "_SOURCE", str(source))
+        monkeypatch.setattr(prefix, "_compiler", lambda: None)
+        monkeypatch.setattr(prefix, "_walk_block", functools.cache(prefix._walk_block.__wrapped__))
+        plain, box = tmp_path / "plain", tmp_path / "box"
+        plain.write_bytes(b"x")
+        assert main(["encode", "--in", str(plain), "--out", str(box), *self.ENCODE]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no C compiler: `cc` is not on PATH"), err
+        assert not box.exists()
+        assert os.listdir(tmp_path / "__pycache__") == []
 
 
 def _cli_peak_mib(*argv) -> float:

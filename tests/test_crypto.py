@@ -530,7 +530,7 @@ class TestDecodeMatchesReference:
         }
 
     def test_keyless_long_codewords(self, cache):
-        # (10, 1, 3) has 10-bit codewords, which go through `descend`: the
+        # (10, 1, 3) has 10-bit codewords, which go through child nodes: the
         # keyless swap must lie past every one of them
         codec = cache.codec(10, 1, 3)
         assert codec.code_len.max() == 10

@@ -10,7 +10,12 @@ the lengths below.  `TestDecrypt::test_every_cut_raises` covers the read
 past the end of a cut ciphertext.
 """
 
+import functools
 import hashlib
+import os
+import shutil
+import stat
+import tempfile
 
 import numpy as np
 import pytest
@@ -92,7 +97,7 @@ def test_index_size_cap(monkeypatch):
     table = prefix.PrefixTable(*layout, [1, 17], bits)
     assert len(table.index) == 514
     win = prefix.windows(Bits.from_text(long_word))
-    assert _lookup(table, win, 0, 0, prefix._PAST_WORDS) == 1
+    assert _lookup(table, win, 0, 0) == 1
     monkeypatch.setattr(prefix, "_MAX_ENTRIES", 513)
     with pytest.raises(ValueError, match="over 513 entries"):
         prefix.PrefixTable(*layout, [1, 17], bits).index
@@ -106,17 +111,29 @@ def test_bits_must_be_the_words_long(n_bits):
         prefix.PrefixTable(*layout, [1, 2], np.zeros(n_bits, np.uint8))
 
 
-def _lookup(table, win, state, pos, swap_pos):
-    """Row the index gives at `pos`, looked up as the walks do."""
-    window = win[pos] ^ (prefix.WINDOW_MASK >> swap_pos)
-    entry = table.index[(state << prefix.WINDOW_BITS) | window]
-    return table.descend(win, entry, pos, swap_pos) if entry < -1 else entry
+def _lookup(table, win, state, pos, swap_pos=None):
+    """Row that one step of the step loop matches at window `pos` of `win`
+    in `state`, its words complemented from `swap_pos` on where given, or
+    -1.  Every modulus is 2**64 - 1, so the swap position is the draw."""
+    next_state, moduli = _one_step_columns(len(table.lengths), len(table._row_base) - 1)
+    draws = None if swap_pos is None else np.array([swap_pos], np.uint64)
+    rows = prefix.match_block(table, next_state, win, pos, 0, [state], draws, moduli)
+    return int(rows[0]) if len(rows) else -1
+
+
+@functools.lru_cache
+def _one_step_columns(rows, states):
+    """Next states and moduli for `_lookup`, built once per table shape."""
+    return np.zeros(rows, np.int32), np.full(states, 2**64 - 1, np.uint64)
 
 
 def _scan(words, first, stream, swap_pos):
-    """Row of the word that prefixes `stream`, zero-padded, by a scan."""
+    """Row of the word that prefixes `stream`, zero-padded, by a scan; the
+    words complemented from `swap_pos` on where given."""
     for r, word in enumerate(words):
-        if (stream + "0" * len(word)).startswith(swap_codeword(word, swap_pos)):
+        if swap_pos is not None:
+            word = swap_codeword(word, swap_pos)
+        if (stream + "0" * len(word)).startswith(word):
             return first + r
     return -1
 
@@ -153,10 +170,10 @@ def test_sized_child_nodes_match_a_scan(cache, n, p0, fm):
             words = all_words[base[state] : base[state + 1]]
             longest = max(map(len, words))
             for trial in range(6):
-                swap_pos = prefix._PAST_WORDS
-                if trial >= 3:
-                    swap_pos = int(rng.integers(longest + 2))
-                word = swap_codeword(words[rng.integers(len(words))], swap_pos)
+                swap_pos = int(rng.integers(longest + 2)) if trial >= 3 else None
+                word = words[rng.integers(len(words))]
+                if swap_pos is not None:
+                    word = swap_codeword(word, swap_pos)
                 tail = (
                     word + rand_bits(state, int(rng.integers(12))),
                     word[: int(rng.integers(len(word) + 1))],
@@ -199,3 +216,37 @@ def test_child_node_sizes(cache, n, p0, fm):
         for table in (codec.rm.inputs, codec.outputs)
     )
     assert got == INDEX_LAYOUT[n, p0, fm]
+
+
+def test_read_only_package_builds_in_a_private_folder(tmp_path, monkeypatch):
+    # the package's __pycache__ cannot be written: the step loop is built in
+    # a folder of this user's own under the temporary directory, and a
+    # folder that others may write is refused
+    package, temp = tmp_path / "package", tmp_path / "temp"
+    package.mkdir()
+    temp.mkdir()
+    shutil.copy(prefix._SOURCE, package)
+    monkeypatch.setattr(prefix, "_SOURCE", str(package / "_walk.c"))
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    access = os.access
+    cache = str(package / "__pycache__")
+    monkeypatch.setattr(os, "access", lambda path, mode: path != cache and access(path, mode))
+    source = (package / "_walk.c").read_bytes()
+    path = prefix._library(source)
+    folder = temp / f"hfsac-{os.getuid()}"
+    assert os.path.dirname(path) == str(folder) and os.listdir(folder) == [os.path.basename(path)]
+    assert stat.S_IMODE(folder.stat().st_mode) == 0o700
+    assert os.listdir(cache) == []
+    folder.chmod(0o777)
+    os.remove(path)
+    with pytest.raises(prefix.KernelBuildError, match="not private to this user"):
+        prefix._library(source)
+
+
+def test_failed_build_leaves_no_file(tmp_path, monkeypatch):
+    # a compiler that fails: its error is raised, and no part file is left
+    monkeypatch.setattr(prefix, "_compiler", lambda: shutil.which("false"))
+    path = str(tmp_path / "_walk-0.so")
+    with pytest.raises(prefix.KernelBuildError, match="false failed on _walk.c"):
+        prefix._build(b"", path)
+    assert os.listdir(tmp_path) == []
