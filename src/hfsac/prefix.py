@@ -21,7 +21,7 @@ lookup.
 `walk` steps a reduced machine through a stream over one of its tables,
 a keystream block of steps at a time: the input blocks for encrypt and
 the block parse, the codewords for decrypt and the keyless decode.  It
-reads the stream's windows through one `WindowBuffer`, which holds a
+reads the stream's packed bytes through one `ByteBuffer`, which holds a
 block's worth of them, so its memory does not grow with the stream.
 `jumps(m)` callables give each of the next m steps its jump target, or -1
 where the step stays on the state the last step carried over.  The steps
@@ -32,6 +32,7 @@ through ctypes; only a keyed decode passes it swap draws.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -41,15 +42,12 @@ import zlib
 
 import numpy as np
 
-from .bitio import BitSource, Bits
+from .bitio import BitSource
 
 WINDOW_BITS = 8
 # steps per keystream block; bounds the memory of one block's emit, and a
-# walk's window buffer to BLOCK_STEPS longest words
+# walk's byte buffer to BLOCK_STEPS longest words
 BLOCK_STEPS = 1 << 13
-# the window at bit k of a byte: its 16-bit read shifted right by 8 - k
-_SHIFTS = np.arange(WINDOW_BITS, 0, -1, dtype=np.uint16)
-_CHUNK = 1 << 12
 # output bits per gather pass: bounds its temporaries (about 25 B per bit).
 # Their int64 arrays stay at 64 KiB, under glibc's default 128-KiB trim
 # threshold: larger passes let the heap shrink and regrow every keystream
@@ -68,95 +66,35 @@ def no_jumps(m: int) -> np.ndarray:
     return np.full(m, -1, np.int64)
 
 
-class WindowBuffer:
-    """The WINDOW_BITS-bit windows of a stream, a stretch at a time, in one
-    buffer of twice `span` windows, or of the stream's whole windows when
-    they are fewer: those that `windows` gives, up to the end of the
-    stream's last byte and one past it.
+class ByteBuffer:
+    """A stream's packed bytes, `span` of them at a time from a moving first
+    byte, in one buffer allocated once (of the stream's bytes when they are
+    fewer).  `data` is a ctypes array over it, `base` the stream byte of its
+    first byte and `held` the bytes it holds."""
 
-    `slide(pos)` gives the buffer and the index in it of the window at
-    stream bit `pos`, with `span` - 8 windows or more held from there, or
-    all up to the stream's end, where the buffer is then cut.  Only when
-    the next `span` windows would run past the buffer's end does it move
-    the windows it holds from `pos` on to its front, in place: at most
-    `span` of them, once the stream has advanced more than `span` windows
-    since the last move.  It then computes the windows after those it
-    holds, up to its end, from the next packed bytes of the source, 16-bit
-    reads as in `windows`.  So each window is computed once, and the buffer
-    is allocated once.
-    """
-
-    __slots__ = ("_buf", "_grid", "_read", "_left", "_carry", "_end", "_span", "base", "held")
+    __slots__ = ("_view", "_read", "_left", "data", "base", "held")
 
     def __init__(self, source: BitSource, span: int):
-        n_bytes = (source.n + 7) // 8
-        self._end = 8 * n_bytes + 1
-        self._span = span
-        self._buf = bytearray(min(2 * span, self._end))
-        self._grid = np.frombuffer(self._buf, np.uint8)  # None once the end is held
-        self._read = source.read
-        self._left = n_bytes  # bytes not read yet
-        self._carry = b""  # the last byte read, whose windows need the next
-        self.base = self.held = 0  # stream bit of the first window held; windows held
+        self._left = (source.n + 7) // 8  # bytes not read yet
+        buf = bytearray(min(span, self._left))
+        self._view, self._read = memoryview(buf), source.read
+        self.data = (ctypes.c_char * len(buf)).from_buffer(buf)
+        self.base = self.held = 0
 
-    def slide(self, pos: int) -> tuple[bytearray, int]:
-        """The buffer and the index in it of the window at stream bit `pos`
-        (at least `base`); windows past the `held` ones are stale."""
-        start = pos - self.base
-        if self._grid is not None:
-            if start and start + self._span > len(self._buf):  # a memmove
-                self._grid[: self.held - start] = self._grid[start : self.held]
-                self.base, self.held, start = pos, self.held - start, 0
-            self._fill()
-            if self.base + self.held == self._end:  # windows past it raise
-                self._grid = None  # releases the buffer for the cut
-                del self._buf[self.held :]
-        return self._buf, start
-
-    def _fill(self) -> None:
-        grid = self._grid
-        while self.base + self.held < self._end:
-            room = len(grid) - self.held
-            head = self._carry
-            if self._left:
-                # read at most _CHUNK bytes, which bounds the temporaries
-                k = min(_CHUNK, self._left, room // 8 + 1 - len(head))
-                if k < 1:
-                    return
-                data = self._read(k)
-                if len(data) != k:
-                    raise ValueError(f"the stream ends {self._left - len(data)} bytes short")
-                self._left -= k
-                head += data
-            elif room <= 8 * len(head):
-                return
-            # the stream's last byte reads a zero byte after it, and the
-            # window one past that byte is 0
-            last = not self._left and room > 8 * len(head)
-            if last:
-                head += b"\0"
-            self._carry = b"" if last else head[-1:]
-            pairs = np.frombuffer(head, np.uint8).astype(np.uint16)
-            at, c = self.held, len(pairs) - 1
-            grid[at : at + 8 * c].reshape(c, 8)[:] = (
-                (pairs[:-1] << 8 | pairs[1:])[:, None] >> _SHIFTS
-            )
-            at += 8 * c
-            if last:
-                self._buf[at] = 0
-                at += 1
-            self.held = at
-
-
-def windows(bits: Bits) -> bytearray:
-    """WINDOW_BITS-bit window at every bit position of `bits`, up to the
-    end of its last byte and one past it; bits past the end read as 0.
-
-    The window at bit 8i + k is the big-endian 16-bit read of bytes i and
-    i + 1, shifted right by 8 - k.  A pass covers _CHUNK bytes, which
-    bounds its temporaries.
-    """
-    return WindowBuffer(BitSource.of(bits), 8 * len(bits.data) + 1).slide(0)[0]
+    def slide(self, bit: int) -> int:
+        """Drop the bytes before the one that holds stream bit `bit`, read
+        until `span` bytes from there are held, or all up to the stream's
+        end, and give `bit`'s offset from the first bit held."""
+        view, drop = self._view, (bit >> 3) - self.base
+        held = self.held - drop
+        view[:held] = view[drop : self.held]  # a memmove
+        k = min(len(view) - held, self._left)
+        data = self._read(k)
+        if len(data) != k:
+            raise ValueError(f"the stream ends {self._left - len(data)} bytes short")
+        view[held : held + k] = data
+        self.base, self.held, self._left = self.base + drop, held + k, self._left - k
+        return bit - 8 * self.base
 
 
 def bit_string(length: int, value: int) -> str:
@@ -380,7 +318,7 @@ def _library(source: bytes) -> str:
     this user's own under the temporary directory.  The name digests the
     source and the flags, so an edit builds a new library."""
     name = f"_walk-{zlib.crc32(source + ' '.join(_CFLAGS).encode()):08x}.so"
-    folder = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
+    folder = cache = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
     if not os.path.exists(os.path.join(folder, name)):
         try:
             os.makedirs(folder, exist_ok=True)
@@ -397,6 +335,11 @@ def _library(source: bytes) -> str:
     path = os.path.join(folder, name)
     if not os.path.exists(path):
         _build(source, path)
+        if folder == cache:  # not the temporary folder, which other checkouts share
+            for other in os.listdir(cache):
+                if other != name and other.startswith("_walk-") and other.endswith(".so"):
+                    with contextlib.suppress(FileNotFoundError):  # removed by a concurrent build
+                        os.remove(os.path.join(cache, other))
     return path
 
 
@@ -407,46 +350,52 @@ def _walk_block():
         source = f.read()
     fn = ctypes.CDLL(_library(source)).walk_block
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    fn.argtypes = [ptr, ptr, ptr, ptr, i64, i64, i64, ptr, ptr, ptr, i64, ptr]
+    fn.argtypes = [ptr, ptr, ptr, ptr, ptr, i64, i64, i64, ptr, ptr, i64, ptr]
     fn.restype = i64
     return fn
 
 
-def match_block(table, next_state, win, pos, state, targets, draws=None, moduli=None):
-    """Rows of up to len(targets) steps over `table`, from the window at
-    index `pos` of the windows `win` and from `state`, through the step loop
-    of _walk.c; a step jumps to its target where it is not negative, then
-    moves to `next_state` of its row.  Stops before a step whose window
-    matches nothing or lies past the end of `win`.
+class StepLoop:
+    """`walk_block` of _walk.c over `table`, `next_state` of its rows and,
+    for swapped steps, `moduli` (uint64) of its states: their pointers and
+    checks are taken once, for every block of a walk."""
 
-    With `draws` (uint64, one per step) a step matches its word complemented
-    from its draw modulo its state's entry of `moduli` (uint64) on.
-    """
-    # pointers go to C: each array is held here, contiguous and of its type
-    index = np.ascontiguousarray(table.index, np.int32)
-    lengths = np.ascontiguousarray(table.lengths, np.int32)
-    next_state = np.ascontiguousarray(next_state, np.int32)
-    targets = np.ascontiguousarray(targets, np.int64)
-    states = len(table._row_base) - 1
-    if len(next_state) != len(lengths) or pos < 0 or not 0 <= state < states:
-        raise ValueError("one next state per row, and a window and a state that exist")
-    rows = np.empty(len(targets), np.int64)
-    swaps = (None, None)
-    if draws is not None:
-        draws = np.ascontiguousarray(draws, np.uint64)
-        moduli = np.ascontiguousarray(moduli, np.uint64)
-        if len(draws) != len(targets) or len(moduli) != states:
-            raise ValueError("one draw per step and one modulus per state")
-        swaps = draws.ctypes.data, moduli.ctypes.data
-    # a view of `win`, released on return: one held past it would make the
-    # window buffer's cut raise BufferError
-    grid = np.frombuffer(win, np.uint8)
-    k = _walk_block()(
-        index.ctypes.data, lengths.ctypes.data, next_state.ctypes.data,
-        grid.ctypes.data, len(grid), pos, state,
-        targets.ctypes.data, *swaps, len(targets), rows.ctypes.data,
-    )
-    return rows[:k]
+    __slots__ = ("_arrays", "_fixed", "_states")
+
+    def __init__(self, table: PrefixTable, next_state, moduli=None):
+        # pointers go to C: each array is held here, contiguous and of its type
+        index, lengths, next_state = (
+            np.ascontiguousarray(a, np.int32) for a in (table.index, table.lengths, next_state)
+        )
+        self._states = len(table._row_base) - 1
+        moduli = None if moduli is None else np.ascontiguousarray(moduli, np.uint64)
+        if len(next_state) != len(lengths) or moduli is not None and len(moduli) != self._states:
+            raise ValueError("one next state per row, and one modulus per state")
+        self._arrays = index, lengths, next_state, moduli
+        self._fixed = tuple(None if a is None else a.ctypes.data for a in self._arrays)
+
+    def match_block(self, data, held, pos, state, targets, draws=None) -> np.ndarray:
+        """Rows of up to len(targets) steps from bit `pos` of the first
+        `held` bytes of `data` (bytes, or a ctypes array) and from `state`;
+        a step jumps to its target where it is not negative, then moves to
+        its row's next state.  Stops before a step whose window matches
+        nothing or that starts past the one window after the held bytes,
+        which read as 0 past their end.  With `draws` (uint64, one per
+        step) a step matches its word complemented from its draw modulo its
+        state's modulus on."""
+        targets = np.ascontiguousarray(targets, np.int64)
+        if draws is not None:
+            draws = np.ascontiguousarray(draws, np.uint64)
+            if self._arrays[3] is None or len(draws) != len(targets):
+                raise ValueError("one draw per step, and moduli")
+        if not 0 <= held <= len(data) or pos < 0 or not 0 <= state < self._states:
+            raise ValueError("held bytes, a bit and a state that exist")
+        rows = np.empty(len(targets), np.int64)
+        k = _walk_block()(
+            *self._fixed, data, held, pos, state, targets.ctypes.data,
+            None if draws is None else draws.ctypes.data, len(targets), rows.ctypes.data,
+        )
+        return rows[:k]
 
 
 def walk(rm, table: PrefixTable, stream: BitSource, limit: int, jumps, swaps=None, fail=None):
@@ -467,30 +416,29 @@ def walk(rm, table: PrefixTable, stream: BitSource, limit: int, jumps, swaps=Non
     past the stream's end raises `truncated` when the stream ends within
     the state's longest word, `corrupt` otherwise, and stream bits left
     over at the end raise `corrupt`.  Messages name the step and its bit
-    offset.
+    offset, which the error also carries as its `step` and `bit`.
 
-    The stream is read through one `WindowBuffer`, slid to each block's
-    first bit.  A block of at most BLOCK_STEPS steps reads fewer than
-    BLOCK_STEPS longest words of `table` from there, and the buffer holds
-    8 windows more, or all up to the windows' end, where it is cut.  The
-    steps run in `match_block`, which tests neither the stream's end nor
-    the limit: it runs the block until a window matches nothing or lies
-    past the windows' end, and the running sums of the block's word and
-    input-block lengths then give the step that reached the limit and the
-    first step that failed.
+    The stream is read through one `ByteBuffer`, slid to each block's
+    first bit.  A block reads at most BLOCK_STEPS longest words of `table`
+    from there, and its last window's 16-bit read ends within 15 bits of
+    them, from a first bit up to 7 bits into its byte: the buffer holds
+    that span, or all up to the stream's end.  `StepLoop` runs the block
+    without testing the stream's end or the limit; the running sums of its
+    word and input-block lengths then give the step that reached the limit
+    and the first step that failed.
     """
     draws, moduli = swaps or (None, None)
     # the index is built first: its peak then holds no buffer or block arrays
-    table.index
-    buffer = WindowBuffer(stream, BLOCK_STEPS * table.longest + 2 * WINDOW_BITS)
+    step_loop = StepLoop(table, rm.next_state, moduli)
+    buffer = ByteBuffer(stream, -(-(BLOCK_STEPS * table.longest + 16) // 8) + 1)
     n = stream.n
     pos = done = state = steps = 0
     while done < limit:
         m = min(BLOCK_STEPS, limit - done)
         targets = jumps(m)
         drawn = None if draws is None else draws(m)
-        win, at = buffer.slide(pos)
-        rows = match_block(table, rm.next_state, win, at, state, targets, drawn, moduli)
+        at = buffer.slide(pos)
+        rows = step_loop.match_block(buffer.data, buffer.held, at, state, targets, drawn)
         k = len(rows)
         # stream bits read and input bits fed in the block by the end of each
         # step: one sum when the stream is the input
@@ -507,12 +455,14 @@ def walk(rm, table: PrefixTable, stream: BitSource, limit: int, jumps, swaps=Non
                 state = int(rm.next_state[rows[bad - 1]])
             if fail is None:
                 raise AssertionError(f"incomplete input block set in state {state}")
-            bit = pos + (int(ends[bad - 1]) if bad else 0)
-            where = f"step {steps + bad}, bit {bit}"
+            step, bit = steps + bad, pos + (int(ends[bad - 1]) if bad else 0)
             words = table.lengths[rm.row_base[state] : rm.row_base[state + 1]]
             if bit + int(words.max()) > n:
-                raise fail[0](f"stream ends inside a codeword at {where}")
-            raise fail[1](f"no codeword of state {state} matches at {where}")
+                exc = fail[0](f"stream ends inside a codeword at step {step}, bit {bit}")
+            else:
+                exc = fail[1](f"no codeword of state {state} matches at step {step}, bit {bit}")
+            exc.step, exc.bit = step, bit
+            raise exc
         last = min(stop, k - 1)
         pos, done = pos + int(ends[last]), done + int(fed[last])
         state = int(rm.next_state[rows[last]])
@@ -520,6 +470,6 @@ def walk(rm, table: PrefixTable, stream: BitSource, limit: int, jumps, swaps=Non
         del ends, fed  # not held through the next block's walk
         yield rows[: last + 1], targets[: last + 1]
     if pos < n:
-        raise fail[1](
-            f"{n - pos} stream bits left over after step {steps}, at bit {pos}"
-        )
+        exc = fail[1](f"{n - pos} stream bits left over after step {steps}, at bit {pos}")
+        exc.step, exc.bit = steps, pos
+        raise exc

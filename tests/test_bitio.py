@@ -1,4 +1,5 @@
-"""The packed bit type, its writer, and bit windows read from packed bytes."""
+"""The packed bit type, its writer, the byte buffer of a walk, and the bit
+windows that the step loop reads from packed bytes."""
 
 import numpy as np
 import pytest
@@ -6,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfsac import Bits
-from hfsac import prefix
 from hfsac.bitio import BitSource, BitWriter
-from hfsac.prefix import WindowBuffer, windows
+from hfsac.prefix import ByteBuffer, PrefixTable, StepLoop
 
 bit_text = st.text(alphabet="01", max_size=200)
 
@@ -75,47 +75,66 @@ class TestBitWriter:
         assert Bits(b"".join(sunk), n) == Bits.from_text(text)
 
 
+def window_reader() -> StepLoop:
+    """A step loop over one state whose words are the 256 bytes, row r the
+    byte r: the row of a step is the window it reads."""
+    words = np.unpackbits(np.arange(256, dtype=np.uint8))
+    table = PrefixTable(np.array([0, 256]), np.zeros(256, np.int32), np.full(256, 8), words)
+    return StepLoop(table, np.zeros(256, np.int32))
+
+
+READER = window_reader()
+
+
+def read_window(data, held: int, pos: int) -> int | None:
+    """The window that the step loop reads at bit `pos` of the first `held`
+    bytes of `data`, or None where no step starts there."""
+    rows = READER.match_block(data, held, pos, 0, [-1])
+    return int(rows[0]) if len(rows) else None
+
+
 class TestWindows:
     @given(bit_text)
     def test_matches_reference(self, text):
-        assert bytes(windows(Bits.from_text(text))) == reference_windows(text)
+        # every bit of the bytes and the one window past them; no step
+        # starts further on
+        data = Bits.from_text(text).data
+        got = [read_window(data, len(data), p) for p in range(8 * len(data) + 2)]
+        assert got == [*reference_windows(text), None]
 
-    @given(st.binary(max_size=64))
-    def test_matches_reference_across_chunks(self, data):
-        # several 16-bit read passes, each starting inside the stream
-        prefix._CHUNK, saved = 3, prefix._CHUNK
-        try:
-            got = windows(Bits(data))
-        finally:
-            prefix._CHUNK = saved
-        assert bytes(got) == reference_windows(Bits(data).to_text())
+    @given(st.binary(min_size=1, max_size=8), st.data())
+    def test_bytes_past_the_held_ones_read_as_zero(self, data, draw):
+        held = draw.draw(st.integers(0, len(data)))
+        want = reference_windows(Bits(data[:held]).to_text())
+        assert [read_window(data, held, p) for p in range(8 * held + 1)] == list(want)
 
 
 class TestWindowBuffer:
+    """The `ByteBuffer` that a walk's windows are read from."""
+
     def slide_through(self, data, n, span, strides):
         """Slides a buffer of `span` over `n` bits of `data` by `strides` in
-        turn, then by 1 to the end, checking the windows at every start."""
+        turn, then by 1 to the end, checking the bytes held and the window
+        at every start."""
         text = Bits(data).to_text()[:n]
+        bits = Bits.from_text(text)
         want = reference_windows(text)
-        buf = WindowBuffer(BitSource.of(Bits.from_text(text)), span)
+        buf = ByteBuffer(BitSource.of(bits), span)
+        assert len(buf.data) == min(span, len(bits.data))  # allocated once
         pos = 0
         strides = iter(strides)
         while True:
-            win, start = buf.slide(pos)
-            assert buf.base + start == pos
-            held = buf.held - start
-            assert bytes(win[start : buf.held]) == want[pos : pos + held], pos
-            if pos + held == len(want):  # the end: past it, the windows raise
-                assert len(win) == buf.held
-            else:
-                assert held >= span - 8, (pos, held)
-                assert len(win) <= 2 * span
-            if pos == len(want) - 1:
+            at = buf.slide(pos)
+            assert 8 * buf.base + at == pos and 0 <= at < 8, pos
+            # span bytes from the one holding `pos`, or all up to the end
+            assert buf.data[: buf.held] == bits.data[buf.base : buf.base + span], pos
+            assert read_window(buf.data, buf.held, at) == want[pos], pos
+            if pos == 8 * len(bits.data):  # the one window past the last byte
                 return
-            # the walk slides no further than the windows it holds
-            pos += max(1, min(next(strides, 1), held - 1))
+            # the walk slides no further than the bits it holds
+            pos += max(1, min(next(strides, 1), 8 * buf.held - at))
 
-    @pytest.mark.parametrize("span", [9, 16, 17, 23, 40, 1000])
+    @pytest.mark.parametrize("span", [2, 3, 9, 16, 17, 23, 40, 1000])
     def test_every_start_offset(self, span):
         data = np.random.default_rng(span).bytes(24)
         for n in (0, 1, 8, 13, 64, 185, 192):
@@ -125,19 +144,15 @@ class TestWindowBuffer:
     @given(
         st.binary(max_size=40),
         st.integers(0, 7),
-        st.integers(9, 80),
+        st.integers(2, 12),
         st.lists(st.integers(1, 90), max_size=30),
-        st.integers(1, 5),
     )
-    def test_strides_and_chunks(self, data, cut, span, strides, chunk):
-        # reads of a few bytes: every window pass carries a byte over
-        prefix._CHUNK, saved = chunk, prefix._CHUNK
-        try:
-            self.slide_through(data, max(8 * len(data) - cut, 0), span, strides)
-        finally:
-            prefix._CHUNK = saved
+    def test_strides_and_chunks(self, data, cut, span, strides):
+        # spans of a few bytes: each slide moves the bytes held and reads
+        # the next few in one chunk
+        self.slide_through(data, max(8 * len(data) - cut, 0), span, strides)
 
     def test_a_short_read_raises(self):
         source = BitSource(lambda k: b"\x01", 24)
         with pytest.raises(ValueError, match="ends 2 bytes short"):
-            WindowBuffer(source, 100).slide(0)
+            ByteBuffer(source, 100).slide(0)

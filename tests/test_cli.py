@@ -702,14 +702,16 @@ class TestStepLoopBuild:
     PINNED = "625f1a97384c8fd96d475dca135bcea0cec050e5a08d3a6991bbe3491142656f"
 
     def test_clean_checkout(self, tmp_path):
-        # two encodes at once in a copy of the package with an empty cache:
-        # each compiles into it, neither trips on the other, and both give
-        # the pinned container
+        # two encodes at once in a copy of the package whose cache holds only
+        # a stale library: each compiles into it, neither trips on the
+        # other, both give the pinned container, and the stale one is gone
         package = tmp_path / "hfsac"
         shutil.copytree(
             os.path.dirname(prefix._SOURCE), package,
             ignore=shutil.ignore_patterns("__pycache__"),
         )
+        (package / "__pycache__").mkdir()
+        (package / "__pycache__" / "_walk-00000000.so").write_bytes(b"stale")
         plain = tmp_path / "plain"
         plain.write_bytes(bytes(range(256)) * 16)
         env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
@@ -728,6 +730,7 @@ class TestStepLoopBuild:
             assert hashlib.sha256(box).hexdigest() == self.PINNED
         built = os.listdir(package / "__pycache__")
         assert len(built) == 1 and re.fullmatch(r"_walk-[0-9a-f]{8}\.so", built[0]), built
+        assert built != ["_walk-00000000.so"]
 
     def test_missing_compiler_is_named(self, tmp_path, monkeypatch, capsys):
         # an empty cache and no `cc`: the call fails before it writes anything
@@ -766,10 +769,11 @@ def _cli_peak_mib(*argv) -> float:
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
 def test_encode_decode_memory_per_input_byte(tmp_path):
-    # The packed path holds ~12 B per input byte: the 8-bit window at every
-    # bit (8 B), the input, the cipher and the decoded bytes.  24 MiB over
-    # a 1-byte call for 1 MiB of input leaves 2x headroom, and fails the
-    # '0'/'1' text path, which grew by ~187 MiB (encode) and ~36 MiB (decode).
+    # A packed path that held the 8-bit window at every bit (8 B), the
+    # input, the cipher and the decoded bytes took ~12 B per input byte.
+    # 24 MiB over a 1-byte call for 1 MiB of input leaves 2x headroom, and
+    # fails the '0'/'1' text path, which grew by ~187 MiB (encode) and
+    # ~36 MiB (decode).
     key = ["--key", "00112233445566ff"]
     params = ["--n", "7", "--p0-num", "44", "--fmax", "10", "--jump-prob", "230"]
     peaks = {}
@@ -809,8 +813,8 @@ def test_decode_memory_long_blocks(tmp_path):
 @pytest.mark.slow
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
 def test_encode_decode_memory_bounded(tmp_path):
-    # Encode and decode stream their input and output through one window
-    # buffer of two keystream blocks' longest words (~0.3 MB on
+    # Encode and decode stream their input and output through one byte
+    # buffer of a keystream block's longest words (~22 KB on
     # (7, 44, 10)), so 4 MiB of input peaks within 4 MiB of a 1-byte call.  Holding the
     # whole stream's windows, input and output took ~45 MiB more.
     key = ["--key", "00112233445566ff"]

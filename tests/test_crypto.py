@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -440,6 +441,15 @@ class TestDecodeMatchesReference:
         assert got == expected
         return got
 
+    def check_located(self, codec, cipher: str, ks, n_bits: int):
+        """`check` of a failing decode; its error also carries the step and
+        bit that the reference's message names, as `step` and `bit`."""
+        error, message = self.check(codec, cipher, ks, n_bits)
+        with pytest.raises(error) as info:
+            _decrypt_text(codec, cipher, ks, n_bits)
+        figures = re.search(r"step (\d+), (?:at )?bit (\d+)", message).groups()
+        assert (info.value.step, info.value.bit) == tuple(map(int, figures)), message
+
     @pytest.mark.parametrize("params", [(4, 3, 1), (7, 44, 10), (10, 1, 3)])
     def test_every_cut(self, cache, params):
         codec = cache.codec(*params)
@@ -448,7 +458,7 @@ class TestDecodeMatchesReference:
         cipher, _ = encrypt(bits, codec, ks)
         assert self.check(codec, cipher, ks, len(bits)) == bits
         for k in range(len(cipher)):
-            assert isinstance(self.check(codec, cipher[:k], ks, len(bits)), tuple)
+            self.check_located(codec, cipher[:k], ks, len(bits))
 
     def test_check_figure_flips_and_wrong_keys(self, cache):
         # the ciphers of TestDecrypt::test_whole_cipher_check_figures
@@ -468,7 +478,7 @@ class TestDecodeMatchesReference:
         ks = KeySchedule(0xA99E, 128)
         cipher, _ = encrypt(bits, codec, ks)
         for tail in ("0", "1", "01", "0" * 8, "1" * 9, rand_bits(8, 40, 0.5)):
-            assert isinstance(self.check(codec, cipher + tail, ks, len(bits)), tuple)
+            self.check_located(codec, cipher + tail, ks, len(bits))
 
     def test_failures_past_the_first_keystream_block(self, cache):
         # the failing step is the last of the first block, the first of the
@@ -546,7 +556,7 @@ class TestDecodeMatchesReference:
 
 
 # every sweep machine, plus one whose input blocks (up to 512 bits) and
-# codewords (10 bits) run past the end of the packed windows
+# codewords (10 bits) run past the end of the packed bytes
 PACKED_PARAMS = SWEEP + [(10, 1, 3)]
 
 
@@ -621,7 +631,7 @@ class TestPackedCore:
 
 
 class TestWindowRefill:
-    """The walks read their streams through one window buffer, slid to the
+    """The walks read their streams through one byte buffer, slid to the
     first bit of each keystream block.  With a few steps per block, so that
     it slides and refills at every few words, encrypt, decrypt and the parse
     still equal the scalar references; so does every decode outcome of the
@@ -654,10 +664,10 @@ class TestWindowRefill:
     @pytest.mark.parametrize("block_steps", [1, 2])
     def test_longest_blocks_across_slides(self, cache, monkeypatch, block_steps):
         # (10, 1, 3): a run of 512-bit blocks of ones fills each keystream
-        # block's stretch of the buffer to its last 16 windows, so the next
-        # block's first 512-bit word lies in windows kept by the slide and in
-        # windows computed after it; the random bits before the run move it
-        # off byte boundaries
+        # block's span of the buffer to its last 3 bytes, so the next
+        # block's first 512-bit word lies in bytes kept by the slide and in
+        # bytes read after it; the random bits before the run move it off
+        # byte boundaries
         monkeypatch.setattr(prefix, "BLOCK_STEPS", block_steps)
         codec = cache.codec(10, 1, 3)
         ks = KeySchedule(0x10B, 230)

@@ -96,8 +96,8 @@ def test_index_size_cap(monkeypatch):
     monkeypatch.setattr(prefix, "_MAX_ENTRIES", 514)
     table = prefix.PrefixTable(*layout, [1, 17], bits)
     assert len(table.index) == 514
-    win = prefix.windows(Bits.from_text(long_word))
-    assert _lookup(table, win, 0, 0) == 1
+    data = Bits.from_text(long_word).data
+    assert _lookup(table, data, 0, 0) == 1
     monkeypatch.setattr(prefix, "_MAX_ENTRIES", 513)
     with pytest.raises(ValueError, match="over 513 entries"):
         prefix.PrefixTable(*layout, [1, 17], bits).index
@@ -111,20 +111,23 @@ def test_bits_must_be_the_words_long(n_bits):
         prefix.PrefixTable(*layout, [1, 2], np.zeros(n_bits, np.uint8))
 
 
-def _lookup(table, win, state, pos, swap_pos=None):
-    """Row that one step of the step loop matches at window `pos` of `win`
-    in `state`, its words complemented from `swap_pos` on where given, or
-    -1.  Every modulus is 2**64 - 1, so the swap position is the draw."""
-    next_state, moduli = _one_step_columns(len(table.lengths), len(table._row_base) - 1)
+def _lookup(table, data, state, pos, swap_pos=None):
+    """Row that one step of the step loop matches at bit `pos` of the bytes
+    `data` in `state`, its words complemented from `swap_pos` on where
+    given, or -1.  Every modulus is 2**64 - 1, so the swap position is the
+    draw."""
     draws = None if swap_pos is None else np.array([swap_pos], np.uint64)
-    rows = prefix.match_block(table, next_state, win, pos, 0, [state], draws, moduli)
+    rows = _one_step_loop(table).match_block(data, len(data), pos, 0, [state], draws)
     return int(rows[0]) if len(rows) else -1
 
 
 @functools.lru_cache
-def _one_step_columns(rows, states):
-    """Next states and moduli for `_lookup`, built once per table shape."""
-    return np.zeros(rows, np.int32), np.full(states, 2**64 - 1, np.uint64)
+def _one_step_loop(table):
+    """The step loop of `_lookup` over `table`, built once per table: next
+    states 0 and every modulus 2**64 - 1."""
+    rows, states = len(table.lengths), len(table._row_base) - 1
+    moduli = np.full(states, 2**64 - 1, np.uint64)
+    return prefix.StepLoop(table, np.zeros(rows, np.int32), moduli)
 
 
 def _scan(words, first, stream, swap_pos):
@@ -180,8 +183,8 @@ def test_sized_child_nodes_match_a_scan(cache, n, p0, fm):
                     rand_bits(state + 1, int(rng.integers(2 * longest))),
                 )[trial % 3]
                 junk = rand_bits(trial, int(rng.integers(8)))
-                win = prefix.windows(Bits.from_text(junk + tail))
-                got = _lookup(table, win, state, len(junk), swap_pos)
+                data = Bits.from_text(junk + tail).data
+                got = _lookup(table, data, state, len(junk), swap_pos)
                 assert got == _scan(words, base[state], tail, swap_pos), (state, trial)
 
 
