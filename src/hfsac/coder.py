@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import prefix
+
 STATE_CEILING = 10**6
 
 
@@ -170,57 +172,42 @@ def renormalize(low: int, high: int, follow: int, params: CoderParams):
 def build_full_fsm(params: CoderParams) -> FullMachine:
     """Breadth-first exploration of every canonical state from (0, 2**N, 0).
 
-    States are numbered in order of first occurrence and written straight
-    into the columns; emitted bits are carried as (length, value).  A state
-    is keyed by one int: low, then high (n_bits + 1 bits), then follow
-    (4 bits).
+    States are numbered in order of first occurrence, in (parent, edge)
+    order.  The loop is `explore` of the compiled kernels (prefix.kernel):
+    split_interval and renormalize on each edge, emitted bits carried as
+    (length, value), and states deduplicated by open addressing.  It writes
+    the columns straight into arrays held here and stops when they may be
+    too small; they are then doubled and the loop resumes.  More than
+    STATE_CEILING states raise StateExplosionError.
     """
-    n, p0, f_max = params.n_bits, params.p0_num, params.f_max
-    half, quarter = params.half, params.quarter
-    three_quarter = half + quarter
-    low, high, follow = [0], [params.full], [0]
-    index = {params.full << 4: 0}
-    target: list[int] = []
-    emit_len: list[int] = []
-    emit_val: list[int] = []
-    for lo, hi, fo in zip(low, high, follow):  # the BFS queue: grows as it is read
-        # split_interval, inlined: canonical states are at least 2 wide
-        s = min(max(lo + (((hi - lo) * p0) >> n), lo + 1), hi - 1)
-        for rl, rh in ((lo, s), (s, hi)):
-            rf, length, value = fo, 0, 0
-            # renormalize on (length, value), inlined: a call per edge took
-            # the build from 63.6 to 89.6 ms on (9, 150, 3) and 7.3 to 10.2
-            # ms on (7, 44, 10) (CPU time, median of 9 runs, one pinned CPU)
-            while True:
-                if rh <= half:
-                    length += rf + 1
-                    value = (value << (rf + 1)) | ((1 << rf) - 1)  # 0 then rf ones
-                    rf = 0
-                    rl, rh = rl * 2, rh * 2
-                elif rl >= half:
-                    length += rf + 1
-                    value = ((value << 1) | 1) << rf  # 1 then rf zeros
-                    rf = 0
-                    rl, rh = (rl - half) * 2, (rh - half) * 2
-                elif rl >= quarter and rh <= three_quarter and rf < f_max:
-                    rf += 1
-                    rl, rh = (rl - quarter) * 2, (rh - quarter) * 2
-                else:
-                    break
-            key = (((rl << (n + 1)) | rh) << 4) | rf
-            to = index.get(key)
-            if to is None:
-                to = len(low)
-                if to >= STATE_CEILING:
-                    raise StateExplosionError(f"state explosion for {params}")
-                index[key] = to
-                low.append(rl)
-                high.append(rh)
-                follow.append(rf)
-            target.append(to)
-            emit_len.append(length)
-            emit_val.append(value)
-    return FullMachine(params, low, high, follow, target, emit_len, emit_val)
+    states = 1 << 10
+    columns = [np.zeros(states, np.int64) for _ in range(3)] + [
+        np.zeros(2 * states, dtype) for dtype in (np.int32, np.int32, np.int64)
+    ]
+    columns[1][0] = params.full  # state 0 is (0, 2**N, 0)
+    progress = np.array([0, 1], np.int64)  # states explored, states found
+    while True:
+        bits = states.bit_length()  # 2 * states slots: at most half are used
+        slots = np.empty(1 << bits, np.int32)
+        status = prefix.kernel().explore(
+            params.n_bits, params.p0_num, params.f_max, STATE_CEILING,
+            *(c.ctypes.data for c in columns), states, slots.ctypes.data, bits,
+            progress.ctypes.data,
+        )
+        if status < 0:
+            raise StateExplosionError(f"state explosion for {params}")
+        if status == 0:
+            break
+        states *= 2
+        for k, c in enumerate(columns):
+            columns[k] = np.empty(2 * len(c), c.dtype)
+            columns[k][: len(c)] = c
+    found = int(progress[1])
+    low, high, follow, target, emit_len, emit_val = columns
+    return FullMachine(
+        params, low[:found], high[:found], follow[:found],
+        target[: 2 * found], emit_len[: 2 * found], emit_val[: 2 * found],
+    )
 
 
 def _check_bits(bits: str) -> None:

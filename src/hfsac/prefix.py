@@ -25,9 +25,10 @@ reads the stream's packed bytes through one `ByteBuffer`, which holds a
 block's worth of them, so its memory does not grow with the stream.
 `jumps(m)` callables give each of the next m steps its jump target, or -1
 where the step stays on the state the last step carried over.  The steps
-themselves run in one C function, `walk_block` of _walk.c, which the
-package compiles with the system C compiler on first use and loads
-through ctypes; only a keyed decode passes it swap draws.
+themselves run in one C function, `walk_block` of _walk.c; only a keyed
+decode passes it swap draws.  `kernel` compiles _walk.c with the system C
+compiler on first use and loads it through ctypes, for `walk_block` and
+for `explore`, the state exploration of `coder.build_full_fsm`.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ BLOCK_STEPS = 1 << 13
 _PASS_BITS = 1 << 13
 # a child link holds its node's first entry above 3 bits of width
 _MAX_ENTRIES = (1 << 28) - 1
-# the step loop's source, compiled on first use with these flags; no
+# the kernels' source, compiled on first use with these flags; no
 # -march=native, so a cached library runs on any host of the architecture
 _SOURCE = os.path.join(os.path.dirname(__file__), "_walk.c")
 _CFLAGS = ("-O2", "-shared", "-fPIC")
@@ -275,7 +276,7 @@ class PrefixTable:
 
 
 class KernelBuildError(RuntimeError):
-    """The compiled step loop could not be built."""
+    """The compiled kernels could not be built."""
 
 
 def _compiler() -> str | None:
@@ -288,7 +289,7 @@ def _build(source: bytes, path: str) -> None:
     cc = _compiler()
     if cc is None:
         raise KernelBuildError(
-            "no C compiler: `cc` is not on PATH, and hfsac compiles its step loop "
+            "no C compiler: `cc` is not on PATH, and hfsac compiles its kernels "
             "(_walk.c) with it on first use"
         )
     import subprocess  # only a first use compiles; other calls skip its import
@@ -313,7 +314,7 @@ def _build(source: bytes, path: str) -> None:
 
 
 def _library(source: bytes) -> str:
-    """Path of the compiled step loop, built there first if missing: in the
+    """Path of the compiled kernels, built there first if missing: in the
     package's __pycache__, or where that cannot be written, in a folder of
     this user's own under the temporary directory.  The name digests the
     source and the flags, so an edit builds a new library."""
@@ -344,15 +345,18 @@ def _library(source: bytes) -> str:
 
 
 @functools.cache
-def _walk_block():
-    """`walk_block` of _walk.c, through ctypes; compiled on first use."""
+def kernel() -> ctypes.CDLL:
+    """The compiled _walk.c through ctypes, built on first use: `walk_block`
+    for `StepLoop` and `explore` for `coder.build_full_fsm`."""
     with open(_SOURCE, "rb") as f:
         source = f.read()
-    fn = ctypes.CDLL(_library(source)).walk_block
+    lib = ctypes.CDLL(_library(source))
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    fn.argtypes = [ptr, ptr, ptr, ptr, ptr, i64, i64, i64, ptr, ptr, i64, ptr]
-    fn.restype = i64
-    return fn
+    lib.walk_block.argtypes = [ptr, ptr, ptr, ptr, ptr, i64, i64, i64, ptr, ptr, i64, ptr]
+    lib.walk_block.restype = i64
+    lib.explore.argtypes = [i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, i64, ptr]
+    lib.explore.restype = ctypes.c_int
+    return lib
 
 
 class StepLoop:
@@ -391,7 +395,7 @@ class StepLoop:
         if not 0 <= held <= len(data) or pos < 0 or not 0 <= state < self._states:
             raise ValueError("held bytes, a bit and a state that exist")
         rows = np.empty(len(targets), np.int64)
-        k = _walk_block()(
+        k = kernel().walk_block(
             *self._fixed, data, held, pos, state, targets.ctypes.data,
             None if draws is None else draws.ctypes.data, len(targets), rows.ctypes.data,
         )

@@ -75,6 +75,55 @@ def reduced_from_rows(params, rows, origin) -> ReducedMachine:
     )
 
 
+def reference_full_fsm(params) -> FullMachine:
+    """`build_full_fsm` as a scalar BFS: the queue is the state columns
+    themselves, read as they grow, and a dict numbers each new state as it
+    is first met, in (parent, edge) order.  Each edge splits its parent
+    and renormalizes with the coder's doubling rules written out here,
+    its emitted bits carried as (length, value); a state is keyed by one
+    int: low, then high (n_bits + 1 bits), then follow (4 bits).
+    """
+    n, p0, f_max = params.n_bits, params.p0_num, params.f_max
+    half = 1 << (n - 1)
+    quarter = half >> 1
+    three_quarter = half + quarter
+    low, high, follow = [0], [1 << n], [0]
+    index = {(1 << n) << 4: 0}
+    target: list[int] = []
+    emit_len: list[int] = []
+    emit_val: list[int] = []
+    for lo, hi, fo in zip(low, high, follow):  # the BFS queue: grows as it is read
+        s = min(max(lo + (((hi - lo) * p0) >> n), lo + 1), hi - 1)
+        for rl, rh in ((lo, s), (s, hi)):
+            rf, length, value = fo, 0, 0
+            while True:
+                if rh <= half:
+                    length += rf + 1
+                    value = (value << (rf + 1)) | ((1 << rf) - 1)  # 0 then rf ones
+                    rf = 0
+                    rl, rh = rl * 2, rh * 2
+                elif rl >= half:
+                    length += rf + 1
+                    value = ((value << 1) | 1) << rf  # 1 then rf zeros
+                    rf = 0
+                    rl, rh = (rl - half) * 2, (rh - half) * 2
+                elif rl >= quarter and rh <= three_quarter and rf < f_max:
+                    rf += 1
+                    rl, rh = (rl - quarter) * 2, (rh - quarter) * 2
+                else:
+                    break
+            key = (((rl << (n + 1)) | rh) << 4) | rf
+            to = index.setdefault(key, len(low))
+            if to == len(low):
+                low.append(rl)
+                high.append(rh)
+                follow.append(rf)
+            target.append(to)
+            emit_len.append(length)
+            emit_val.append(value)
+    return FullMachine(params, low, high, follow, target, emit_len, emit_val)
+
+
 def reference_reduce(machine) -> ReducedMachine:
     """`reduce_machine` by a depth-first walk of each reduced state's parse
     tree, one state at a time from a BFS queue.
@@ -357,12 +406,12 @@ class _CodecCache:
 
 
 @pytest.fixture(scope="session", autouse=True)
-def step_loop():
-    """The compiled step loop, built before any test runs.  A CLI child that
-    compiled it would count the compiler's peak RSS in its own: the memory
+def kernels():
+    """The compiled kernels, built before any test runs.  A CLI child that
+    compiled them would count the compiler's peak RSS in its own: the memory
     tests read `RUSAGE_CHILDREN` (`_cli_peak_mib` in test_cli.py), which
     takes the largest of a child and the children it waited for."""
-    return prefix._walk_block()
+    return prefix.kernel()
 
 
 @pytest.fixture(scope="session")

@@ -692,7 +692,7 @@ class TestUsage:
 
 
 class TestStepLoopBuild:
-    """The step loop (_walk.c) is compiled on first use into the package's
+    """The kernels (_walk.c) are compiled on first use into the package's
     __pycache__ and loaded through ctypes."""
 
     # the README's library key and parameters; the container's sha256 for
@@ -732,13 +732,18 @@ class TestStepLoopBuild:
         assert len(built) == 1 and re.fullmatch(r"_walk-[0-9a-f]{8}\.so", built[0]), built
         assert built != ["_walk-00000000.so"]
 
-    def test_missing_compiler_is_named(self, tmp_path, monkeypatch, capsys):
-        # an empty cache and no `cc`: the call fails before it writes anything
+    @staticmethod
+    def _no_compiler(tmp_path, monkeypatch):
+        # an empty cache and no `cc`
         source = tmp_path / "_walk.c"
         shutil.copy(prefix._SOURCE, source)
         monkeypatch.setattr(prefix, "_SOURCE", str(source))
         monkeypatch.setattr(prefix, "_compiler", lambda: None)
-        monkeypatch.setattr(prefix, "_walk_block", functools.cache(prefix._walk_block.__wrapped__))
+        monkeypatch.setattr(prefix, "kernel", functools.cache(prefix.kernel.__wrapped__))
+
+    def test_missing_compiler_is_named(self, tmp_path, monkeypatch, capsys):
+        # the call fails before it writes anything
+        self._no_compiler(tmp_path, monkeypatch)
         plain, box = tmp_path / "plain", tmp_path / "box"
         plain.write_bytes(b"x")
         assert main(["encode", "--in", str(plain), "--out", str(box), *self.ENCODE]) == 2
@@ -746,6 +751,14 @@ class TestStepLoopBuild:
         assert err.startswith("error: no C compiler: `cc` is not on PATH"), err
         assert not box.exists()
         assert os.listdir(tmp_path / "__pycache__") == []
+
+    def test_missing_compiler_is_named_by_tables(self, tmp_path, monkeypatch, capsys):
+        # `tables` walks no stream, but its codec build explores in C
+        self._no_compiler(tmp_path, monkeypatch)
+        assert main(["tables", "--n", "7", "--p0-num", "44", "--fmax", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: no C compiler: `cc` is not on PATH"), captured.err
+        assert captured.out == ""
 
 
 def _cli_peak_mib(*argv) -> float:

@@ -18,7 +18,7 @@ from hfsac import (
     split_interval,
 )
 from hfsac.prefix import bit_string
-from conftest import SWEEP, rand_bits
+from conftest import SWEEP, rand_bits, reference_full_fsm
 
 
 class TestCoderParams:
@@ -126,6 +126,20 @@ class TestFullMachine:
     def test_deterministic(self):
         p = CoderParams(5, 11, 1)
         assert build_full_fsm(p) == build_full_fsm(p)
+
+    @pytest.mark.parametrize(
+        "n,p0,fm",
+        # follow 15 and 19-bit emits; one state; 2,048 levels deep; the
+        # columns grown five times
+        SWEEP + [(4, 6, 15), (16, 32768, 15), (12, 1, 3), (9, 150, 3)],
+    )
+    def test_matches_the_scalar_bfs(self, n, p0, fm):
+        params = CoderParams(n, p0, fm)
+        got, want = build_full_fsm(params), reference_full_fsm(params)
+        assert got.params == want.params
+        for name in ("low", "high", "follow", "target", "emit_len", "emit_val"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
     def test_state_ceiling(self, monkeypatch):
         monkeypatch.setattr(coder, "STATE_CEILING", 10)

@@ -23,10 +23,12 @@ import hashlib
 
 import pytest
 
+from hfsac import coder
 from hfsac import (
     CoderParams,
     KeySchedule,
     SplitMix64,
+    StateExplosionError,
     bernoulli_bits,
     build_codec,
     build_full_fsm,
@@ -237,6 +239,19 @@ def test_machine_digests(params):
     fm = build_full_fsm(CoderParams(*params))
     rm = reduce_machine(fm)
     assert (sha(machine_text(fm)), sha(origin_text(rm))) == MACHINE_DIGESTS[params]
+
+
+def test_state_ceiling_boundary(monkeypatch):
+    # (7, 44, 10) has 2,388 full states: a ceiling of exactly that builds,
+    # one fewer raises, and a build after the raise is the pinned machine
+    params = CoderParams(7, 44, 10)
+    monkeypatch.setattr(coder, "STATE_CEILING", 2388)
+    assert len(build_full_fsm(params).low) == 2388
+    monkeypatch.setattr(coder, "STATE_CEILING", 2387)
+    with pytest.raises(StateExplosionError, match="state explosion for"):
+        build_full_fsm(params)
+    monkeypatch.undo()
+    assert sha(machine_text(build_full_fsm(params))) == MACHINE_DIGESTS[7, 44, 10][0]
 
 
 @pytest.mark.parametrize("params", SWEEP + [(9, 150, 3)], ids=str)

@@ -15,6 +15,7 @@ import hashlib
 import os
 import shutil
 import stat
+import subprocess
 import tempfile
 
 import numpy as np
@@ -244,6 +245,17 @@ def test_read_only_package_builds_in_a_private_folder(tmp_path, monkeypatch):
     os.remove(path)
     with pytest.raises(prefix.KernelBuildError, match="not private to this user"):
         prefix._library(source)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_kernels_compile_without_warnings(tmp_path):
+    # the shipped flags stay as they are; this build only lints the source
+    done = subprocess.run(
+        ["cc", "-Wall", "-Wextra", "-Werror", *prefix._CFLAGS, prefix._SOURCE,
+         "-o", str(tmp_path / "kernels.so")],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_failed_build_leaves_no_file(tmp_path, monkeypatch):
