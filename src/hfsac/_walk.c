@@ -1,6 +1,7 @@
 /* The package's compiled kernels, built and loaded by `hfsac.prefix.kernel`:
- * `walk_block`, the step body of every walk, and `explore`, the state
- * exploration of `hfsac.coder.build_full_fsm`, further down.
+ * `walk_block`, the step body of every walk; further down `explore`, the
+ * state exploration of `hfsac.coder.build_full_fsm`, and the two table
+ * stages, `huffman_lengths` and `kraft_words`.
  *
  * walk_block runs the steps of `hfsac.prefix.walk`: up to m steps of a
  * keystream block over a window index, from bit `pos` of the `held` packed
@@ -154,4 +155,122 @@ int explore(
     }
     progress[0] = s, progress[1] = found;
     return s < found;
+}
+
+/* moves heap[i] down to its place in the binary min-heap of `n` keys */
+static inline void sift_down(uint64_t *heap, int64_t n, int64_t i)
+{
+    uint64_t key = heap[i];
+    for (int64_t c; (c = 2 * i + 1) < n; i = c) {
+        if (c + 1 < n && heap[c + 1] < heap[c])
+            c++;
+        if (key <= heap[c])
+            break;
+        heap[i] = heap[c];
+    }
+    heap[i] = key;
+}
+
+/* Huffman code lengths of every state, the rules of `hfsac.huffman.code_lengths`:
+ * state s holds counts[s] consecutive `weights` (non-negative), and its rows'
+ * lengths go to the same places of `lengths`.  A node's key packs (weight,
+ * merged, smallest leaf index) as weight << (b+1) | merged << b | index,
+ * where b is the bit length of the state's row count rounded up to a power
+ * of two, at least 2.  A binary heap pops the two least keys and pushes
+ * their merge; node ids count up from the leaves, children before parents,
+ * and each merge records its children's parent, so one pass from the root
+ * (node 2k - 2) down gives the depths.  `heap` holds the most rows of a
+ * state and `scratch` three times as many: the node of each live smallest
+ * leaf index, then the parent links, turned into depths in place.
+ *
+ * Returns 0, or -1 when a state's weight sum has more than 61 - b bits, so
+ * that its keys might not fit in 62. */
+int huffman_lengths(
+    const int64_t *counts, int64_t states, const int64_t *weights, int32_t *lengths,
+    uint64_t *heap, int32_t *scratch)
+{
+    for (int64_t s = 0, base = 0; s < states; base += counts[s++]) {
+        const int64_t k = counts[s];
+        const int64_t *w = weights + base;
+        int b = 2;
+        while ((int64_t)1 << (b - 1) < k)
+            b++;
+        const uint64_t leaf = ((uint64_t)1 << b) - 1, limit = (uint64_t)1 << (61 - b);
+        uint64_t sum = 0; /* below limit < 2**61 before each add, so it cannot wrap */
+        for (int64_t i = 0; i < k; i++)
+            if ((sum += (uint64_t)w[i]) >= limit)
+                return -1;
+        if (k < 1)
+            continue;
+        int32_t *node = scratch, *parent = scratch + k;
+        for (int64_t i = 0; i < k; i++) {
+            heap[i] = (uint64_t)w[i] << (b + 1) | (uint64_t)i;
+            node[i] = (int32_t)i;
+        }
+        for (int64_t i = k / 2 - 1; i >= 0; i--)
+            sift_down(heap, k, i);
+        int64_t n = k;
+        for (int32_t id = (int32_t)k; id < 2 * k - 1; id++) {
+            uint64_t x = heap[0];
+            heap[0] = heap[--n];
+            sift_down(heap, n, 0);
+            uint64_t y = heap[0];
+            uint64_t lo = (x & leaf) < (y & leaf) ? x & leaf : y & leaf;
+            parent[node[x & leaf]] = parent[node[y & leaf]] = id;
+            node[lo] = id;
+            heap[0] = ((x >> (b + 1)) + (y >> (b + 1))) << (b + 1) | (uint64_t)1 << b | lo;
+            sift_down(heap, n, 0);
+        }
+        parent[2 * k - 2] = 0; /* the root's depth; a parent's id is above its children's */
+        for (int64_t i = 2 * k - 3; i >= 0; i--)
+            parent[i] = parent[parent[i]] + 1;
+        for (int64_t i = 0; i < k; i++)
+            lengths[base + i] = parent[i];
+    }
+    return 0;
+}
+
+/* The words of every state's complete prefix code from their lengths alone,
+ * as 0/1 bytes in row order into `bits`, each word most significant bit
+ * first: state s holds counts[s] consecutive `lengths` (non-negative).
+ * Taken in row order, or with `canonical` in (length, index) order, a word
+ * is the Kraft prefix sum of the words before it, sum 2**(L_j - L_i),
+ * computed as a uint64 at the state's longest length and shifted down; its
+ * low L_i bits are written.  The canonical order needs no sort: the words
+ * of one length start from the sum of all shorter ones and count up in row
+ * order.
+ *
+ * Returns 0, or -1 when a state's longest word has more than 63 bits. */
+int kraft_words(
+    const int64_t *counts, int64_t states, const int32_t *lengths, int canonical,
+    uint8_t *bits)
+{
+    for (int64_t s = 0, base = 0; s < states; base += counts[s++]) {
+        const int32_t *len = lengths + base;
+        int top = 0;
+        for (int64_t i = 0; i < counts[s]; i++)
+            top = len[i] > top ? len[i] : top;
+        if (top > 63)
+            return -1;
+        /* the running sum of each length in canonical order, or one sum */
+        uint64_t sums[64] = {0}, sum = 0;
+        if (canonical) {
+            for (int64_t i = 0; i < counts[s]; i++)
+                sums[len[i]] += (uint64_t)1 << (top - len[i]);
+            for (int l = 0; l <= top; l++) {
+                uint64_t words = sums[l];
+                sums[l] = sum; /* wraps modulo 2**64, as the sums do */
+                sum += words;
+            }
+        }
+        for (int64_t i = 0; i < counts[s]; i++) {
+            int l = len[i];
+            uint64_t *at = canonical ? &sums[l] : &sum;
+            uint64_t word = *at >> (top - l);
+            *at += (uint64_t)1 << (top - l);
+            for (int j = l - 1; j >= 0; j--)
+                *bits++ = (uint8_t)(word >> j & 1);
+        }
+    }
+    return 0;
 }

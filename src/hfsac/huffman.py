@@ -17,7 +17,7 @@ import numpy as np
 
 from .bitio import BitSource, Bits
 from .coder import CoderParams, build_full_fsm
-from .prefix import PrefixTable, kraft_bits, no_jumps, walk
+from .prefix import PrefixTable, _kraft_words, kernel, no_jumps, state_rows, walk
 from .reducer import ReducedMachine, parse_rows, reduce_machine
 
 _FLIP = str.maketrans("01", "10")
@@ -39,86 +39,26 @@ def integer_weights(rm: ReducedMachine) -> np.ndarray:
     return np.left_shift(1, np.repeat(top, rm.counts) - rm.out_len, dtype=np.int64)
 
 
-def _merge_group(weights: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Huffman code lengths of every row of a (states, width) weight array
-    whose row s holds `counts[s]` weights, then padding.
-
-    A live node sits in the column of its smallest leaf index, and its key
-    (weight, merged, smallest leaf index) is packed into one int64, so one
-    sort orders each row.  Merged weights only grow, so every node of the
-    least live weight w exists before the first of them is merged: their
-    first two, next two, ... in key order are exactly the next merges, one
-    at a time, each into a node of weight 2w.  A lone node of weight w
-    merges with the next key.  Node ids count up per state, children
-    before parents, so the root is node 2*count - 2; depths follow the
-    parent links by pointer doubling.
-    """
-    g, width = weights.shape
-    b = width.bit_length()  # leaf index < 2**b; bit b marks a merged node
-    if int(weights.sum(1).max()).bit_length() + b + 1 > 62:
-        raise OverflowError("Huffman weights too wide for the merge key")
-    dead = np.iinfo(np.int64).max
-    cols = np.arange(width)
-    key = np.where(cols < counts[:, None], (weights << (b + 1)) | cols, dead)
-    node = np.tile(cols, (g, 1))  # id of the node in each column
-    root = 2 * counts - 2
-    parent = np.repeat(root[:, None], 2 * width - 1, 1)
-    flat_key, flat_node, flat_parent = key.ravel(), node.ravel(), parent.ravel()
-    next_id = counts.copy()
-    live = counts.copy()
-    leaf = (1 << b) - 1
-    while live.max() > 1:
-        ordered = np.sort(key, 1)
-        # the run of least weight: keys below the next weight up
-        above = ((ordered[:, :1] >> (b + 1)) + 1) << (b + 1)
-        run = np.count_nonzero(ordered < above, 1)
-        pairs = np.where(live > 1, np.maximum(run >> 1, 1), 0)
-        p = int(pairs.max())
-        take = cols[:p] < pairs[:, None]
-        row = np.nonzero(take)[0]
-        first, second = ordered[:, 0 : 2 * p : 2][take], ordered[:, 1 : 2 * p : 2][take]
-        new = (next_id[:, None] + cols[:p])[take]
-        a, c = (first & leaf) + row * width, (second & leaf) + row * width
-        flat_parent[flat_node[a] + row * (2 * width - 1)] = new
-        flat_parent[flat_node[c] + row * (2 * width - 1)] = new
-        lo, hi = np.minimum(a, c), np.maximum(a, c)
-        total = (first >> (b + 1)) + (second >> (b + 1))
-        flat_key[lo] = (total << (b + 1)) | (1 << b) | (lo - row * width)
-        flat_key[hi] = dead
-        flat_node[lo] = new
-        next_id += pairs
-        live -= pairs
-    up = flat_parent + np.repeat(np.arange(g) * (2 * width - 1), 2 * width - 1)
-    top = root + np.arange(g) * (2 * width - 1)
-    depth = np.ones(up.size, np.int64)
-    depth[top] = 0
-    while (up[up] != up).any():
-        depth += depth[up]
-        up = up[up]
-    return depth.reshape(g, -1)[:, :width]
-
-
 def code_lengths(counts, weights) -> np.ndarray:
-    """Optimal prefix-code lengths of every state at once, by pairwise
-    merging of smallest weights; `counts[s]` consecutive weights belong to
-    state s.
+    """Optimal prefix-code lengths of every state at once (int32), by
+    pairwise merging of smallest weights; `counts[s]` consecutive weights
+    belong to state s.  The merging is `huffman_lengths` of _walk.c, a
+    binary heap per state.
 
     Ties break deterministically: equal weights prefer leaves over merged
-    nodes, then the node holding the smallest transition index.  States
-    merge together in groups whose row counts round up to the same power of
-    two.
+    nodes, then the node holding the smallest transition index.  Both go
+    into one merge key with the weight, which must fit in 62 bits.
     """
-    counts = np.asarray(counts, np.int64)
-    base = np.cumsum(counts) - counts
-    width = np.left_shift(1, np.ceil(np.log2(np.maximum(counts, 2))).astype(np.int64))
-    lengths = np.empty(len(weights), np.int64)
-    for w in sorted(set(width.tolist())):  # np.unique would import numpy.ma
-        group = np.flatnonzero(width == w)
-        real = np.arange(w) < counts[group, None]
-        cells = (base[group, None] + np.arange(w))[real]
-        padded = np.zeros((len(group), w), np.int64)
-        padded[real] = weights[cells]
-        lengths[cells] = _merge_group(padded, counts[group])[real]
+    weights = np.ascontiguousarray(weights, np.int64)
+    counts = state_rows(counts, len(weights))
+    width = int(counts.max(initial=0))
+    lengths = np.empty(len(weights), np.int32)
+    heap, scratch = np.empty(width, np.uint64), np.empty(3 * width, np.int32)
+    if kernel().huffman_lengths(
+        counts.ctypes.data, len(counts), weights.ctypes.data, lengths.ctypes.data,
+        heap.ctypes.data, scratch.ctypes.data,
+    ):
+        raise OverflowError("Huffman weights too wide for the merge key")
     return lengths
 
 
@@ -126,8 +66,7 @@ def canonical_bits(counts, lengths) -> np.ndarray:
     """Canonical codewords of every state at once, as 0/1 bytes in row
     order: sorted by (length, index), they count upward: the Kraft prefix
     sums taken in that order."""
-    order = np.lexsort((lengths, np.repeat(np.arange(len(counts)), counts)))
-    return kraft_bits(counts, lengths, order)
+    return _kraft_words(counts, lengths, True)
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,10 @@ block's worth of them, so its memory does not grow with the stream.
 where the step stays on the state the last step carried over.  The steps
 themselves run in one C function, `walk_block` of _walk.c; only a keyed
 decode passes it swap draws.  `kernel` compiles _walk.c with the system C
-compiler on first use and loads it through ctypes, for `walk_block` and
-for `explore`, the state exploration of `coder.build_full_fsm`.
+compiler on first use and loads it through ctypes, for `walk_block`, for
+`explore`, the state exploration of `coder.build_full_fsm`, and for the
+table stages: `huffman_lengths` (`huffman.code_lengths`) and `kraft_words`
+(`kraft_bits` and `huffman.canonical_bits`).
 """
 
 from __future__ import annotations
@@ -103,36 +105,43 @@ def bit_string(length: int, value: int) -> str:
     return bin(value | 1 << length)[3:]
 
 
-def kraft_bits(counts, lengths, order=slice(None)) -> np.ndarray:
+def state_rows(counts, rows: int) -> np.ndarray:
+    """`counts` as contiguous int64, checked to split `rows` rows into
+    states of `counts[s]` consecutive rows each, as the table kernels read
+    them."""
+    counts = np.ascontiguousarray(counts, np.int64)
+    if (counts < 0).any() or counts.sum() != rows:
+        raise ValueError(f"state row counts that add up to the {rows} rows")
+    return counts
+
+
+def kraft_bits(counts, lengths) -> np.ndarray:
     """The words of every state's complete prefix code, from their lengths
     alone, as 0/1 bytes in row order, each word most significant bit
     first; `counts[s]` consecutive lengths belong to state s.
 
-    Taken in `order`, a permutation of the rows that keeps each state's
-    rows in its own span (row order by default), a word is the Kraft
-    prefix sum of the words before it, sum 2**(L_j - L_i), computed as a
-    uint64 at the state's longest length and shifted down; its big-endian
-    bytes, unpacked, are cut to its length.  A code's lexicographic order
-    and its canonical (length, index) order are two such orders.
+    A word is the Kraft prefix sum of the words before it, sum
+    2**(L_j - L_i), computed as a uint64 at the state's longest length and
+    shifted down: `kraft_words` of _walk.c, in row order.  A code's
+    lexicographic order is its row order; `huffman.canonical_bits` takes
+    the canonical (length, index) order.
     """
-    counts = np.asarray(counts, np.int64)
-    base = np.cumsum(counts) - counts
-    top = np.repeat(np.maximum.reduceat(lengths, base), counts)
-    longest = int(top.max(initial=0))
-    if longest > 63:
+    return _kraft_words(counts, lengths, False)
+
+
+def _kraft_words(counts, lengths, canonical: bool) -> np.ndarray:
+    """`kraft_bits`, in (length, index) order within each state where
+    `canonical`."""
+    lengths = np.ascontiguousarray(lengths, np.int32)
+    counts = state_rows(counts, len(lengths))
+    if (lengths < 0).any():
+        raise ValueError("negative word lengths")
+    bits = np.empty(int(lengths.sum(dtype=np.int64)), np.uint8)
+    if kernel().kraft_words(
+        counts.ctypes.data, len(counts), lengths.ctypes.data, canonical, bits.ctypes.data
+    ):
         raise OverflowError("words longer than 63 bits")
-    shift = (top - lengths)[order].astype(np.uint64)
-    step = np.uint64(1) << shift
-    before = np.cumsum(step) - step  # wraps modulo 2**64; differences stay exact
-    before -= np.repeat(before[base], counts)
-    words = np.empty(len(shift), ">u8")
-    words[order] = before >> shift
-    del top, shift, step, before  # the unpacked bits are the peak: free these first
-    n_bytes = -(-longest // 8)
-    grid = np.unpackbits(words.view(np.uint8).reshape(-1, 8)[:, 8 - n_bytes :], 1)
-    width = 8 * n_bytes
-    lengths = np.asarray(lengths, np.uint8)  # bytes compare fastest in the cut
-    return grid[np.arange(width, dtype=np.uint8) >= width - lengths[:, None]]
+    return bits
 
 
 class PrefixTable:
@@ -347,7 +356,8 @@ def _library(source: bytes) -> str:
 @functools.cache
 def kernel() -> ctypes.CDLL:
     """The compiled _walk.c through ctypes, built on first use: `walk_block`
-    for `StepLoop` and `explore` for `coder.build_full_fsm`."""
+    for `StepLoop`, `explore` for `coder.build_full_fsm`, and
+    `huffman_lengths` and `kraft_words` for the code tables."""
     with open(_SOURCE, "rb") as f:
         source = f.read()
     lib = ctypes.CDLL(_library(source))
@@ -356,6 +366,10 @@ def kernel() -> ctypes.CDLL:
     lib.walk_block.restype = i64
     lib.explore.argtypes = [i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, i64, ptr]
     lib.explore.restype = ctypes.c_int
+    lib.huffman_lengths.argtypes = [ptr, i64, ptr, ptr, ptr, ptr]
+    lib.huffman_lengths.restype = ctypes.c_int
+    lib.kraft_words.argtypes = [ptr, i64, ptr, ctypes.c_int, ptr]
+    lib.kraft_words.restype = ctypes.c_int
     return lib
 
 

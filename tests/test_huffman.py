@@ -151,6 +151,49 @@ class TestAllStatesAtOnce:
         assert at == len(bits)
 
 
+class TestMergeKeyBound:
+    # a state's merge keys pack weight << (b + 1) | merged << b | leaf index
+    # into 62 bits, b the bit length of its row count rounded up to a power
+    # of two (at least 2): its weight sum may have at most 61 - b bits
+    @pytest.mark.parametrize("k,b", [(2, 2), (5, 4)])
+    def test_boundary_builds_and_one_more_raises(self, k, b):
+        top = 1 << (61 - b)
+        weights = [top >> k] * (k - 1)
+        weights.append(top - 1 - sum(weights))  # the sum is 61 - b bits wide
+        lengths = code_lengths([k], np.array(weights))
+        assert lengths.tolist() == huffman_code_lengths(weights)
+        weights[-1] += 1
+        with pytest.raises(OverflowError, match="too wide for the merge key"):
+            code_lengths([k], np.array(weights))
+
+    def test_each_state_has_its_own_bound(self):
+        # a 2-row state at its boundary beside a 5-row state: a bound taken
+        # from the widest state (b = 4) would refuse the 2-row one
+        weights = [1 << 58, (1 << 58) - 1, 1, 2, 3, 4, 5]
+        assert code_lengths([2, 5], np.array(weights)).tolist() == [1, 1, 3, 3, 2, 2, 2]
+
+
+class TestLargeStates:
+    # (12, 1, 3) is one state of 2,049 rows; (10, 300, 3) has 19,508 states
+    # of 2 to 23 rows
+    @pytest.mark.parametrize("n,p0,fm", [(12, 1, 3), (10, 300, 3)])
+    def test_matches_the_per_state_reference(self, cache, n, p0, fm):
+        rm = cache.reduced(n, p0, fm)
+        weights = integer_weights(rm)
+        lengths = code_lengths(rm.counts, weights)
+        bits = canonical_bits(rm.counts, lengths)
+        weights, lengths = weights.tolist(), lengths.tolist()
+        text = (bits | ord("0")).tobytes().decode("ascii")
+        at = 0
+        for a, b in zip(rm.row_base.tolist(), rm.row_base[1:].tolist()):
+            reference = huffman_code_lengths(weights[a:b])
+            assert lengths[a:b] == reference
+            words = "".join(canonical_codewords(reference))
+            assert text[at : at + len(words)] == words
+            at += len(words)
+        assert at == len(text)
+
+
 class TestAttachTables:
     def test_single_state_machine_gets_one_bit_code(self, cache):
         codec = cache.codec(8, 128, 3)

@@ -10,9 +10,11 @@ the lengths below.  `TestDecrypt::test_every_cut_raises` covers the read
 past the end of a cut ciphertext.
 """
 
+import ctypes
 import functools
 import hashlib
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -256,6 +258,29 @@ def test_kernels_compile_without_warnings(tmp_path):
         capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_every_kernel_is_typed():
+    # an untyped ctypes call passes and returns C int, which cuts an int64
+    # or a pointer: every function _walk.c exports has the types of its C
+    # signature, each pointer as c_void_p
+    with open(prefix._SOURCE) as f:
+        source = f.read()
+    c_types = {"int": ctypes.c_int, "int64_t": ctypes.c_int64}
+    defined = re.findall(r"^(int|int64_t) (\w+)\(([^)]*)\)\s*\{", source, re.M)
+    assert {name for _, name, _ in defined} == {
+        "walk_block", "explore", "huffman_lengths", "kraft_words",
+    }
+    # no definition of another form: every line that starts one, static aside
+    assert len(defined) == len(re.findall(r"^(?!static)\w[^(]*\(", source, re.M))
+    lib = prefix.kernel()
+    for returns, name, params in defined:
+        function = getattr(lib, name)
+        argtypes = [
+            ctypes.c_void_p if "*" in p else c_types[p.split()[0]] for p in params.split(",")
+        ]
+        assert function.argtypes == argtypes, name
+        assert function.restype is c_types[returns], name
 
 
 def test_failed_build_leaves_no_file(tmp_path, monkeypatch):
