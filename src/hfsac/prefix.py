@@ -28,9 +28,11 @@ where the step stays on the state the last step carried over.  The steps
 themselves run in one C function, `walk_block` of _walk.c; only a keyed
 decode passes it swap draws.  `kernel` compiles _walk.c with the system C
 compiler on first use and loads it through ctypes, for `walk_block`, for
-`explore`, the state exploration of `coder.build_full_fsm`, and for the
-table stages: `huffman_lengths` (`huffman.code_lengths`) and `kraft_words`
-(`kraft_bits` and `huffman.canonical_bits`).
+`explore`, the state exploration of `coder.build_full_fsm`, for
+`reduce_rows`, the mute-edge reduction of `reducer.reduce_machine`, for
+the table stages: `huffman_lengths` (`huffman.code_lengths`) and
+`kraft_words` (`kraft_bits` and `huffman.canonical_bits`), and for
+`window_index`, the build of `PrefixTable.index`.
 """
 
 from __future__ import annotations
@@ -178,79 +180,30 @@ class PrefixTable:
         return self._index
 
     def _build_index(self) -> np.ndarray:
-        fills, size = self._fills()
-        # the fills of a prefix code are disjoint: in order of their first
-        # entry, each follows a gap of -1 entries
-        first, drop, value = (
-            np.concatenate(c, dtype=np.int32, casting="unsafe") for c in zip(*fills)
+        """`window_index` of _walk.c: a pass that lays the nodes out and
+        counts their entries, then one that writes every entry into an
+        index of that size.  Entries fit in int32 (at most _MAX_ENTRIES)."""
+        lengths = np.ascontiguousarray(self.lengths)
+        row_base = np.ascontiguousarray(self._row_base, np.int64)
+        states = len(row_base) - 1
+        if row_base[0] != 0 or row_base[-1] != len(lengths) or (np.diff(row_base) < 0).any():
+            raise ValueError("a row layout over the words")
+        if (lengths < 0).any():
+            raise ValueError("negative word lengths")
+        bits = np.ascontiguousarray(self._bits)
+        long_words = int(np.count_nonzero(lengths > WINDOW_BITS))
+        scratch = np.empty(7 * long_words + 4, np.int32)
+        args = (
+            row_base.ctypes.data, states, lengths.ctypes.data, self._offsets.ctypes.data,
+            bits.ctypes.data, len(bits), _MAX_ENTRIES, long_words, scratch.ctypes.data,
         )
-        del fills
-        order = first.argsort(kind="stable")  # timsort, fast on the rounds' sorted runs
-        first, span = first[order], 1 << drop[order]
-        runs = np.empty(2 * len(order) + 1, np.int64)  # gap, fill, ..., fill, gap
-        runs[1::2] = span
-        runs[::2] = np.append(first, size) - np.append(0, first + span)
-        if (runs < 0).any():
+        size = kernel().window_index(*args, None)
+        if size < 0:
+            raise ValueError(f"a window index of over {_MAX_ENTRIES} entries")
+        index = np.empty(size, np.int32)
+        if kernel().window_index(*args, index.ctypes.data) < 0:
             raise ValueError("the words are not a prefix code")
-        values = np.full(len(runs), -1, np.int32)
-        values[1::2] = value[order]
-        del first, drop, span, value, order  # the index is the build's peak: free them first
-        return np.repeat(values, runs)
-
-    def _fills(self) -> tuple[list, int]:
-        """(first entry, log2 of its entries, value) of every word and child
-        link, in lists of columns, and the index size.
-
-        One round per WINDOW_BITS-bit level of the longest word: the words
-        that end at this level fill their entries, the others are grouped
-        into child nodes by the entry they continue from.  Entries fit in
-        int32 (at most _MAX_ENTRIES), and so do the columns.
-        """
-        k = WINDOW_BITS
-        packed = np.packbits(self._bits)
-        last = len(packed) - 1
-        rows = np.arange(len(self.lengths), dtype=np.int32)
-        start = self._row_state << k  # first entry of each word's node
-        width = k  # its node's width
-        off = self._offsets
-        left = self.lengths
-        size = (len(self._row_base) - 1) << k
-        fills = []
-        while True:
-            if size > _MAX_ENTRIES:
-                raise ValueError(f"a window index of over {_MAX_ENTRIES} entries")
-            keep = np.minimum(left, width)
-            drop = width - keep
-            # a word's kept bits lie in the byte holding bit `off` and the
-            # next; the clamp rereads only bits past the table, cut off here
-            at = off >> 3
-            pair = packed[at].astype(np.int32) << 8 | packed[np.minimum(at + 1, last)]
-            pair >>= 16 - (off & 7) - keep  # in place, so it stays int32
-            first = start + ((pair & ((1 << keep) - 1)) << drop)
-            short = left <= width
-            fills.append((first[short], drop[short], rows[short]))
-            # the words that go on, grouped by the entry they continue from
-            at = np.flatnonzero(~short)
-            if not at.size:
-                break
-            link = first[at]
-            order = link.argsort(kind="stable")
-            at, link = at[order], link[order]
-            rows, off, left = rows[at], off[at] + k, left[at] - k
-            # a child is as wide as the most bits any of its words has left
-            head = np.empty(link.size, bool)
-            head[:1] = True
-            np.not_equal(link[1:], link[:-1], out=head[1:])
-            heads = np.flatnonzero(head)
-            widths = np.minimum(np.maximum.reduceat(left, heads), k)
-            sizes = 1 << widths
-            starts = size + np.cumsum(sizes) - sizes
-            links = -2 - (starts << 3 | (k - widths))
-            fills.append((link[heads], np.zeros_like(heads), links))
-            child = np.cumsum(head) - 1
-            start, width = starts[child], widths[child]
-            size += int(sizes.sum())
-        return fills, size
+        return index
 
     def gather(self, rows: np.ndarray, swap_pos: np.ndarray | None = None) -> np.ndarray:
         """Concatenated words of `rows` as 0/1 bytes; each complemented
@@ -356,8 +309,9 @@ def _library(source: bytes) -> str:
 @functools.cache
 def kernel() -> ctypes.CDLL:
     """The compiled _walk.c through ctypes, built on first use: `walk_block`
-    for `StepLoop`, `explore` for `coder.build_full_fsm`, and
-    `huffman_lengths` and `kraft_words` for the code tables."""
+    for `StepLoop`, `explore` for `coder.build_full_fsm`, `reduce_rows` for
+    `reducer.reduce_machine`, `huffman_lengths` and `kraft_words` for the
+    code tables, and `window_index` for `PrefixTable.index`."""
     with open(_SOURCE, "rb") as f:
         source = f.read()
     lib = ctypes.CDLL(_library(source))
@@ -370,6 +324,10 @@ def kernel() -> ctypes.CDLL:
     lib.huffman_lengths.restype = ctypes.c_int
     lib.kraft_words.argtypes = [ptr, i64, ptr, ctypes.c_int, ptr]
     lib.kraft_words.restype = ctypes.c_int
+    lib.reduce_rows.argtypes = [ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr]
+    lib.reduce_rows.restype = ctypes.c_int
+    lib.window_index.argtypes = [ptr, i64, ptr, ptr, ptr, i64, i64, i64, ptr, ptr]
+    lib.window_index.restype = i64
     return lib
 
 

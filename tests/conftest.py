@@ -191,6 +191,75 @@ def reference_reduce(machine) -> ReducedMachine:
     )
 
 
+def reference_index(table, max_entries: int = (1 << 28) - 1) -> np.ndarray:
+    """`PrefixTable.index` by numpy rounds, one per 8-bit level of the
+    longest word, from the layout's rules alone.
+
+    The root nodes come first, 256 entries per state.  In each round the
+    words that end at this level fill the entries their kept bits prefix;
+    the others are grouped by the entry they continue from, in order of
+    that entry (a stable sort), and each group becomes a child node,
+    appended in that order, 2**w entries wide where w is the most bits any
+    of its words has left, at most 8.  Its link entry holds
+    -2 - (start << 3 | 8 - w); every other entry is -1.  Fills that
+    overlap raise "not a prefix code", and an index of over `max_entries`
+    entries raises before it.
+    """
+    k = 8
+    lengths = np.asarray(table.lengths, np.int32)
+    bits = np.asarray(table._bits, np.uint8)
+    packed = np.packbits(bits)
+    last = len(packed) - 1
+    rows = np.arange(len(lengths), dtype=np.int32)
+    start = np.asarray(table._row_state, np.int64) << k  # first entry of each word's node
+    width = k  # its node's width
+    off = np.cumsum(lengths, dtype=np.int64) - lengths
+    left = lengths
+    size = (len(table._row_base) - 1) << k
+    fills = []  # (first entry, log2 of its entries, value) of words and links
+    while True:
+        if size > max_entries:
+            raise ValueError(f"a window index of over {max_entries} entries")
+        keep = np.minimum(left, width)
+        drop = width - keep
+        # a word's kept bits lie in the byte holding bit `off` and the next
+        at = off >> 3
+        pair = packed[at].astype(np.int64) << 8 | packed[np.minimum(at + 1, last)]
+        pair >>= 16 - (off & 7) - keep
+        first = start + ((pair & ((1 << keep) - 1)) << drop)
+        short = left <= width
+        fills.append((first[short], drop[short], rows[short]))
+        at = np.flatnonzero(~short)
+        if not at.size:
+            break
+        link = first[at]
+        order = link.argsort(kind="stable")
+        at, link = at[order], link[order]
+        rows, off, left = rows[at], off[at] + k, left[at] - k
+        head = np.empty(link.size, bool)
+        head[:1] = True
+        np.not_equal(link[1:], link[:-1], out=head[1:])
+        heads = np.flatnonzero(head)
+        widths = np.minimum(np.maximum.reduceat(left, heads), k)
+        sizes = 1 << widths
+        starts = size + np.cumsum(sizes) - sizes
+        fills.append((link[heads], np.zeros_like(heads), -2 - (starts << 3 | (k - widths))))
+        child = np.cumsum(head) - 1
+        start, width = starts[child], widths[child]
+        size += int(sizes.sum())
+    first, drop, value = (np.concatenate(c).astype(np.int64) for c in zip(*fills))
+    order = first.argsort(kind="stable")
+    first, span = first[order], 1 << drop[order]
+    # gap, fill, ..., fill, gap: a gap below 0 is an overlap
+    runs = np.empty(2 * len(order) + 1, np.int64)
+    runs[1::2] = span
+    runs[::2] = np.append(first, size) - np.append(0, first + span)
+    if (runs < 0).any():
+        raise ValueError("the words are not a prefix code")
+    values = np.full(len(runs), -1, np.int32)
+    values[1::2] = value[order]
+    return np.repeat(values, runs)
+
 
 def reference_match(rm, state: int, bits: str, pos: int, blocks: dict) -> tuple[int, int]:
     """(transition index, block length) of the row of `state` whose input

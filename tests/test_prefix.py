@@ -18,6 +18,7 @@ import re
 import shutil
 import stat
 import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -34,7 +35,7 @@ from hfsac import (
     hfac_encode,
     swap_codeword,
 )
-from conftest import rand_bits, reference_parse
+from conftest import SWEEP, rand_bits, reference_index, reference_parse
 
 
 @pytest.mark.parametrize("n,p0,fm", [(8, 1, 3), (10, 1, 3), (9, 150, 3)])
@@ -104,6 +105,72 @@ def test_index_size_cap(monkeypatch):
     monkeypatch.setattr(prefix, "_MAX_ENTRIES", 513)
     with pytest.raises(ValueError, match="over 513 entries"):
         prefix.PrefixTable(*layout, [1, 17], bits).index
+
+
+def _one_state(words):
+    """A one-state table of the '0'/'1' `words`, in that row order."""
+    layout = np.array([0, len(words)]), np.zeros(len(words), np.int32)
+    bits = [int(b) for w in words for b in w]
+    return prefix.PrefixTable(*layout, [len(w) for w in words], bits)
+
+
+@pytest.mark.parametrize("n,p0,fm", [*SWEEP, (9, 150, 3), (10, 1, 3), (12, 1, 3)])
+def test_index_matches_the_numpy_rounds(cache, n, p0, fm):
+    # input blocks come in lexicographic order, codewords in canonical order
+    codec = cache.codec(n, p0, fm)
+    for table in (codec.rm.inputs, codec.outputs):
+        want = reference_index(table)
+        assert table.index.dtype == want.dtype and np.array_equal(table.index, want)
+
+
+@pytest.mark.parametrize(
+    "words",
+    [
+        # long words out of lexicographic order, and in order with children
+        # that part at the second level
+        ["1" * 20 + "0", "0", "1" * 9 + "0" * 3, "1" * 20 + "1", "10", "1" * 8 + "0", "110"],
+        ["0", "10", "110", "1110", "11110", *(f"11111000{b * 8}{c}" for b in "01" for c in "01"),
+         "11111001", "1111101", "111111"],
+    ],
+    ids=["unordered", "ordered"],
+)
+def test_hand_built_index_matches_the_numpy_rounds(words):
+    table = _one_state(words)
+    want = reference_index(table)
+    assert np.array_equal(table.index, want)
+
+
+NOT_PREFIX = {
+    "short in short": ["0", "01", "1"],
+    "short in long": ["0", "0" * 12, "1"],
+    "long twice": ["1" * 12, "1" * 12, "0"],
+    "long in longer": ["1" * 10, "1" * 20, "0"],
+    "long in longer, out of order": ["0", "1" * 20, "1" * 10],
+}
+
+
+@pytest.mark.parametrize("words", NOT_PREFIX.values(), ids=list(NOT_PREFIX))
+def test_non_prefix_codes_raise(words):
+    with pytest.raises(ValueError, match="not a prefix code"):
+        reference_index(_one_state(words))
+    with pytest.raises(ValueError, match="not a prefix code"):
+        _one_state(words).index
+
+
+def test_entry_limit_matches_the_numpy_rounds(cache, monkeypatch):
+    # (10, 1, 3)'s input index has 16,384 entries: at the limit it builds,
+    # one entry under it raises, on both sides
+    table = cache.reduced(10, 1, 3).inputs
+    columns = table._row_base, table._row_state, table.lengths, table._bits
+    size = len(reference_index(table, 16_384))
+    assert size == 16_384
+    monkeypatch.setattr(prefix, "_MAX_ENTRIES", size)
+    assert len(prefix.PrefixTable(*columns).index) == size
+    monkeypatch.setattr(prefix, "_MAX_ENTRIES", size - 1)
+    with pytest.raises(ValueError, match=f"over {size - 1} entries"):
+        reference_index(table, size - 1)
+    with pytest.raises(ValueError, match=f"over {size - 1} entries"):
+        prefix.PrefixTable(*columns).index
 
 
 @pytest.mark.parametrize("n_bits", [2, 4])
@@ -269,10 +336,11 @@ def test_every_kernel_is_typed():
     c_types = {"int": ctypes.c_int, "int64_t": ctypes.c_int64}
     defined = re.findall(r"^(int|int64_t) (\w+)\(([^)]*)\)\s*\{", source, re.M)
     assert {name for _, name, _ in defined} == {
-        "walk_block", "explore", "huffman_lengths", "kraft_words",
+        "walk_block", "explore", "huffman_lengths", "kraft_words", "reduce_rows",
+        "window_index",
     }
     # no definition of another form: every line that starts one, static aside
-    assert len(defined) == len(re.findall(r"^(?!static)\w[^(]*\(", source, re.M))
+    assert len(defined) == len(re.findall(r"^(?!static)\w[^(\n]*\(", source, re.M))
     lib = prefix.kernel()
     for returns, name, params in defined:
         function = getattr(lib, name)
@@ -281,6 +349,87 @@ def test_every_kernel_is_typed():
         ]
         assert function.argtypes == argtypes, name
         assert function.restype is c_types[returns], name
+
+
+# run in a child that loads the sanitized kernels: every kernel on codecs
+# whose columns, rows and (on (9, 150, 3)) exploration arrays grow, both
+# indexes, a keyed round trip, and each kernel's error return
+SANITIZED_RUN = """
+import sys
+import numpy as np
+from hfsac import coder, prefix
+prefix._library = lambda source: sys.argv[1]
+from hfsac import (
+    CoderParams, KeySchedule, NonEmittingCycleError, StateExplosionError, build_codec,
+    build_full_fsm, decrypt, encrypt, reduce_machine,
+)
+from conftest import full_from_rows, rand_bits
+for n, p0, fm in [(7, 44, 10), (9, 150, 3), (10, 1, 3), (12, 1, 3)]:
+    codec = build_codec(CoderParams(n, p0, fm))
+    codec.rm.inputs.index, codec.outputs.index
+    bits = rand_bits(n, 3000, 0.3)
+    ks = KeySchedule(0x5EED + n, 128)
+    cipher, _ = encrypt(bits, codec, ks)
+    assert decrypt(cipher, codec, ks, len(bits)) == bits
+coder.STATE_CEILING = 5000
+try:
+    build_full_fsm(CoderParams(9, 150, 3))
+    raise AssertionError("no StateExplosionError")
+except StateExplosionError:
+    pass
+params = CoderParams(3, 3, 1)
+edges = [("", 1), ("1", 0), ("", 2), ("1", 0), ("", 1), ("0", 0)]
+cycle = full_from_rows(params, [(0, 8, f) for f in range(3)], edges)
+try:
+    reduce_machine(cycle)
+    raise AssertionError("no NonEmittingCycleError")
+except NonEmittingCycleError:
+    pass
+for words, limit in ((["0", "0" * 12, "1"], prefix._MAX_ENTRIES), (["0", "1" * 17], 513)):
+    prefix._MAX_ENTRIES = limit
+    bits = [int(b) for w in words for b in w]
+    table = prefix.PrefixTable(np.array([0, 2]), np.zeros(2, np.int32), list(map(len, words)), bits)
+    try:
+        table.index
+        raise AssertionError("no ValueError")
+    except ValueError:
+        pass
+print("clean")
+"""
+
+
+def _asan_runtime() -> str | None:
+    """Path of the compiler's AddressSanitizer runtime, or None."""
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    done = subprocess.run([cc, "-print-file-name=libasan.so"], capture_output=True, text=True)
+    path = done.stdout.strip()
+    return path if os.path.isabs(path) and os.path.exists(path) else None
+
+
+def test_kernels_run_clean_under_sanitizers(tmp_path):
+    # every kernel writes into arrays that Python allocates: an ASan and
+    # UBSan build of _walk.c, loaded in a child that preloads the ASan
+    # runtime (the interpreter is not built with it), aborts on the first
+    # bad access or undefined operation
+    runtime = _asan_runtime()
+    if runtime is None:
+        pytest.skip("libasan does not resolve")
+    lib = tmp_path / "kernels-asan.so"
+    flags = ["-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+    done = subprocess.run(
+        ["cc", *flags, "-shared", "-fPIC", prefix._SOURCE, "-o", str(lib)],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    env = {**os.environ, "LD_PRELOAD": runtime, "ASAN_OPTIONS": "detect_leaks=0"}
+    env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(__file__), env["PYTHONPATH"]])
+    done = subprocess.run(
+        [sys.executable, "-c", SANITIZED_RUN, str(lib)], env=env, capture_output=True,
+        text=True, timeout=600,
+    )
+    assert done.returncode == 0 and done.stdout.split() == ["clean"], done.stderr[-4000:]
 
 
 def test_failed_build_leaves_no_file(tmp_path, monkeypatch):

@@ -16,6 +16,7 @@ from hfsac import (
     reduce_machine,
     validate_reduced,
 )
+from hfsac import prefix
 from hfsac.prefix import BLOCK_STEPS, kraft_bits
 from hfsac.reducer import _block_bits
 from conftest import SWEEP, full_from_rows, rand_bits, reduced_from_rows, reference_reduce
@@ -45,6 +46,15 @@ def shared_state_machine():
         ("0", 0), ("1", 2),
     )
     return full_from_rows(params, states, edges)
+
+
+# the machines that the reduction is checked on against the depth-first
+# walk: the skewed (10, 1, 3) and the sweep after the first ten
+WALKED = [
+    (3, 3, 1), (4, 6, 15), (7, 44, 10), (8, 51, 1), (8, 26, 3),
+    (8, 128, 3), (8, 1, 1), (9, 150, 3), (12, 1, 3), (10, 8, 3),
+]
+WALKED += [(10, 1, 3), *(m for m in SWEEP if m not in WALKED)]
 
 
 class TestReduce:
@@ -102,13 +112,14 @@ class TestReduce:
 
     def test_window_index_rounds_cost_a_fraction_of_a_byte_per_bit(self):
         # (14, 1, 3) reads 33,566,720 block bits in 8,193 rows of up to
-        # 8,192 bits; cutting each word's window out of the packed bits at
-        # its offset, the rounds of its input index peak at ~0.15 B per
-        # block bit (1.25 B with a window byte written for every bit)
+        # 8,192 bits; reading each word's window where it lies, its input
+        # index is built in ~0.04 B per block bit, the index itself
+        # included (the numpy rounds took ~0.15 B without the index, 1.25 B
+        # with a window byte written for every bit)
         rm = reduce_machine(build_full_fsm(CoderParams(14, 1, 3)))
         tracemalloc.start()
         try:
-            rm.inputs._fills()
+            rm.inputs._build_index()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -187,16 +198,30 @@ class TestReduce:
             reduce_machine(full_from_rows(params, states, edges))
         assert time.process_time() - start < 1.0
 
-    @pytest.mark.parametrize(
-        "n,p0,fm",
-        [
-            (3, 3, 1), (4, 6, 15), (7, 44, 10), (8, 51, 1), (8, 26, 3),
-            (8, 128, 3), (8, 1, 1), (9, 150, 3), (12, 1, 3), (10, 8, 3),
-        ],
-    )
+    @pytest.mark.parametrize("n,p0,fm", WALKED)
     def test_matches_the_depth_first_walk(self, cache, n, p0, fm):
-        machine = cache.machine(n, p0, fm)
+        # column by column, dtype by dtype
+        got, want = cache.reduced(n, p0, fm), reference_reduce(cache.machine(n, p0, fm))
+        for name in (
+            "counts", "row_base", "row_state", "block_len", "out_len", "out_bits",
+            "next_state", "origin_bounds",
+        ):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert got.inputs._bits.dtype == want.inputs._bits.dtype
+        assert np.array_equal(got.inputs._bits, want.inputs._bits)
+        assert got == want
+
+    def test_rows_that_outgrow_the_columns_resume_the_walk(self, cache, monkeypatch):
+        # (8, 51, 1) has 10,703 rows over 3,425 full states: more than the
+        # first columns' one row per edge, so the walk stops, the columns
+        # grow and it starts again at the state that did not fit
+        lib, calls = prefix.kernel(), []
+        walk_rows = lib.reduce_rows
+        monkeypatch.setattr(lib, "reduce_rows", lambda *a: calls.append(a) or walk_rows(*a))
+        machine = cache.machine(8, 51, 1)
         assert reduce_machine(machine) == reference_reduce(machine)
+        assert len(calls) >= 2
 
     def test_matches_the_depth_first_walk_on_a_shared_state(self):
         machine = shared_state_machine()
@@ -227,7 +252,8 @@ class TestReduce:
 
     def test_traced_peak_on_build_n9(self, cache):
         # (9, 150, 3): 5,031 states, 63,084 rows, 445,098 block bits; the
-        # level passes peak at ~6.7 MiB, the depth-first walk at 8.85 MiB
+        # compiled walk peaks at ~4.8 MiB, the numpy level passes it
+        # replaced at ~6.7 MiB, the Python depth-first walk at 8.85 MiB
         machine = cache.machine(9, 150, 3)
         tracemalloc.start()
         try:
