@@ -1,31 +1,50 @@
 /* The package's compiled kernels, built and loaded by `hfsac.prefix.kernel`:
- * `walk_block`, the step body of every walk; further down the stages of
- * the codec build: `explore`, the state exploration of
- * `hfsac.coder.build_full_fsm`, the two table stages, `huffman_lengths`
- * and `kraft_words`, `reduce_rows`, the mute-edge reduction of
- * `hfsac.reducer.reduce_machine`, and `window_index`, the window index of
- * a table's words.  Every kernel writes only into arrays its caller
- * allocates, and none calls malloc.
- *
- * walk_block runs the steps of `hfsac.prefix.walk`: up to m steps of a
- * keystream block over a window index, from bit `pos` of the `held` packed
- * bytes `bytes` (MSB first).
- *
- * A step takes its jump target where it has one, else the state the last
- * step carried over, and looks its window, the 8 bits from its first bit,
- * up at (state << 8) | window.  An entry below -1 links to a child node:
- * its first entry above 3 bits of the bits its lookup drops, as
- * -2 - (start << 3 | drop).  The node is looked up with the window 8 bits
- * further on.  Bytes past the held ones read as 0.  With `draws` given,
- * the step matches its word complemented from draws[k] % moduli[state] on:
- * every window is XOR-ed with the swap mask of its offset first.
- *
- * Writes each step's row to `rows` and returns the number of steps matched:
- * m, or fewer where a window matches nothing or a step starts past the one
- * window after the held bytes' end.
+ * `splitmix` and `draw_block`, the keystream of `hfsac.crypto.SplitMix64`
+ * and of every walk; `walk_block`, the steps of every walk; and the stages
+ * of the codec build: `explore`, the state exploration of
+ * `hfsac.coder.build_full_fsm`, `reduce_rows`, the mute-edge reduction of
+ * `hfsac.reducer.reduce_machine`, the two table stages, `huffman_lengths`
+ * and `kraft_words`, and `window_index`, the window index of a table's
+ * words.  Every kernel writes only into arrays its caller allocates, and
+ * none calls malloc.
  */
 #include <stdint.h>
 #include <string.h>
+
+#define GOLDEN 0x9E3779B97F4A7C15u
+
+/* the splitmix output of counter value z (Steele, Lea & Flood, "Fast
+ * splittable pseudorandom number generators", OOPSLA 2014): a substream's
+ * draw k after state s is mix(s + k * GOLDEN), wrapping modulo 2**64 */
+static inline uint64_t mix(uint64_t z)
+{
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9u;
+    z = (z ^ z >> 27) * 0x94D049BB133111EBu;
+    return z ^ z >> 31;
+}
+
+uint64_t splitmix(uint64_t z)
+{
+    return mix(z);
+}
+
+/* A block of m steps' keystream from the jump, target and swap substream
+ * states `streams`, which it advances: step k jumps when its jump draw's
+ * top byte is below q, as a walk's `first` step always does, to its next
+ * target draw modulo `states` (targets[k], else -1); draws[k] is its swap
+ * draw.  Without `targets` it draws the swap substream alone. */
+void draw_block(
+    uint64_t *streams, int64_t q, int64_t states, int first, int64_t m,
+    int64_t *targets, uint64_t *draws)
+{
+    for (int64_t k = 0; k < m; k++) {
+        if (targets) {
+            int jump = (mix(streams[0] += GOLDEN) >> 56) < (uint64_t)q || (first && !k);
+            targets[k] = jump ? (int64_t)(mix(streams[1] += GOLDEN) % (uint64_t)states) : -1;
+        }
+        draws[k] = mix(streams[2] += GOLDEN);
+    }
+}
 
 /* the bits of a window at or past `swap` (relative to the window's first
  * bit) complemented.  The shift is clamped to 8, which gives 0, since a
@@ -40,38 +59,99 @@ static inline int swap_mask(int64_t swap)
 
 /* the 8 bits from bit p: a big-endian 16-bit read of the byte holding p
  * and the next, shifted right by 8 - p % 8 */
-static inline int window(const uint8_t *bytes, int64_t held, int64_t p)
+static inline int window(const uint8_t *bytes, int64_t p)
 {
-    int64_t i = p >> 3;
-    int hi = i < held ? bytes[i] : 0, lo = i + 1 < held ? bytes[i + 1] : 0;
-    return ((hi << 8 | lo) >> (8 - (p & 7))) & 0xFF;
+    const uint8_t *b = bytes + (p >> 3);
+    return ((b[0] << 8 | b[1]) >> (8 - (p & 7))) & 0xFF;
 }
 
-int64_t walk_block(
-    const int32_t *index, const int32_t *lengths, const int32_t *next_state,
-    const uint64_t *moduli, const uint8_t *bytes, int64_t held, int64_t pos,
-    int64_t state, const int64_t *targets, const uint64_t *draws, int64_t m,
-    int64_t *rows)
+/* the `keep` (at most 8) bits of the 0/1 bytes `bits`, `n` of them, from
+ * bit `at` on, as an int, the first bit most significant.  Eight bytes are
+ * read at once where they lie within the bits, and the multiply gathers
+ * each byte's low bit into the top byte of the product, byte i at bit
+ * 63 - i, with no carries between them */
+static inline int word_bits(const uint8_t *bits, int64_t n, int64_t at, int keep)
 {
-    int64_t k;
-    for (k = 0; k < m && pos <= 8 * held; k++) {
+    uint64_t x = 0;
+    if (at + 8 <= n) {
+        memcpy(&x, bits + at, 8);
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+        x = __builtin_bswap64(x);
+#endif
+    } else {
+        for (int64_t j = 0; j < n - at; j++)
+            x |= (uint64_t)bits[at + j] << 8 * j;
+    }
+    return (int)(((x & 0x0101010101010101u) * 0x8040201008040201u) >> 56) >> (8 - keep);
+}
+
+/* The steps of `hfsac.prefix.walk`, up to m of a keystream block, over the
+ * window index of the matched words, from the packed bytes `bytes` (MSB
+ * first), zero past `end` for a longest word and two bytes.  `frame` holds
+ * (bit, state, input bits fed, emitted bit, steps), in and out.
+ *
+ * A step jumps to targets[k] where it is not negative, and looks its
+ * window, the 8 bits from its first bit, up at (state << 8) | window, and
+ * a link (see `window_index`) up with the window 8 bits further on.  With
+ * `draws`, its swap position is draws[k] % moduli[state], written back to
+ * draws[k]: a `decode` step matches its word complemented from there on,
+ * every window XOR-ed with the swap mask of its offset, and any other
+ * step emits it so.  The step writes its row to rows[k], feeds fed[row]
+ * input bits and moves to next_state[row]; with `bits` it emits the row's
+ * word, emit_len[row] of the n_bits 0/1 bytes from offsets[row], to `out`
+ * MSB first, a decode's cut at `limit` fed bits: an `out` byte keeps its
+ * bits before the emitted bit, and is written zero past its last.
+ *
+ * Returns 0 after the step that feeds `limit` bits or the m-th, or -1 with
+ * the frame at a step that starts past `end`, matches nothing or, in a
+ * decode, runs past `end`. */
+int walk_block(
+    const int32_t *index, const int32_t *lengths, const int32_t *next_state,
+    const int32_t *fed, const uint64_t *moduli, int decode, const uint8_t *bits,
+    const int64_t *offsets, const int32_t *emit_len, int64_t n_bits,
+    const uint8_t *bytes, int64_t end, const int64_t *targets, uint64_t *draws,
+    int64_t m, int64_t limit, uint8_t *out, int64_t *rows, int64_t *frame)
+{
+    int64_t pos = frame[0], state = frame[1], done = frame[2], at = frame[3], k;
+    for (k = 0; k < m && done < limit; k++) {
         if (targets[k] >= 0)
             state = targets[k];
         /* past every word: nothing is complemented */
         int64_t swap = draws ? (int64_t)(draws[k] % moduli[state]) : INT64_MAX;
-        int32_t entry = index[state << 8 | (window(bytes, held, pos) ^ swap_mask(swap))];
+        const int64_t match_swap = decode ? swap : INT64_MAX;
+        const int64_t emit_swap = decode ? INT64_MAX : swap;
+        if (draws)
+            draws[k] = (uint64_t)swap;
+        int32_t entry = -1;
+        if (pos <= end)
+            entry = index[state << 8 | (window(bytes, pos) ^ swap_mask(match_swap))];
         for (int64_t off = 8; entry < -1; off += 8) {
             int32_t link = -2 - entry;
-            int w = window(bytes, held, pos + off) ^ swap_mask(swap - off);
+            int w = window(bytes, pos + off) ^ swap_mask(match_swap - off);
             entry = index[(link >> 3) + (w >> (link & 7))];
         }
-        if (entry < 0)
+        if (entry < 0 || (decode && pos + lengths[entry] > end))
             break;
+        if (bits) {
+            int64_t n = emit_len[entry];
+            n = decode && n > limit - done ? limit - done : n;
+            for (int64_t j = 0, b = at; j < n; j += 8, b += 8) {
+                int keep = n - j < 8 ? (int)(n - j) : 8;
+                int v = word_bits(bits, n_bits, offsets[entry] + j, keep);
+                unsigned x = (unsigned)(v ^ swap_mask(emit_swap - j) >> (8 - keep));
+                x <<= 16 - keep - (b & 7);
+                out[b >> 3] = (uint8_t)((out[b >> 3] & 0xFF00 >> (b & 7)) | x >> 8);
+                out[(b >> 3) + 1] = (uint8_t)x;
+            }
+            at += n;
+        }
         rows[k] = entry;
         pos += lengths[entry];
+        done += fed[entry];
         state = next_state[entry];
     }
-    return k;
+    frame[0] = pos, frame[1] = state, frame[2] = done, frame[3] = at, frame[4] += k;
+    return k < m && done < limit ? -1 : 0; /* a step failed: the loop broke */
 }
 
 /* the slot of state (lo, hi, fo) in `slots`: the one holding it, or the
@@ -350,26 +430,6 @@ int reduce_rows(
     }
     progress[0] = q, progress[1] = found, progress[2] = rows;
     return 0;
-}
-
-/* the `keep` (at most 8) bits of the 0/1 bytes `bits`, `n` of them, from
- * bit `at` on, as an int, the first bit most significant.  Eight bytes are
- * read at once where they lie within the bits, and the multiply gathers
- * each byte's low bit into the top byte of the product, byte i at bit
- * 63 - i, with no carries between them */
-static inline int word_bits(const uint8_t *bits, int64_t n, int64_t at, int keep)
-{
-    uint64_t x = 0;
-    if (at + 8 <= n) {
-        memcpy(&x, bits + at, 8);
-#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-        x = __builtin_bswap64(x);
-#endif
-    } else {
-        for (int64_t j = 0; j < n - at; j++)
-            x |= (uint64_t)bits[at + j] << 8 * j;
-    }
-    return (int)(((x & 0x0101010101010101u) * 0x8040201008040201u) >> 56) >> (8 - keep);
 }
 
 /* a `window_index` build: the table's words, whether every state's words of

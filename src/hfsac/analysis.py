@@ -262,7 +262,7 @@ def _ac_stream_len(n: int, rm, rows: np.ndarray) -> int:
     params = rm.params
     low, high, follow = rm.origin_bounds[rm.row_state[rows[-1]]].tolist()
     emitted = 0
-    for b in rm.inputs.gather(rows[-1:])[:real].tolist():
+    for b in rm.inputs.word(rows[-1])[:real].tolist():
         s = split_interval(low, high, params)
         low, high = (s, high) if b else (low, s)
         low, high, follow, out = renormalize(low, high, follow, params)

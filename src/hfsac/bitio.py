@@ -2,16 +2,15 @@
 
 `Bits` is the one bit type of the encode and decode paths: bytes plus a bit
 length.  `BitSource` reads packed bits a chunk of bytes at a time, from
-`Bits` or from a file, and `BitWriter` packs 0/1 arrays as they are
-produced and hands their whole bytes on.  `pack_bits` and `unpack_bits`
+`Bits` or from a file, and `BitWriter` holds the buffer that a walk's
+kernel packs its output into and hands its whole bytes on.  `pack_bits` and `unpack_bits`
 convert '0'/'1' text, which tests and tools still use.
 """
 
 from __future__ import annotations
 
+import ctypes
 import io
-
-import numpy as np
 
 
 def pad_mask(n: int) -> int:
@@ -85,32 +84,39 @@ class BitSource:
 
 
 class BitWriter:
-    """Packs 0/1 `uint8` arrays into bytes as they are written, and hands
-    each write's whole bytes to `sink`; the bits of an unfinished byte are
-    carried to the next write."""
+    """Bits that a walk's kernel packs, MSB first, into `buffer` (`data` is
+    a ctypes array over it) from bit `n % 8` of its first byte on, where the
+    bits of an unfinished byte are carried; a byte the kernel writes is zero
+    past its last bit.  `advance` hands the whole bytes to `sink`."""
 
-    __slots__ = ("_sink", "_carry", "n")
+    __slots__ = ("_sink", "buffer", "data", "n")
 
     def __init__(self, sink):
         self._sink = sink
-        self._carry = np.zeros(0, np.uint8)
-        self.n = 0  # bits written
+        self.buffer, self.data, self.n = bytearray(1), None, 0  # n: bits written
 
-    def write(self, bits01: np.ndarray) -> None:
-        self.n += len(bits01)
-        if len(self._carry):
-            bits01 = np.concatenate((self._carry, bits01))
-        whole = len(bits01) & ~7
+    def reserve(self, bits: int) -> None:
+        """Makes room for `bits` more bits and the byte the kernel writes past them."""
+        size = (self.n % 8 + bits) // 8 + 2
+        if size > len(self.buffer):
+            carried, self.buffer = self.buffer[0], bytearray(size)
+            self.buffer[0] = carried
+            self.data = (ctypes.c_char * size).from_buffer(self.buffer)
+
+    def advance(self, bits: int) -> None:
+        """Counts `bits` more bits written into the buffer, hands their whole
+        bytes to the sink and carries the unfinished one to the front."""
+        whole = (self.n % 8 + bits) >> 3
+        self.n += bits
         if whole:
-            self._sink(np.packbits(bits01[:whole]).tobytes())
-        self._carry = bits01[whole:].copy()
+            self._sink(self.buffer[:whole])
+            self.buffer[0] = self.buffer[whole]
 
     def flush(self) -> int:
         """Hands the unfinished byte, zero-padded, to the sink; returns the
-        number of bits written.  Nothing is written after."""
-        if len(self._carry):
-            self._sink(np.packbits(self._carry).tobytes())
-            self._carry = self._carry[:0]
+        number of bits written.  Called once, last."""
+        if self.n % 8:
+            self._sink(self.buffer[:1])
         return self.n
 
 

@@ -82,8 +82,9 @@ def _add_params(sub, jump: bool) -> None:
         "--n", type=_decimal, required=True,
         help="precision in bits (3..16); with --p0-num and --fmax it must give "
         "at most 10**6 full states (coder.STATE_CEILING): (16, 32768, 15) has "
-        "1, (12, 1000, 2) 999,909, and (13, 3000, 0) fails after ~0.25 s; skewed "
-        "models bind on memory first: (16, 1, 3) has 32,768 but peaks at ~615 MiB",
+        "1, (12, 1000, 2) 999,909, and (13, 3000, 0) fails after a ~0.15-s build; "
+        "skewed models bind on memory first: (16, 1, 3) has 32,768, but a 1-byte "
+        "encode peaks at ~550 MiB",
     )
     sub.add_argument(
         "--p0-num", type=_decimal, required=True,

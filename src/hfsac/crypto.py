@@ -3,7 +3,9 @@
 One 64-bit seed feeds three independent splitmix substreams: J decides
 whether a step jumps, S picks the jump target, W picks the per-step swap
 position.  Encoder and decoder derive identical substreams from the seed,
-so their draws stay aligned step for step.
+so their draws stay aligned step for step.  The mix and the walk's draws
+are C kernels, `splitmix` and `draw_block` of _walk.c;
+`draw_bernoulli` and `draw_uniform` are their scalar form.
 
 The keystream is deliberately a plain splitmix recurrence, not a CSPRNG:
 it is bit-exact and cheap to reproduce anywhere, and the scheme's security
@@ -12,6 +14,7 @@ rests on seed secrecy (known-plaintext attacks are out of scope).
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 from math import exp, inf, lgamma, log2, sqrt
 
@@ -19,12 +22,10 @@ import numpy as np
 
 from .bitio import BitSource, BitWriter, Bits
 from .huffman import HfsacCodec
-from .prefix import walk
+from .prefix import kernel, walk
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
 
 TAG_JUMP = 1
 TAG_STATE = 2
@@ -44,14 +45,6 @@ class TruncatedStreamError(ValueError):
     """Cipher ended mid-codeword."""
 
 
-def _mix(z):
-    """The splitmix output of counter value z, an int or a uint64 array (on
-    which the products wrap and the masks change nothing)."""
-    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-    return z ^ (z >> 31)
-
-
 class SplitMix64:
     """Deterministic 64-bit generator (splitmix recurrence).
 
@@ -66,17 +59,16 @@ class SplitMix64:
 
     def next_u64(self) -> int:
         self.state = (self.state + GOLDEN) & MASK64
-        return _mix(self.state)
+        return kernel().splitmix(self.state)
 
     def next_block(self, m: int) -> np.ndarray:
         """The next m draws as uint64, equal to m calls of next_u64."""
         if m < 0:
             raise ValueError(f"m must be >= 0, got {m}")
-        z = np.arange(1, m + 1, dtype=np.uint64)
-        z *= GOLDEN
-        z += self.state
-        self.state = (self.state + m * GOLDEN) & MASK64
-        return _mix(z)
+        draws, streams = np.empty(m, np.uint64), (ctypes.c_uint64 * 3)(0, 0, self.state)
+        kernel().draw_block(streams, 0, 1, False, m, None, draws.ctypes.data)
+        self.state = streams[2]
+        return draws
 
 
 def substream_init(seed: int, tag: int) -> SplitMix64:
@@ -195,27 +187,11 @@ class StepTrace:
         return f"StepTrace(steps={len(self)})"
 
 
-class _Draws:
-    """A schedule's three substreams, drawn a block of steps at a time."""
-
-    def __init__(self, ks: KeySchedule, state_count: int):
-        self.q = ks.jump_q_num
-        self.state_count = state_count
-        self.jump = ks.substream(TAG_JUMP)
-        self.state = ks.substream(TAG_STATE)
-        self.swap = ks.substream(TAG_SWAP)
-        self.first = True
-
-    def jumps(self, m: int) -> np.ndarray:
-        """Jump targets of the next m steps, -1 where a step does not jump;
-        the first step always jumps."""
-        jumped = (self.jump.next_block(m) >> 56) < self.q
-        jumped[0] |= self.first
-        self.first = False
-        targets = np.full(m, -1, np.int64)
-        draws = self.state.next_block(int(np.count_nonzero(jumped)))
-        targets[jumped] = draws % self.state_count
-        return targets
+def _walk(codec: HfsacCodec, ks: KeySchedule, stream: BitSource, limit: int, **kwargs) -> None:
+    """`prefix.walk` of `codec` keyed by the substreams and the jump rate of `ks`."""
+    streams = (ks.substream(t).state for t in (TAG_JUMP, TAG_STATE, TAG_SWAP))
+    keys = ((ctypes.c_uint64 * 3)(*streams), ks.jump_q_num)
+    walk(codec.rm, stream, limit, codec.outputs, keys=keys, moduli=codec.swap_moduli, **kwargs)
 
 
 def encrypt_stream(
@@ -223,27 +199,16 @@ def encrypt_stream(
 ) -> StepTrace | None:
     """Encrypt the bits `plain` reads into `out`, a keystream block of
     steps at a time; returns the per-step trace when asked for, else None.
-
-    Per step: draw the jump flag (the first step always jumps), on a jump
-    draw the target state, draw the swap position, parse one input block,
-    emit the swapped codeword.  The draw order is fixed so the decoder can
-    mirror it exactly.  The parse does not depend on the swap draws, so a
-    block of steps is walked first and its codewords are swapped and
-    packed together.
-    """
-    rm = codec.rm
-    draws = _Draws(ks, rm.state_count)
-    columns = []
-    for rows, targets in walk(rm, rm.inputs, plain, plain.n, draws.jumps):
+    A step draws as decrypt's does, so that their draws stay aligned."""
+    blocks = [] if trace else None
+    _walk(codec, ks, plain, plain.n, out=out, blocks=blocks)
+    if not trace:
+        return None
+    rm, columns = codec.rm, []
+    for rows, targets, swaps in blocks:
         states = rm.row_state[rows]
-        swap_pos = draws.swap.next_block(len(rows)) % codec.swap_moduli[states]
-        swap_pos = swap_pos.astype(np.int32)
-        out.write(codec.outputs.gather(rows, swap_pos))
-        if trace:
-            columns.append(
-                (targets >= 0, states, rows - rm.row_base[states], swap_pos)
-            )
-    return StepTrace(*map(np.concatenate, zip(*columns))) if trace else None
+        columns.append((targets >= 0, states, rows - rm.row_base[states], swaps))
+    return StepTrace(*map(np.concatenate, zip(*columns)))
 
 
 def decrypt_stream(
@@ -254,14 +219,7 @@ def decrypt_stream(
     `cipher` reads."""
     if n_bits < 0:
         raise ValueError(f"n_bits must be >= 0, got {n_bits}")
-    draws = _Draws(ks, codec.rm.state_count)
-    swaps = (draws.swap.next_block, codec.swap_moduli)
-    fail = (TruncatedStreamError, WrongKeyError)
-    left = n_bits  # the last input block may run past the plain bits
-    for rows, _ in walk(codec.rm, codec.outputs, cipher, n_bits, draws.jumps, swaps, fail):
-        bits01 = codec.rm.inputs.gather(rows)[:left]
-        left -= len(bits01)
-        out.write(bits01)
+    _walk(codec, ks, cipher, n_bits, out=out, fail=(TruncatedStreamError, WrongKeyError))
 
 
 def encrypt_bits(

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitio import BitSource, Bits
+from .bitio import BitSource, Bits, BitWriter
 from .coder import CoderParams, build_full_fsm
-from .prefix import PrefixTable, _kraft_words, kernel, no_jumps, state_rows, walk
-from .reducer import ReducedMachine, parse_rows, reduce_machine
+from .prefix import PrefixTable, _kraft_words, kernel, state_rows, walk
+from .reducer import ReducedMachine, reduce_machine
 
 _FLIP = str.maketrans("01", "10")
 
@@ -142,15 +142,19 @@ def swap_codeword(code: str, pos: int) -> str:
     return code[:pos] + code[pos:].translate(_FLIP)
 
 
+def _walk_text(codec: HfsacCodec, text: str, limit: int, **kwargs) -> str:
+    """The words that a keyless walk of `codec` over `text` emits, as text."""
+    buf = bytearray()
+    out = BitWriter(buf.extend)
+    walk(codec.rm, BitSource.of(Bits.from_text(text)), limit, codec.outputs, out=out, **kwargs)
+    return Bits(buf, out.flush()).to_text()
+
+
 def hfac_encode(bits: str, codec: HfsacCodec) -> str:
     """Keyless encode: concatenated codewords along the block parse."""
-    return codec.outputs.expand(parse_rows(Bits.from_text(bits), codec.rm))
+    return _walk_text(codec, bits, len(bits))
 
 
 def hfac_decode(code: str, codec: HfsacCodec, n_bits: int) -> str:
     """Keyless decode of hfac_encode output, truncated to n_bits."""
-    blocks = walk(
-        codec.rm, codec.outputs, BitSource.of(Bits.from_text(code)), n_bits, no_jumps,
-        fail=(CorruptStreamError, CorruptStreamError),
-    )
-    return "".join(codec.rm.inputs.expand(rows) for rows, _ in blocks)[:n_bits]
+    return _walk_text(codec, code, n_bits, fail=(CorruptStreamError, CorruptStreamError))

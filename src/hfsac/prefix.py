@@ -20,19 +20,14 @@ lookup.
 
 `walk` steps a reduced machine through a stream over one of its tables,
 a keystream block of steps at a time: the input blocks for encrypt and
-the block parse, the codewords for decrypt and the keyless decode.  It
-reads the stream's packed bytes through one `ByteBuffer`, which holds a
-block's worth of them, so its memory does not grow with the stream.
-`jumps(m)` callables give each of the next m steps its jump target, or -1
-where the step stays on the state the last step carried over.  The steps
-themselves run in one C function, `walk_block` of _walk.c; only a keyed
-decode passes it swap draws.  `kernel` compiles _walk.c with the system C
-compiler on first use and loads it through ctypes, for `walk_block`, for
-`explore`, the state exploration of `coder.build_full_fsm`, for
-`reduce_rows`, the mute-edge reduction of `reducer.reduce_machine`, for
-the table stages: `huffman_lengths` (`huffman.code_lengths`) and
-`kraft_words` (`kraft_bits` and `huffman.canonical_bits`), and for
-`window_index`, the build of `PrefixTable.index`.
+the block parse, the codewords for decrypt and the keyless decode.  One
+call of `draw_block` and one of `walk_block` per block draw the block's
+keystream, run its steps up to the limit or the first that fails, and
+emit their words packed into a `BitWriter`'s buffer.  Python keeps the
+frame: the stream's bytes in one `ByteBuffer`, which holds a block's worth
+of them, so that memory does not grow with the stream, and the errors.
+`kernel` compiles _walk.c, whose header lists its kernels, with the
+system C compiler on first use and loads it through ctypes.
 """
 
 from __future__ import annotations
@@ -41,23 +36,19 @@ import contextlib
 import ctypes
 import functools
 import os
+import re
 import shutil
 import tempfile
 import zlib
 
 import numpy as np
 
-from .bitio import BitSource
+from .bitio import BitSource, BitWriter
 
 WINDOW_BITS = 8
 # steps per keystream block; bounds the memory of one block's emit, and a
 # walk's byte buffer to BLOCK_STEPS longest words
 BLOCK_STEPS = 1 << 13
-# output bits per gather pass: bounds its temporaries (about 25 B per bit).
-# Their int64 arrays stay at 64 KiB, under glibc's default 128-KiB trim
-# threshold: larger passes let the heap shrink and regrow every keystream
-# block, and a decode of 96 KiB then faulted in ~4,000 pages, not ~500
-_PASS_BITS = 1 << 13
 # a child link holds its node's first entry above 3 bits of width
 _MAX_ENTRIES = (1 << 28) - 1
 # the kernels' source, compiled on first use with these flags; no
@@ -66,22 +57,18 @@ _SOURCE = os.path.join(os.path.dirname(__file__), "_walk.c")
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 
 
-def no_jumps(m: int) -> np.ndarray:
-    """Jump targets of m steps that never jump."""
-    return np.full(m, -1, np.int64)
-
-
 class ByteBuffer:
-    """A stream's packed bytes, `span` of them at a time from a moving first
-    byte, in one buffer allocated once (of the stream's bytes when they are
-    fewer).  `data` is a ctypes array over it, `base` the stream byte of its
-    first byte and `held` the bytes it holds."""
+    """A stream's packed bytes, `span` of them (or all, when fewer) at a time
+    from a moving first byte, in one buffer allocated once and kept zero
+    past them for `pad` bytes.  `data` is a ctypes array over it, `base` the
+    stream byte of its first byte and `held` the bytes it holds."""
 
-    __slots__ = ("_view", "_read", "_left", "data", "base", "held")
+    __slots__ = ("_view", "_read", "_left", "_span", "data", "base", "held")
 
-    def __init__(self, source: BitSource, span: int):
+    def __init__(self, source: BitSource, span: int, pad: int):
         self._left = (source.n + 7) // 8  # bytes not read yet
-        buf = bytearray(min(span, self._left))
+        self._span = min(span, self._left)
+        buf = bytearray(self._span + pad)
         self._view, self._read = memoryview(buf), source.read
         self.data = (ctypes.c_char * len(buf)).from_buffer(buf)
         self.base = self.held = 0
@@ -93,11 +80,12 @@ class ByteBuffer:
         view, drop = self._view, (bit >> 3) - self.base
         held = self.held - drop
         view[:held] = view[drop : self.held]  # a memmove
-        k = min(len(view) - held, self._left)
+        k = min(self._span - held, self._left)
         data = self._read(k)
         if len(data) != k:
             raise ValueError(f"the stream ends {self._left - len(data)} bytes short")
         view[held : held + k] = data
+        view[held + k : self.held] = bytes(max(self.held - held - k, 0))  # moved, not refilled
         self.base, self.held, self._left = self.base + drop, held + k, self._left - k
         return bit - 8 * self.base
 
@@ -163,10 +151,10 @@ class PrefixTable:
         order.  Words may be longer than 64 bits: the input blocks of skewed
         machines run to 2**(n_bits - 1) bits."""
         self._row_base, self._row_state = row_base, row_state
-        self.lengths = np.asarray(lengths, np.int32)
+        self.lengths = np.ascontiguousarray(lengths, np.int32)
         self.longest = int(self.lengths.max(initial=0))
         self._offsets = np.cumsum(self.lengths, dtype=np.int64) - self.lengths
-        self._bits = np.asarray(bits, np.uint8)
+        self._bits = np.ascontiguousarray(bits, np.uint8)
         if len(self._bits) != self.lengths.sum():
             raise ValueError("the bits are not as long as the words")
         self._index: np.ndarray | None = None
@@ -183,14 +171,13 @@ class PrefixTable:
         """`window_index` of _walk.c: a pass that lays the nodes out and
         counts their entries, then one that writes every entry into an
         index of that size.  Entries fit in int32 (at most _MAX_ENTRIES)."""
-        lengths = np.ascontiguousarray(self.lengths)
+        lengths, bits = self.lengths, self._bits
         row_base = np.ascontiguousarray(self._row_base, np.int64)
         states = len(row_base) - 1
         if row_base[0] != 0 or row_base[-1] != len(lengths) or (np.diff(row_base) < 0).any():
             raise ValueError("a row layout over the words")
         if (lengths < 0).any():
             raise ValueError("negative word lengths")
-        bits = np.ascontiguousarray(self._bits)
         long_words = int(np.count_nonzero(lengths > WINDOW_BITS))
         scratch = np.empty(7 * long_words + 4, np.int32)
         args = (
@@ -205,30 +192,10 @@ class PrefixTable:
             raise ValueError("the words are not a prefix code")
         return index
 
-    def gather(self, rows: np.ndarray, swap_pos: np.ndarray | None = None) -> np.ndarray:
-        """Concatenated words of `rows` as 0/1 bytes; each complemented
-        from its `swap_pos` on, when given."""
-        lengths = self.lengths[rows]
-        ends = np.cumsum(lengths, dtype=np.int64)
-        starts = ends - lengths
-        out = np.empty(int(ends[-1]) if len(rows) else 0, np.uint8)
-        a = 0
-        while a < len(rows):  # passes of at most _PASS_BITS, or one word
-            b = max(int(np.searchsorted(ends, starts[a] + _PASS_BITS, "right")), a + 1)
-            lo, hi = int(starts[a]), int(ends[b - 1])
-            at = np.arange(lo, hi)
-            words = slice(a, b)
-            n = lengths[words]
-            shift = np.repeat(self._offsets[rows[words]] - starts[words], n)
-            out[lo:hi] = self._bits[at + shift]
-            if swap_pos is not None:
-                out[lo:hi] ^= at >= np.repeat(starts[words] + swap_pos[words], n)
-            a = b
-        return out
-
-    def expand(self, rows: np.ndarray) -> str:
-        """Concatenated words of `rows` as '0'/'1' text."""
-        return (self.gather(rows) | ord("0")).tobytes().decode("ascii")
+    def word(self, row: int) -> np.ndarray:
+        """The bits of word `row`, as 0/1 bytes."""
+        at = int(self._offsets[row])
+        return self._bits[at : at + int(self.lengths[row])]
 
     def words(self) -> list[str]:
         """Every word as '0'/'1' text, in row order."""
@@ -308,144 +275,146 @@ def _library(source: bytes) -> str:
 
 @functools.cache
 def kernel() -> ctypes.CDLL:
-    """The compiled _walk.c through ctypes, built on first use: `walk_block`
-    for `StepLoop`, `explore` for `coder.build_full_fsm`, `reduce_rows` for
-    `reducer.reduce_machine`, `huffman_lengths` and `kraft_words` for the
-    code tables, and `window_index` for `PrefixTable.index`."""
+    """The compiled _walk.c through ctypes, built on first use, each kernel
+    typed as its C signature is, every pointer as c_void_p."""
     with open(_SOURCE, "rb") as f:
         source = f.read()
     lib = ctypes.CDLL(_library(source))
-    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.walk_block.argtypes = [ptr, ptr, ptr, ptr, ptr, i64, i64, i64, ptr, ptr, i64, ptr]
-    lib.walk_block.restype = i64
-    lib.explore.argtypes = [i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, i64, ptr]
-    lib.explore.restype = ctypes.c_int
-    lib.huffman_lengths.argtypes = [ptr, i64, ptr, ptr, ptr, ptr]
-    lib.huffman_lengths.restype = ctypes.c_int
-    lib.kraft_words.argtypes = [ptr, i64, ptr, ctypes.c_int, ptr]
-    lib.kraft_words.restype = ctypes.c_int
-    lib.reduce_rows.argtypes = [ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr]
-    lib.reduce_rows.restype = ctypes.c_int
-    lib.window_index.argtypes = [ptr, i64, ptr, ptr, ptr, i64, i64, i64, ptr, ptr]
-    lib.window_index.restype = i64
+    # an untyped call passes and returns C int, which cuts an int64 or a pointer
+    types = {"int": ctypes.c_int, "int64_t": ctypes.c_int64, "uint64_t": ctypes.c_uint64}
+    for returns, name, params in re.findall(rb"^(\w+) (\w+)\(([^)]*)\)\s*\{", source, re.M):
+        function = getattr(lib, name.decode())
+        function.restype = types.get(returns.decode())  # None for void
+        function.argtypes = [
+            ctypes.c_void_p if b"*" in p else types[p.split()[-2].decode()]
+            for p in params.split(b",")
+        ]
     return lib
 
 
 class StepLoop:
-    """`walk_block` of _walk.c over `table`, `next_state` of its rows and,
-    for swapped steps, `moduli` (uint64) of its states: their pointers and
-    checks are taken once, for every block of a walk."""
+    """`draw_block` and `walk_block` of _walk.c over the words of `table`,
+    the `next_state` and input bits `fed` of its rows and, where given, the
+    words of `emit` and the states' swap `moduli`, with pointers and checks
+    taken once per walk.  `rows`, `targets` (-1: no jump) and `draws` hold
+    up to `steps` steps; `frame` the next step's bit and state, the input
+    bits fed, the emitted bit and the steps taken."""
 
-    __slots__ = ("_arrays", "_fixed", "_states")
+    __slots__ = (
+        "_held", "_fixed", "_states", "_emit", "_block", "rows", "targets", "draws", "frame"
+    )
 
-    def __init__(self, table: PrefixTable, next_state, moduli=None):
+    def __init__(
+        self, table: PrefixTable, next_state, fed, emit=None, moduli=None, decode=False,
+        steps=BLOCK_STEPS,
+    ):
         # pointers go to C: each array is held here, contiguous and of its type
-        index, lengths, next_state = (
-            np.ascontiguousarray(a, np.int32) for a in (table.index, table.lengths, next_state)
-        )
-        self._states = len(table._row_base) - 1
+        next_state, fed = (np.ascontiguousarray(a, np.int32) for a in (next_state, fed))
         moduli = None if moduli is None else np.ascontiguousarray(moduli, np.uint64)
-        if len(next_state) != len(lengths) or moduli is not None and len(moduli) != self._states:
-            raise ValueError("one next state per row, and one modulus per state")
-        self._arrays = index, lengths, next_state, moduli
-        self._fixed = tuple(None if a is None else a.ctypes.data for a in self._arrays)
-
-    def match_block(self, data, held, pos, state, targets, draws=None) -> np.ndarray:
-        """Rows of up to len(targets) steps from bit `pos` of the first
-        `held` bytes of `data` (bytes, or a ctypes array) and from `state`;
-        a step jumps to its target where it is not negative, then moves to
-        its row's next state.  Stops before a step whose window matches
-        nothing or that starts past the one window after the held bytes,
-        which read as 0 past their end.  With `draws` (uint64, one per
-        step) a step matches its word complemented from its draw modulo its
-        state's modulus on."""
-        targets = np.ascontiguousarray(targets, np.int64)
-        if draws is not None:
-            draws = np.ascontiguousarray(draws, np.uint64)
-            if self._arrays[3] is None or len(draws) != len(targets):
-                raise ValueError("one draw per step, and moduli")
-        if not 0 <= held <= len(data) or pos < 0 or not 0 <= state < self._states:
-            raise ValueError("held bytes, a bit and a state that exist")
-        rows = np.empty(len(targets), np.int64)
-        k = kernel().walk_block(
-            *self._fixed, data, held, pos, state, targets.ctypes.data,
-            None if draws is None else draws.ctypes.data, len(targets), rows.ctypes.data,
+        self._held, self._emit = (table, next_state, fed, moduli), emit
+        self._states = len(table._row_base) - 1
+        if not len(next_state) == len(fed) == len(table.lengths) == len((emit or table).lengths):
+            raise ValueError("one next state, input length and emitted word per row")
+        if moduli is not None and len(moduli) != self._states:
+            raise ValueError("one modulus per state")
+        words = (None,) * 3 if emit is None else (emit._bits, emit._offsets, emit.lengths)
+        ptr = lambda a: None if a is None else a.ctypes.data  # noqa: E731
+        self._fixed = (
+            *map(ptr, (table.index, table.lengths, next_state, fed, moduli)), decode,
+            *map(ptr, words), 0 if emit is None else len(emit._bits),
         )
-        return rows[:k]
+        self.rows = np.empty(steps, np.int64)
+        self.targets = np.full(steps, -1, np.int64)
+        self.draws = None if moduli is None else np.empty(steps, np.uint64)
+        self._block = tuple(map(ptr, (self.targets, self.draws, self.rows)))
+        self.frame = (ctypes.c_int64 * 5)()
+
+    def run(self, data, bit, end, m, limit, out: BitWriter | None = None, keys=None) -> int:
+        """Up to m steps from bit `bit` of `data` (bytes or a ctypes array),
+        zero past `end` for a longest word of `table` and two bytes, from the
+        frame's state until `limit` input bits are fed, emitting into `out`;
+        `keys`, as `walk` takes them, draw the block first.  Returns 0, or -1
+        where a step failed."""
+        frame, emit, decode = self.frame, self._emit, self._fixed[5]
+        if not 0 <= m <= len(self.rows) or bit < 0 or not 0 <= frame[1] < self._states:
+            raise ValueError("a block that fits, a bit and a state that exist")
+        if (out is None) != (emit is None) or keys is not None and self.draws is None:
+            raise ValueError("a writer exactly where words are emitted, and moduli")
+        targets, draws, rows = self._block
+        if keys is not None:
+            kernel().draw_block(*keys, self._states, not frame[4], m, targets, draws)
+        frame[0] = bit
+        if out is not None:
+            # a block's longest words, or the bits left where the emit is cut
+            out.reserve(min(m * emit.longest, limit - frame[2] if decode else m * emit.longest))
+            frame[3] = out.n % 8
+        failed = kernel().walk_block(
+            *self._fixed, data, end, targets, draws, m, limit, out and out.data, rows, frame
+        )
+        if out is not None:
+            out.advance(frame[3] - out.n % 8)
+        return failed
 
 
-def walk(rm, table: PrefixTable, stream: BitSource, limit: int, jumps, swaps=None, fail=None):
-    """Parse the bits that `stream` reads into the words of `table`, the
-    input blocks or the codewords of the reduced machine `rm`, from state
-    0, a keystream block of at most BLOCK_STEPS steps at a time, until the
-    input blocks of the rows matched add up to `limit` bits.  Yields, per
-    block, the rows matched (int64) and their steps' jump targets.
+def walk(
+    rm, stream: BitSource, limit: int, codewords=None, *, out=None, keys=None, moduli=None,
+    fail=None, blocks=None,
+) -> None:
+    """Parse the bits that `stream` reads into words of the reduced machine
+    `rm` from state 0, a keystream block of at most BLOCK_STEPS steps at a
+    time, until the input blocks of the rows matched add up to `limit`
+    bits: into its input blocks, or in a decode into `codewords`.  Each
+    step emits its other word into `out`, a `BitWriter`, where given.
+    `keys`, (the three substreams' states as a ctypes uint64 array, q), key
+    the walk, with the states' swap `moduli` (see `walk_block`).
 
-    `swaps`, given only for a keyed decode, is (draws, moduli): `draws(m)`
-    gives the next m steps' swap draws as uint64, and a step matches its
-    word complemented from its draw modulo its state's entry of `moduli`
-    (uint64) on.
+    A decode passes `fail`, (truncated, corrupt): a step that matches
+    nothing or runs past the stream's end raises `truncated` when the
+    stream ends within the state's longest word, `corrupt` otherwise, and
+    stream bits left over at the end raise `corrupt`.  Messages name the
+    step and its bit offset, which the error also carries as its `step`
+    and `bit`.  Any other walk reads the stream zero-padded, and a window
+    that no word of its state prefixes raises AssertionError.  `blocks`, a
+    list, gets each block's rows, targets and swap positions.
 
-    With `fail` None the stream is zero-padded past its end, and a window
-    that no word of its state prefixes raises AssertionError.  Otherwise
-    `fail` is (truncated, corrupt): a step that matches nothing or runs
-    past the stream's end raises `truncated` when the stream ends within
-    the state's longest word, `corrupt` otherwise, and stream bits left
-    over at the end raise `corrupt`.  Messages name the step and its bit
-    offset, which the error also carries as its `step` and `bit`.
-
-    The stream is read through one `ByteBuffer`, slid to each block's
-    first bit.  A block reads at most BLOCK_STEPS longest words of `table`
-    from there, and its last window's 16-bit read ends within 15 bits of
-    them, from a first bit up to 7 bits into its byte: the buffer holds
-    that span, or all up to the stream's end.  `StepLoop` runs the block
-    without testing the stream's end or the limit; the running sums of its
-    word and input-block lengths then give the step that reached the limit
-    and the first step that failed.
+    The stream is read through one `ByteBuffer`, slid to each block's first
+    bit.  A block reads at most BLOCK_STEPS longest words of the matched
+    table from there, and its last window's 16-bit read ends within 15 bits
+    of them, from a first bit up to 7 bits into its byte: the buffer holds
+    that span, or all up to the stream's end and the zero bytes that a step
+    there reads past it.
     """
-    draws, moduli = swaps or (None, None)
+    decode = fail is not None
+    match, emit = (codewords, rm.inputs) if decode else (rm.inputs, codewords)
     # the index is built first: its peak then holds no buffer or block arrays
-    step_loop = StepLoop(table, rm.next_state, moduli)
-    buffer = ByteBuffer(stream, -(-(BLOCK_STEPS * table.longest + 16) // 8) + 1)
-    n = stream.n
-    pos = done = state = steps = 0
-    while done < limit:
-        m = min(BLOCK_STEPS, limit - done)
-        targets = jumps(m)
-        drawn = None if draws is None else draws(m)
-        at = buffer.slide(pos)
-        rows = step_loop.match_block(buffer.data, buffer.held, at, state, targets, drawn)
-        k = len(rows)
-        # stream bits read and input bits fed in the block by the end of each
-        # step: one sum when the stream is the input
-        ends = table.lengths[rows].cumsum()
-        fed = ends if table is rm.inputs else rm.inputs.lengths[rows].cumsum()
-        # the first step that overran the stream, or k: a zero-padded stream
-        # has no end to overrun
-        bad = k if fail is None else int(ends.searchsorted(n - pos, "right"))
-        stop = int(fed.searchsorted(limit - done))  # first step to reach the limit
-        if bad <= stop and (bad < k or k < m):
-            if targets[bad] >= 0:
-                state = int(targets[bad])
-            elif bad:
-                state = int(rm.next_state[rows[bad - 1]])
+    loop = StepLoop(
+        match, rm.next_state, rm.inputs.lengths, None if out is None else emit,
+        None if keys is None else moduli, decode, min(BLOCK_STEPS, max(limit, 0)),
+    )
+    span = -(-(BLOCK_STEPS * match.longest + 16) // 8) + 1
+    buffer = ByteBuffer(stream, span, -(-match.longest // 8) + 2)
+    frame, n, bit = loop.frame, stream.n, 0
+    while frame[2] < limit:
+        m, steps = min(BLOCK_STEPS, limit - frame[2]), frame[4]
+        at = buffer.slide(bit)
+        failed = loop.run(buffer.data, at, n - 8 * buffer.base, m, limit, out, keys)
+        bit = 8 * buffer.base + frame[0]
+        if blocks is not None:
+            k = frame[4] - steps
+            swaps = None if loop.draws is None else loop.draws[:k].copy()
+            blocks.append((loop.rows[:k].copy(), loop.targets[:k].copy(), swaps))
+        if failed:
+            state, step = frame[1], frame[4]
             if fail is None:
                 raise AssertionError(f"incomplete input block set in state {state}")
-            step, bit = steps + bad, pos + (int(ends[bad - 1]) if bad else 0)
-            words = table.lengths[rm.row_base[state] : rm.row_base[state + 1]]
+            words = match.lengths[rm.row_base[state] : rm.row_base[state + 1]]
             if bit + int(words.max()) > n:
                 exc = fail[0](f"stream ends inside a codeword at step {step}, bit {bit}")
             else:
                 exc = fail[1](f"no codeword of state {state} matches at step {step}, bit {bit}")
             exc.step, exc.bit = step, bit
             raise exc
-        last = min(stop, k - 1)
-        pos, done = pos + int(ends[last]), done + int(fed[last])
-        state = int(rm.next_state[rows[last]])
-        steps += last + 1
-        del ends, fed  # not held through the next block's walk
-        yield rows[: last + 1], targets[: last + 1]
-    if pos < n:
-        exc = fail[1](f"{n - pos} stream bits left over after step {steps}, at bit {pos}")
-        exc.step, exc.bit = steps, pos
+    if bit < n:
+        exc = fail[1](f"{n - bit} stream bits left over after step {frame[4]}, at bit {bit}")
+        exc.step, exc.bit = frame[4], bit
         raise exc

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bitio import BitSource, Bits
 from .coder import CoderParams, FullMachine
-from .prefix import PrefixTable, bit_string, kernel, kraft_bits, no_jumps, walk
+from .prefix import PrefixTable, bit_string, kernel, kraft_bits, walk
 
 
 class NonEmittingCycleError(RuntimeError):
@@ -246,8 +246,9 @@ def validate_reduced(rm: ReducedMachine) -> ValidationReport:
 
 def parse_rows(bits: Bits, rm: ReducedMachine) -> np.ndarray:
     """Global rows of the greedy block parse from state 0."""
-    blocks = [rows for rows, _ in walk(rm, rm.inputs, BitSource.of(bits), bits.n, no_jumps)]
-    return np.concatenate(blocks) if blocks else np.zeros(0, np.int64)
+    blocks = []
+    walk(rm, BitSource.of(bits), bits.n, blocks=blocks)
+    return np.concatenate([rows for rows, _, _ in blocks]) if blocks else np.zeros(0, np.int64)
 
 
 def fsac_parse(bits: str, rm: ReducedMachine):

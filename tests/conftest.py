@@ -21,8 +21,6 @@ from hfsac import (
     attach_tables,
     bernoulli_bits,
     build_full_fsm,
-    draw_bernoulli,
-    draw_uniform,
     reduce_machine,
     swap_codeword,
 )
@@ -42,6 +40,34 @@ SWEEP = [
     for p0 in sorted({1, int(0.2 * (1 << n)), int(0.44 * (1 << n)), 1 << (n - 1)})
     for fm in (1, 3)
 ]
+
+
+class ReferenceSplitMix:
+    """Scalar splitmix64 written from its definition (Steele, Lea & Flood,
+    OOPSLA 2014), independent of the package's kernels: a substream's
+    state, its next draw, and the jump and swap draws made of it."""
+
+    def __init__(self, state: int):
+        self.state = state
+
+    def next(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) % 2**64
+        z = self.state
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+        return z ^ (z >> 31)
+
+    def below(self, m: int) -> int:
+        return self.next() % m
+
+    def jumps(self, q: int) -> bool:
+        return self.next() >> 56 < q
+
+
+def reference_streams(ks):
+    """The jump, target and swap substreams of the schedule `ks`."""
+    tags = (TAG_JUMP, TAG_STATE, TAG_SWAP)
+    return tuple(ReferenceSplitMix(ks.substream(t).state) for t in tags)
 
 
 def rand_bits(seed: int, n: int, p_zero: float = 0.5) -> str:
@@ -295,15 +321,15 @@ def reference_encrypt(codec, bits: str, ks) -> str:
     """`encrypt` step by step through the substreams' scalar draws and
     `reference_match`: the cipher as '0'/'1' text."""
     rm = codec.rm
-    jump, state_gen, swap = (ks.substream(t) for t in (TAG_JUMP, TAG_STATE, TAG_SWAP))
+    jump, state_gen, swap = reference_streams(ks)
     blocks = {}
     out = []
     pos = state = 0
     while pos < len(bits):
-        if draw_bernoulli(jump, ks.jump_q_num) or not out:
-            state = draw_uniform(state_gen, rm.state_count)
+        if jump.jumps(ks.jump_q_num) or not out:
+            state = state_gen.below(rm.state_count)
         table = codec.tables[state]
-        swap_pos = draw_uniform(swap, table.max_len + 1)
+        swap_pos = swap.below(table.max_len + 1)
         idx, length = reference_match(rm, state, bits, pos, blocks)
         out.append(swap_codeword(table.codewords[idx], swap_pos))
         pos += length
@@ -321,15 +347,15 @@ def reference_decrypt(codec, cipher: str, ks, n_bits: int) -> str:
         truncated = corrupt = CorruptStreamError
     else:
         truncated, corrupt = TruncatedStreamError, WrongKeyError
-        jump, state_gen, swap = (ks.substream(t) for t in (TAG_JUMP, TAG_STATE, TAG_SWAP))
+        jump, state_gen, swap = reference_streams(ks)
     codes = {}  # state: ({codeword: transition index}, its codeword lengths)
     out = []
     pos = state = steps = done = 0
     while done < n_bits:
-        if ks is not None and (draw_bernoulli(jump, ks.jump_q_num) or not steps):
-            state = draw_uniform(state_gen, rm.state_count)
+        if ks is not None and (jump.jumps(ks.jump_q_num) or not steps):
+            state = state_gen.below(rm.state_count)
         table = codec.tables[state]
-        swap_pos = table.max_len if ks is None else draw_uniform(swap, table.max_len + 1)
+        swap_pos = table.max_len if ks is None else swap.below(table.max_len + 1)
         if state not in codes:
             words = table.codewords
             codes[state] = ({w: i for i, w in enumerate(words)}, sorted(set(map(len, words))))

@@ -46,12 +46,22 @@ class TestBits:
 class TestBitWriter:
     @staticmethod
     def written(chunks) -> tuple[list[bytes], int]:
-        """What a writer hands its sink for `chunks` of 0/1 bits, and the
-        bit count its flush returns."""
+        """What a writer hands its sink for `chunks` of 0/1 bits, each put
+        into its buffer as the kernel writes a block, and the bit count its
+        flush returns."""
         sunk: list[bytes] = []
         writer = BitWriter(sunk.append)
         for chunk in chunks:
-            writer.write(np.array(chunk, np.uint8))
+            writer.reserve(len(chunk))
+            at = writer.n % 8
+            # the bits before `at` are kept, the rest of the bytes written
+            value = writer.buffer[0] >> (8 - at) if at else 0
+            for b in chunk:
+                value = value << 1 | b
+            size = (at + len(chunk)) // 8 + 1
+            value <<= 8 * size - at - len(chunk)
+            writer.buffer[:size] = value.to_bytes(size, "big")
+            writer.advance(len(chunk))
         return sunk, writer.flush()
 
     @given(st.lists(st.lists(st.integers(0, 1), max_size=40), max_size=12))
@@ -63,16 +73,21 @@ class TestBitWriter:
         assert Bits(b"".join(sunk), n) == Bits.from_text(text)
 
     def test_flushes_across_writes(self):
-        # each write hands on its whole bytes and carries the rest
+        # each block hands on its whole bytes and carries the rest
         rng = np.random.default_rng(7)
-        chunks = [rng.integers(0, 2, k, dtype=np.uint8) for k in (5, 9, 1, 30, 0, 17)]
+        chunks = [rng.integers(0, 2, k, dtype=np.uint8).tolist() for k in (5, 9, 1, 30, 0, 17)]
         sunk, n = self.written(chunks)
-        # 14, 37 and 22 bits reach the packer on the writes that have a
-        # whole byte; flush hands on the last 6 bits
+        # 14, 37 and 22 bits are held after the blocks that finish a byte;
+        # flush hands on the last 6 bits
         assert [len(b) for b in sunk] == [1, 4, 2, 1]
-        text = "".join(map(str, np.concatenate(chunks).tolist()))
+        text = "".join(map(str, sum(chunks, [])))
         assert n == 62
         assert Bits(b"".join(sunk), n) == Bits.from_text(text)
+
+    def test_reserve_keeps_the_carried_bits(self):
+        # a larger buffer is allocated once, with the unfinished byte
+        sunk, n = self.written([[1, 0, 1], [1] * 300, [0, 1]])
+        assert Bits(b"".join(sunk), n) == Bits.from_text("101" + "1" * 300 + "01")
 
 
 def window_reader() -> StepLoop:
@@ -80,17 +95,19 @@ def window_reader() -> StepLoop:
     byte r: the row of a step is the window it reads."""
     words = np.unpackbits(np.arange(256, dtype=np.uint8))
     table = PrefixTable(np.array([0, 256]), np.zeros(256, np.int32), np.full(256, 8), words)
-    return StepLoop(table, np.zeros(256, np.int32))
+    return StepLoop(table, np.zeros(256, np.int32), table.lengths, steps=1)
 
 
 READER = window_reader()
+PAD = 3  # the zero bytes a walk's buffer keeps past its held ones, for 8-bit words
 
 
-def read_window(data, held: int, pos: int) -> int | None:
-    """The window that the step loop reads at bit `pos` of the first `held`
-    bytes of `data`, or None where no step starts there."""
-    rows = READER.match_block(data, held, pos, 0, [-1])
-    return int(rows[0]) if len(rows) else None
+def read_window(data, end: int, pos: int) -> int | None:
+    """The window that the step loop reads at bit `pos` of `data`, whose
+    bits past `end` must read as 0 for PAD bytes, or None where no step
+    starts there."""
+    failed = READER.run(data, pos, end, 1, 2**62)
+    return None if failed else int(READER.rows[0])
 
 
 class TestWindows:
@@ -99,14 +116,22 @@ class TestWindows:
         # every bit of the bytes and the one window past them; no step
         # starts further on
         data = Bits.from_text(text).data
-        got = [read_window(data, len(data), p) for p in range(8 * len(data) + 2)]
+        padded = data + bytes(PAD)
+        got = [read_window(padded, 8 * len(data), p) for p in range(8 * len(data) + 2)]
         assert got == [*reference_windows(text), None]
 
     @given(st.binary(min_size=1, max_size=8), st.data())
     def test_bytes_past_the_held_ones_read_as_zero(self, data, draw):
+        # the step loop reads past the held bytes unchecked: a buffer over a
+        # stream that ends past `held` bytes and that slid there keeps zeros
+        # past them, where its last slide moved bytes off
         held = draw.draw(st.integers(0, len(data)))
-        want = reference_windows(Bits(data[:held]).to_text())
-        assert [read_window(data, held, p) for p in range(8 * held + 1)] == list(want)
+        buf = ByteBuffer(BitSource.of(Bits(data)), len(data), PAD)
+        buf.slide(0)
+        buf.slide(8 * (len(data) - held))
+        assert buf.held == held
+        want = reference_windows(Bits(data[len(data) - held :]).to_text())
+        assert [read_window(buf.data, 8 * held, p) for p in range(8 * held + 1)] == list(want)
 
 
 class TestWindowBuffer:
@@ -119,8 +144,8 @@ class TestWindowBuffer:
         text = Bits(data).to_text()[:n]
         bits = Bits.from_text(text)
         want = reference_windows(text)
-        buf = ByteBuffer(BitSource.of(bits), span)
-        assert len(buf.data) == min(span, len(bits.data))  # allocated once
+        buf = ByteBuffer(BitSource.of(bits), span, PAD)
+        assert len(buf.data) == min(span, len(bits.data)) + PAD  # allocated once
         pos = 0
         strides = iter(strides)
         while True:
@@ -128,7 +153,8 @@ class TestWindowBuffer:
             assert 8 * buf.base + at == pos and 0 <= at < 8, pos
             # span bytes from the one holding `pos`, or all up to the end
             assert buf.data[: buf.held] == bits.data[buf.base : buf.base + span], pos
-            assert read_window(buf.data, buf.held, at) == want[pos], pos
+            assert buf.data[buf.held :] == bytes(len(buf.data) - buf.held), pos
+            assert read_window(buf.data, 8 * buf.held, at) == want[pos], pos
             if pos == 8 * len(bits.data):  # the one window past the last byte
                 return
             # the walk slides no further than the bits it holds
@@ -155,4 +181,4 @@ class TestWindowBuffer:
     def test_a_short_read_raises(self):
         source = BitSource(lambda k: b"\x01", 24)
         with pytest.raises(ValueError, match="ends 2 bytes short"):
-            ByteBuffer(source, 100).slide(0)
+            ByteBuffer(source, 100, PAD).slide(0)

@@ -806,10 +806,10 @@ def test_encode_decode_memory_per_input_byte(tmp_path):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
 def test_decode_memory_long_blocks(tmp_path):
     # (10, 1, 3), q = 0: 256 KiB of ones decode as one keystream block of
-    # 4,096 steps of 512-bit input blocks.  That block's 2 Mbit as 0/1 bytes
-    # (2 MiB), its packed copy and gather passes of at most 8 Kbit (~0.2 MiB
-    # of index temporaries) stay under 12 MiB over a 1-byte call; gathering
-    # the whole block in one pass took ~35 MiB.
+    # 4,096 steps of 512-bit input blocks.  The kernel emits that block's
+    # 2 Mbit packed into the writer's buffer, which holds at most the plain
+    # bits left (256 KiB), and stays under 12 MiB over a 1-byte call;
+    # gathering the whole block as 0/1 bytes in one pass took ~35 MiB.
     key = ["--key", "00112233445566ff"]
     params = ["--n", "10", "--p0-num", "1", "--fmax", "3", "--jump-prob", "0"]
     peaks = {}

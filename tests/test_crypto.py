@@ -48,14 +48,30 @@ from hfsac.crypto import GOLDEN, TAG_JUMP, TAG_STATE, TAG_SWAP
 from hfsac import prefix
 from hfsac.prefix import BLOCK_STEPS
 from conftest import (
-    SWEEP, rand_bits, reference_decrypt, reference_encrypt, reference_match,
-    reference_parse, synthetic_image,
+    SWEEP, ReferenceSplitMix, rand_bits, reference_decrypt, reference_encrypt,
+    reference_match, reference_parse, reference_streams, synthetic_image,
 )
 
 
 class TestSplitMix:
     def test_known_first_output(self):
         assert SplitMix64(0).next_u64() == 0xE220A8397B1DCDAF
+
+    @pytest.mark.parametrize(
+        # 2**64 - GOLDEN wraps to state 0 on the first draw, and the others
+        # wrap within the first few
+        "seed", [0, 0x5EED, 2**64 - 1, 2**64 - GOLDEN, 2**64 - 3 * GOLDEN % 2**64],
+    )
+    def test_matches_the_reference_splitmix(self, seed):
+        # the kernels against the scalar oracle, draw by draw and in blocks
+        # that end on either side of a counter wrap
+        ref = ReferenceSplitMix(seed)
+        gen = SplitMix64(seed)
+        assert [gen.next_u64() for _ in range(5)] == [ref.next() for _ in range(5)]
+        for m in (1, 0, 2, 3, 8192, 7):
+            assert gen.next_block(m).tolist() == [ref.next() for _ in range(m)]
+            assert gen.state == ref.state
+        assert ReferenceSplitMix(0).next() == 0xE220A8397B1DCDAF
 
     def test_equal_states_equal_streams(self):
         a, b = SplitMix64(12345), SplitMix64(12345)
@@ -165,46 +181,18 @@ class TestSeedText:
             seed_from_hex(text)
 
 
-class ScriptedGen:
-    def __init__(self, values):
-        self.values = list(values)
-
-    def next_u64(self):
-        return self.values.pop(0)
-
-    def next_block(self, m):
-        # the engine draws a block for up to as many steps as input bits
-        # remain, more than it takes; the draws past the script are 0
-        block, self.values = self.values[:m], self.values[m:]
-        return np.array(block + [0] * (m - len(block)), np.uint64)
-
-
-class ScriptedSchedule:
-    """Stand-in schedule with hand-picked draw values."""
-
-    def __init__(self, jump_q_num, jump_vals, state_vals, swap_vals):
-        self.jump_q_num = jump_q_num
-        self._streams = {
-            TAG_JUMP: jump_vals,
-            TAG_STATE: state_vals,
-            TAG_SWAP: swap_vals,
-        }
-
-    def substream(self, tag):
-        return ScriptedGen(self._streams[tag])
-
-
 class TestEncrypt:
     def test_forced_keystream_hand_trace(self, cache):
-        # jump to state 1 on the first step, never again, identity swaps:
-        # state 1 turns "0" into its first codeword, state 0 then eats "10"
+        # key 0x55 at q = 0 draws target 1 on the first step, never jumps
+        # again, and draws swap positions 5 and 3 (max_len of state 1 is 5,
+        # of state 0 is 3): state 1 turns "0" into its first codeword
+        # complemented from bit 5 on, past its end, and state 0 then eats
+        # "10", its codeword complemented from bit 3 on
         codec = cache.codec(4, 3, 1)
-        ks = ScriptedSchedule(
-            0,
-            jump_vals=[0, 0],
-            state_vals=[1],
-            swap_vals=[5, 3],  # max_len of state 1 is 5, of state 0 is 3
-        )
+        ks = KeySchedule(0x55, 0)
+        _, target, swap = reference_streams(ks)
+        assert target.below(codec.rm.state_count) == 1
+        assert (swap.below(6), swap.below(4)) == (5, 3)
         cipher, trace = encrypt("010", codec, ks)
         assert cipher == "10000"
         assert [(r.jumped, r.state, r.transition, r.swap_pos) for r in trace] == [

@@ -6,8 +6,10 @@ import pytest
 from hfsac import (
     CoderParams,
     CorruptStreamError,
+    KeySchedule,
     ReducedTransition,
     SplitMix64,
+    encrypt,
     fsac_parse,
     hfac_decode,
     hfac_encode,
@@ -199,6 +201,21 @@ class TestAttachTables:
         codec = cache.codec(8, 128, 3)
         assert codec.tables[0].codewords == ("0", "1")
         assert codec.tables[0].max_len == 1
+
+    @pytest.mark.parametrize("n,p0,fm", [(8, 128, 0), (6, 32, 1)])
+    def test_half_probability_gives_one_state(self, cache, n, p0, fm):
+        # p0_num = 2**(n - 1): one state, two rows of 1-bit blocks and
+        # codewords, so the cipher is the plain bits XOR one swap bit a step
+        # (swap position 0 of 0..1) and a jump lands where it was
+        codec = cache.codec(n, p0, fm)
+        rm = codec.rm
+        assert rm.state_count == 1 and len(rm.next_state) == 2
+        assert rm.inputs.words() == codec.outputs.words() == ["0", "1"]
+        assert codec.swap_moduli.tolist() == [2]
+        bits = rand_bits(n, 200)
+        cipher, trace = encrypt(bits, codec, KeySchedule(n, 128))
+        flips = "".join(str(int(a != b)) for a, b in zip(bits, cipher))
+        assert flips == "".join(str(int(p == 0)) for p in trace.swap_pos.tolist())
 
     @pytest.mark.parametrize("n,p0,fm", SWEEP[::3])
     def test_tables_prefix_free_and_complete(self, cache, n, p0, fm):

@@ -27,6 +27,7 @@ import pytest
 from hfsac import prefix
 from hfsac import (
     Bits,
+    BitWriter,
     KeySchedule,
     decrypt,
     encrypt,
@@ -55,40 +56,73 @@ def test_long_words_at_stream_end(cache, n, p0, fm):
             assert (steps, padded) == reference_parse(rm, bits)
 
 
+def _emitted(codec, rows, swap_pos=None, decode=False, block=None, cut=0) -> str:
+    """What the step loop emits for `rows`, as text: their codewords,
+    complemented from `swap_pos` on where given, or with `decode` their
+    input blocks with the last `cut` bits cut off by the limit.  The stream
+    is the words the steps match, each step jumps to its row's state, and
+    the steps run `block` at a time, into one writer."""
+    rm = codec.rm
+    match, emit = (codec.outputs, rm.inputs) if decode else (rm.inputs, codec.outputs)
+    stream = "".join("".join(map(str, match.word(r).tolist())) for r in rows)
+    moduli = None if swap_pos is None else np.full(rm.state_count, 2**64 - 1, np.uint64)
+    fed = rm.inputs.lengths
+    loop = prefix.StepLoop(match, rm.next_state, fed, emit, moduli, decode, len(rows))
+    data = Bits.from_text(stream).data + bytes(-(-match.longest // 8) + 2)
+    limit = int(rm.block_len[rows].sum()) - cut
+    buf = bytearray()
+    out = BitWriter(buf.extend)
+    for a in range(0, len(rows), block or max(len(rows), 1)):
+        m = min(block or len(rows), len(rows) - a)
+        loop.targets[:m] = rm.row_state[rows[a : a + m]]
+        if swap_pos is not None:
+            loop.draws[:m] = swap_pos[a : a + m]
+        assert loop.run(data, loop.frame[0], len(stream), m, limit, out) == 0
+    assert loop.frame[4] == len(rows)
+    return Bits(buf, out.flush()).to_text()
+
+
 @pytest.mark.parametrize("n,p0,fm", [(7, 44, 10), (10, 1, 3)])
-def test_gather_matches_word_text(cache, n, p0, fm):
+def test_emit_matches_word_text(cache, n, p0, fm):
+    # every word, swapped and unswapped; (10, 1, 3)'s input blocks run to
+    # 512 bits
     codec = cache.codec(n, p0, fm)
     rm = codec.rm
     blocks = [t.input_block for ts in rm.transitions for t in ts]
     codewords = [w for table in codec.tables for w in table.codewords]
     rng = np.random.default_rng(n)
     for k in (0, 1, 16, 17, 48):
-        rows = rng.integers(0, len(blocks), k).astype(np.int32)
-        got = rm.inputs.gather(rows)
-        assert "".join(map(str, got.tolist())) == "".join(blocks[r] for r in rows)
-        swap_pos = rng.integers(0, 12, k).astype(np.int32)
-        got = codec.outputs.gather(rows, swap_pos)
+        rows = rng.integers(0, len(blocks), k)
+        assert _emitted(codec, rows, decode=True) == "".join(blocks[r] for r in rows)
+        swap_pos = rng.integers(0, 12, k)
         want = "".join(swap_codeword(codewords[r], p) for r, p in zip(rows, swap_pos))
-        assert "".join(map(str, got.tolist())) == want
+        assert _emitted(codec, rows, swap_pos) == want
+        assert _emitted(codec, rows) == "".join(codewords[r] for r in rows)
+    rows = np.arange(len(blocks))
+    assert _emitted(codec, rows, decode=True) == "".join(blocks)
+    assert _emitted(codec, rows, np.zeros(len(rows), np.uint64)) == "".join(
+        swap_codeword(w, 0) for w in codewords
+    )
 
 
-@pytest.mark.parametrize("pass_bits", [1, 37, 1 << 10])
-def test_gather_in_passes(cache, monkeypatch, pass_bits):
-    # passes of one word, of a few words, and of hundreds of bits, against
-    # the words' text; a pass always takes at least one whole word
-    monkeypatch.setattr(prefix, "_PASS_BITS", pass_bits)
+@pytest.mark.parametrize("block", [1, 37, 1024])
+def test_emit_across_blocks(cache, block):
+    # blocks of one step, of a few and of hundreds, whose bits carry over
+    # unfinished bytes, against the words' text; a decode's last block is
+    # cut at the limit
     codec = cache.codec(10, 1, 3)
     rm = codec.rm
     blocks = [t.input_block for ts in rm.transitions for t in ts]
     codewords = [w for table in codec.tables for w in table.codewords]
-    rng = np.random.default_rng(pass_bits)
-    rows = rng.integers(0, len(blocks), 300).astype(np.int32)
-    got = rm.inputs.gather(rows)
-    assert "".join(map(str, got.tolist())) == "".join(blocks[r] for r in rows)
-    swap_pos = rng.integers(0, 12, len(rows)).astype(np.int32)
-    got = codec.outputs.gather(rows, swap_pos)
+    rng = np.random.default_rng(block)
+    rows = rng.integers(0, len(blocks), 300)
+    text = "".join(blocks[r] for r in rows)
+    assert _emitted(codec, rows, decode=True, block=block) == text
+    for cut in (1, 7, len(blocks[rows[-1]]) - 1):
+        assert _emitted(codec, rows, decode=True, block=block, cut=cut) == text[:-cut]
+    swap_pos = rng.integers(0, 12, len(rows))
     want = "".join(swap_codeword(codewords[r], p) for r, p in zip(rows, swap_pos))
-    assert "".join(map(str, got.tolist())) == want
+    assert _emitted(codec, rows, swap_pos, block=block) == want
 
 
 def test_index_size_cap(monkeypatch):
@@ -182,13 +216,18 @@ def test_bits_must_be_the_words_long(n_bits):
 
 
 def _lookup(table, data, state, pos, swap_pos=None):
-    """Row that one step of the step loop matches at bit `pos` of the bytes
-    `data` in `state`, its words complemented from `swap_pos` on where
+    """Row that one decode step of the step loop matches at bit `pos` of the
+    bytes `data` in `state`, its words complemented from `swap_pos` on where
     given, or -1.  Every modulus is 2**64 - 1, so the swap position is the
-    draw."""
-    draws = None if swap_pos is None else np.array([swap_pos], np.uint64)
-    rows = _one_step_loop(table).match_block(data, len(data), pos, 0, [state], draws)
-    return int(rows[0]) if len(rows) else -1
+    draw, 2**62 (past every word) where none is given.  `data` is padded as
+    a walk's byte buffer is, and its end lies past the padding, so that the
+    step reads the stream zero-padded: no word runs past it."""
+    loop = _one_step_loop(table)
+    loop.targets[0] = state
+    loop.draws[0] = 2**62 if swap_pos is None else swap_pos
+    padded = data + bytes(-(-table.longest // 8) + 2)
+    failed = loop.run(padded, pos, 8 * len(padded), 1, 2**62)
+    return -1 if failed else int(loop.rows[0])
 
 
 @functools.lru_cache
@@ -197,7 +236,8 @@ def _one_step_loop(table):
     states 0 and every modulus 2**64 - 1."""
     rows, states = len(table.lengths), len(table._row_base) - 1
     moduli = np.full(states, 2**64 - 1, np.uint64)
-    return prefix.StepLoop(table, np.zeros(rows, np.int32), moduli)
+    next_state = np.zeros(rows, np.int32)
+    return prefix.StepLoop(table, next_state, table.lengths, None, moduli, True, 1)
 
 
 def _scan(words, first, stream, swap_pos):
@@ -333,11 +373,13 @@ def test_every_kernel_is_typed():
     # signature, each pointer as c_void_p
     with open(prefix._SOURCE) as f:
         source = f.read()
-    c_types = {"int": ctypes.c_int, "int64_t": ctypes.c_int64}
-    defined = re.findall(r"^(int|int64_t) (\w+)\(([^)]*)\)\s*\{", source, re.M)
+    c_types = {
+        "int": ctypes.c_int, "int64_t": ctypes.c_int64, "uint64_t": ctypes.c_uint64, "void": None,
+    }
+    defined = re.findall(r"^(int|int64_t|uint64_t|void) (\w+)\(([^)]*)\)\s*\{", source, re.M)
     assert {name for _, name, _ in defined} == {
-        "walk_block", "explore", "huffman_lengths", "kraft_words", "reduce_rows",
-        "window_index",
+        "splitmix", "draw_block", "walk_block", "explore",
+        "huffman_lengths", "kraft_words", "reduce_rows", "window_index",
     }
     # no definition of another form: every line that starts one, static aside
     assert len(defined) == len(re.findall(r"^(?!static)\w[^(\n]*\(", source, re.M))
@@ -353,17 +395,28 @@ def test_every_kernel_is_typed():
 
 # run in a child that loads the sanitized kernels: every kernel on codecs
 # whose columns, rows and (on (9, 150, 3)) exploration arrays grow, both
-# indexes, a keyed round trip, and each kernel's error return
+# indexes, a keyed round trip, the decodes an attacker reaches, each ending
+# in its error class, and each build kernel's error return
 SANITIZED_RUN = """
 import sys
 import numpy as np
 from hfsac import coder, prefix
 prefix._library = lambda source: sys.argv[1]
 from hfsac import (
-    CoderParams, KeySchedule, NonEmittingCycleError, StateExplosionError, build_codec,
-    build_full_fsm, decrypt, encrypt, reduce_machine,
+    CoderParams, CorruptStreamError, KeySchedule, NonEmittingCycleError, StateExplosionError,
+    TruncatedStreamError, WrongKeyError, build_codec, build_full_fsm, decrypt, encrypt,
+    hfac_decode, reduce_machine,
 )
 from conftest import full_from_rows, rand_bits
+
+def fails(errors, decode, *args):
+    try:
+        decode(*args)
+    except errors:
+        return
+    raise AssertionError(f"{args[2:]} decoded without {errors}")
+
+refused = (WrongKeyError, TruncatedStreamError)
 for n, p0, fm in [(7, 44, 10), (9, 150, 3), (10, 1, 3), (12, 1, 3)]:
     codec = build_codec(CoderParams(n, p0, fm))
     codec.rm.inputs.index, codec.outputs.index
@@ -371,6 +424,13 @@ for n, p0, fm in [(7, 44, 10), (9, 150, 3), (10, 1, 3), (12, 1, 3)]:
     ks = KeySchedule(0x5EED + n, 128)
     cipher, _ = encrypt(bits, codec, ks)
     assert decrypt(cipher, codec, ks, len(bits)) == bits
+    # a wrong key, random bits, a cut cipher and n_bits past the cipher's
+    noise = rand_bits(n + 1, len(cipher), 0.5)
+    fails(refused, decrypt, cipher, codec, KeySchedule(0x5EED + n + 1, 128), len(bits))
+    fails(refused, decrypt, noise, codec, ks, len(bits))
+    fails(TruncatedStreamError, decrypt, cipher[: len(cipher) // 2], codec, ks, len(bits))
+    fails(TruncatedStreamError, decrypt, cipher, codec, ks, len(bits) + 64)
+    fails(CorruptStreamError, hfac_decode, noise, codec, len(bits))
 coder.STATE_CEILING = 5000
 try:
     build_full_fsm(CoderParams(9, 150, 3))
