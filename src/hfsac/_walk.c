@@ -2,11 +2,17 @@
  * `splitmix` and `draw_block`, the keystream of `hfsac.crypto.SplitMix64`
  * and of every walk; `walk_block`, the steps of every walk; and the stages
  * of the codec build: `explore`, the state exploration of
- * `hfsac.coder.build_full_fsm`, `reduce_rows`, the mute-edge reduction of
- * `hfsac.reducer.reduce_machine`, the two table stages, `huffman_lengths`
- * and `kraft_words`, and `window_index`, the window index of a table's
+ * `hfsac.coder.build_full_fsm`, `reduce_rows` and `block_bits`, the
+ * mute-edge reduction of `hfsac.reducer.reduce_machine` and its input
+ * blocks, the two table stages, `huffman_lengths` and `kraft_words`, and
+ * `words_in_order` and `window_index`, the window index of a table's
  * words.  Every kernel writes only into arrays its caller allocates, and
  * none calls malloc.
+ *
+ * Every bit array is packed MSB first: the streams, the emitted bits and
+ * a table's words, which lie in row order, each from the bit after the
+ * last one's.  All are read by `window`, and a table's bytes end in two
+ * zero bytes for its 16-bit read.
  */
 #include <stdint.h>
 #include <string.h>
@@ -65,24 +71,21 @@ static inline int window(const uint8_t *bytes, int64_t p)
     return ((b[0] << 8 | b[1]) >> (8 - (p & 7))) & 0xFF;
 }
 
-/* the `keep` (at most 8) bits of the 0/1 bytes `bits`, `n` of them, from
- * bit `at` on, as an int, the first bit most significant.  Eight bytes are
- * read at once where they lie within the bits, and the multiply gathers
- * each byte's low bit into the top byte of the product, byte i at bit
- * 63 - i, with no carries between them */
-static inline int word_bits(const uint8_t *bits, int64_t n, int64_t at, int keep)
+/* copies the n bits from bit `from` of `src` to bit `to` of `dst`, the
+ * bits at or past `swap` (counted from the first) complemented: a `dst`
+ * byte keeps its bits before `to`, and is written zero past the last
+ * bit, the byte after it too */
+static inline void copy_bits(
+    const uint8_t *src, int64_t from, uint8_t *dst, int64_t to, int64_t n, int64_t swap)
 {
-    uint64_t x = 0;
-    if (at + 8 <= n) {
-        memcpy(&x, bits + at, 8);
-#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-        x = __builtin_bswap64(x);
-#endif
-    } else {
-        for (int64_t j = 0; j < n - at; j++)
-            x |= (uint64_t)bits[at + j] << 8 * j;
+    src += from >> 3, dst += to >> 3, from &= 7, to &= 7; /* the bytes move, the bits stay */
+    for (int64_t j = 0; j < n; j += 8, src++, dst++) {
+        int keep = n - j < 8 ? (int)(n - j) : 8;
+        unsigned x = (unsigned)((window(src, from) ^ swap_mask(swap - j)) >> (8 - keep));
+        x <<= 16 - keep - to;
+        dst[0] = (uint8_t)((dst[0] & 0xFF00 >> to) | x >> 8);
+        dst[1] = (uint8_t)x;
     }
-    return (int)(((x & 0x0101010101010101u) * 0x8040201008040201u) >> 56) >> (8 - keep);
 }
 
 /* The steps of `hfsac.prefix.walk`, up to m of a keystream block, over the
@@ -98,9 +101,9 @@ static inline int word_bits(const uint8_t *bits, int64_t n, int64_t at, int keep
  * every window XOR-ed with the swap mask of its offset, and any other
  * step emits it so.  The step writes its row to rows[k], feeds fed[row]
  * input bits and moves to next_state[row]; with `bits` it emits the row's
- * word, emit_len[row] of the n_bits 0/1 bytes from offsets[row], to `out`
- * MSB first, a decode's cut at `limit` fed bits: an `out` byte keeps its
- * bits before the emitted bit, and is written zero past its last.
+ * word, the emit_len[row] bits from bit offsets[row] of `bits`, to `out`,
+ * a decode's cut at `limit` fed bits: an `out` byte keeps its bits before
+ * the emitted bit, and is written zero past its last.
  *
  * Returns 0 after the step that feeds `limit` bits or the m-th, or -1 with
  * the frame at a step that starts past `end`, matches nothing or, in a
@@ -108,8 +111,8 @@ static inline int word_bits(const uint8_t *bits, int64_t n, int64_t at, int keep
 int walk_block(
     const int32_t *index, const int32_t *lengths, const int32_t *next_state,
     const int32_t *fed, const uint64_t *moduli, int decode, const uint8_t *bits,
-    const int64_t *offsets, const int32_t *emit_len, int64_t n_bits,
-    const uint8_t *bytes, int64_t end, const int64_t *targets, uint64_t *draws,
+    const int64_t *offsets, const int32_t *emit_len, const uint8_t *bytes, int64_t end,
+    const int64_t *targets, uint64_t *draws,
     int64_t m, int64_t limit, uint8_t *out, int64_t *rows, int64_t *frame)
 {
     int64_t pos = frame[0], state = frame[1], done = frame[2], at = frame[3], k;
@@ -135,14 +138,7 @@ int walk_block(
         if (bits) {
             int64_t n = emit_len[entry];
             n = decode && n > limit - done ? limit - done : n;
-            for (int64_t j = 0, b = at; j < n; j += 8, b += 8) {
-                int keep = n - j < 8 ? (int)(n - j) : 8;
-                int v = word_bits(bits, n_bits, offsets[entry] + j, keep);
-                unsigned x = (unsigned)(v ^ swap_mask(emit_swap - j) >> (8 - keep));
-                x <<= 16 - keep - (b & 7);
-                out[b >> 3] = (uint8_t)((out[b >> 3] & 0xFF00 >> (b & 7)) | x >> 8);
-                out[(b >> 3) + 1] = (uint8_t)x;
-            }
+            copy_bits(bits, offsets[entry], out, at, n, emit_swap);
             at += n;
         }
         rows[k] = entry;
@@ -315,21 +311,19 @@ int huffman_lengths(
     return 0;
 }
 
-/* The words of every state's complete prefix code from their lengths alone,
- * as 0/1 bytes in row order into `bits`, each word most significant bit
- * first: state s holds counts[s] consecutive `lengths` (non-negative).
- * Taken in row order, or with `canonical` in (length, index) order, a word
- * is the Kraft prefix sum of the words before it, sum 2**(L_j - L_i),
- * computed as a uint64 at the state's longest length and shifted down; its
- * low L_i bits are written.  The canonical order needs no sort: the words
- * of one length start from the sum of all shorter ones and count up in row
- * order.
+/* The canonical words of every state's complete prefix code from their
+ * lengths alone, packed in row order into `bits`, zeroed by the caller:
+ * state s holds counts[s] consecutive `lengths` (non-negative).  Taken in
+ * (length, index) order, a word is the Kraft prefix sum of the words
+ * before it, sum 2**(L_j - L_i), computed as a uint64 at the state's
+ * longest length and shifted down; its low L_i bits are written.  The
+ * order needs no sort: the words of one length start from the sum of all
+ * shorter ones and count up in row order.
  *
  * Returns 0, or -1 when a state's longest word has more than 63 bits. */
-int kraft_words(
-    const int64_t *counts, int64_t states, const int32_t *lengths, int canonical,
-    uint8_t *bits)
+int kraft_words(const int64_t *counts, int64_t states, const int32_t *lengths, uint8_t *bits)
 {
+    int64_t at = 0;
     for (int64_t s = 0, base = 0; s < states; base += counts[s++]) {
         const int32_t *len = lengths + base;
         int top = 0;
@@ -337,24 +331,25 @@ int kraft_words(
             top = len[i] > top ? len[i] : top;
         if (top > 63)
             return -1;
-        /* the running sum of each length in canonical order, or one sum */
+        /* the running sum of each length */
         uint64_t sums[64] = {0}, sum = 0;
-        if (canonical) {
-            for (int64_t i = 0; i < counts[s]; i++)
-                sums[len[i]] += (uint64_t)1 << (top - len[i]);
-            for (int l = 0; l <= top; l++) {
-                uint64_t words = sums[l];
-                sums[l] = sum; /* wraps modulo 2**64, as the sums do */
-                sum += words;
-            }
+        for (int64_t i = 0; i < counts[s]; i++)
+            sums[len[i]] += (uint64_t)1 << (top - len[i]);
+        for (int l = 0; l <= top; l++) {
+            uint64_t words = sums[l];
+            sums[l] = sum; /* wraps modulo 2**64, as the sums do */
+            sum += words;
         }
         for (int64_t i = 0; i < counts[s]; i++) {
             int l = len[i];
-            uint64_t *at = canonical ? &sums[l] : &sum;
-            uint64_t word = *at >> (top - l);
-            *at += (uint64_t)1 << (top - l);
-            for (int j = l - 1; j >= 0; j--)
-                *bits++ = (uint8_t)(word >> j & 1);
+            uint64_t word = sums[l] >> (top - l);
+            sums[l] += (uint64_t)1 << (top - l);
+            /* j: the word's bits left; k: those of them that go into at's byte */
+            for (int j = l, k, free; j > 0; j -= k, at += k) {
+                free = 8 - (int)(at & 7);
+                k = free < j ? free : j;
+                bits[at >> 3] |= (uint8_t)((word >> (j - k) & 0xFF >> (8 - k)) << (free - k));
+            }
         }
     }
     return 0;
@@ -432,6 +427,23 @@ int reduce_rows(
     return 0;
 }
 
+/* The input blocks of `reduce_rows`' rows, packed in row order into
+ * `bits`, zeroed by the caller: row r's block has block_len[r] bits and
+ * its last 1 at branch[r], or none where that is -1.  A state's blocks
+ * are the leaves of its parse tree in depth-first order, the 0-edge
+ * first, so each is the block before it up to its last 1, then that 1,
+ * then 0s; a state's first block is all 0s. */
+void block_bits(const int32_t *block_len, const int32_t *branch, int64_t rows, uint8_t *bits)
+{
+    for (int64_t r = 0, at = 0, last = 0; r < rows; last = at, at += block_len[r++]) {
+        if (branch[r] >= 0) {
+            const int64_t one = at + branch[r];
+            copy_bits(bits, last, bits, at, branch[r], INT64_MAX);
+            bits[one >> 3] |= (uint8_t)(0x80 >> (one & 7));
+        }
+    }
+}
+
 /* a `window_index` build: the table's words, whether every state's words of
  * over 8 bits are in lexicographic order, the entries laid out so far and
  * the bound on them, the index or NULL, and the entry of each word that
@@ -440,7 +452,7 @@ struct build {
     const int32_t *lengths;
     const int64_t *offsets;
     const uint8_t *bits;
-    int64_t n_bits, size, limit;
+    int64_t size, limit;
     int in_order;
     int32_t *index, *key;
 };
@@ -455,33 +467,35 @@ struct level {
 /* the entry of word r's `keep` bits from bit `bit`, in a node of `keep` bits */
 static inline int entry(const struct build *b, int64_t r, int64_t bit, int keep)
 {
-    return word_bits(b->bits, b->n_bits, b->offsets[r] + bit, keep);
+    return window(b->bits, b->offsets[r] + bit) >> (8 - keep);
 }
 
-/* whether the words of over 8 bits, the ones that reach child nodes, are
+/* Whether the words of over 8 bits, the ones that reach child nodes, are
  * in lexicographic order within every state, a word before the words it
- * prefixes; compared 8 bytes at a time */
-static int words_in_order(const struct build *b, const int64_t *row_base, int64_t states)
+ * prefixes: the table of `window_index`, which takes the answer, so that
+ * its two calls compare the words once.  Compared a window at a time. */
+int words_in_order(
+    const int64_t *row_base, int64_t states, const int32_t *lengths, const int64_t *offsets,
+    const uint8_t *bits)
 {
     for (int64_t s = 0; s < states; s++) {
         for (int64_t q = -1, r = row_base[s]; r < row_base[s + 1]; r++) {
-            if (b->lengths[r] <= 8)
+            if (lengths[r] <= 8)
                 continue;
             if (q < 0) {
                 q = r;
                 continue;
             }
-            const uint8_t *x = b->bits + b->offsets[q], *y = b->bits + b->offsets[r];
-            const int64_t n = b->lengths[q] < b->lengths[r] ? b->lengths[q] : b->lengths[r];
+            /* the bytes move, the bits stay */
+            const int x = offsets[q] & 7, y = offsets[r] & 7;
+            const uint8_t *u = bits + (offsets[q] >> 3), *v = bits + (offsets[r] >> 3);
+            const int64_t n = lengths[q] < lengths[r] ? lengths[q] : lengths[r];
             int64_t j = 0;
-            for (uint64_t u, v; j + 8 <= n; j += 8) {
-                memcpy(&u, x + j, 8), memcpy(&v, y + j, 8);
-                if (u != v)
-                    break;
-            }
-            while (j < n && x[j] == y[j])
-                j++;
-            if (j < n ? x[j] > y[j] : b->lengths[q] > b->lengths[r])
+            for (; j + 8 <= n && window(u, x) == window(v, y); j += 8)
+                u++, v++;
+            const int drop = n - j < 8 ? (int)(8 - (n - j)) : 0; /* the bits past the shorter */
+            const int wu = window(u, x) >> drop, wv = window(v, y) >> drop;
+            if (wu != wv ? wu > wv : lengths[q] > lengths[r])
                 return 0;
             q = r;
         }
@@ -584,16 +598,16 @@ static int index_node(
 
 /* The window index of `hfsac.prefix.PrefixTable`, over the words of
  * `states` prefix codes: state s holds rows row_base[s] up to
- * row_base[s + 1], and word r has lengths[r] of the 0/1 bytes `bits`, n_bits
- * in all, from offsets[r].  The root node of state s is entries s << 8 up
- * to (s + 1) << 8; the child nodes follow, level by level, in the order of
- * the entries that link to them, each of 2**w entries, w the most bits any
- * word under it has left, at most 8.  A word fills the entries that its
- * bits in its last node prefix with its row, a link entry holds
- * -2 - (start << 3 | 8 - w), and every other entry -1.  `scratch` holds
- * 7 * long_words + 4 ints, long_words the words of over 8 bits, which are
- * the most that go on to a level of child nodes: the entries they continue
- * from in one node, and two levels.
+ * row_base[s + 1], and word r has the lengths[r] bits from bit offsets[r]
+ * of `bits`; `in_order` is their `words_in_order`.  The root node of state
+ * s is entries s << 8 up to (s + 1) << 8; the child nodes follow, level by
+ * level, in the order of the entries that link to them, each of 2**w
+ * entries, w the most bits any word under it has left, at most 8.  A
+ * word fills the entries that its bits in its last node prefix with its
+ * row, a link entry holds -2 - (start << 3 | 8 - w), and every other
+ * entry -1.  `scratch` holds 7 * long_words + 4 ints, long_words the
+ * words of over 8 bits, which are the most that go on to a level of child
+ * nodes: the entries they continue from in one node, and two levels.
  *
  * Without an `index` it only lays the nodes out; with one it also writes
  * them, each node when its words are placed.  Returns the entries, -1 when
@@ -602,18 +616,17 @@ static int index_node(
  * words are not a prefix code. */
 int64_t window_index(
     const int64_t *row_base, int64_t states, const int32_t *lengths,
-    const int64_t *offsets, const uint8_t *bits, int64_t n_bits, int64_t limit,
+    const int64_t *offsets, const uint8_t *bits, int in_order, int64_t limit,
     int64_t long_words, int32_t *scratch, int32_t *index)
 {
     const int64_t m = long_words;
-    struct build b = {lengths, offsets, bits, n_bits, states << 8, limit, 0, index, scratch};
+    struct build b = {lengths, offsets, bits, states << 8, limit, in_order, index, scratch};
     struct level levels[2] = {
         {scratch + m, scratch + 3 * m, scratch + 5 * m + 2, 0, 0},
         {scratch + 2 * m, scratch + 4 * m + 1, scratch + 6 * m + 3, 0, 0},
     };
     if (b.size > limit)
         return -1;
-    b.in_order = words_in_order(&b, row_base, states);
     for (int64_t s = 0; s < states; s++) {
         int status = index_node(
             &b, NULL, row_base[s], row_base[s + 1] - row_base[s], s << 8, 8, 0, &levels[0]);

@@ -84,7 +84,7 @@ def _add_params(sub, jump: bool) -> None:
         "at most 10**6 full states (coder.STATE_CEILING): (16, 32768, 15) has "
         "1, (12, 1000, 2) 999,909, and (13, 3000, 0) fails after a ~0.15-s build; "
         "skewed models bind on memory first: (16, 1, 3) has 32,768, but a 1-byte "
-        "encode peaks at ~550 MiB",
+        "encode peaks at ~100 MiB, 64 MiB of it its packed input blocks",
     )
     sub.add_argument(
         "--p0-num", type=_decimal, required=True,

@@ -5,7 +5,8 @@ Each state is treated as a standalone source whose symbol weights are
 weights gives every transition a self-contained codeword, which keeps the
 stream parseable across keyed state jumps.  The swap transform complements
 every codeword bit from a chosen position on; it permutes the code tree, so
-prefix-freeness survives.
+prefix-freeness survives.  The codewords are built packed, in row order, the
+one form in which `PrefixTable` holds every table's words.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .bitio import BitSource, Bits, BitWriter
 from .coder import CoderParams, build_full_fsm
-from .prefix import PrefixTable, _kraft_words, kernel, state_rows, walk
+from .prefix import PrefixTable, kernel, packed_bytes, state_rows, walk
 from .reducer import ReducedMachine, reduce_machine
 
 _FLIP = str.maketrans("01", "10")
@@ -63,10 +64,18 @@ def code_lengths(counts, weights) -> np.ndarray:
 
 
 def canonical_bits(counts, lengths) -> np.ndarray:
-    """Canonical codewords of every state at once, as 0/1 bytes in row
-    order: sorted by (length, index), they count upward: the Kraft prefix
-    sums taken in that order."""
-    return _kraft_words(counts, lengths, True)
+    """Canonical codewords of every state at once, packed in row order as
+    `PrefixTable` takes them; `counts[s]` consecutive lengths belong to
+    state s.  Sorted by (length, index), they count upward: the Kraft
+    prefix sums taken in that order, `kraft_words` of _walk.c."""
+    lengths = np.ascontiguousarray(lengths, np.int32)
+    counts = state_rows(counts, len(lengths))
+    if (lengths < 0).any():
+        raise ValueError("negative word lengths")
+    bits = np.zeros(packed_bytes(lengths.sum(dtype=np.int64)), np.uint8)
+    if kernel().kraft_words(counts.ctypes.data, len(counts), lengths.ctypes.data, bits.ctypes.data):
+        raise OverflowError("words longer than 63 bits")
+    return bits
 
 
 @dataclass(frozen=True)
@@ -82,7 +91,7 @@ class HfsacCodec:
     """Reduced machine plus one prefix code per state, as columns; immutable.
 
     Row r of `rm` has the codeword of `code_len[r]` bits, row r of the prefix
-    table `outputs`, which holds all the codewords' `bits`, 0/1 bytes in row
+    table `outputs`, which holds all the codewords' `bits`, packed in row
     order; its row ids are those of `rm.inputs`.  A step's swap position is
     its swap draw modulo its state's entry of `swap_moduli`, max_len + 1
     (uint64, as the keystream's draws), which the step loop reads per step.
@@ -91,8 +100,10 @@ class HfsacCodec:
 
     def __init__(self, rm: ReducedMachine, code_len, bits):
         self.rm = rm
-        self.outputs = PrefixTable(rm.row_base, rm.row_state, code_len, bits)
+        self.outputs = PrefixTable(rm.row_base, code_len, bits)
         self.code_len = self.outputs.lengths
+        if len(self.code_len) != len(rm.next_state):
+            raise ValueError("a codeword per row")
         max_len = np.maximum.reduceat(self.code_len, rm.row_base[:-1])
         self.swap_moduli = (max_len + 1).astype(np.uint64)
 

@@ -4,7 +4,8 @@ A `PrefixTable` holds one prefix code per state: the input blocks of a
 reduced machine or the codewords of its code tables.  Every word gets a
 global row id; the words of state s are rows `row_base[s]` up to
 `row_base[s + 1]`, in transition order.  The words are given as their
-lengths and all their bits in row order, as 0/1 bytes, each word MSB first.
+lengths and all their bits packed MSB first in row order, each word from
+the bit after the last one's, as the kernels read every bit array.
 
 The window index maps a state and the next WINDOW_BITS bits of a stream to
 the row whose word prefixes those bits, in one lookup at
@@ -105,33 +106,11 @@ def state_rows(counts, rows: int) -> np.ndarray:
     return counts
 
 
-def kraft_bits(counts, lengths) -> np.ndarray:
-    """The words of every state's complete prefix code, from their lengths
-    alone, as 0/1 bytes in row order, each word most significant bit
-    first; `counts[s]` consecutive lengths belong to state s.
-
-    A word is the Kraft prefix sum of the words before it, sum
-    2**(L_j - L_i), computed as a uint64 at the state's longest length and
-    shifted down: `kraft_words` of _walk.c, in row order.  A code's
-    lexicographic order is its row order; `huffman.canonical_bits` takes
-    the canonical (length, index) order.
-    """
-    return _kraft_words(counts, lengths, False)
-
-
-def _kraft_words(counts, lengths, canonical: bool) -> np.ndarray:
-    """`kraft_bits`, in (length, index) order within each state where
-    `canonical`."""
-    lengths = np.ascontiguousarray(lengths, np.int32)
-    counts = state_rows(counts, len(lengths))
-    if (lengths < 0).any():
-        raise ValueError("negative word lengths")
-    bits = np.empty(int(lengths.sum(dtype=np.int64)), np.uint8)
-    if kernel().kraft_words(
-        counts.ctypes.data, len(counts), lengths.ctypes.data, canonical, bits.ctypes.data
-    ):
-        raise OverflowError("words longer than 63 bits")
-    return bits
+def packed_bytes(n_bits: int) -> int:
+    """The bytes of a table's `n_bits` packed bits: the bytes that hold them
+    and two zero bytes, which the kernels' 16-bit read of a window at the
+    last bit reaches into."""
+    return (int(n_bits) + 7) // 8 + 2
 
 
 class PrefixTable:
@@ -142,22 +121,26 @@ class PrefixTable:
     """
 
     __slots__ = (
-        "_row_base", "_row_state", "lengths", "longest", "_bits", "_offsets", "_index"
+        "_row_base", "lengths", "longest", "_bits", "_offsets", "_index", "_words", "_match"
     )
 
-    def __init__(self, row_base, row_state, lengths, bits):
-        """`row_base` and `row_state` (int32) are the machine's row layout,
-        held by reference; word r has `lengths[r]` of the 0/1 `bits`, in row
-        order.  Words may be longer than 64 bits: the input blocks of skewed
-        machines run to 2**(n_bits - 1) bits."""
-        self._row_base, self._row_state = row_base, row_state
+    def __init__(self, row_base, lengths, bits):
+        """`row_base` is the machine's row layout, held by reference; word r
+        has `lengths[r]` bits, packed in row order in `bits`:
+        `packed_bytes` of them, the last two zero.  Words may be longer than
+        64 bits: the input blocks of skewed machines run to 2**(n_bits - 1)
+        bits."""
+        self._row_base = row_base
         self.lengths = np.ascontiguousarray(lengths, np.int32)
         self.longest = int(self.lengths.max(initial=0))
         self._offsets = np.cumsum(self.lengths, dtype=np.int64) - self.lengths
         self._bits = np.ascontiguousarray(bits, np.uint8)
-        if len(self._bits) != self.lengths.sum():
+        if len(self._bits) != packed_bytes(self.lengths.sum(dtype=np.int64)):
             raise ValueError("the bits are not as long as the words")
         self._index: np.ndarray | None = None
+        # the arguments of `walk_block` that emit the words
+        self._words = tuple(a.ctypes.data for a in (self._bits, self._offsets, self.lengths))
+        self._match: tuple[int, int] | None = None
 
     @property
     def index(self) -> np.ndarray:
@@ -165,12 +148,16 @@ class PrefixTable:
         state, then the child nodes of 2**w entries each."""
         if self._index is None:
             self._index = self._build_index()
+            # the arguments of `walk_block` that match the words
+            self._match = (self._index.ctypes.data, self.lengths.ctypes.data)
         return self._index
 
     def _build_index(self) -> np.ndarray:
         """`window_index` of _walk.c: a pass that lays the nodes out and
         counts their entries, then one that writes every entry into an
-        index of that size.  Entries fit in int32 (at most _MAX_ENTRIES)."""
+        index of that size, both told once by `words_in_order` whether the
+        long words are in order.  Entries fit in int32 (at most
+        _MAX_ENTRIES)."""
         lengths, bits = self.lengths, self._bits
         row_base = np.ascontiguousarray(self._row_base, np.int64)
         states = len(row_base) - 1
@@ -180,9 +167,13 @@ class PrefixTable:
             raise ValueError("negative word lengths")
         long_words = int(np.count_nonzero(lengths > WINDOW_BITS))
         scratch = np.empty(7 * long_words + 4, np.int32)
-        args = (
+        words = (
             row_base.ctypes.data, states, lengths.ctypes.data, self._offsets.ctypes.data,
-            bits.ctypes.data, len(bits), _MAX_ENTRIES, long_words, scratch.ctypes.data,
+            bits.ctypes.data,
+        )
+        args = (
+            *words, kernel().words_in_order(*words), _MAX_ENTRIES, long_words,
+            scratch.ctypes.data,
         )
         size = kernel().window_index(*args, None)
         if size < 0:
@@ -193,13 +184,13 @@ class PrefixTable:
         return index
 
     def word(self, row: int) -> np.ndarray:
-        """The bits of word `row`, as 0/1 bytes."""
-        at = int(self._offsets[row])
-        return self._bits[at : at + int(self.lengths[row])]
+        """The bits of word `row`, unpacked to 0/1 bytes."""
+        at, n = int(self._offsets[row]), int(self.lengths[row])
+        return np.unpackbits(self._bits[at >> 3 : (at + n + 7) >> 3])[at & 7 :][:n]
 
     def words(self) -> list[str]:
         """Every word as '0'/'1' text, in row order."""
-        text = (self._bits | ord("0")).tobytes().decode("ascii")
+        text = (np.unpackbits(self._bits[:-2]) | ord("0")).tobytes().decode("ascii")
         ends = np.cumsum(self.lengths, dtype=np.int64).tolist()
         return [text[a:b] for a, b in zip(self._offsets.tolist(), ends)]
 
@@ -294,39 +285,33 @@ def kernel() -> ctypes.CDLL:
 
 class StepLoop:
     """`draw_block` and `walk_block` of _walk.c over the words of `table`,
-    the `next_state` and input bits `fed` of its rows and, where given, the
-    words of `emit` and the states' swap `moduli`, with pointers and checks
-    taken once per walk.  `rows`, `targets` (-1: no jump) and `draws` hold
-    up to `steps` steps; `frame` the next step's bit and state, the input
-    bits fed, the emitted bit and the steps taken."""
+    with the reduced machine `rm`'s `next_state` and input bits fed per row
+    and, where given, the words of `emit` and the states' swap `moduli`:
+    `rm.inputs` and a codec's `outputs` and `swap_moduli`, whose
+    construction checks their rows and types and takes their pointers.
+    `rows`, `targets` (-1: no jump) and `draws` hold up to `steps` steps;
+    `frame` the next step's bit and state, the input bits fed, the emitted
+    bit and the steps taken."""
 
     __slots__ = (
         "_held", "_fixed", "_states", "_emit", "_block", "rows", "targets", "draws", "frame"
     )
 
     def __init__(
-        self, table: PrefixTable, next_state, fed, emit=None, moduli=None, decode=False,
-        steps=BLOCK_STEPS,
+        self, table: PrefixTable, rm, emit=None, moduli=None, decode=False, steps=BLOCK_STEPS
     ):
-        # pointers go to C: each array is held here, contiguous and of its type
-        next_state, fed = (np.ascontiguousarray(a, np.int32) for a in (next_state, fed))
-        moduli = None if moduli is None else np.ascontiguousarray(moduli, np.uint64)
-        self._held, self._emit = (table, next_state, fed, moduli), emit
-        self._states = len(table._row_base) - 1
-        if not len(next_state) == len(fed) == len(table.lengths) == len((emit or table).lengths):
-            raise ValueError("one next state, input length and emitted word per row")
-        if moduli is not None and len(moduli) != self._states:
-            raise ValueError("one modulus per state")
-        words = (None,) * 3 if emit is None else (emit._bits, emit._offsets, emit.lengths)
-        ptr = lambda a: None if a is None else a.ctypes.data  # noqa: E731
+        table.index  # built first, and with it the pointers of `table._match`
+        self._held, self._emit, self._states = (table, rm, emit, moduli), emit, rm.state_count
         self._fixed = (
-            *map(ptr, (table.index, table.lengths, next_state, fed, moduli)), decode,
-            *map(ptr, words), 0 if emit is None else len(emit._bits),
+            *table._match, *rm._steps, None if moduli is None else moduli.ctypes.data, decode,
+            *((None,) * 3 if emit is None else emit._words),
         )
         self.rows = np.empty(steps, np.int64)
         self.targets = np.full(steps, -1, np.int64)
         self.draws = None if moduli is None else np.empty(steps, np.uint64)
-        self._block = tuple(map(ptr, (self.targets, self.draws, self.rows)))
+        self._block = tuple(None if a is None else a.ctypes.data for a in (
+            self.targets, self.draws, self.rows
+        ))
         self.frame = (ctypes.c_int64 * 5)()
 
     def run(self, data, bit, end, m, limit, out: BitWriter | None = None, keys=None) -> int:
@@ -388,8 +373,8 @@ def walk(
     match, emit = (codewords, rm.inputs) if decode else (rm.inputs, codewords)
     # the index is built first: its peak then holds no buffer or block arrays
     loop = StepLoop(
-        match, rm.next_state, rm.inputs.lengths, None if out is None else emit,
-        None if keys is None else moduli, decode, min(BLOCK_STEPS, max(limit, 0)),
+        match, rm, None if out is None else emit, None if keys is None else moduli, decode,
+        min(BLOCK_STEPS, max(limit, 0)),
     )
     span = -(-(BLOCK_STEPS * match.longest + 16) // 8) + 1
     buffer = ByteBuffer(stream, span, -(-match.longest // 8) + 2)

@@ -4,7 +4,7 @@ Forward composition replaces each transition without output by the
 transitions of its successor (input blocks concatenate, outputs are
 adopted), until every edge emits.  The result is a machine whose per-state
 input blocks form a complete prefix-free set, so any bit stream parses
-unambiguously.
+unambiguously.  The blocks are held packed, as every table's words are.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .bitio import BitSource, Bits
 from .coder import CoderParams, FullMachine
-from .prefix import PrefixTable, bit_string, kernel, kraft_bits, walk
+from .prefix import PrefixTable, bit_string, kernel, packed_bytes, walk
 
 
 class NonEmittingCycleError(RuntimeError):
@@ -38,10 +38,11 @@ class ReducedMachine:
     `row_base[s + 1]` in parse-tree order; `row_state[r]` is row r's state,
     and the prefix tables `inputs` and `codec.outputs` share this layout.
     Row r reads the input block of `block_len[r]` bits, kept only in
-    `inputs` (`block_bits` is every block's 0/1 bytes, in row order), emits
-    the output of `out_len[r]` bits `out_bits[r]`, and moves to `next_state[r]`.
-    `origin_bounds[s]` is the (low, high, follow) the state came from.
-    `transitions` is an object view, built on first access.
+    `inputs` (`block_bits` is every block packed in row order, as
+    `PrefixTable` takes it), emits the output of `out_len[r]` bits
+    `out_bits[r]`, and moves to `next_state[r]`.  `origin_bounds[s]` is the
+    (low, high, follow) the state came from.  `transitions` is an object
+    view, built on first access.
     """
 
     def __init__(
@@ -54,12 +55,17 @@ class ReducedMachine:
         self.row_base = np.zeros(self.state_count + 1, np.int64)
         np.cumsum(self.counts, out=self.row_base[1:])
         self.row_state = np.repeat(np.arange(self.state_count, dtype=np.int32), self.counts)
-        self.block_len = np.asarray(block_len, np.int32)
-        self.inputs = PrefixTable(self.row_base, self.row_state, self.block_len, block_bits)
+        self.block_len = np.ascontiguousarray(block_len, np.int32)
+        self.inputs = PrefixTable(self.row_base, self.block_len, block_bits)
         self.out_len = np.asarray(out_len, np.int32)
         self.out_bits = np.asarray(out_bits, np.int64)
-        self.next_state = np.asarray(next_state, np.int32)
+        self.next_state = np.ascontiguousarray(next_state, np.int32)
         self.origin_bounds = np.asarray(origin_bounds, np.int64).reshape(-1, 3)
+        rows = self.row_base[-1]
+        if not len(self.block_len) == len(self.out_len) == len(self.next_state) == rows:
+            raise ValueError("an input block, an output and a next state per row")
+        # the arguments of `walk_block` for the rows' next states and input bits
+        self._steps = (self.next_state.ctypes.data, self.block_len.ctypes.data)
 
     @functools.cached_property
     def transitions(self) -> tuple[tuple[ReducedTransition, ...], ...]:
@@ -109,10 +115,12 @@ def reduce_machine(machine: FullMachine) -> ReducedMachine:
     are first met.  It writes each row's last edge, block length, the
     index of its block's last 1 and next state into arrays held here, and
     stops when a state's rows do not fit; they are then doubled and the
-    walk resumes at that state.  Mute chains are loop-free on valid
-    machines (follow never decreases without an emission, and at fixed
-    follow the intervals strictly nest), so a chain that enters a state it
-    is already in is reported as a coder bug.
+    walk resumes at that state.  `block_bits` then writes the blocks from
+    their lengths and last 1s, packed into an array of their exact size.
+    Mute chains are loop-free on valid machines (follow never decreases
+    without an emission, and at fixed follow the intervals strictly nest),
+    so a chain that enters a state it is already in is reported as a coder
+    bug.
     """
     n = len(machine.low)
     target, emit_len = (
@@ -144,33 +152,14 @@ def reduce_machine(machine: FullMachine) -> ReducedMachine:
             columns[k][: len(c)] = c
     found, rows = int(progress[1]), int(progress[2])
     edges, block_len, branch, next_state = (c[:rows] for c in columns)
-    counts, order = counts[:found], order[:found]
-    origin = np.stack([machine.low, machine.high, machine.follow], 1)[order]
+    bits = np.zeros(packed_bytes(block_len.sum(dtype=np.int64)), np.uint8)
+    kernel().block_bits(block_len.ctypes.data, branch.ctypes.data, rows, bits.ctypes.data)
+    order = order[:found]
+    origin = np.stack([machine.low[order], machine.high[order], machine.follow[order]], 1)
     return ReducedMachine(
-        machine.params, counts, block_len, _block_bits(counts, block_len, branch),
-        machine.emit_len[edges], machine.emit_val[edges], next_state, origin,
+        machine.params, counts[:found], block_len, bits, machine.emit_len[edges],
+        machine.emit_val[edges], next_state, origin,
     )
-
-
-def _block_bits(counts, lengths, branch) -> np.ndarray:
-    """Every row's block as 0/1 bytes, in row order, from the lengths of
-    each state's blocks in parse-tree order.
-
-    Blocks of at most 63 bits are Kraft prefix sums.  Where some block is
-    longer, each block is the one before it up to `branch`, the index of
-    its own last 1, then that 1, then 0s; a state's first block is all 0s,
-    with branch -1.  The 1s are set at once on zeroed memory, then each
-    block copies its prefix from the one before, in row order, 1s included.
-    """
-    if lengths.max() <= 63:
-        return kraft_bits(counts, lengths)
-    ends = np.cumsum(lengths, dtype=np.int64)
-    bits = np.zeros(int(ends[-1]), np.uint8)
-    bits[(ends - lengths + branch)[branch >= 0]] = 1
-    at = (ends - lengths).tolist()
-    for o, q, p in zip(at, [0, *at], branch.clip(0).tolist()):  # -1 slices from the end
-        bits[o : o + p] = bits[q : q + p]
-    return bits
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,23 @@ def rand_bits(seed: int, n: int, p_zero: float = 0.5) -> str:
     return bernoulli_bits(SplitMix64(seed), n, p_zero)
 
 
+def packed(bits) -> np.ndarray:
+    """0/1 values packed MSB first, and the two zero bytes after them: the
+    bits of a `PrefixTable`, as it takes them."""
+    return np.append(np.packbits(np.asarray(bits, np.uint8)), np.zeros(2, np.uint8))
+
+
+def machine_over(table) -> ReducedMachine:
+    """A reduced machine whose input blocks are the words of `table`, in its
+    row layout, and whose rows all move to state 0: the machine of a step
+    loop over `table` alone."""
+    rows, counts = len(table.lengths), np.diff(table._row_base)
+    return ReducedMachine(
+        CoderParams(3, 3, 1), counts, table.lengths, table._bits, np.ones(rows),
+        np.zeros(rows), np.zeros(rows), np.zeros((len(counts), 3)),
+    )
+
+
 def full_from_rows(params, states, edges) -> FullMachine:
     """A hand-written full machine as the builder's columns: (low, high,
     follow) per state and (emitted bits, target) per edge, edge 2*s + symbol."""
@@ -93,7 +110,7 @@ def reduced_from_rows(params, rows, origin) -> ReducedMachine:
         params,
         [len(row) for row in rows],
         [len(t.input_block) for t in flat],
-        [int(b) for t in flat for b in t.input_block],
+        packed([int(b) for t in flat for b in t.input_block]),
         [len(t.output_bits) for t in flat],
         [int(t.output_bits or "0", 2) for t in flat],
         [t.to for t in flat],
@@ -158,8 +175,8 @@ def reference_reduce(machine) -> ReducedMachine:
     successor's two edges; the stack pops the 0 edge first, so the rows come
     out in parse-tree order and their targets are numbered as they come. A
     row's block, the bits read along its chain, is appended to one
-    bytearray as 0/1 bytes. A state met again on the chain being walked is
-    a non-emitting cycle.
+    bytearray as 0/1 bytes, packed at the end. A state met again on the
+    chain being walked is a non-emitting cycle.
     """
     target = machine.target.tolist()
     mute = (machine.emit_len == 0).tolist()
@@ -211,7 +228,7 @@ def reference_reduce(machine) -> ReducedMachine:
     renumber[order] = np.arange(len(order), dtype=np.int32)
     origin = np.stack([machine.low, machine.high, machine.follow], 1)[order]
     return ReducedMachine(
-        machine.params, counts, block_len, np.frombuffer(blocks, np.uint8),
+        machine.params, counts, block_len, packed(np.frombuffer(blocks, np.uint8)),
         machine.emit_len[edges], machine.emit_val[edges],
         renumber[machine.target[edges]], origin,
     )
@@ -233,15 +250,15 @@ def reference_index(table, max_entries: int = (1 << 28) - 1) -> np.ndarray:
     """
     k = 8
     lengths = np.asarray(table.lengths, np.int32)
-    bits = np.asarray(table._bits, np.uint8)
-    packed = np.packbits(bits)
-    last = len(packed) - 1
+    bits = np.asarray(table._bits, np.uint8)  # packed, and two zero bytes
     rows = np.arange(len(lengths), dtype=np.int32)
-    start = np.asarray(table._row_state, np.int64) << k  # first entry of each word's node
+    states = len(table._row_base) - 1
+    row_state = np.repeat(np.arange(states, dtype=np.int64), np.diff(table._row_base))
+    start = row_state << k  # first entry of each word's node
     width = k  # its node's width
     off = np.cumsum(lengths, dtype=np.int64) - lengths
     left = lengths
-    size = (len(table._row_base) - 1) << k
+    size = states << k
     fills = []  # (first entry, log2 of its entries, value) of words and links
     while True:
         if size > max_entries:
@@ -250,7 +267,7 @@ def reference_index(table, max_entries: int = (1 << 28) - 1) -> np.ndarray:
         drop = width - keep
         # a word's kept bits lie in the byte holding bit `off` and the next
         at = off >> 3
-        pair = packed[at].astype(np.int64) << 8 | packed[np.minimum(at + 1, last)]
+        pair = bits[at].astype(np.int64) << 8 | bits[at + 1]
         pair >>= 16 - (off & 7) - keep
         first = start + ((pair & ((1 << keep) - 1)) << drop)
         short = left <= width

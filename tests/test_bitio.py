@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hfsac import Bits
 from hfsac.bitio import BitSource, BitWriter
 from hfsac.prefix import ByteBuffer, PrefixTable, StepLoop
+from conftest import machine_over, packed
 
 bit_text = st.text(alphabet="01", max_size=200)
 
@@ -93,9 +94,9 @@ class TestBitWriter:
 def window_reader() -> StepLoop:
     """A step loop over one state whose words are the 256 bytes, row r the
     byte r: the row of a step is the window it reads."""
-    words = np.unpackbits(np.arange(256, dtype=np.uint8))
-    table = PrefixTable(np.array([0, 256]), np.zeros(256, np.int32), np.full(256, 8), words)
-    return StepLoop(table, np.zeros(256, np.int32), table.lengths, steps=1)
+    words = packed(np.unpackbits(np.arange(256, dtype=np.uint8)))
+    table = PrefixTable(np.array([0, 256]), np.full(256, 8), words)
+    return StepLoop(table, machine_over(table), steps=1)
 
 
 READER = window_reader()

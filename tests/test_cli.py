@@ -12,7 +12,7 @@ import pytest
 
 from hfsac import HfsacCodec, cli, parse, pgm_bytes, prefix, write_pgm
 from hfsac.cli import main
-from conftest import rand_bits, synthetic_image
+from conftest import packed, rand_bits, synthetic_image
 
 
 @pytest.fixture
@@ -591,7 +591,7 @@ class TestSelftest:
             words = codec.outputs.words()
             words[0] = words[codec.rm.row_base[1] - 1]
             return HfsacCodec(
-                codec.rm, [len(w) for w in words], [int(b) for w in words for b in w]
+                codec.rm, [len(w) for w in words], packed([int(b) for w in words for b in w])
             )
 
         monkeypatch.setattr(cli, "build_codec", corrupted)

@@ -48,7 +48,7 @@ from hfsac.crypto import GOLDEN, TAG_JUMP, TAG_STATE, TAG_SWAP
 from hfsac import prefix
 from hfsac.prefix import BLOCK_STEPS
 from conftest import (
-    SWEEP, ReferenceSplitMix, rand_bits, reference_decrypt, reference_encrypt,
+    SWEEP, ReferenceSplitMix, packed, rand_bits, reference_decrypt, reference_encrypt,
     reference_match, reference_parse, reference_streams, synthetic_image,
 )
 
@@ -507,7 +507,7 @@ class TestDecodeMatchesReference:
         words = codec.outputs.words()
         words[0] += "0"
         gapped = huffman.HfsacCodec(
-            codec.rm, [len(w) for w in words], [int(b) for w in words for b in w]
+            codec.rm, [len(w) for w in words], packed([int(b) for w in words for b in w])
         )
         messages = set()
         for i in range(60):

@@ -18,7 +18,6 @@ from hfsac import (
 from hfsac.huffman import (
     HfsacCodec, attach_tables, canonical_bits, code_lengths, integer_weights,
 )
-from hfsac.prefix import kraft_bits
 from conftest import (
     SWEEP,
     build_state_code,
@@ -31,6 +30,11 @@ from conftest import (
     rand_bits,
     reduced_from_rows,
 )
+
+
+def text(bits, n) -> str:
+    """The first n of the packed `bits` as '0'/'1' text."""
+    return "".join(map(str, np.unpackbits(bits)[:n].tolist()))
 
 
 def one_state_machine(outputs):
@@ -107,12 +111,11 @@ class TestBuildStateCode:
         # codewords have at most 63 bits: the unary code 0, 10, ..., 1**k
         # is built up to k = 63 and refused at 64
         unary = np.append(np.arange(1, 64), 63)
-        bits = "".join(map(str, canonical_bits([64], unary).tolist()))
-        assert bits == "".join(canonical_codewords(unary.tolist()))
+        want = "".join(canonical_codewords(unary.tolist()))
+        assert text(canonical_bits([64], unary), unary.sum()) == want
         unary = np.append(np.arange(1, 65), 64)
-        for words in (kraft_bits, canonical_bits):
-            with pytest.raises(OverflowError, match="63 bits"):
-                words([65], unary)
+        with pytest.raises(OverflowError, match="63 bits"):
+            canonical_bits([65], unary)
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_optimality_random_weights(self, k):
@@ -141,7 +144,7 @@ class TestAllStatesAtOnce:
         else:
             weights = [1 << (gen.next_u64() % spread) for _ in range(sum(counts))]
         lengths = code_lengths(counts, np.array(weights))
-        bits = "".join(map(str, canonical_bits(counts, lengths).tolist()))
+        bits = text(canonical_bits(counts, lengths), lengths.sum())
         base = at = 0
         for k in counts:
             reference = huffman_code_lengths(weights[base : base + k])
@@ -183,17 +186,16 @@ class TestLargeStates:
         rm = cache.reduced(n, p0, fm)
         weights = integer_weights(rm)
         lengths = code_lengths(rm.counts, weights)
-        bits = canonical_bits(rm.counts, lengths)
+        words = text(canonical_bits(rm.counts, lengths), lengths.sum())
         weights, lengths = weights.tolist(), lengths.tolist()
-        text = (bits | ord("0")).tobytes().decode("ascii")
         at = 0
         for a, b in zip(rm.row_base.tolist(), rm.row_base[1:].tolist()):
             reference = huffman_code_lengths(weights[a:b])
             assert lengths[a:b] == reference
-            words = "".join(canonical_codewords(reference))
-            assert text[at : at + len(words)] == words
-            at += len(words)
-        assert at == len(text)
+            code = "".join(canonical_codewords(reference))
+            assert words[at : at + len(code)] == code
+            at += len(code)
+        assert at == len(words)
 
 
 class TestAttachTables:
@@ -233,8 +235,15 @@ class TestAttachTables:
         assert moduli.tolist() == [t.max_len + 1 for t in codec.tables]
         assert codec.swap_moduli is moduli  # built once per codec
 
+    def test_codec_needs_a_codeword_per_row(self, cache):
+        # the step loop passes the codewords to C unchecked
+        rm = cache.reduced(4, 3, 1)
+        lengths = np.ones(len(rm.next_state) - 1, np.int32)
+        with pytest.raises(ValueError, match="a codeword per row"):
+            HfsacCodec(rm, lengths, canonical_bits([len(lengths)], lengths))
+
     def test_codewords_held_once(self, cache):
-        # the codec keeps its codewords only as the 0/1 bits of `outputs`,
+        # the codec keeps its codewords only as the packed bits of `outputs`,
         # built with it rather than on first use
         codec = attach_tables(cache.reduced(4, 3, 1))
         assert "outputs" in vars(codec)
@@ -243,7 +252,7 @@ class TestAttachTables:
 
     @pytest.mark.parametrize("n,p0,fm", SWEEP[::7])
     def test_codec_from_canonical_bits(self, cache, n, p0, fm):
-        # the codec takes its codewords as 0/1 bits in row order; each
+        # the codec takes its codewords packed in row order; each
         # state's are its canonical code, counted upward by (length, index)
         codec = cache.codec(n, p0, fm)
         rm = codec.rm

@@ -36,7 +36,7 @@ from hfsac import (
     hfac_encode,
     swap_codeword,
 )
-from conftest import SWEEP, rand_bits, reference_index, reference_parse
+from conftest import SWEEP, machine_over, packed, rand_bits, reference_index, reference_parse
 
 
 @pytest.mark.parametrize("n,p0,fm", [(8, 1, 3), (10, 1, 3), (9, 150, 3)])
@@ -66,8 +66,7 @@ def _emitted(codec, rows, swap_pos=None, decode=False, block=None, cut=0) -> str
     match, emit = (codec.outputs, rm.inputs) if decode else (rm.inputs, codec.outputs)
     stream = "".join("".join(map(str, match.word(r).tolist())) for r in rows)
     moduli = None if swap_pos is None else np.full(rm.state_count, 2**64 - 1, np.uint64)
-    fed = rm.inputs.lengths
-    loop = prefix.StepLoop(match, rm.next_state, fed, emit, moduli, decode, len(rows))
+    loop = prefix.StepLoop(match, rm, emit, moduli, decode, len(rows))
     data = Bits.from_text(stream).data + bytes(-(-match.longest // 8) + 2)
     limit = int(rm.block_len[rows].sum()) - cut
     buf = bytearray()
@@ -129,23 +128,21 @@ def test_index_size_cap(monkeypatch):
     # "0" and a 17-bit word: a root node, a width-8 child and a width-1
     # grandchild, 514 entries; a child link holds at most _MAX_ENTRIES
     long_word = prefix.bit_string(17, 1 << 16 | 0x1234)
-    layout = np.array([0, 2]), np.zeros(2, np.int32)
-    bits = [0] + [int(b) for b in long_word]
+    bits = packed([0] + [int(b) for b in long_word])
     monkeypatch.setattr(prefix, "_MAX_ENTRIES", 514)
-    table = prefix.PrefixTable(*layout, [1, 17], bits)
+    table = prefix.PrefixTable(np.array([0, 2]), [1, 17], bits)
     assert len(table.index) == 514
     data = Bits.from_text(long_word).data
     assert _lookup(table, data, 0, 0) == 1
     monkeypatch.setattr(prefix, "_MAX_ENTRIES", 513)
     with pytest.raises(ValueError, match="over 513 entries"):
-        prefix.PrefixTable(*layout, [1, 17], bits).index
+        prefix.PrefixTable(np.array([0, 2]), [1, 17], bits).index
 
 
 def _one_state(words):
     """A one-state table of the '0'/'1' `words`, in that row order."""
-    layout = np.array([0, len(words)]), np.zeros(len(words), np.int32)
-    bits = [int(b) for w in words for b in w]
-    return prefix.PrefixTable(*layout, [len(w) for w in words], bits)
+    bits = packed([int(b) for w in words for b in w])
+    return prefix.PrefixTable(np.array([0, len(words)]), [len(w) for w in words], bits)
 
 
 @pytest.mark.parametrize("n,p0,fm", [*SWEEP, (9, 150, 3), (10, 1, 3), (12, 1, 3)])
@@ -195,7 +192,7 @@ def test_entry_limit_matches_the_numpy_rounds(cache, monkeypatch):
     # (10, 1, 3)'s input index has 16,384 entries: at the limit it builds,
     # one entry under it raises, on both sides
     table = cache.reduced(10, 1, 3).inputs
-    columns = table._row_base, table._row_state, table.lengths, table._bits
+    columns = table._row_base, table.lengths, table._bits
     size = len(reference_index(table, 16_384))
     assert size == 16_384
     monkeypatch.setattr(prefix, "_MAX_ENTRIES", size)
@@ -207,12 +204,12 @@ def test_entry_limit_matches_the_numpy_rounds(cache, monkeypatch):
         prefix.PrefixTable(*columns).index
 
 
-@pytest.mark.parametrize("n_bits", [2, 4])
-def test_bits_must_be_the_words_long(n_bits):
-    # words "0" and "10": three bits in row order
-    layout = np.array([0, 2]), np.zeros(2, np.int32)
+@pytest.mark.parametrize("n_bytes", [2, 4])
+def test_bits_must_be_the_words_long(n_bytes):
+    # words "0" and "10": three bits in row order, packed in one byte and
+    # followed by two zero bytes
     with pytest.raises(ValueError, match="not as long as the words"):
-        prefix.PrefixTable(*layout, [1, 2], np.zeros(n_bits, np.uint8))
+        prefix.PrefixTable(np.array([0, 2]), [1, 2], np.zeros(n_bytes, np.uint8))
 
 
 def _lookup(table, data, state, pos, swap_pos=None):
@@ -234,10 +231,8 @@ def _lookup(table, data, state, pos, swap_pos=None):
 def _one_step_loop(table):
     """The step loop of `_lookup` over `table`, built once per table: next
     states 0 and every modulus 2**64 - 1."""
-    rows, states = len(table.lengths), len(table._row_base) - 1
-    moduli = np.full(states, 2**64 - 1, np.uint64)
-    next_state = np.zeros(rows, np.int32)
-    return prefix.StepLoop(table, next_state, table.lengths, None, moduli, True, 1)
+    moduli = np.full(len(table._row_base) - 1, 2**64 - 1, np.uint64)
+    return prefix.StepLoop(table, machine_over(table), None, moduli, True, 1)
 
 
 def _scan(words, first, stream, swap_pos):
@@ -379,7 +374,8 @@ def test_every_kernel_is_typed():
     defined = re.findall(r"^(int|int64_t|uint64_t|void) (\w+)\(([^)]*)\)\s*\{", source, re.M)
     assert {name for _, name, _ in defined} == {
         "splitmix", "draw_block", "walk_block", "explore",
-        "huffman_lengths", "kraft_words", "reduce_rows", "window_index",
+        "huffman_lengths", "kraft_words", "reduce_rows", "block_bits", "words_in_order",
+        "window_index",
     }
     # no definition of another form: every line that starts one, static aside
     assert len(defined) == len(re.findall(r"^(?!static)\w[^(\n]*\(", source, re.M))
@@ -407,7 +403,7 @@ from hfsac import (
     TruncatedStreamError, WrongKeyError, build_codec, build_full_fsm, decrypt, encrypt,
     hfac_decode, reduce_machine,
 )
-from conftest import full_from_rows, rand_bits
+from conftest import full_from_rows, packed, rand_bits
 
 def fails(errors, decode, *args):
     try:
@@ -417,10 +413,12 @@ def fails(errors, decode, *args):
     raise AssertionError(f"{args[2:]} decoded without {errors}")
 
 refused = (WrongKeyError, TruncatedStreamError)
-for n, p0, fm in [(7, 44, 10), (9, 150, 3), (10, 1, 3), (12, 1, 3)]:
+for n, p0, fm in [(7, 44, 10), (9, 150, 3), (8, 1, 3), (10, 1, 3), (12, 1, 3)]:
     codec = build_codec(CoderParams(n, p0, fm))
     codec.rm.inputs.index, codec.outputs.index
-    bits = rand_bits(n, 3000, 0.3)
+    # the ones reach the last rows of the one-state codecs, whose words end
+    # in their tables' last bytes: on (8, 1, 3) the 128-bit block 1**128
+    bits = rand_bits(n, 3000, 0.3) + "1" * 300
     ks = KeySchedule(0x5EED + n, 128)
     cipher, _ = encrypt(bits, codec, ks)
     assert decrypt(cipher, codec, ks, len(bits)) == bits
@@ -447,8 +445,8 @@ except NonEmittingCycleError:
     pass
 for words, limit in ((["0", "0" * 12, "1"], prefix._MAX_ENTRIES), (["0", "1" * 17], 513)):
     prefix._MAX_ENTRIES = limit
-    bits = [int(b) for w in words for b in w]
-    table = prefix.PrefixTable(np.array([0, 2]), np.zeros(2, np.int32), list(map(len, words)), bits)
+    bits = packed([int(b) for w in words for b in w])
+    table = prefix.PrefixTable(np.array([0, 2]), list(map(len, words)), bits)
     try:
         table.index
         raise AssertionError("no ValueError")

@@ -8,6 +8,7 @@ import pytest
 from hfsac import (
     CoderParams,
     NonEmittingCycleError,
+    ReducedMachine,
     ReducedTransition,
     ac_encode_parts,
     build_full_fsm,
@@ -17,9 +18,10 @@ from hfsac import (
     validate_reduced,
 )
 from hfsac import prefix
-from hfsac.prefix import BLOCK_STEPS, kraft_bits
-from hfsac.reducer import _block_bits
-from conftest import SWEEP, full_from_rows, rand_bits, reduced_from_rows, reference_reduce
+from hfsac.prefix import BLOCK_STEPS, packed_bytes
+from conftest import (
+    SWEEP, full_from_rows, packed, rand_bits, reduced_from_rows, reference_reduce,
+)
 
 
 def incomplete_machine():
@@ -85,6 +87,14 @@ class TestReduce:
         m = cache.machine(5, 6, 1)
         assert reduce_machine(m) == reduce_machine(m)
 
+    def test_columns_must_cover_the_rows(self, cache):
+        # the step loop passes these columns to C unchecked: one state of
+        # three rows takes three next states
+        rm = cache.reduced(3, 3, 1)
+        columns = rm.counts, rm.block_len, rm.inputs._bits, rm.out_len, rm.out_bits
+        with pytest.raises(ValueError, match="a next state per row"):
+            ReducedMachine(rm.params, *columns, rm.next_state[:-1], rm.origin_bounds)
+
     def test_equality_reads_the_input_blocks(self):
         # the blocks live only in `rm.inputs`: 0/11/10 against 0/10/11
         def machine(a, b):
@@ -96,11 +106,12 @@ class TestReduce:
         assert machine("11", "10") != machine("10", "11")
         assert [r[0] for r in rows_of(machine("11", "10"), 0)] == ["0", "11", "10"]
 
-    def test_blocks_cost_about_one_byte_per_bit(self):
+    def test_blocks_cost_a_fraction_of_a_byte_per_bit(self):
         # (12, 1, 3) reads 2,100,224 block bits in 2,049 rows of up to
-        # 2,048 bits; written as 0/1 bytes where they are made, the traced
-        # peak of the reduction is ~1.3 B per block bit (5.6 B when each
-        # block was a Python int unpacked afterwards)
+        # 2,048 bits; packed where they are made, 8 to a byte, the traced
+        # peak of the reduction is ~0.23 B per block bit, 0.125 B of it the
+        # blocks and the rest the walk's columns (~1.16 B as 0/1 bytes,
+        # 5.6 B when each block was a Python int unpacked afterwards)
         fm = build_full_fsm(CoderParams(12, 1, 3))
         tracemalloc.start()
         try:
@@ -108,7 +119,7 @@ class TestReduce:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * rm.block_len.sum()
+        assert peak <= 0.25 * rm.block_len.sum()
 
     def test_window_index_rounds_cost_a_fraction_of_a_byte_per_bit(self):
         # (14, 1, 3) reads 33,566,720 block bits in 8,193 rows of up to
@@ -132,7 +143,6 @@ class TestReduce:
         assert rm.inputs.lengths is rm.block_len
         for table in (rm.inputs, codec.outputs):
             assert table._row_base is rm.row_base
-            assert table._row_state is rm.row_state
         assert rm.row_state.tolist() == [
             s for s, row in enumerate(rm.transitions) for _ in row
         ]
@@ -230,25 +240,23 @@ class TestReduce:
     @pytest.mark.parametrize(
         "n,p0,fm",
         # the skewed (n, 1, f) with n >= 7 have blocks of 2**(n - 1) > 63 bits
-        [(7, 44, 10), (9, 150, 3), *(m for m in SWEEP if m[0] < 7 or m[1] > 1)],
+        [(7, 44, 10), (9, 150, 3), *SWEEP],
     )
     def test_copy_rule_matches_the_kraft_rule(self, cache, n, p0, fm):
-        # an appended state with the unary code 0, 10, ..., 1**63 0, 1**64
-        # has 64-bit blocks, which forces the copy rule on the whole machine
-        rm = cache.reduced(n, p0, fm)
-        assert rm.block_len.max() <= 63
-        kraft = kraft_bits(rm.counts, rm.block_len)
-        starts = np.cumsum(rm.block_len) - rm.block_len
-        at = np.arange(len(kraft)) - np.repeat(starts, rm.block_len)
-        branch = np.maximum.reduceat(np.where(kraft == 1, at, -1), starts)  # last 1
-        bits = _block_bits(
-            np.append(rm.counts, 65),
-            np.append(rm.block_len, np.arange(1, 66).clip(max=64)),
-            np.append(branch, np.arange(-1, 64)),
+        # `block_bits` against the blocks that the depth-first walk reads
+        # along each chain, the block of one row after another being the
+        # Kraft sum of the rows before it; an appended state with the unary
+        # code 0, 10, ..., 1**63 0, 1**64 has 64-bit blocks, past any sum
+        # that a uint64 holds
+        words = reference_reduce(cache.machine(n, p0, fm)).inputs.words()
+        words += ["1" * k + "0" for k in range(64)] + ["1" * 64]
+        block_len = np.array(list(map(len, words)), np.int32)
+        branch = np.array([w.rfind("1") for w in words], np.int32)
+        bits = np.zeros(packed_bytes(block_len.sum()), np.uint8)
+        prefix.kernel().block_bits(
+            block_len.ctypes.data, branch.ctypes.data, len(words), bits.ctypes.data
         )
-        assert np.array_equal(bits[: len(kraft)], kraft)
-        unary = "".join("1" * k + "0" for k in range(64)) + "1" * 64
-        assert "".join(map(str, bits[len(kraft) :].tolist())) == unary
+        assert np.array_equal(bits, packed([int(b) for w in words for b in w]))
 
     def test_traced_peak_on_build_n9(self, cache):
         # (9, 150, 3): 5,031 states, 63,084 rows, 445,098 block bits; the
