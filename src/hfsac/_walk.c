@@ -3,11 +3,15 @@
  * and of every walk; `walk_block`, the steps of every walk; and the stages
  * of the codec build: `explore`, the state exploration of
  * `hfsac.coder.build_full_fsm`, `reduce_rows` and `block_bits`, the
- * mute-edge reduction of `hfsac.reducer.reduce_machine` and its input
- * blocks, the two table stages, `huffman_lengths` and `kraft_words`, and
- * `words_in_order` and `window_index`, the window index of a table's
- * words.  Every kernel writes only into arrays its caller allocates, and
- * none calls malloc.
+ * mute-edge reduction of `hfsac.reducer.reduce_machine`, with each row's
+ * output, and its input blocks, `huffman_lengths` and `kraft_words`, the
+ * two table stages of `hfsac.huffman.attach_tables`, which weigh each row
+ * by its output length, and `words_in_order` and `window_index`, the
+ * window index of a table's words.  Every kernel writes only into arrays
+ * its caller allocates, and none calls malloc.  The kernels that read a
+ * reduced machine take its columns as `hfsac.reducer.ReducedMachine`
+ * checks them when it is made: a row count per state, every block of at
+ * least 1 bit and every next state one of the states.
  *
  * Every bit array is packed MSB first: the streams, the emitted bits and
  * a table's words, which lie in row order, each from the bit after the
@@ -252,40 +256,46 @@ static inline void sift_down(uint64_t *heap, int64_t n, int64_t i)
     heap[i] = key;
 }
 
-/* Huffman code lengths of every state, the rules of `hfsac.huffman.code_lengths`:
- * state s holds counts[s] consecutive `weights` (non-negative), and its rows'
- * lengths go to the same places of `lengths`.  A node's key packs (weight,
- * merged, smallest leaf index) as weight << (b+1) | merged << b | index,
- * where b is the bit length of the state's row count rounded up to a power
- * of two, at least 2.  A binary heap pops the two least keys and pushes
- * their merge; node ids count up from the leaves, children before parents,
- * and each merge records its children's parent, so one pass from the root
- * (node 2k - 2) down gives the depths.  `heap` holds the most rows of a
- * state and `scratch` three times as many: the node of each live smallest
- * leaf index, then the parent links, turned into depths in place.
+/* Huffman code lengths of every state, each from its rows' output lengths:
+ * state s holds counts[s] consecutive `out_len`, and its rows' lengths go
+ * to the same places of `lengths`.  Row i has the weight
+ * 2**(top - out_len[i]), top the state's longest output: 2**-out_len[i]
+ * normalized, times one positive factor per state, which keeps the order
+ * of any two sums and their ties.  A node's key packs (weight, merged, smallest leaf index) as
+ * weight << (b+1) | merged << b | index, where b is the bit length of the
+ * state's row count rounded up to a power of two, at least 2.  A binary
+ * heap pops the two least keys and pushes their merge; node ids count up
+ * from the leaves, children before parents, and each merge records its
+ * children's parent, so one pass from the root (node 2k - 2) down gives
+ * the depths.  `heap` holds the most rows of a state and `scratch` three
+ * times as many: the node of each live smallest leaf index, then the
+ * parent links, turned into depths in place.
  *
- * Returns 0, or -1 when a state's weight sum has more than 61 - b bits, so
- * that its keys might not fit in 62. */
+ * Returns 0, or -1 when a state's widest weight or weight sum has more
+ * than 61 - b bits, so that its keys might not fit in 62. */
 int huffman_lengths(
-    const int64_t *counts, int64_t states, const int64_t *weights, int32_t *lengths,
+    const int64_t *counts, int64_t states, const int32_t *out_len, int32_t *lengths,
     uint64_t *heap, int32_t *scratch)
 {
     for (int64_t s = 0, base = 0; s < states; base += counts[s++]) {
         const int64_t k = counts[s];
-        const int64_t *w = weights + base;
+        const int32_t *len = out_len + base;
+        if (k < 1)
+            continue;
         int b = 2;
         while ((int64_t)1 << (b - 1) < k)
             b++;
         const uint64_t leaf = ((uint64_t)1 << b) - 1, limit = (uint64_t)1 << (61 - b);
+        int64_t top = len[0];
+        for (int64_t i = 1; i < k; i++)
+            top = len[i] > top ? len[i] : top;
         uint64_t sum = 0; /* below limit < 2**61 before each add, so it cannot wrap */
         for (int64_t i = 0; i < k; i++)
-            if ((sum += (uint64_t)w[i]) >= limit)
+            if (top - len[i] >= 61 - b || (sum += (uint64_t)1 << (top - len[i])) >= limit)
                 return -1;
-        if (k < 1)
-            continue;
         int32_t *node = scratch, *parent = scratch + k;
         for (int64_t i = 0; i < k; i++) {
-            heap[i] = (uint64_t)w[i] << (b + 1) | (uint64_t)i;
+            heap[i] = (uint64_t)1 << (top - len[i] + b + 1) | (uint64_t)i;
             node[i] = (int32_t)i;
         }
         for (int64_t i = k / 2 - 1; i >= 0; i--)
@@ -357,33 +367,34 @@ int kraft_words(const int64_t *counts, int64_t states, const int32_t *lengths, u
 
 /* The mute-edge reduction of `hfsac.reducer.reduce_machine`, over the
  * edges of a full machine of `n` states: edge 2*s + symbol leaves state s
- * for target[e] and emits emit_len[e] bits.  The reduced states are
- * numbered breadth first from state 0: `order` lists them, renumber[s] is
- * the number of full state s (-1 while unreached) and counts[k] the rows
- * of state order[k].  progress holds (states walked, states numbered, rows
- * written), in and out; the queue is the states numbered but not walked.
+ * for target[e] and emits the emit_len[e] bits of emit_val[e].  The
+ * reduced states are numbered breadth first from state 0: `order` lists
+ * them, renumber[s] is the number of full state s (-1 while unreached) and
+ * counts[k] the rows of state order[k].  progress holds (states walked,
+ * states numbered, rows written), in and out; the queue is the states
+ * numbered but not walked.
  *
  * A state's rows are the leaves of its parse tree, taken depth first with
  * the 0-edge first, so they come out in the lexicographic order of their
  * blocks: an emitting edge ends a row, a mute edge continues the block
- * into its target's two edges.  Row r gets its last edge, its block length,
- * `branch`, the index of its block's last 1 (-1 if none), and the number
- * of its last edge's target, numbered as it is first met.  The columns
- * hold `capacity` rows.  `scratch` holds 5n + 4 ints: the chain being
- * walked (the state and the block's last 1 at each depth), the depth at
- * which each state was last entered, and the stack of (edge, block length)
- * pairs.  A state entered again on the chain that enters it closes a
- * non-emitting cycle; with none the chain's states are distinct, so it is
- * at most n deep.
+ * into its target's two edges.  Row r gets its block length, `branch`, the
+ * index of its block's last 1 (-1 if none), the number of its last edge's
+ * target, numbered as it is first met, and that edge's output as out_len[r]
+ * and out_bits[r].  The columns hold `capacity` rows.  `scratch` holds
+ * 5n + 4 ints: the chain being walked (the state and the block's last 1 at
+ * each depth), the depth at which each state was last entered, and the
+ * stack of (edge, block length) pairs.  A state entered again on the chain
+ * that enters it closes a non-emitting cycle; with none the chain's states
+ * are distinct, so it is at most n deep.
  *
  * Returns 0 once every numbered state is walked, 1 when a state's rows do
  * not fit (its numbering is undone, to be walked again once the caller
  * has grown the columns), and -1 on a non-emitting cycle. */
 int reduce_rows(
-    const int32_t *target, const int32_t *emit_len, int64_t n, int32_t *renumber,
-    int32_t *order, int64_t *counts, int32_t *scratch, int32_t *row_edge,
-    int32_t *row_len, int32_t *row_branch, int32_t *row_next, int64_t capacity,
-    int64_t *progress)
+    const int32_t *target, const int32_t *emit_len, const int64_t *emit_val, int64_t n,
+    int32_t *renumber, int32_t *order, int64_t *counts, int32_t *scratch, int32_t *row_len,
+    int32_t *row_branch, int32_t *row_next, int32_t *out_len, int64_t *out_bits,
+    int64_t capacity, int64_t *progress)
 {
     int32_t *path = scratch, *last_one = path + n, *entered = last_one + n;
     int32_t *stack_edge = entered + n, *stack_len = stack_edge + n + 2;
@@ -418,8 +429,8 @@ int reduce_rows(
             }
             if (renumber[to] < 0)
                 renumber[to] = (int32_t)found, order[found++] = to;
-            row_edge[rows] = e, row_len[rows] = len, row_branch[rows] = last_one[d];
-            row_next[rows++] = renumber[to];
+            row_len[rows] = len, row_branch[rows] = last_one[d], row_next[rows] = renumber[to];
+            out_len[rows] = emit_len[e], out_bits[rows++] = emit_val[e];
         }
         counts[q] = rows - first_row;
     }

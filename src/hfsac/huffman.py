@@ -18,7 +18,7 @@ import numpy as np
 
 from .bitio import BitSource, Bits, BitWriter
 from .coder import CoderParams, build_full_fsm
-from .prefix import PrefixTable, kernel, packed_bytes, state_rows, walk
+from .prefix import PrefixTable, kernel, packed_bytes, walk
 from .reducer import ReducedMachine, reduce_machine
 
 _FLIP = str.maketrans("01", "10")
@@ -26,56 +26,6 @@ _FLIP = str.maketrans("01", "10")
 
 class CorruptStreamError(ValueError):
     """Keyless decode hit bits that match no codeword."""
-
-
-def integer_weights(rm: ReducedMachine) -> np.ndarray:
-    """The weight of every row, 2**-(output length) normalized per state,
-    scaled per state to integers: 2**(the state's longest output - length).
-
-    Every weight of a state is multiplied by the same positive constant,
-    which keeps both the order of any two sums and their ties, so Huffman
-    merging (and with it every code length and codeword) is unchanged.
-    """
-    top = np.maximum.reduceat(rm.out_len, rm.row_base[:-1])
-    return np.left_shift(1, np.repeat(top, rm.counts) - rm.out_len, dtype=np.int64)
-
-
-def code_lengths(counts, weights) -> np.ndarray:
-    """Optimal prefix-code lengths of every state at once (int32), by
-    pairwise merging of smallest weights; `counts[s]` consecutive weights
-    belong to state s.  The merging is `huffman_lengths` of _walk.c, a
-    binary heap per state.
-
-    Ties break deterministically: equal weights prefer leaves over merged
-    nodes, then the node holding the smallest transition index.  Both go
-    into one merge key with the weight, which must fit in 62 bits.
-    """
-    weights = np.ascontiguousarray(weights, np.int64)
-    counts = state_rows(counts, len(weights))
-    width = int(counts.max(initial=0))
-    lengths = np.empty(len(weights), np.int32)
-    heap, scratch = np.empty(width, np.uint64), np.empty(3 * width, np.int32)
-    if kernel().huffman_lengths(
-        counts.ctypes.data, len(counts), weights.ctypes.data, lengths.ctypes.data,
-        heap.ctypes.data, scratch.ctypes.data,
-    ):
-        raise OverflowError("Huffman weights too wide for the merge key")
-    return lengths
-
-
-def canonical_bits(counts, lengths) -> np.ndarray:
-    """Canonical codewords of every state at once, packed in row order as
-    `PrefixTable` takes them; `counts[s]` consecutive lengths belong to
-    state s.  Sorted by (length, index), they count upward: the Kraft
-    prefix sums taken in that order, `kraft_words` of _walk.c."""
-    lengths = np.ascontiguousarray(lengths, np.int32)
-    counts = state_rows(counts, len(lengths))
-    if (lengths < 0).any():
-        raise ValueError("negative word lengths")
-    bits = np.zeros(packed_bytes(lengths.sum(dtype=np.int64)), np.uint8)
-    if kernel().kraft_words(counts.ctypes.data, len(counts), lengths.ctypes.data, bits.ctypes.data):
-        raise OverflowError("words longer than 63 bits")
-    return bits
 
 
 @dataclass(frozen=True)
@@ -133,10 +83,25 @@ class HfsacCodec:
 
 
 def attach_tables(rm: ReducedMachine) -> HfsacCodec:
-    """Build the per-state code tables for a reduced machine, from each
-    state's `integer_weights`, for all states at once."""
-    lengths = code_lengths(rm.counts, integer_weights(rm))
-    return HfsacCodec(rm, lengths, canonical_bits(rm.counts, lengths))
+    """Build the per-state code tables for a reduced machine, all states at
+    once: `huffman_lengths` of _walk.c merges each state's rows, weighted
+    2**(the state's longest output - output length), and `kraft_words`
+    writes their canonical codewords, packed in row order.  Ties break
+    deterministically: equal weights prefer leaves over merged nodes, then
+    the node holding the smallest row.  Both go into one merge key with the
+    weight, which must fit in 62 bits, and a codeword has at most 63."""
+    lib, counts, width = kernel(), rm.counts.ctypes.data, int(rm.counts.max())
+    lengths = np.empty(len(rm.next_state), np.int32)
+    heap, scratch = np.empty(width, np.uint64), np.empty(3 * width, np.int32)
+    if lib.huffman_lengths(
+        counts, rm.state_count, rm.out_len.ctypes.data, lengths.ctypes.data,
+        heap.ctypes.data, scratch.ctypes.data,
+    ):
+        raise OverflowError("Huffman weights too wide for the merge key")
+    bits = np.zeros(packed_bytes(lengths.sum(dtype=np.int64)), np.uint8)
+    if lib.kraft_words(counts, rm.state_count, lengths.ctypes.data, bits.ctypes.data):
+        raise OverflowError("words longer than 63 bits")
+    return HfsacCodec(rm, lengths, bits)
 
 
 def build_codec(params: CoderParams) -> HfsacCodec:

@@ -96,16 +96,6 @@ def bit_string(length: int, value: int) -> str:
     return bin(value | 1 << length)[3:]
 
 
-def state_rows(counts, rows: int) -> np.ndarray:
-    """`counts` as contiguous int64, checked to split `rows` rows into
-    states of `counts[s]` consecutive rows each, as the table kernels read
-    them."""
-    counts = np.ascontiguousarray(counts, np.int64)
-    if (counts < 0).any() or counts.sum() != rows:
-        raise ValueError(f"state row counts that add up to the {rows} rows")
-    return counts
-
-
 def packed_bytes(n_bits: int) -> int:
     """The bytes of a table's `n_bits` packed bits: the bytes that hold them
     and two zero bytes, which the kernels' 16-bit read of a window at the
@@ -116,8 +106,9 @@ def packed_bytes(n_bits: int) -> int:
 class PrefixTable:
     """Prefix codes of all states over global row ids; immutable.
 
-    The window index is built on first use, so a table that is only
-    expanded never pays for it.
+    The window index is built on first use, so a table that no walk matches
+    never pays for it: a codec's input blocks in a decode, or its codewords
+    in an encode.
     """
 
     __slots__ = (
@@ -133,7 +124,8 @@ class PrefixTable:
         self._row_base = row_base
         self.lengths = np.ascontiguousarray(lengths, np.int32)
         self.longest = int(self.lengths.max(initial=0))
-        self._offsets = np.cumsum(self.lengths, dtype=np.int64) - self.lengths
+        self._offsets = np.cumsum(self.lengths, dtype=np.int64)
+        self._offsets -= self.lengths
         self._bits = np.ascontiguousarray(bits, np.uint8)
         if len(self._bits) != packed_bytes(self.lengths.sum(dtype=np.int64)):
             raise ValueError("the bits are not as long as the words")
@@ -291,7 +283,9 @@ class StepLoop:
     construction checks their rows and types and takes their pointers.
     `rows`, `targets` (-1: no jump) and `draws` hold up to `steps` steps;
     `frame` the next step's bit and state, the input bits fed, the emitted
-    bit and the steps taken."""
+    bit and the steps taken.  The state starts at 0 and moves to a jump
+    target, drawn modulo the states, or to a row's next state, which `rm`
+    checked: it is always one of the states."""
 
     __slots__ = (
         "_held", "_fixed", "_states", "_emit", "_block", "rows", "targets", "draws", "frame"
@@ -321,8 +315,8 @@ class StepLoop:
         `keys`, as `walk` takes them, draw the block first.  Returns 0, or -1
         where a step failed."""
         frame, emit, decode = self.frame, self._emit, self._fixed[5]
-        if not 0 <= m <= len(self.rows) or bit < 0 or not 0 <= frame[1] < self._states:
-            raise ValueError("a block that fits, a bit and a state that exist")
+        if not 0 <= m <= len(self.rows) or bit < 0:
+            raise ValueError("a block that fits and a bit that exists")
         if (out is None) != (emit is None) or keys is not None and self.draws is None:
             raise ValueError("a writer exactly where words are emitted, and moduli")
         targets, draws, rows = self._block

@@ -42,7 +42,10 @@ class ReducedMachine:
     `PrefixTable` takes it), emits the output of `out_len[r]` bits
     `out_bits[r]`, and moves to `next_state[r]`.  `origin_bounds[s]` is the
     (low, high, follow) the state came from.  `transitions` is an object
-    view, built on first access.
+    view, built on first access.  Construction checks, once, what the
+    kernels rely on: at least one state, no negative row count, a value per
+    row in every row column, blocks of at least 1 bit and next states that
+    are states.
     """
 
     def __init__(
@@ -50,20 +53,27 @@ class ReducedMachine:
         next_state, origin_bounds,
     ):
         self.params = params
-        self.counts = np.asarray(counts, np.int64)
+        self.counts = np.ascontiguousarray(counts, np.int64)
         self.state_count = len(self.counts)
+        if not self.state_count or (self.counts < 0).any():
+            raise ValueError("at least one state, and no negative row count")
         self.row_base = np.zeros(self.state_count + 1, np.int64)
         np.cumsum(self.counts, out=self.row_base[1:])
         self.row_state = np.repeat(np.arange(self.state_count, dtype=np.int32), self.counts)
         self.block_len = np.ascontiguousarray(block_len, np.int32)
-        self.inputs = PrefixTable(self.row_base, self.block_len, block_bits)
-        self.out_len = np.asarray(out_len, np.int32)
+        self.out_len = np.ascontiguousarray(out_len, np.int32)
         self.out_bits = np.asarray(out_bits, np.int64)
         self.next_state = np.ascontiguousarray(next_state, np.int32)
         self.origin_bounds = np.asarray(origin_bounds, np.int64).reshape(-1, 3)
         rows = self.row_base[-1]
-        if not len(self.block_len) == len(self.out_len) == len(self.next_state) == rows:
+        columns = self.block_len, self.out_len, self.out_bits, self.next_state
+        if any(len(c) != rows for c in columns):
             raise ValueError("an input block, an output and a next state per row")
+        if (self.block_len < 1).any():
+            raise ValueError("input blocks of at least 1 bit")
+        if ((self.next_state < 0) | (self.next_state >= self.state_count)).any():
+            raise ValueError(f"next states in [0, {self.state_count})")
+        self.inputs = PrefixTable(self.row_base, self.block_len, block_bits)
         # the arguments of `walk_block` for the rows' next states and input bits
         self._steps = (self.next_state.ctypes.data, self.block_len.ctypes.data)
 
@@ -112,11 +122,12 @@ def reduce_machine(machine: FullMachine) -> ReducedMachine:
     block into its successor's two edges, and the 0-edge goes first, so a
     state's rows come out in parse-tree order, the lexicographic order of
     its blocks.  The targets of the rows number the reduced states as they
-    are first met.  It writes each row's last edge, block length, the
-    index of its block's last 1 and next state into arrays held here, and
-    stops when a state's rows do not fit; they are then doubled and the
-    walk resumes at that state.  `block_bits` then writes the blocks from
-    their lengths and last 1s, packed into an array of their exact size.
+    are first met.  It writes each row's block length, the index of its
+    block's last 1, next state and output into arrays held here, and stops
+    when a state's rows do not fit; they are then doubled and the walk
+    resumes at that state.  `block_bits` then writes the blocks from their
+    lengths and last 1s, packed into an array of their exact size, once the
+    walk's arrays are gone and the row columns are cut to the rows.
     Mute chains are loop-free on valid machines (follow never decreases
     without an emission, and at fixed follow the intervals strictly nest),
     so a chain that enters a state it is already in is reported as a coder
@@ -126,7 +137,8 @@ def reduce_machine(machine: FullMachine) -> ReducedMachine:
     target, emit_len = (
         np.ascontiguousarray(c, np.int32) for c in (machine.target, machine.emit_len)
     )
-    if not n or len(target) != 2 * n or len(emit_len) != 2 * n or not (
+    emit_val = np.ascontiguousarray(machine.emit_val, np.int64)
+    if not n or not len(target) == len(emit_len) == len(emit_val) == 2 * n or not (
         0 <= target.min() and target.max() < n
     ):
         raise ValueError("two edges per state, each to a state")
@@ -136,11 +148,12 @@ def reduce_machine(machine: FullMachine) -> ReducedMachine:
     counts = np.zeros(n, np.int64)
     scratch = np.empty(5 * n + 4, np.int32)
     progress = np.array([0, 1, 0], np.int64)  # states walked, numbered, rows
-    columns = [np.empty(2 * n, np.int32) for _ in range(4)]  # a row per edge, at first
+    # block_len, branch, next_state, out_len and out_bits: a row per edge, at first
+    columns = [np.empty(2 * n, t) for t in (np.int32,) * 4 + (np.int64,)]
     while True:
         status = kernel().reduce_rows(
-            target.ctypes.data, emit_len.ctypes.data, n, renumber.ctypes.data,
-            order.ctypes.data, counts.ctypes.data, scratch.ctypes.data,
+            target.ctypes.data, emit_len.ctypes.data, emit_val.ctypes.data, n,
+            renumber.ctypes.data, order.ctypes.data, counts.ctypes.data, scratch.ctypes.data,
             *(c.ctypes.data for c in columns), len(columns[0]), progress.ctypes.data,
         )
         if status < 0:
@@ -151,14 +164,17 @@ def reduce_machine(machine: FullMachine) -> ReducedMachine:
             columns[k] = np.empty(2 * len(c), c.dtype)
             columns[k][: len(c)] = c
     found, rows = int(progress[1]), int(progress[2])
-    edges, block_len, branch, next_state = (c[:rows] for c in columns)
-    bits = np.zeros(packed_bytes(block_len.sum(dtype=np.int64)), np.uint8)
-    kernel().block_bits(block_len.ctypes.data, branch.ctypes.data, rows, bits.ctypes.data)
     order = order[:found]
     origin = np.stack([machine.low[order], machine.high[order], machine.follow[order]], 1)
+    # the walk's arrays go before the blocks are allocated, and the columns
+    # are cut to the states and rows, so that the blocks come on top of little
+    counts, columns = counts[:found].copy(), [c[:rows].copy() for c in columns]
+    del renumber, order, scratch
+    block_len, branch, next_state, out_len, out_bits = columns
+    bits = np.zeros(packed_bytes(block_len.sum(dtype=np.int64)), np.uint8)
+    kernel().block_bits(block_len.ctypes.data, branch.ctypes.data, rows, bits.ctypes.data)
     return ReducedMachine(
-        machine.params, counts[:found], block_len, bits, machine.emit_len[edges],
-        machine.emit_val[edges], next_state, origin,
+        machine.params, counts, block_len, bits, out_len, out_bits, next_state, origin,
     )
 
 

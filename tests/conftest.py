@@ -15,6 +15,7 @@ from hfsac import (
     GrayImage,
     NonEmittingCycleError,
     ReducedMachine,
+    ReducedTransition,
     SplitMix64,
     TruncatedStreamError,
     WrongKeyError,
@@ -116,6 +117,20 @@ def reduced_from_rows(params, rows, origin) -> ReducedMachine:
         [t.to for t in flat],
         origin,
     )
+
+
+def unary_machine(out_len) -> ReducedMachine:
+    """A reduced machine of one state per list of `out_len`, each of whose
+    rows emits that many 0s: the k rows of a state read the unary blocks
+    0, 10, ..., 1**(k - 2) 0, 1**(k - 1), and move to state 0."""
+    rows = [
+        tuple(
+            ReducedTransition(s, "1" * i + "0" * (i < len(lens) - 1), "0" * n, 0)
+            for i, n in enumerate(lens)
+        )
+        for s, lens in enumerate(out_len)
+    ]
+    return reduced_from_rows(CoderParams(3, 3, 1), rows, [(0, 8, 0)] * len(rows))
 
 
 def reference_full_fsm(params) -> FullMachine:
@@ -415,7 +430,8 @@ def kraft(codes) -> Fraction:
 
 def heuristic_weights(rm, state: int) -> list[Fraction]:
     """Normalized 2**(-output length) weights, in transition order: the
-    reference form of `integer_weights`, which scales them per state."""
+    reference form of the weights of `huffman_lengths`, which scales them
+    per state."""
     rows = slice(rm.row_base[state], rm.row_base[state + 1])
     raw = [Fraction(1, 1 << n) for n in rm.out_len[rows].tolist()]
     total = sum(raw)
@@ -424,7 +440,7 @@ def heuristic_weights(rm, state: int) -> list[Fraction]:
 
 def huffman_code_lengths(weights) -> list[int]:
     """Optimal prefix-code lengths by pairwise merging of smallest weights,
-    one state at a time: the reference for `code_lengths`.
+    one state at a time: the reference for `huffman_lengths`.
 
     Deterministic tie-break: equal weights prefer leaves over merged nodes,
     then the node holding the smallest transition index.  Each merge records
@@ -452,7 +468,7 @@ def huffman_code_lengths(weights) -> list[int]:
 
 def canonical_codewords(lengths) -> list[str]:
     """Canonical assignment: sort by (length, index), count upward; the
-    reference for `canonical_bits`."""
+    reference for `kraft_words`."""
     order = sorted(zip(lengths, range(len(lengths))))
     codes = [""] * len(lengths)
     code, prev = -1, order[0][0]

@@ -15,9 +15,9 @@ from hfsac import (
     hfac_encode,
     swap_codeword,
 )
-from hfsac.huffman import (
-    HfsacCodec, attach_tables, canonical_bits, code_lengths, integer_weights,
-)
+from hfsac import prefix
+from hfsac.huffman import HfsacCodec, attach_tables
+from hfsac.prefix import packed_bytes
 from conftest import (
     SWEEP,
     build_state_code,
@@ -27,14 +27,37 @@ from conftest import (
     is_prefix_free,
     kraft,
     optimal_expected_length,
+    packed,
     rand_bits,
     reduced_from_rows,
+    unary_machine,
 )
 
 
 def text(bits, n) -> str:
     """The first n of the packed `bits` as '0'/'1' text."""
     return "".join(map(str, np.unpackbits(bits)[:n].tolist()))
+
+
+def output_weights(rm, state: int) -> list[int]:
+    """State `state`'s weights as the kernel forms them from `out_len`:
+    2**(the state's longest output - output length)."""
+    out_len = rm.out_len[rm.row_base[state] : rm.row_base[state + 1]].tolist()
+    return [1 << (max(out_len) - n) for n in out_len]
+
+
+def check_per_state_reference(codec, weights):
+    """Every state's code lengths and packed words in `codec` against the
+    one-state references on `weights(codec.rm, state)`."""
+    rm, words = codec.rm, text(codec.outputs._bits, codec.code_len.sum())
+    lengths, at = codec.code_len.tolist(), 0
+    for s, (a, b) in enumerate(zip(rm.row_base.tolist(), rm.row_base[1:].tolist())):
+        reference = huffman_code_lengths(weights(rm, s))
+        assert lengths[a:b] == reference, s
+        code = "".join(canonical_codewords(reference))
+        assert words[at : at + len(code)] == code, s
+        at += len(code)
+    assert at == len(words)
 
 
 def one_state_machine(outputs):
@@ -63,10 +86,13 @@ class TestHeuristicWeights:
         rm = one_state_machine(["0", "1"])
         assert heuristic_weights(rm, 0) == [Fraction(1, 2), Fraction(1, 2)]
 
-    def test_integer_weights_scale_the_fractions(self):
+    def test_kernel_weights_scale_the_fractions(self):
+        # the kernel weights the rows 4, 1, 4: the fractions times 9
         rm = one_state_machine(["1", "011", "0"])
-        assert integer_weights(rm).tolist() == [4, 1, 4]
-        assert [Fraction(w, 9) for w in integer_weights(rm).tolist()] == heuristic_weights(rm, 0)
+        assert output_weights(rm, 0) == [4, 1, 4]
+        assert [Fraction(w, 9) for w in output_weights(rm, 0)] == heuristic_weights(rm, 0)
+        want = build_state_code(heuristic_weights(rm, 0))
+        assert list(attach_tables(rm).tables[0].codewords) == want == ["10", "11", "0"]
 
     def test_equal_lengths_normalize_uniform(self):
         rm = one_state_machine(["00", "01", "10", "11"])
@@ -108,14 +134,19 @@ class TestBuildStateCode:
 
     def test_canonical_assignment_orders_by_length_then_index(self):
         assert canonical_codewords([2, 1, 2]) == ["10", "0", "11"]
-        # codewords have at most 63 bits: the unary code 0, 10, ..., 1**k
-        # is built up to k = 63 and refused at 64
-        unary = np.append(np.arange(1, 64), 63)
-        want = "".join(canonical_codewords(unary.tolist()))
-        assert text(canonical_bits([64], unary), unary.sum()) == want
-        unary = np.append(np.arange(1, 65), 64)
-        with pytest.raises(OverflowError, match="63 bits"):
-            canonical_bits([65], unary)
+        # codewords have at most 63 bits: `kraft_words` writes the unary
+        # code 0, 10, ..., 1**(k - 1) up to k = 64 and refuses it at 65
+        lib = prefix.kernel()
+        for k in (64, 65):
+            unary = np.array([*range(1, k), k - 1], np.int32)
+            counts = np.array([k], np.int64)
+            bits = np.zeros(packed_bytes(unary.sum()), np.uint8)
+            status = lib.kraft_words(counts.ctypes.data, 1, unary.ctypes.data, bits.ctypes.data)
+            if k == 64:
+                want = "".join(canonical_codewords(unary.tolist()))
+                assert status == 0 and text(bits, unary.sum()) == want
+            else:
+                assert status == -1
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_optimality_random_weights(self, k):
@@ -132,50 +163,45 @@ class TestBuildStateCode:
 
 
 class TestAllStatesAtOnce:
-    @pytest.mark.parametrize("spread", [1, 12, 30])
+    @pytest.mark.parametrize("spread", [1, 12])
     def test_matches_the_per_state_reference(self, spread):
-        # many states of mixed row counts merged together, with the ties
-        # that power-of-two weights make (spread 1 and 12) and arbitrary
-        # integer weights up to 2**30 (spread 30)
+        # many states of mixed row counts built together, with the ties
+        # that power-of-two weights make: outputs of 0 to spread - 1 bits
         gen = SplitMix64(2024 + spread)
         counts = [2 + gen.next_u64() % 40 for _ in range(300)]
-        if spread == 30:
-            weights = [1 + gen.next_u64() % (1 << 30) for _ in range(sum(counts))]
-        else:
-            weights = [1 << (gen.next_u64() % spread) for _ in range(sum(counts))]
-        lengths = code_lengths(counts, np.array(weights))
-        bits = text(canonical_bits(counts, lengths), lengths.sum())
-        base = at = 0
-        for k in counts:
-            reference = huffman_code_lengths(weights[base : base + k])
-            assert lengths[base : base + k].tolist() == reference
-            # equal lengths, so equal words where the concatenations agree
-            assert bits[at : at + sum(reference)] == "".join(canonical_codewords(reference))
-            base += k
-            at += sum(reference)
-        assert at == len(bits)
+        rm = unary_machine([[gen.next_u64() % spread for _ in range(k)] for k in counts])
+        check_per_state_reference(attach_tables(rm), heuristic_weights)
 
 
 class TestMergeKeyBound:
     # a state's merge keys pack weight << (b + 1) | merged << b | leaf index
     # into 62 bits, b the bit length of its row count rounded up to a power
     # of two (at least 2): its weight sum may have at most 61 - b bits
-    @pytest.mark.parametrize("k,b", [(2, 2), (5, 4)])
-    def test_boundary_builds_and_one_more_raises(self, k, b):
-        top = 1 << (61 - b)
-        weights = [top >> k] * (k - 1)
-        weights.append(top - 1 - sum(weights))  # the sum is 61 - b bits wide
-        lengths = code_lengths([k], np.array(weights))
-        assert lengths.tolist() == huffman_code_lengths(weights)
-        weights[-1] += 1
-        with pytest.raises(OverflowError, match="too wide for the merge key"):
-            code_lengths([k], np.array(weights))
+    def test_boundary_builds_and_one_more_raises(self):
+        # 54 rows (b = 7) weighted 2**0, ..., 2**53 add up to 2**54 - 1; a
+        # 55th row of weight 1 makes 2**54, and one weighted 2**70 is wider
+        # than the key itself
+        out_len = list(range(53, -1, -1))
+        codec = attach_tables(unary_machine([out_len]))
+        assert codec.code_len.tolist() == huffman_code_lengths([1 << i for i in range(54)])
+        for wide in ([*out_len, 53], [0, 70]):
+            with pytest.raises(OverflowError, match="too wide for the merge key"):
+                attach_tables(unary_machine([wide]))
 
     def test_each_state_has_its_own_bound(self):
-        # a 2-row state at its boundary beside a 5-row state: a bound taken
-        # from the widest state (b = 4) would refuse the 2-row one
-        weights = [1 << 58, (1 << 58) - 1, 1, 2, 3, 4, 5]
-        assert code_lengths([2, 5], np.array(weights)).tolist() == [1, 1, 3, 3, 2, 2, 2]
+        # a 2-row state weighted 2**58 and 1, under its bound of 2**59,
+        # beside a 5-row state (b = 4): a bound taken from the widest state,
+        # 2**57, would refuse the 2-row one
+        counts = np.array([2, 5], np.int64)
+        out_len = np.array([0, 58, 3, 3, 2, 1, 1], np.int32)
+        lengths = np.empty(7, np.int32)
+        heap, scratch = np.empty(5, np.uint64), np.empty(15, np.int32)
+        status = prefix.kernel().huffman_lengths(
+            counts.ctypes.data, 2, out_len.ctypes.data, lengths.ctypes.data,
+            heap.ctypes.data, scratch.ctypes.data,
+        )
+        assert status == 0
+        assert lengths.tolist() == [1, 1, *huffman_code_lengths([1, 1, 2, 4, 4])]
 
 
 class TestLargeStates:
@@ -183,19 +209,7 @@ class TestLargeStates:
     # of 2 to 23 rows
     @pytest.mark.parametrize("n,p0,fm", [(12, 1, 3), (10, 300, 3)])
     def test_matches_the_per_state_reference(self, cache, n, p0, fm):
-        rm = cache.reduced(n, p0, fm)
-        weights = integer_weights(rm)
-        lengths = code_lengths(rm.counts, weights)
-        words = text(canonical_bits(rm.counts, lengths), lengths.sum())
-        weights, lengths = weights.tolist(), lengths.tolist()
-        at = 0
-        for a, b in zip(rm.row_base.tolist(), rm.row_base[1:].tolist()):
-            reference = huffman_code_lengths(weights[a:b])
-            assert lengths[a:b] == reference
-            code = "".join(canonical_codewords(reference))
-            assert words[at : at + len(code)] == code
-            at += len(code)
-        assert at == len(words)
+        check_per_state_reference(cache.codec(n, p0, fm), output_weights)
 
 
 class TestAttachTables:
@@ -240,7 +254,7 @@ class TestAttachTables:
         rm = cache.reduced(4, 3, 1)
         lengths = np.ones(len(rm.next_state) - 1, np.int32)
         with pytest.raises(ValueError, match="a codeword per row"):
-            HfsacCodec(rm, lengths, canonical_bits([len(lengths)], lengths))
+            HfsacCodec(rm, lengths, np.zeros(packed_bytes(len(lengths)), np.uint8))
 
     def test_codewords_held_once(self, cache):
         # the codec keeps its codewords only as the packed bits of `outputs`,
@@ -255,12 +269,13 @@ class TestAttachTables:
         # the codec takes its codewords packed in row order; each
         # state's are its canonical code, counted upward by (length, index)
         codec = cache.codec(n, p0, fm)
-        rm = codec.rm
-        rebuilt = HfsacCodec(rm, codec.code_len, canonical_bits(rm.counts, codec.code_len))
+        rm, base = codec.rm, codec.rm.row_base.tolist()
+        lengths = codec.code_len.tolist()
+        words = [canonical_codewords(lengths[a:b]) for a, b in zip(base, base[1:])]
+        bits = packed([int(c) for code in words for word in code for c in word])
+        rebuilt = HfsacCodec(rm, codec.code_len, bits)
         assert rebuilt == codec
-        for table in rebuilt.tables:
-            lengths = [len(c) for c in table.codewords]
-            assert list(table.codewords) == canonical_codewords(lengths)
+        assert [list(table.codewords) for table in rebuilt.tables] == words
 
     def test_reference_table_shape(self, cache):
         codec = cache.codec(4, 3, 1)

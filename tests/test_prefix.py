@@ -392,7 +392,8 @@ def test_every_kernel_is_typed():
 # run in a child that loads the sanitized kernels: every kernel on codecs
 # whose columns, rows and (on (9, 150, 3)) exploration arrays grow, both
 # indexes, a keyed round trip, the decodes an attacker reaches, each ending
-# in its error class, and each build kernel's error return
+# in its error class, each build kernel's error return, and the Huffman
+# weights at the merge key's bound and past it
 SANITIZED_RUN = """
 import sys
 import numpy as np
@@ -400,10 +401,10 @@ from hfsac import coder, prefix
 prefix._library = lambda source: sys.argv[1]
 from hfsac import (
     CoderParams, CorruptStreamError, KeySchedule, NonEmittingCycleError, StateExplosionError,
-    TruncatedStreamError, WrongKeyError, build_codec, build_full_fsm, decrypt, encrypt,
-    hfac_decode, reduce_machine,
+    TruncatedStreamError, WrongKeyError, attach_tables, build_codec, build_full_fsm, decrypt,
+    encrypt, hfac_decode, reduce_machine,
 )
-from conftest import full_from_rows, packed, rand_bits
+from conftest import full_from_rows, packed, rand_bits, unary_machine
 
 def fails(errors, decode, *args):
     try:
@@ -451,6 +452,15 @@ for words, limit in ((["0", "0" * 12, "1"], prefix._MAX_ENTRIES), (["0", "1" * 1
         table.index
         raise AssertionError("no ValueError")
     except ValueError:
+        pass
+# 54 rows weighted 2**0, ..., 2**53; a 55th row of weight 1, and a weight of 2**70
+out_len = list(range(53, -1, -1))
+attach_tables(unary_machine([out_len]))
+for wide in ([*out_len, 53], [0, 70]):
+    try:
+        attach_tables(unary_machine([wide]))
+        raise AssertionError("no OverflowError")
+    except OverflowError:
         pass
 print("clean")
 """
