@@ -86,7 +86,7 @@ class TestHeuristicWeights:
         rm = one_state_machine(["0", "1"])
         assert heuristic_weights(rm, 0) == [Fraction(1, 2), Fraction(1, 2)]
 
-    def test_kernel_weights_scale_the_fractions(self):
+    def test_integer_weights_scale_the_fractions(self):
         # the kernel weights the rows 4, 1, 4: the fractions times 9
         rm = one_state_machine(["1", "011", "0"])
         assert output_weights(rm, 0) == [4, 1, 4]
@@ -163,10 +163,11 @@ class TestBuildStateCode:
 
 
 class TestAllStatesAtOnce:
-    @pytest.mark.parametrize("spread", [1, 12])
+    @pytest.mark.parametrize("spread", [1, 12, 30])
     def test_matches_the_per_state_reference(self, spread):
         # many states of mixed row counts built together, with the ties
-        # that power-of-two weights make: outputs of 0 to spread - 1 bits
+        # that power-of-two weights make: outputs of 0 to spread - 1 bits,
+        # so weights of up to 2**29 at spread 30
         gen = SplitMix64(2024 + spread)
         counts = [2 + gen.next_u64() % 40 for _ in range(300)]
         rm = unary_machine([[gen.next_u64() % spread for _ in range(k)] for k in counts])
@@ -177,7 +178,23 @@ class TestMergeKeyBound:
     # a state's merge keys pack weight << (b + 1) | merged << b | leaf index
     # into 62 bits, b the bit length of its row count rounded up to a power
     # of two (at least 2): its weight sum may have at most 61 - b bits
-    def test_boundary_builds_and_one_more_raises(self):
+    @pytest.mark.parametrize("k,b", [(2, 2), (5, 4)])
+    def test_boundary_builds_and_one_more_raises(self, k, b):
+        # k rows weighted 2**(60 - b), ..., 2**(62 - b - k) and 1 have the
+        # widest sum below 2**(61 - b) that such weights make; lengthening
+        # every output but the one of the smallest weight above 1 doubles
+        # that weight, and the sum becomes 2**(61 - b) + 1
+        out_len = [*range(k - 1), 60 - b]
+        weights = [1 << (60 - b - n) for n in out_len]
+        assert sum(weights) == (1 << (61 - b)) - (1 << (62 - b - k)) + 1
+        codec = attach_tables(unary_machine([out_len]))
+        assert codec.code_len.tolist() == huffman_code_lengths(weights)
+        wide = [n + (i != k - 2) for i, n in enumerate(out_len)]
+        assert sum(1 << (max(wide) - n) for n in wide) == (1 << (61 - b)) + 1
+        with pytest.raises(OverflowError, match="too wide for the merge key"):
+            attach_tables(unary_machine([wide]))
+
+    def test_full_key_builds_and_one_more_unit_raises(self):
         # 54 rows (b = 7) weighted 2**0, ..., 2**53 add up to 2**54 - 1; a
         # 55th row of weight 1 makes 2**54, and one weighted 2**70 is wider
         # than the key itself

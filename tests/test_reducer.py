@@ -87,6 +87,14 @@ class TestReduce:
         m = cache.machine(5, 6, 1)
         assert reduce_machine(m) == reduce_machine(m)
 
+    def test_columns_must_cover_the_rows(self, cache):
+        # the step loop passes these columns to C unchecked: one state of
+        # three rows takes three next states
+        rm = cache.reduced(3, 3, 1)
+        columns = rm.counts, rm.block_len, rm.inputs._bits, rm.out_len, rm.out_bits
+        with pytest.raises(ValueError, match="a next state per row"):
+            ReducedMachine(rm.params, *columns, rm.next_state[:-1], rm.origin_bounds)
+
     @pytest.mark.parametrize(
         "counts,blocks,next_state,match",
         [
@@ -100,7 +108,7 @@ class TestReduce:
         ],
         ids=["short", "past", "far", "negative", "0-bit block", "negative count", "no state"],
     )
-    def test_columns_must_cover_the_rows(self, counts, blocks, next_state, match):
+    def test_columns_the_kernels_read_are_checked(self, counts, blocks, next_state, match):
         # the kernels read these columns unchecked: a walk over a next state
         # that is not a state reads out of bounds, and one over a 0-bit
         # block never ends
